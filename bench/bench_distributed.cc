@@ -245,12 +245,17 @@ int main(int argc, char** argv) {
       workload, baseline.ids, baseline.join_pairs, kShards, true);
   const RecoveryResult full_replay = RunRecoveryLeg(
       workload, baseline.ids, baseline.join_pairs, kShards, false);
+  // The measured saving: join pairs the full replay generated beyond the
+  // checkpointed run (both totals include the dead incarnations' work).
+  const long long pairs_delta =
+      static_cast<long long>(full_replay.join_pairs) -
+      static_cast<long long>(with_checkpoint.join_pairs);
   const bool recovery_ok = with_checkpoint.ok && full_replay.ok &&
                            with_checkpoint.results_match &&
                            full_replay.results_match;
   std::printf(
       "  recovery    checkpointed makespan=%8.4fs join_pairs=%llu "
-      "retries=%llu saved_pairs=%llu\n"
+      "retries=%llu saved_pairs=%llu measured_delta=%lld\n"
       "              full-replay  makespan=%8.4fs join_pairs=%llu "
       "retries=%llu\n"
       "              results_match=%s\n",
@@ -258,7 +263,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(with_checkpoint.join_pairs),
       static_cast<unsigned long long>(with_checkpoint.retries),
       static_cast<unsigned long long>(with_checkpoint.replay_pairs_saved),
-      full_replay.makespan,
+      pairs_delta, full_replay.makespan,
       static_cast<unsigned long long>(full_replay.join_pairs),
       static_cast<unsigned long long>(full_replay.retries),
       recovery_ok ? "true" : "false");
@@ -292,6 +297,7 @@ int main(int argc, char** argv) {
         "    \"results_match\": %s,\n"
         "    \"retries\": %llu,\n"
         "    \"replay_pairs_saved\": %llu,\n"
+        "    \"replay_pairs_delta\": %lld,\n"
         "    \"join_pairs_with_checkpoint\": %llu,\n"
         "    \"join_pairs_full_replay\": %llu,\n"
         "    \"makespan_with_checkpoint_s\": %.6f,\n"
@@ -309,6 +315,7 @@ int main(int argc, char** argv) {
         results_match ? "true" : "false", recovery_ok ? "true" : "false",
         static_cast<unsigned long long>(with_checkpoint.retries),
         static_cast<unsigned long long>(with_checkpoint.replay_pairs_saved),
+        pairs_delta,
         static_cast<unsigned long long>(with_checkpoint.join_pairs),
         static_cast<unsigned long long>(full_replay.join_pairs),
         with_checkpoint.makespan, full_replay.makespan);

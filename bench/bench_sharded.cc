@@ -8,8 +8,10 @@
 // benefits (smaller per-shard grids; on a multi-core box, independent
 // shards are the natural unit for parallel or multi-process execution —
 // this single-process bench pumps them round-robin, so K > 1 here measures
-// the coordination cost alone). The result *set* is checked identical to
-// the K = 1 run on every configuration.
+// the coordination cost alone). Default ShardOptions keep checkpointed
+// retry on, so every healthy pump also exports a resume checkpoint; its
+// deterministic work counter is reported as checkpoint_cells_examined. The
+// result *set* is checked identical to the K = 1 run on every configuration.
 //
 // Extra flags over bench_common: --json=<path>.
 #include <algorithm>
@@ -40,6 +42,7 @@ struct ShardRun {
   uint64_t merge_comparisons = 0;  // merge-sink filtering/finality checks
   size_t held_peak = 0;            // merge-sink held-queue high-water mark
   double merge_time = 0.0;         // seconds spent inside the merge sink
+  uint64_t checkpoint_cells = 0;   // checkpoint-export work (cells examined)
 };
 
 using IdSet = std::vector<std::pair<RowId, RowId>>;
@@ -135,6 +138,7 @@ int main(int argc, char** argv) {
       run.merge_comparisons = sharded->merge_comparisons();
       run.held_peak = sharded->held_peak();
       run.merge_time = sharded->merge_seconds();
+      run.checkpoint_cells = sharded->checkpoint_cells_examined();
     }
 
     std::sort(ids.begin(), ids.end());
@@ -152,12 +156,13 @@ int main(int argc, char** argv) {
     std::printf(
         "  K=%-2d makespan=%8.4fs t_first=%8.4fs results=%-7zu "
         "pairs=%-10llu cmps=%-10llu merge_cmps=%-9llu held_peak=%-6zu "
-        "merge_t=%.4fs\n",
+        "merge_t=%.4fs ckpt_cells=%llu\n",
         run.num_shards, run.makespan, run.t_first, run.results,
         static_cast<unsigned long long>(run.join_pairs),
         static_cast<unsigned long long>(run.comparisons),
         static_cast<unsigned long long>(run.merge_comparisons),
-        run.held_peak, run.merge_time);
+        run.held_peak, run.merge_time,
+        static_cast<unsigned long long>(run.checkpoint_cells));
   }
 
   const double hook_ns = MeasureDisabledHookNs();
@@ -187,12 +192,14 @@ int main(int argc, char** argv) {
                    "\"t_first_s\": %.6f, \"results\": %zu, "
                    "\"join_pairs\": %llu, \"comparisons\": %llu, "
                    "\"merge_comparisons\": %llu, \"held_peak\": %zu, "
-                   "\"merge_time_s\": %.6f}%s\n",
+                   "\"merge_time_s\": %.6f, "
+                   "\"checkpoint_cells_examined\": %llu}%s\n",
                    r.num_shards, r.makespan, r.t_first, r.results,
                    static_cast<unsigned long long>(r.join_pairs),
                    static_cast<unsigned long long>(r.comparisons),
                    static_cast<unsigned long long>(r.merge_comparisons),
                    r.held_peak, r.merge_time,
+                   static_cast<unsigned long long>(r.checkpoint_cells),
                    i + 1 == runs.size() ? "" : ",");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -133,10 +133,11 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
         return 0;
       }
       has_checkpoint_ = true;
+      ++checkpoints_received_;
     }
-    // No checkpoint this pump (mid-region budget cut, result cap, or
-    // exhaustion): keep the previous one — it is still a valid, if less
-    // advanced, resume point.
+    // No checkpoint this pump (nothing newly skip-safe, mid-region budget
+    // cut, result cap, or exhaustion): keep the previous one — it is still
+    // a valid, if less advanced, resume point.
   }
   if (!reader.AtEnd()) {
     status_ =

@@ -64,6 +64,9 @@ class RemoteShardStream : public ShardEngine {
 
   const std::string& endpoint() const { return endpoint_; }
 
+  /// Pump replies that carried a checkpoint group (diagnostic).
+  uint64_t checkpoints_received() const { return checkpoints_received_; }
+
  private:
   RemoteShardStream(std::shared_ptr<WorkerPool> pool, std::string endpoint,
                     int shard_index);
@@ -86,6 +89,7 @@ class RemoteShardStream : public ShardEngine {
   uint64_t replay_pairs_saved_ = 0;
   bool has_checkpoint_ = false;
   SessionCheckpoint last_checkpoint_;
+  uint64_t checkpoints_received_ = 0;
 };
 
 }  // namespace progxe

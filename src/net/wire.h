@@ -59,8 +59,9 @@ namespace progxe {
 /// v1 -> v2: kOpenShard may carry a resume SessionCheckpoint (u8
 /// has_checkpoint + checkpoint group), kOpenResult appends resume info
 /// (u8 resumed, u32 regions_skipped, u64 replay_pairs_saved) and
-/// kPumpResult appends u8 has_checkpoint + checkpoint group. v1 payloads
-/// are byte-identical to before.
+/// kPumpResult appends u8 has_checkpoint + checkpoint group (0 = keep the
+/// previous checkpoint; workers ship one only when its skip list grew). v1
+/// payloads are byte-identical to before.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
 inline constexpr uint16_t kWireVersion = 2;
 inline constexpr uint16_t kWireVersionMin = 1;

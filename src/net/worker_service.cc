@@ -34,6 +34,10 @@ struct OpenState {
   Preference pref;
   std::unique_ptr<ProgXeSession> session;
   int shard_index = 0;
+  /// Export target reused across pumps, and the skip-list length of the
+  /// last checkpoint shipped on this session (0 before the first).
+  SessionCheckpoint checkpoint;
+  size_t shipped_skip_regions = 0;
 };
 
 Status SendError(int fd, const Status& status) {
@@ -382,13 +386,20 @@ void WorkerServer::HandleConnection(int fd) {
           WriteWatermark(has_bound, bound, &w);
           WriteStats(session.stats(), &w);
           if (wire_version >= 2) {
-            // Stream the freshest resume point back with every healthy
-            // pump; at a mid-region budget cut there is none — the
-            // coordinator keeps the previous one.
-            SessionCheckpoint checkpoint;
-            const bool has_checkpoint = session.ExportCheckpoint(&checkpoint);
+            // Ship a resume point only when it skips more regions than the
+            // last one shipped (skip lists only grow). Otherwise — nothing
+            // newly skip-safe, or a mid-region budget cut — the coordinator
+            // keeps the previous one, which is still a valid resume point.
+            const bool has_checkpoint =
+                session.ExportCheckpoint(&state->checkpoint) &&
+                state->checkpoint.skip_regions.size() >
+                    state->shipped_skip_regions;
             w.PutU8(has_checkpoint ? 1 : 0);
-            if (has_checkpoint) WriteCheckpoint(checkpoint, &w);
+            if (has_checkpoint) {
+              WriteCheckpoint(state->checkpoint, &w);
+              state->shipped_skip_regions =
+                  state->checkpoint.skip_regions.size();
+            }
           }
         }
         ok = SendFrame(fd, MsgType::kPumpResult, reply).ok();

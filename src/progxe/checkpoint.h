@@ -17,12 +17,27 @@
 //       have contributed is already flushed (delivered) or dead.
 //
 // Both conditions are permanent once true (emitted/marked never un-set), so
-// positive verdicts are cached across exports. A resumed incarnation may
-// still emit tuples *outside* the true local skyline (a suppressor from a
-// skipped region is absent); the sharded merge compensates by keeping the
-// resumed shard's own watermark in the release check (see
-// shard/sharded_stream.h) and by its per-shard dedup set, so the merged
-// delivered set stays bit-identical.
+// positive verdicts are cached across exports.
+//
+// Export cost (RegionLoop::ExportCheckpoint) follows what changed since the
+// previous export, not region count x box volume. Regions removed since
+// then are classified once: (a) ones join the sorted skip list directly,
+// (b) candidates join a list of processed-but-unsafe regions. Each unsafe
+// region caches its *blocking cell* — the unflushed cell (populated,
+// !emitted, !marked) that failed its last test. A re-test first checks
+// that cell (O(1)); only once it has cleared does it scan the output
+// table's unflushed-cell list for another cell inside the box, stopping at
+// the first hit. So one export costs O(new removals + unsafe regions +
+// unflushed cells per cleared blocker), and the unflushed cells are the
+// few populated cells still waiting to flush, not the box's cells.
+// `replay_pairs_saved` is a running total of the skip-safe processed
+// regions' actual join pairs (recorded per region as they are joined).
+//
+// A resumed incarnation may still emit tuples *outside* the true local
+// skyline (a suppressor from a skipped region is absent); the sharded merge
+// compensates by keeping the resumed shard's own watermark in the release
+// check (see shard/sharded_stream.h) and by its per-shard dedup set, so the
+// merged delivered set stays bit-identical.
 //
 // Checkpoints travel over the wire (v2 `kOpenShard` field group) to resume
 // remote shards; all fields are validated on restore and a stale or corrupt
@@ -49,7 +64,9 @@ struct SessionCheckpoint {
   /// only resumes the exact same PreparedInputs).
   uint64_t region_count = 0;
   /// Join pairs the listed processed regions generated in the capturing
-  /// incarnation — the pairs a resumed incarnation will not re-generate.
+  /// incarnation — the pairs a resumed incarnation will not re-generate —
+  /// plus, when the capturing incarnation was itself resumed, the total of
+  /// the checkpoint it resumed from (its pre-removed regions stay listed).
   uint64_t replay_pairs_saved = 0;
   /// Skip-safe region ids, sorted strictly increasing.
   std::vector<int32_t> skip_regions;

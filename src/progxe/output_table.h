@@ -110,6 +110,18 @@ class OutputTable {
   bool populated(CellIndex c) const;
   /// Number of live tuples in the cell.
   size_t AliveCount(CellIndex c) const;
+  /// True iff the cell holds live tuples that are still waiting to flush:
+  /// populated && !emitted && !marked (a marked cell holds no live tuples).
+  bool unflushed(CellIndex c) const {
+    const int32_t s = slot(c);
+    return s >= 0 && cells_[static_cast<size_t>(s)].unflushed_pos >= 0;
+  }
+
+  /// First unflushed cell with lo <= coords <= hi in every dimension, or -1.
+  /// Scans the unflushed-cell list, not the box volume, so the cost is
+  /// O(unflushed cells); adds the entries examined to `*examined`.
+  CellIndex FindUnflushedInBox(const CellCoord* lo, const CellCoord* hi,
+                               uint64_t* examined) const;
 
   /// True iff some populated cell is strictly below `coords` in every
   /// dimension (i.e. every tuple of this cell is dominated).
@@ -170,6 +182,7 @@ class OutputTable {
     std::vector<CellCoord> coords;  // this cell's grid coordinates
     CellIndex index = -1;           // cached geometry_.IndexOf(coords)
     int32_t pop_pos = -1;           // position in the populated-cell index
+    int32_t unflushed_pos = -1;     // position in the unflushed-cell list
     size_t alive_count = 0;
     size_t dead_count = 0;
 
@@ -188,6 +201,12 @@ class OutputTable {
 
   /// Kills a cell: drops its live tuples and marks it non-contributing.
   void KillCell(CellIndex c);
+
+  /// Unflushed-cell list upkeep: a cell joins when its first live tuple
+  /// arrives and leaves when it flushes, is killed or loses its last live
+  /// tuple to eviction. Swap-pop removal, O(1) either way.
+  void AddUnflushed(int32_t cell_slot);
+  void RemoveUnflushed(CellData& cell);
 
   /// Squeezes tombstones out of the populated-cell index once they
   /// dominate it. Must only run outside the index sweeps.
@@ -223,6 +242,12 @@ class OutputTable {
   DominanceIndex pop_index_;
 
   std::vector<CellIndex> marked_events_;
+
+  // Unflushed cells (populated && !emitted && !marked): cell slots plus a
+  // parallel flat copy of their coordinates (k per entry) so box-containment
+  // scans stay on contiguous memory. Read by checkpoint export only.
+  std::vector<int32_t> unflushed_slots_;
+  std::vector<CellCoord> unflushed_coords_;
 
   // Reusable scratch: single-insert coordinates and the batch pipeline's
   // per-block coordinate / cell-index buffers.

@@ -49,6 +49,7 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
     if (region.Active()) ++active_regions_;
   }
   removed_.assign(regions_->size(), 0);
+  region_pairs_.assign(regions_->size(), 0);
   result_.values.resize(static_cast<size_t>(inputs.k));
 
   // Classify regions against the refinement seed (if any): a region whose
@@ -138,6 +139,7 @@ void RegionLoop::RemoveRegion(Region& region,
                               std::vector<ResultTuple>* pending) {
   if (removed_[static_cast<size_t>(region.id)]) return;
   removed_[static_cast<size_t>(region.id)] = 1;
+  removal_log_.push_back(region.id);
   assert(active_regions_ > 0);
   --active_regions_;
   table_.ReleaseRegionCoverage(region, &settled_scratch_);
@@ -264,51 +266,59 @@ bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
       options_.max_results != 0) {
     return false;
   }
-  const GridGeometry& geom = table_.geometry();
+  newly_safe_.clear();
+  // Classify the regions removed since the last export. Discarded without
+  // processing: every would-be tuple is strictly dominated by frontier
+  // points that are themselves delivered or regenerated — safe at once.
+  for (; export_cursor_ < removal_log_.size(); ++export_cursor_) {
+    const int32_t id = removal_log_[export_cursor_];
+    if ((*regions_)[static_cast<size_t>(id)].processed) {
+      unsafe_.push_back(UnsafeRegion{id, -1});
+    } else {
+      newly_safe_.push_back(id);
+    }
+  }
+  // Processed: safe iff no live tuple it could have contributed is still
+  // waiting to flush — no unflushed cell left in its coverage box. The
+  // cell that blocked the last test usually still does; only once it has
+  // cleared is the unflushed-cell list searched for another.
+  for (size_t i = 0; i < unsafe_.size();) {
+    UnsafeRegion& entry = unsafe_[i];
+    ++checkpoint_cells_examined_;
+    if (entry.blocker < 0 || !table_.unflushed(entry.blocker)) {
+      const Region& region = (*regions_)[static_cast<size_t>(entry.id)];
+      entry.blocker = table_.FindUnflushedInBox(
+          region.lo_cell.data(), region.hi_cell.data(),
+          &checkpoint_cells_examined_);
+    }
+    if (entry.blocker >= 0) {
+      ++i;
+      continue;
+    }
+    newly_safe_.push_back(entry.id);
+    skip_pairs_ += region_pairs_[static_cast<size_t>(entry.id)];
+    entry = unsafe_.back();
+    unsafe_.pop_back();
+  }
+  if (!newly_safe_.empty()) {
+    // Merge the (few) new ids into the sorted list from the back, in place.
+    std::sort(newly_safe_.begin(), newly_safe_.end());
+    size_t a = skip_regions_.size();
+    size_t b = newly_safe_.size();
+    skip_regions_.resize(a + b);
+    for (size_t w = a + b; b > 0;) {
+      if (a > 0 && skip_regions_[a - 1] > newly_safe_[b - 1]) {
+        skip_regions_[--w] = skip_regions_[--a];
+      } else {
+        skip_regions_[--w] = newly_safe_[--b];
+      }
+    }
+  }
   out->k = static_cast<uint32_t>(prep_->inputs->k);
   out->frontier_epoch = table_.frontier_epoch();
   out->region_count = regions_->size();
-  out->replay_pairs_saved = 0;
-  out->skip_regions.clear();
-  if (skip_safe_.size() != regions_->size()) {
-    skip_safe_.assign(regions_->size(), 0);
-  }
-  const auto& r_parts = prep_->inputs->r_grid->partitions();
-  const auto& t_parts = prep_->inputs->t_grid->partitions();
-  for (size_t id = 0; id < regions_->size(); ++id) {
-    if (!removed_[id]) continue;
-    const Region& region = (*regions_)[id];
-    if (!skip_safe_[id]) {
-      bool safe = false;
-      if (region.discarded && !region.processed) {
-        // Discarded without processing: every would-be tuple is strictly
-        // dominated by frontier points that are themselves delivered or
-        // regenerated by the resumed incarnation.
-        safe = true;
-      } else if (region.processed) {
-        // Processed: safe iff no live tuple it could have contributed is
-        // still waiting to flush — every populated cell in its coverage box
-        // must be emitted (delivered) or marked (dead).
-        safe = true;
-        geom.ForEachCellInBox(
-            region.lo_cell.data(), region.hi_cell.data(), [&](CellIndex c) {
-              if (safe && table_.populated(c) && !table_.emitted(c) &&
-                  !table_.marked(c)) {
-                safe = false;
-              }
-            });
-      }
-      if (!safe) continue;
-      skip_safe_[id] = 1;
-    }
-    out->skip_regions.push_back(static_cast<int32_t>(id));
-    if (region.processed) {
-      out->replay_pairs_saved +=
-          static_cast<uint64_t>(
-              r_parts[static_cast<size_t>(region.a)].size()) *
-          static_cast<uint64_t>(t_parts[static_cast<size_t>(region.b)].size());
-    }
-  }
+  out->replay_pairs_saved = skip_pairs_;
+  out->skip_regions.assign(skip_regions_.begin(), skip_regions_.end());
   return true;
 }
 
@@ -341,6 +351,7 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
     Region& region = (*regions_)[static_cast<size_t>(id)];
     region.discarded = true;
     removed_[static_cast<size_t>(id)] = 1;
+    removal_log_.push_back(id);
     assert(active_regions_ > 0);
     --active_regions_;
     table_.ReleaseRegionCoverage(region, &settled_scratch_);
@@ -351,6 +362,9 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
   }
   resumed_ = !checkpoint.skip_regions.empty();
   replay_pairs_saved_ = resumed_ ? checkpoint.replay_pairs_saved : 0;
+  // The pre-removed regions stay skipped in every later export, and so do
+  // the pairs their skip saves.
+  skip_pairs_ = replay_pairs_saved_;
   resumed_regions_skipped_ =
       static_cast<uint32_t>(checkpoint.skip_regions.size());
   return Status::OK();
@@ -405,6 +419,7 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
           span.arg("region", next);
           const uint64_t pairs = pipeline_.ProcessRegion(pa, pb, &table_);
           stats_->join_pairs_generated += pairs;
+          region_pairs_[static_cast<size_t>(next)] += pairs;
           span.arg("pairs", static_cast<int64_t>(pairs));
         }
         FinishRegion(picked, pending);
@@ -429,6 +444,7 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       span.arg("region", current_region_);
       const uint64_t pairs = pipeline_.ProcessSome(max_pairs, &table_);
       stats_->join_pairs_generated += pairs;
+      region_pairs_[static_cast<size_t>(current_region_)] += pairs;
       span.arg("pairs", static_cast<int64_t>(pairs));
       if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     }

@@ -64,9 +64,31 @@ class RegionLoop {
   /// Fills `*out` with a resumable snapshot of the loop's region cursor.
   /// Only valid at a region boundary (no region open in the pipeline) on a
   /// healthy, unfinished loop — returns false otherwise. Skip-safety
-  /// verdicts (see progxe/checkpoint.h) are computed lazily per removed
-  /// region and cached: once safe, always safe.
+  /// verdicts (see progxe/checkpoint.h) are incremental: regions removed
+  /// since the last export are classified once, and only processed regions
+  /// not yet skip-safe are re-tested — first against their cached blocking
+  /// cell, then against the table's unflushed-cell list. Positive verdicts
+  /// are permanent. Reuses `out`'s capacity.
   bool ExportCheckpoint(SessionCheckpoint* out);
+
+  /// Cached blocking cells plus unflushed-cell list entries examined by
+  /// ExportCheckpoint over the loop's lifetime (deterministic work counter).
+  uint64_t checkpoint_cells_examined() const {
+    return checkpoint_cells_examined_;
+  }
+
+  /// Join pairs generated for region `id` by this loop (0 if never picked).
+  uint64_t region_join_pairs(int32_t id) const {
+    return region_pairs_[static_cast<size_t>(id)];
+  }
+
+  /// Read-only views of the runtime state skip-safety is defined over
+  /// (diagnostics and reference checks).
+  const OutputTable& table() const { return table_; }
+  const std::vector<Region>& regions() const { return *regions_; }
+  bool removed(int32_t id) const {
+    return removed_[static_cast<size_t>(id)] != 0;
+  }
 
   /// Pre-removes the checkpoint's skip-safe regions from a freshly
   /// constructed loop (call before the first Step). Validates the
@@ -126,10 +148,28 @@ class RegionLoop {
   /// Marks a region removed exactly once across all removal paths.
   std::vector<uint8_t> removed_;
 
-  /// Cached positive skip-safety verdicts per region (monotone: emitted and
-  /// marked are never un-set, so a region that is skip-safe stays so).
-  /// Sized lazily by the first ExportCheckpoint.
-  std::vector<uint8_t> skip_safe_;
+  /// Join pairs generated per region id (summed over its slices).
+  std::vector<uint64_t> region_pairs_;
+
+  // Incremental checkpoint export. Every removed region id is logged once;
+  // an export classifies the ids logged since the previous one. Discarded
+  // ones are skip-safe at once; processed ones wait in unsafe_ until no
+  // unflushed cell is left in their box. Verdicts are monotone (emitted
+  // and marked are never un-set), so skip_regions_ only grows.
+  struct UnsafeRegion {
+    int32_t id;
+    /// Unflushed cell in the region's box found by the last test, or -1.
+    CellIndex blocker;
+  };
+  std::vector<int32_t> removal_log_;
+  size_t export_cursor_ = 0;
+  std::vector<UnsafeRegion> unsafe_;
+  std::vector<int32_t> skip_regions_;  // sorted strictly increasing
+  std::vector<int32_t> newly_safe_;    // per-export scratch
+  /// Running replay_pairs_saved: pairs of the processed skip-safe regions,
+  /// plus the restored checkpoint's own total.
+  uint64_t skip_pairs_ = 0;
+  uint64_t checkpoint_cells_examined_ = 0;
 
   // Resume bookkeeping (RestoreCheckpoint).
   bool resumed_ = false;

@@ -147,6 +147,16 @@ class ProgXeSession : public ProgXeStream {
     return loop_ != nullptr ? loop_->resumed_regions_skipped() : 0;
   }
 
+  /// Work ExportCheckpoint has done so far (RegionLoop's deterministic
+  /// counter; 0 for a loop-less session).
+  uint64_t checkpoint_cells_examined() const {
+    return loop_ != nullptr ? loop_->checkpoint_cells_examined() : 0;
+  }
+
+  /// The region loop (null for trivially-empty, failed or closed sessions):
+  /// read-only access for diagnostics and reference checks.
+  const RegionLoop* region_loop() const { return loop_.get(); }
+
  private:
   ProgXeSession() = default;
 

@@ -79,6 +79,11 @@ class ShardEngine {
 
   /// Join pairs the resume skipped re-generating (0 when not resumed).
   virtual uint64_t replay_pairs_saved() const { return 0; }
+
+  /// Cumulative work of this engine's ExportCheckpoint calls (see
+  /// RegionLoop::checkpoint_cells_examined). 0 for remote engines, whose
+  /// export runs on the worker.
+  virtual uint64_t checkpoint_cells_examined() const { return 0; }
 };
 
 /// The in-process implementation: a thin forwarding wrapper over one
@@ -107,6 +112,9 @@ class LocalShardEngine : public ShardEngine {
   bool resumed() const override { return session_->resumed(); }
   uint64_t replay_pairs_saved() const override {
     return session_->replay_pairs_saved();
+  }
+  uint64_t checkpoint_cells_examined() const override {
+    return session_->checkpoint_cells_examined();
   }
 
  private:

@@ -412,12 +412,14 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       // checkpoint whose delivered count is consistent with what this
       // coordinator actually merged (a stale/corrupt remote snapshot must
       // not survive to a resume — full replay is always sound).
-      SessionCheckpoint checkpoint;
-      if (shard.session->ExportCheckpoint(&checkpoint) &&
-          checkpoint.delivered <= shard.ingested.size()) {
-        shard.checkpoint = std::move(checkpoint);
+      const uint64_t before_export = shard.session->checkpoint_cells_examined();
+      if (shard.session->ExportCheckpoint(&checkpoint_scratch_) &&
+          checkpoint_scratch_.delivered <= shard.ingested.size()) {
+        std::swap(shard.checkpoint, checkpoint_scratch_);
         shard.has_checkpoint = true;
       }
+      checkpoint_cells_examined_ +=
+          shard.session->checkpoint_cells_examined() - before_export;
     }
   }
   return used;

@@ -140,6 +140,15 @@ class ShardedStream : public ProgXeStream {
   /// engine counters; benches report both.
   uint64_t merge_comparisons() const { return merge_counter_.comparisons; }
 
+  /// Work the per-pump checkpoint exports did, summed over every shard and
+  /// incarnation: cached blocking cells re-tested plus unflushed-cell list
+  /// entries scanned (RegionLoop::checkpoint_cells_examined). Deterministic
+  /// like merge_comparisons(), and likewise kept out of stats(). Local
+  /// shards only; remote shards export on their worker.
+  uint64_t checkpoint_cells_examined() const {
+    return checkpoint_cells_examined_;
+  }
+
   /// Wall-clock seconds spent inside the merge sink (candidate ingest +
   /// release checks), excluding the sub-sessions' own work.
   double merge_seconds() const { return merge_seconds_; }
@@ -334,6 +343,11 @@ class ShardedStream : public ProgXeStream {
   mutable ProgXeStats agg_stats_;
   DomCounter merge_counter_;
   double merge_seconds_ = 0.0;
+  uint64_t checkpoint_cells_examined_ = 0;
+  /// Export target of the per-pump checkpoint capture; swapped with the
+  /// shard's checkpoint when accepted, so the steady state reuses the
+  /// buffers instead of allocating a snapshot per pump.
+  SessionCheckpoint checkpoint_scratch_;
   std::vector<ResultTuple> pump_scratch_;
   std::vector<double> canon_scratch_;
   std::vector<CellCoord> coord_scratch_;

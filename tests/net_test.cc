@@ -724,6 +724,81 @@ TEST(Net, WorkerKillMidStreamResumesFromCheckpoint) {
   EXPECT_GT(total_saved, 0u);
 }
 
+// The worker's pump loop for a budget at most its pump_slice_pairs, run
+// in-process: sub-slices until a result appears or the budget is spent.
+void MirrorWorkerPump(ProgXeSession* session, size_t max_pairs,
+                      std::vector<ResultTuple>* out) {
+  out->clear();
+  std::vector<ResultTuple> batch;
+  size_t remaining = max_pairs;
+  while (out->empty() && !session->Finished() &&
+         session->last_status().ok()) {
+    const uint64_t before = session->stats().join_pairs_generated;
+    session->NextBatch(0, remaining, &batch);
+    out->insert(out->end(), batch.begin(), batch.end());
+    const uint64_t used = session->stats().join_pairs_generated - before;
+    remaining = used >= remaining ? 0 : remaining - static_cast<size_t>(used);
+    if (remaining == 0) break;
+  }
+}
+
+// A worker ships a checkpoint group only when the skip list grew since the
+// last one it shipped on the session; every other pump carries none and the
+// coordinator keeps the previous resume point. A local mirror session,
+// pumped exactly like the worker (its counters are checked equal after
+// every pump), shows what each pump's export held.
+TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
+  auto worker = MustStartWorker();
+  auto pool = std::make_shared<WorkerPool>();
+  int shipped = 0;
+  int suppressed = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(0xd160 + seed);
+    const Config cfg = MakeConfig(&rng, seed % 2 == 0, seed % 3 == 0);
+    ProgXeOptions options;
+    options.seed = 0xfeed;
+    auto remote = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
+                                          cfg.t, cfg.map, cfg.pref, options);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    auto mirror = ProgXeSession::Open(cfg.query(), options);
+    ASSERT_TRUE(mirror.ok());
+
+    constexpr size_t kBudget = 32;  // below the worker's pump_slice_pairs
+    std::vector<ResultTuple> remote_batch;
+    std::vector<ResultTuple> mirror_batch;
+    SessionCheckpoint exported;
+    SessionCheckpoint received;
+    size_t shipped_regions = 0;
+    for (int pump = 0; !(*mirror)->Finished(); ++pump) {
+      const uint64_t before = (*remote)->checkpoints_received();
+      (*remote)->NextBatch(0, kBudget, &remote_batch);
+      ASSERT_TRUE((*remote)->last_status().ok()) << "pump=" << pump;
+      MirrorWorkerPump(mirror->get(), kBudget, &mirror_batch);
+      ASSERT_EQ(SortedIds(remote_batch), SortedIds(mirror_batch))
+          << "seed=" << seed << " pump=" << pump;
+      ExpectSameStats((*remote)->stats(), (*mirror)->stats(), "mirror");
+
+      const bool exportable = (*mirror)->ExportCheckpoint(&exported);
+      const bool grew =
+          exportable && exported.skip_regions.size() > shipped_regions;
+      EXPECT_EQ((*remote)->checkpoints_received() - before, grew ? 1u : 0u)
+          << "seed=" << seed << " pump=" << pump;
+      if (grew) {
+        ++shipped;
+        shipped_regions = exported.skip_regions.size();
+        ASSERT_TRUE((*remote)->ExportCheckpoint(&received));
+        EXPECT_EQ(received.skip_regions, exported.skip_regions);
+        EXPECT_EQ(received.replay_pairs_saved, exported.replay_pairs_saved);
+      } else if (exportable) {
+        ++suppressed;  // a resume point existed but added nothing
+      }
+    }
+    (*remote)->Close();
+  }
+  EXPECT_GT(shipped, 0);
+  EXPECT_GT(suppressed, 0);
+}
+
 // A coordinator pinned to wire v1 never ships checkpoints: the same kill
 // choreography still recovers bit-identically, but via full replay
 // (replay_pairs_saved stays 0) — the downlevel path must remain sound.

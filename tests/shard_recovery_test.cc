@@ -764,5 +764,183 @@ TEST(CheckpointRecovery, DedupSetsFreeAsShardsFinishHealthy) {
       << "healthy-finished shards must free their dedup sets";
 }
 
+// --- Incremental checkpoint export: differential check --------------------
+
+// Brute-force skip-safety reference, straight from the definition in
+// progxe/checkpoint.h: walk every removed region, and for a processed one
+// every cell of its coverage box. `restored_pairs` is the total of the
+// checkpoint the loop was resumed from (0 for a fresh loop).
+struct ReferenceExport {
+  std::vector<int32_t> skip_regions;
+  uint64_t replay_pairs_saved = 0;
+};
+
+ReferenceExport FullBoxReference(const RegionLoop& loop,
+                                 uint64_t restored_pairs) {
+  ReferenceExport ref;
+  ref.replay_pairs_saved = restored_pairs;
+  const OutputTable& table = loop.table();
+  for (const Region& region : loop.regions()) {
+    if (!loop.removed(region.id)) continue;
+    bool safe = region.discarded && !region.processed;
+    if (region.processed) {
+      safe = true;
+      table.geometry().ForEachCellInBox(
+          region.lo_cell.data(), region.hi_cell.data(), [&](CellIndex c) {
+            if (table.populated(c) && !table.emitted(c) && !table.marked(c)) {
+              safe = false;
+            }
+          });
+    }
+    if (!safe) continue;
+    ref.skip_regions.push_back(region.id);
+    if (region.processed) {
+      ref.replay_pairs_saved += loop.region_join_pairs(region.id);
+    }
+  }
+  return ref;
+}
+
+struct DifferentialTally {
+  int exports = 0;             // exports compared against the reference
+  int with_unsafe = 0;         // ... that left a processed region unsafe
+  int with_processed_skip = 0; // ... that skipped a processed region
+};
+
+// Drains `session` with `budget`-pair pumps, comparing every successful
+// export with the full-box reference. Returns the last exported checkpoint
+// taken before `stop_after` pumps (all pumps when 0) via `*mid`.
+void DrainComparingExports(ProgXeSession* session, size_t budget,
+                           int stop_after, const std::string& label,
+                           DifferentialTally* tally, SessionCheckpoint* mid) {
+  const uint64_t restored_pairs = session->replay_pairs_saved();
+  std::vector<ResultTuple> batch;
+  SessionCheckpoint checkpoint;
+  int pumps = 0;
+  while (!session->Finished()) {
+    session->NextBatch(0, budget, &batch);
+    if (session->ExportCheckpoint(&checkpoint)) {
+      const RegionLoop* loop = session->region_loop();
+      ASSERT_NE(loop, nullptr) << label;
+      const ReferenceExport ref = FullBoxReference(*loop, restored_pairs);
+      ASSERT_EQ(checkpoint.skip_regions, ref.skip_regions)
+          << label << " pump=" << pumps;
+      ASSERT_EQ(checkpoint.replay_pairs_saved, ref.replay_pairs_saved)
+          << label << " pump=" << pumps;
+      ++tally->exports;
+      size_t processed_skipped = 0;
+      for (int32_t id : ref.skip_regions) {
+        processed_skipped += loop->regions()[static_cast<size_t>(id)].processed;
+      }
+      size_t processed_removed = 0;
+      for (const Region& region : loop->regions()) {
+        processed_removed += region.processed;
+      }
+      tally->with_processed_skip += processed_skipped > 0;
+      tally->with_unsafe += processed_removed > processed_skipped;
+      if (mid != nullptr && (stop_after == 0 || pumps < stop_after)) {
+        *mid = checkpoint;
+      }
+    }
+    ++pumps;
+  }
+}
+
+// The incremental export (removal log + cached blocking cell + unflushed-cell
+// search) must produce exactly the full-box walk's verdicts at every export:
+// fresh and resumed sessions, whole-region and sliced pumps, tied and
+// high-sigma configs across the generator's distributions.
+TEST(CheckpointRecovery, IncrementalExportMatchesFullBoxReference) {
+  DifferentialTally tally;
+  int resumed_runs = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(0xd1ff + seed);
+    const Config cfg = MakeConfig(&rng, seed % 4 == 1, seed % 3 == 0);
+    ProgXeOptions options;
+    options.seed = 0xfeed;
+    for (size_t budget : {size_t{0}, size_t{16}, size_t{256}}) {
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " budget=" + std::to_string(budget);
+      auto fresh = ProgXeSession::Open(cfg.query(), options);
+      ASSERT_TRUE(fresh.ok()) << label;
+      SessionCheckpoint mid;
+      DrainComparingExports(fresh->get(), budget, 6, label, &tally, &mid);
+      if (HasFatalFailure()) return;
+      if (mid.skip_regions.empty()) continue;
+
+      // Resume from the mid-run checkpoint; the resumed loop's exports
+      // carry the restored total forward.
+      auto resumed = ProgXeSession::Open(cfg.query(), options, &mid);
+      ASSERT_TRUE(resumed.ok()) << label;
+      ASSERT_TRUE((*resumed)->resumed()) << label;
+      EXPECT_EQ((*resumed)->replay_pairs_saved(), mid.replay_pairs_saved);
+      DrainComparingExports(resumed->get(), budget, 0, label + " resumed",
+                            &tally, nullptr);
+      if (HasFatalFailure()) return;
+      ++resumed_runs;
+    }
+  }
+  // Non-vacuity: the sweep compared many exports, skipped processed
+  // regions, held processed regions back on a blocking cell, and resumed.
+  EXPECT_GT(tally.exports, 100);
+  EXPECT_GT(tally.with_processed_skip, 0);
+  EXPECT_GT(tally.with_unsafe, 0);
+  EXPECT_GT(resumed_runs, 0);
+}
+
+// Kill-and-resume: a session killed mid-run by an injected fault resumes
+// from its last exported checkpoint, and the resume's replay_pairs_saved is
+// exactly the join pairs the skipped regions generated in an uninterrupted
+// reference run — the counter reports real pairs, not |Pa| x |Pb|.
+TEST(CheckpointRecovery, ReplayPairsSavedEqualsSkippedRegionsPairs) {
+  int exercised = 0;
+  for (uint64_t seed : {uint64_t{2}, uint64_t{5}, uint64_t{13}}) {
+    Rng rng(0xd200 + seed);
+    const Config cfg = MakeConfig(&rng, false, seed % 2 == 1);
+    ProgXeOptions options;
+    options.seed = 0xfeed;
+
+    auto reference = ProgXeSession::Open(cfg.query(), options);
+    ASSERT_TRUE(reference.ok());
+    (void)DrainStream(reference->get(), 0, 0);
+    const RegionLoop* reference_loop = (*reference)->region_loop();
+    ASSERT_NE(reference_loop, nullptr);
+
+    for (int kill_after : {4, 10}) {
+      ProgXeOptions faulty = options;
+      faulty.faults = MustParse(std::string(fault_sites::kSessionNextBatch) +
+                                    ":skip=" + std::to_string(kill_after) +
+                                    ",max=1",
+                                seed);
+      auto doomed = ProgXeSession::Open(cfg.query(), faulty);
+      ASSERT_TRUE(doomed.ok());
+      std::vector<ResultTuple> batch;
+      SessionCheckpoint checkpoint;
+      bool have_checkpoint = false;
+      while (!(*doomed)->Finished()) {
+        (*doomed)->NextBatch(0, 256, &batch);
+        if ((*doomed)->ExportCheckpoint(&checkpoint)) have_checkpoint = true;
+      }
+      if (!have_checkpoint || (*doomed)->last_status().ok()) continue;
+
+      uint64_t expected = 0;
+      for (int32_t id : checkpoint.skip_regions) {
+        expected += reference_loop->region_join_pairs(id);
+      }
+      EXPECT_EQ(checkpoint.replay_pairs_saved, expected)
+          << "seed=" << seed << " kill_after=" << kill_after;
+      auto resumed = ProgXeSession::Open(cfg.query(), options, &checkpoint);
+      ASSERT_TRUE(resumed.ok());
+      EXPECT_EQ((*resumed)->replay_pairs_saved(),
+                (*resumed)->resumed() ? expected : 0u)
+          << "seed=" << seed << " kill_after=" << kill_after;
+      (void)DrainStream(resumed->get(), 0, 0);
+      EXPECT_TRUE((*resumed)->last_status().ok());
+      if (expected > 0) ++exercised;
+    }
+  }
+  EXPECT_GT(exercised, 0);
+}
+
 }  // namespace
 }  // namespace progxe

@@ -8,6 +8,12 @@ threshold this gate is stable across runners: a regression back toward the
 flat O(accepted x arrivals) scan multiplies the counter by orders of
 magnitude and trips the budget regardless of machine speed.
 
+`checkpoint_cells_examined` (the same run's checkpoint-export work counter)
+is held under `--checkpoint_budget` when that flag is given: exports test
+cached blocking cells and scan the short unflushed-cell list, so a return
+to walking every finished region's cell box on each pump multiplies it by
+orders of magnitude — again regardless of machine speed.
+
 `fault_hook_ns_per_call` (when present in the JSON) is additionally held
 under a per-call nanosecond budget: the disabled MaybeInjectFault hook is
 contractually one predicted branch, and a regression that consults the rule
@@ -39,6 +45,7 @@ the "reuse" gate applies; missing sharded data is an error only when
 there is no reuse section either).
 
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
+                                    [--checkpoint_budget=N]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
 """
@@ -51,6 +58,7 @@ def main(argv):
     path = None
     shards = 4
     budget = 200000
+    checkpoint_budget = None
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
     for arg in argv[1:]:
@@ -58,6 +66,8 @@ def main(argv):
             shards = int(arg.split("=", 1)[1])
         elif arg.startswith("--budget="):
             budget = int(arg.split("=", 1)[1])
+        elif arg.startswith("--checkpoint_budget="):
+            checkpoint_budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--hook_budget_ns="):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
@@ -92,6 +102,20 @@ def main(argv):
                 f"FAIL: merge_comparisons at K={shards} exceeded the budget "
                 f"({cmps} > {budget}) — the merge sink is scanning instead "
                 f"of using the dominance index")
+        if checkpoint_budget is not None:
+            cells = run.get("checkpoint_cells_examined")
+            if cells is None:
+                raise SystemExit(
+                    f"FAIL: --checkpoint_budget given but the K={shards} run "
+                    f"records no checkpoint_cells_examined")
+            print(f"K={shards}: checkpoint_cells_examined={cells} "
+                  f"budget={checkpoint_budget}")
+            if cells > checkpoint_budget:
+                raise SystemExit(
+                    f"FAIL: checkpoint_cells_examined at K={shards} exceeded "
+                    f"the budget ({cells} > {checkpoint_budget}) — checkpoint "
+                    f"export is walking region boxes instead of testing "
+                    f"cached blockers against the unflushed-cell list")
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
 

@@ -121,7 +121,8 @@ if isinstance(sharded, dict):
             entry[key] = sharded[key]
     for run in sharded.get("runs", []):
         if run.get("shards") == 4:
-            for key in ("merge_comparisons", "makespan_s", "t_first_s"):
+            for key in ("merge_comparisons", "checkpoint_cells_examined",
+                        "makespan_s", "t_first_s"):
                 if key in run:
                     entry[f"k4_{key}"] = run[key]
 reuse = summary.get("reuse")
