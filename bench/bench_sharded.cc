@@ -11,6 +11,9 @@
 // the coordination cost alone). Default ShardOptions keep checkpointed
 // retry on, so every healthy pump also exports a resume checkpoint; its
 // deterministic work counter is reported as checkpoint_cells_examined. The
+// region loops' coverage bookkeeping (coverage build, release row walks,
+// ProgCount, EL-Graph watch lists) is reported as coverage_cells_walked,
+// summed over shards. The
 // result *set* is checked identical to the K = 1 run on every configuration.
 //
 // Extra flags over bench_common: --json=<path>.
@@ -24,6 +27,7 @@
 #include "common/fault_injection.h"
 #include "common/stopwatch.h"
 #include "obs/trace.h"
+#include "progxe/session.h"
 #include "progxe/stream.h"
 #include "shard/sharded_stream.h"
 
@@ -43,6 +47,7 @@ struct ShardRun {
   size_t held_peak = 0;            // merge-sink held-queue high-water mark
   double merge_time = 0.0;         // seconds spent inside the merge sink
   uint64_t checkpoint_cells = 0;   // checkpoint-export work (cells examined)
+  uint64_t coverage_cells = 0;     // region-coverage bookkeeping work
 };
 
 using IdSet = std::vector<std::pair<RowId, RowId>>;
@@ -139,6 +144,10 @@ int main(int argc, char** argv) {
       run.held_peak = sharded->held_peak();
       run.merge_time = sharded->merge_seconds();
       run.checkpoint_cells = sharded->checkpoint_cells_examined();
+      run.coverage_cells = sharded->coverage_cells_walked();
+    } else if (const auto* session =
+                   dynamic_cast<const ProgXeSession*>(stream->get())) {
+      run.coverage_cells = session->coverage_cells_walked();
     }
 
     std::sort(ids.begin(), ids.end());
@@ -156,13 +165,14 @@ int main(int argc, char** argv) {
     std::printf(
         "  K=%-2d makespan=%8.4fs t_first=%8.4fs results=%-7zu "
         "pairs=%-10llu cmps=%-10llu merge_cmps=%-9llu held_peak=%-6zu "
-        "merge_t=%.4fs ckpt_cells=%llu\n",
+        "merge_t=%.4fs ckpt_cells=%llu cov_cells=%llu\n",
         run.num_shards, run.makespan, run.t_first, run.results,
         static_cast<unsigned long long>(run.join_pairs),
         static_cast<unsigned long long>(run.comparisons),
         static_cast<unsigned long long>(run.merge_comparisons),
         run.held_peak, run.merge_time,
-        static_cast<unsigned long long>(run.checkpoint_cells));
+        static_cast<unsigned long long>(run.checkpoint_cells),
+        static_cast<unsigned long long>(run.coverage_cells));
   }
 
   const double hook_ns = MeasureDisabledHookNs();
@@ -193,13 +203,15 @@ int main(int argc, char** argv) {
                    "\"join_pairs\": %llu, \"comparisons\": %llu, "
                    "\"merge_comparisons\": %llu, \"held_peak\": %zu, "
                    "\"merge_time_s\": %.6f, "
-                   "\"checkpoint_cells_examined\": %llu}%s\n",
+                   "\"checkpoint_cells_examined\": %llu, "
+                   "\"coverage_cells_walked\": %llu}%s\n",
                    r.num_shards, r.makespan, r.t_first, r.results,
                    static_cast<unsigned long long>(r.join_pairs),
                    static_cast<unsigned long long>(r.comparisons),
                    static_cast<unsigned long long>(r.merge_comparisons),
                    r.held_peak, r.merge_time,
                    static_cast<unsigned long long>(r.checkpoint_cells),
+                   static_cast<unsigned long long>(r.coverage_cells),
                    i + 1 == runs.size() ? "" : ",");
     }
     std::fprintf(out, "  ]\n}\n");

@@ -2,58 +2,88 @@
 //
 // Vertices are the active output regions; a directed edge u -> v exists iff
 // some output partition of u, once populated, could partially or completely
-// dominate v (cell-level predicate CanEliminate in outputspace/region.h).
-// Roots — regions no other region can eliminate — are the candidates
-// ProgOrder considers for tuple-level processing.
+// dominate v (cell-level predicate CanEliminate in outputspace/region.h:
+// u.lo_cell < v.hi_cell in every dimension). Roots — regions no other
+// region can eliminate — are the candidates ProgOrder considers for
+// tuple-level processing.
 //
-// Edges are not materialized: for the dense-overlap workloads the paper
-// targets (anti-correlated data) the edge set is Theta(m^2). Instead the
-// graph keeps per-vertex in-degrees and recomputes the O(d) edge predicate
-// during removal, which preserves Algorithm 1's asymptotics (O(n^2) worst
-// case, Section IV-D) without the memory blow-up.
+// Neither edges nor in-degrees are stored. u.lo < v.hi in every dimension
+// means u.lo <= w for the cell w = v.hi - 1, so the active regions with an
+// edge into v are exactly those counted by the table's cover_lo[w]
+// (progxe/output_table.h), minus v itself when v.lo <= w:
+//   indegree(v) = cover_lo[v.hi - 1] - [v.lo < v.hi in every dimension],
+// and 0 when some hi coordinate is 0 (no cell lies below it). Initial roots
+// take one lookup per region. Each region sits on a watch list keyed by its
+// cell w; a removal's up-set walk reports the cells whose cover_lo dropped
+// to 1 or 0, and v becomes a root when its watch cell drops to v's own
+// term. Removal costs O(lowered cells + watch entries on them) — no
+// pairwise predicate is ever evaluated.
 //
 // The paper's model assumes elimination is irreflexive between distinct
 // regions; mutual partial elimination (cycles) is possible in practice, so
-// ExtractCycleFallback lets the executor break a rootless deadlock.
+// ProgOrder force-roots the rest when the roots run out.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "outputspace/region.h"
+#include "progxe/output_table.h"
 
 namespace progxe {
 
 class ElGraph {
  public:
-  /// Builds in-degrees over all regions with Active() == true.
-  /// If the active count exceeds `max_regions`, the graph disables itself
-  /// (every region reports as a root) to bound setup cost; disabled() tells
-  /// callers ordering quality is degraded.
-  ElGraph(const std::vector<Region>& regions, size_t max_regions = 8000);
+  /// Indexes the regions with Active() == true over `table`'s cover_lo,
+  /// which must already hold their coverage (OutputTable::InitCoverage) and
+  /// must outlive the graph. If the active count exceeds `max_regions`, the
+  /// graph disables itself (every region reports as a root); disabled()
+  /// tells callers ordering quality is degraded. The cap keeps the pick
+  /// order of very large region sets unchanged, so it stays.
+  ElGraph(const std::vector<Region>& regions, const OutputTable* table,
+          size_t max_regions = 8000);
 
   bool disabled() const { return disabled_; }
 
   /// Current roots: active regions with in-degree zero (all active regions
-  /// when disabled).
+  /// when disabled), in ascending id.
   std::vector<int32_t> InitialRoots(const std::vector<Region>& regions) const;
 
-  /// Removes `removed_id` from the graph (it was processed or discarded) and
-  /// returns the ids of regions that *newly* became roots.
+  /// Removes `removed_id` from the graph (it was processed or discarded).
+  /// `lowered` is the table's report for the same removal (already applied
+  /// to cover_lo). Assigns the ids of regions that *newly* became roots to
+  /// `*new_roots` (reusing its capacity), in ascending id.
+  void OnRegionRemoved(int32_t removed_id,
+                       const std::vector<CellIndex>& lowered,
+                       std::vector<int32_t>* new_roots);
+
+  /// Allocating convenience overload (tests).
   std::vector<int32_t> OnRegionRemoved(int32_t removed_id,
-                                       const std::vector<Region>& regions);
+                                       const std::vector<CellIndex>& lowered);
 
   /// Number of active non-root regions left (diagnostic).
-  size_t NonRootCount(const std::vector<Region>& regions) const;
+  size_t NonRootCount() const;
 
-  int64_t indegree(int32_t id) const {
-    return indegree_[static_cast<size_t>(id)];
-  }
+  /// In-degree of an active region, read off cover_lo.
+  int64_t indegree(int32_t id) const;
+
+  /// Watch-list entries examined by removals so far (deterministic work
+  /// counter).
+  uint64_t watch_entries_examined() const { return watch_entries_examined_; }
 
  private:
+  const OutputTable* table_;
   bool disabled_ = false;
-  std::vector<int64_t> indegree_;
   std::vector<uint8_t> removed_;
+  /// Per region: its watch cell hi - 1 (-1 when some hi coordinate is 0)
+  /// and its own term in that cell's cover_lo.
+  std::vector<CellIndex> watch_cell_;
+  std::vector<uint8_t> self_term_;
+  /// Watch lists in CSR form: the regions watching cell c are
+  /// watch_ids_[watch_begin_[c] .. watch_begin_[c + 1]), ascending id.
+  std::vector<int32_t> watch_begin_;
+  std::vector<int32_t> watch_ids_;
+  uint64_t watch_entries_examined_ = 0;
 };
 
 }  // namespace progxe

@@ -66,39 +66,48 @@ class GridGeometry {
   void CoordRange(int dim, const Interval& iv, CellCoord* lo_out,
                   CellCoord* hi_out) const;
 
-  /// Iterates every cell index in the inclusive coordinate box
-  /// [lo, hi] (per dimension), invoking fn(CellIndex) in row-major order.
-  /// The linear index is maintained incrementally by the per-dimension
-  /// strides instead of re-linearizing every cell (this sits under every
-  /// coverage box walk, so the per-cell IndexOf was a top-two profile
-  /// entry).
+  /// Iterates the inclusive coordinate box [lo, hi] as runs along the last
+  /// dimension, whose stride is 1: fn(CellIndex first, int64_t len) once
+  /// per row, rows in row-major order, so the cells first..first+len-1 are
+  /// contiguous in any dense per-cell array. Allocation-free; coverage
+  /// upkeep runs its counting loops over these rows.
+  template <typename Fn>
+  void ForEachRowInBox(const CellCoord* lo, const CellCoord* hi,
+                       Fn&& fn) const {
+    assert(dimensions() > 0);
+    RowsFrom(0, IndexOf(lo), lo, hi, fn);
+  }
+
+  /// Iterates every cell index in the inclusive coordinate box [lo, hi],
+  /// invoking fn(CellIndex) in row-major order.
   template <typename Fn>
   void ForEachCellInBox(const CellCoord* lo, const CellCoord* hi,
                         Fn&& fn) const {
-    const int dims = dimensions();
-    assert(dims > 0);
-    std::vector<CellCoord> cur(static_cast<size_t>(dims));
-    for (int i = 0; i < dims; ++i) {
-      assert(lo[i] <= hi[i]);
-      cur[static_cast<size_t>(i)] = lo[i];
-    }
-    CellIndex idx = IndexOf(lo);
-    for (;;) {
-      fn(idx);
-      int dim = dims - 1;
-      while (dim >= 0) {
-        const CellIndex st = stride_[static_cast<size_t>(dim)];
-        if (++cur[static_cast<size_t>(dim)] <= hi[dim]) {
-          idx += st;
-          break;
-        }
-        idx -= st * (hi[dim] - lo[dim]);
-        cur[static_cast<size_t>(dim)] = lo[dim];
-        --dim;
+    ForEachRowInBox(lo, hi, [&fn](CellIndex first, int64_t len) {
+      for (CellIndex c = first; c < first + len; ++c) fn(c);
+    });
+  }
+
+  /// Turns per-cell values into dominated-region sums in place: after one
+  /// prefix-sum pass per dimension, a[c] holds the sum of the input values
+  /// at every cell <= c in all dimensions. `a` has total_cells() entries.
+  /// O(total_cells * dims).
+  template <typename T>
+  void PrefixSumAllDims(T* a) const {
+    for (size_t d = 0; d < stride_.size(); ++d) {
+      // Along dimension d, add each cell's lower neighbour (offset st) into
+      // it: within a block of cells_per_dim slabs the inner loop is
+      // contiguous.
+      const CellIndex st = stride_[d];
+      const CellIndex block = st * cells_per_dim_;
+      for (CellIndex base = 0; base < total_cells_; base += block) {
+        for (CellIndex i = base + st; i < base + block; ++i) a[i] += a[i - st];
       }
-      if (dim < 0) break;
     }
   }
+
+  /// Row-major linearization factor of `dim` (the last dimension's is 1).
+  CellIndex stride(int dim) const { return stride_[static_cast<size_t>(dim)]; }
 
   /// Volume (cell count) of an inclusive coordinate box.
   int64_t BoxVolume(const CellCoord* lo, const CellCoord* hi) const {
@@ -112,6 +121,27 @@ class GridGeometry {
   std::string ToString() const;
 
  private:
+  template <typename Fn>
+  void RowsFrom(int dim, CellIndex base, const CellCoord* lo,
+                const CellCoord* hi, Fn& fn) const {
+    const int last = dimensions() - 1;
+    assert(lo[dim] <= hi[dim]);
+    const int64_t len = static_cast<int64_t>(hi[last] - lo[last] + 1);
+    if (dim == last) {
+      fn(base, len);
+      return;
+    }
+    const CellIndex st = stride_[static_cast<size_t>(dim)];
+    for (CellCoord c = lo[dim]; c <= hi[dim]; ++c, base += st) {
+      // The rows themselves come from a plain loop, not another call level.
+      if (dim + 1 == last) {
+        fn(base, len);
+      } else {
+        RowsFrom(dim + 1, base, lo, hi, fn);
+      }
+    }
+  }
+
   std::vector<Interval> bounds_;
   std::vector<double> inv_width_;  // cells_per_dim / domain width, per dim
   // Row-major linearization factor per dimension (dimension 0 slowest):

@@ -49,15 +49,12 @@ struct Region {
   double cardinality_est = 0.0;
   /// Estimated tuple-level processing cost (Equation 3/7).
   double cost_est = 1.0;
-  /// Progressive partition count (Definition 2), refreshed incrementally.
+  /// Progressive partition count (Definition 2), refreshed at each rank.
   int64_t prog_count = 0;
   /// rank = Benefit / Cost (Equation 8).
   double rank = 0.0;
   /// Bumped whenever rank changes; stale priority-queue entries are skipped.
   uint32_t rank_version = 0;
-  /// Number of unprocessed regions that could (partially or completely)
-  /// eliminate this one: the EL-Graph in-degree. Roots have 0.
-  int64_t elim_indegree = 0;
 
   /// True iff the region still awaits tuple-level processing.
   bool Active() const { return !pruned && !processed && !discarded; }

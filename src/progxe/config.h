@@ -94,7 +94,11 @@ struct ProgXeOptions {
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;
 
-  /// EL-Graph is bypassed above this many active regions (see ElGraph).
+  /// EL-Graph is bypassed above this many active regions (see ElGraph):
+  /// every region is then a root and ranking alone orders them. Set-up no
+  /// longer grows with the region count squared (in-degrees come off the
+  /// coverage counter); the cap stays because lifting it changes the pick
+  /// order of large region sets.
   size_t max_regions_for_elgraph = 8000;
 
   /// Hard cap on dense output-cell state.

@@ -32,6 +32,9 @@ OutputTable::OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
   const size_t total = static_cast<size_t>(geometry_.total_cells());
   assert(marked_.size() == total);
   reg_count_.assign(total, 0);
+  cover_.assign(total, 0);
+  prog_coords_.resize(static_cast<size_t>(k_));
+  top_cell_.assign(static_cast<size_t>(k_), geometry_.cells_per_dim() - 1);
   emitted_.assign(total, 0);
   cell_slot_.assign(total, -1);
   scratch_coords_.resize(static_cast<size_t>(k_));
@@ -39,31 +42,131 @@ OutputTable::OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
 }
 
 void OutputTable::InitCoverage(const std::vector<Region>& regions) {
+  regions_ = &regions;
+  std::fill(reg_count_.begin(), reg_count_.end(), 0);
+  std::fill(cover_.begin(), cover_.end(), 0);
+  const CellCoord top = geometry_.cells_per_dim() - 1;
+  std::vector<CellIndex> steps;
   for (const Region& region : regions) {
     if (!region.Active()) continue;
-    geometry_.ForEachCellInBox(
-        region.lo_cell.data(), region.hi_cell.data(),
-        [this](CellIndex c) { ++reg_count_[static_cast<size_t>(c)]; });
+    const CellIndex lo = geometry_.IndexOf(region.lo_cell.data());
+    cover_[static_cast<size_t>(lo)] += CoverTerm(region.id);
+    // Box indicator as a difference array: +1 at lo and alternating signs at
+    // every corner that steps past hi in a subset of dimensions. Corners
+    // beyond the grid only cancel cells outside it, so they are dropped.
+    steps.clear();
+    for (int d = 0; d < k_; ++d) {
+      const CellCoord past = region.hi_cell[static_cast<size_t>(d)] + 1;
+      if (past <= top) {
+        steps.push_back(geometry_.stride(d) *
+                        (past - region.lo_cell[static_cast<size_t>(d)]));
+      }
+    }
+    for (uint64_t mask = 0; mask < (uint64_t{1} << steps.size()); ++mask) {
+      CellIndex c = lo;
+      int32_t sign = 1;
+      for (size_t j = 0; j < steps.size(); ++j) {
+        if ((mask >> j & 1u) == 0) continue;
+        c += steps[j];
+        sign = -sign;
+      }
+      reg_count_[static_cast<size_t>(c)] += sign;
+    }
   }
+  geometry_.PrefixSumAllDims(reg_count_.data());
+  geometry_.PrefixSumAllDims(cover_.data());
+
+  // ProgCount of every region in one pass over the cells with a single
+  // coverer; the odometer keeps each cell's coordinates without division.
+  prog_count_.assign(regions.size(), 0);
+  const CellIndex total = geometry_.total_cells();
+  std::vector<CellCoord> coords(static_cast<size_t>(k_), 0);
+  for (CellIndex c = 0; c < total; ++c) {
+    if (cover_lo(c) == 1 && !marked_[static_cast<size_t>(c)]) {
+      AdjustProgCount(c, coords.data(), +1);
+    }
+    for (int d = k_ - 1; d >= 0; --d) {
+      CellCoord& x = coords[static_cast<size_t>(d)];
+      if (++x <= top) break;
+      x = 0;
+    }
+  }
+  // Two prefix-sum passes per dimension plus the ProgCount pass.
+  coverage_cells_walked_ += (2 * static_cast<uint64_t>(k_) + 1) *
+                            static_cast<uint64_t>(total);
+}
+
+void OutputTable::AdjustProgCount(CellIndex c, const CellCoord* coords,
+                                  int64_t delta) {
+  // cover_lo == 1: the high half of cover_ names the cell's one coverer.
+  // Only a region whose box holds the cell counts it, and any such region
+  // has lo_cell <= the cell, so no other region can.
+  const uint32_t id =
+      static_cast<uint32_t>(cover_[static_cast<size_t>(c)] >> 32);
+  const Region& region = (*regions_)[id];
+  for (int d = 0; d < k_; ++d) {
+    if (coords[d] > region.hi_cell[static_cast<size_t>(d)]) return;
+  }
+  prog_count_[id] += delta;
 }
 
 void OutputTable::ReleaseRegionCoverage(const Region& region,
-                                        std::vector<CellIndex>* settled_out) {
-  settled_out->clear();
-  geometry_.ForEachCellInBox(
+                                        CoverageRelease* out) {
+  out->settled.clear();
+  out->lowered.clear();
+  // Each row is decremented in a tight loop; only rows where some count
+  // reached its threshold are scanned again to collect the cells.
+  int32_t* reg = reg_count_.data();
+  geometry_.ForEachRowInBox(
       region.lo_cell.data(), region.hi_cell.data(),
-      [this, settled_out](CellIndex c) {
-        int32_t& rc = reg_count_[static_cast<size_t>(c)];
-        assert(rc > 0);
-        if (--rc == 0) settled_out->push_back(c);
+      [reg, out](CellIndex first, int64_t len) {
+        int32_t* row = reg + first;
+        bool hit = false;
+        for (int64_t i = 0; i < len; ++i) {
+          assert(row[i] > 0);
+          hit |= --row[i] == 0;
+        }
+        if (!hit) return;
+        for (int64_t i = 0; i < len; ++i) {
+          if (row[i] == 0) out->settled.push_back(first + i);
+        }
       });
+  // cover_lo never decreases along a row, so the up-set row's first cell
+  // is its minimum and the cells at or below 1 form a prefix of the row.
+  uint64_t* cover = cover_.data();
+  const uint64_t term = CoverTerm(region.id);
+  geometry_.ForEachRowInBox(
+      region.lo_cell.data(), top_cell_.data(),
+      [cover, term, out](CellIndex first, int64_t len) {
+        uint64_t* row = cover + first;
+        for (int64_t i = 0; i < len; ++i) {
+          assert(static_cast<uint32_t>(row[i]) > 0);
+          row[i] -= term;
+        }
+        for (int64_t i = 0; i < len && static_cast<uint32_t>(row[i]) <= 1;
+             ++i) {
+          out->lowered.push_back(first + i);
+        }
+      });
+  // A cell reaches cover_lo 1 once: it now counts for its one remaining
+  // coverer's ProgCount if that region's box holds it.
+  CellCoord* coords = prog_coords_.data();
+  for (CellIndex c : out->lowered) {
+    if (cover_lo(c) != 1 || marked_[static_cast<size_t>(c)]) continue;
+    geometry_.CoordsOfIndex(c, coords);
+    AdjustProgCount(c, coords, +1);
+  }
+  coverage_cells_walked_ += static_cast<uint64_t>(
+      region.BoxVolume() +
+      geometry_.BoxVolume(region.lo_cell.data(), top_cell_.data())) +
+      out->lowered.size();
 }
 
-std::vector<CellIndex> OutputTable::ReleaseRegionCoverage(
+OutputTable::CoverageRelease OutputTable::ReleaseRegionCoverage(
     const Region& region) {
-  std::vector<CellIndex> settled;
-  ReleaseRegionCoverage(region, &settled);
-  return settled;
+  CoverageRelease release;
+  ReleaseRegionCoverage(region, &release);
+  return release;
 }
 
 bool OutputTable::populated(CellIndex c) const {
@@ -151,7 +254,10 @@ CellIndex OutputTable::FindUnflushedInBox(const CellCoord* lo,
 void OutputTable::KillCell(CellIndex c) {
   if (marked_[static_cast<size_t>(c)]) return;
   marked_[static_cast<size_t>(c)] = 1;
-  marked_events_.push_back(c);
+  if (cover_lo(c) == 1) {
+    geometry_.CoordsOfIndex(c, prog_coords_.data());
+    AdjustProgCount(c, prog_coords_.data(), -1);
+  }
   const int32_t s = slot(c);
   if (s >= 0) {
     CellData& cell = cells_[static_cast<size_t>(s)];
@@ -396,17 +502,6 @@ void OutputTable::FlushCell(CellIndex c, std::vector<double>* values_out,
                        cell.values.begin() + static_cast<ptrdiff_t>((i + 1) * kk));
     ids_out->push_back(cell.ids[i]);
   }
-}
-
-void OutputTable::DrainMarkedEvents(std::vector<CellIndex>* out) {
-  out->assign(marked_events_.begin(), marked_events_.end());
-  marked_events_.clear();
-}
-
-std::vector<CellIndex> OutputTable::DrainMarkedEvents() {
-  std::vector<CellIndex> out;
-  out.swap(marked_events_);
-  return out;
 }
 
 std::vector<CellIndex> OutputTable::PopulatedCells() const {

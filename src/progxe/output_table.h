@@ -60,23 +60,61 @@ class OutputTable {
   const GridGeometry& geometry() const { return geometry_; }
   int dims() const { return geometry_.dimensions(); }
 
-  // --- Region coverage (RegCount of Algorithm 2) ---------------------------
+  // --- Region coverage -----------------------------------------------------
+  //
+  // Two dense per-cell counters over the active regions:
+  //   reg_count[c] — regions whose box contains c (RegCount, Algorithm 2);
+  //   cover_lo[c]  — regions whose lo_cell is <= c in every dimension.
+  // cover_lo is the one answer to "can an active region still produce a
+  // tuple at or below c": ProgCount (Definition 2) counts box cells with
+  // cover_lo == 1, ProgDetermine flushes a settled cell once its cover_lo
+  // reaches 0, and the EL-Graph reads in-degrees off it (an edge u -> v
+  // exists iff u.lo <= v.hi - 1, so indegree(v) = cover_lo[v.hi - 1] minus
+  // v's own term).
 
-  /// Adds every active region's box to the coverage counts.
+  /// Builds both counters over every active region by prefix sums: lo-cell
+  /// point counts for cover_lo, a 2^k-corner difference array for
+  /// reg_count, then one pass per dimension each; then every region's
+  /// ProgCount in one pass over the cells. O(cells * k). `regions` must
+  /// outlive the table (ProgCount upkeep reads their boxes).
   void InitCoverage(const std::vector<Region>& regions);
 
-  /// Removes a region's box from coverage (it completed or was discarded).
-  /// Assigns the cells whose count reached zero ("settled" cells) to
-  /// `*settled_out` (reusing its capacity).
-  void ReleaseRegionCoverage(const Region& region,
-                             std::vector<CellIndex>* settled_out);
+  /// What one region's removal changed: cells whose reg_count reached 0
+  /// ("settled") and up-set cells whose cover_lo dropped to 1 or 0
+  /// ("lowered"). Both lists are in ascending cell order.
+  struct CoverageRelease {
+    std::vector<CellIndex> settled;
+    std::vector<CellIndex> lowered;
+  };
+
+  /// Removes a completed or discarded region from both counters: one row
+  /// walk over its box (reg_count) and one over its up-set [lo_cell, top]
+  /// (cover_lo). Assigns into `*out`, reusing its capacity.
+  void ReleaseRegionCoverage(const Region& region, CoverageRelease* out);
 
   /// Allocating convenience overload (tests).
-  std::vector<CellIndex> ReleaseRegionCoverage(const Region& region);
+  CoverageRelease ReleaseRegionCoverage(const Region& region);
 
   int32_t reg_count(CellIndex c) const {
     return reg_count_[static_cast<size_t>(c)];
   }
+  int32_t cover_lo(CellIndex c) const {
+    return static_cast<int32_t>(
+        static_cast<uint32_t>(cover_[static_cast<size_t>(c)]));
+  }
+
+  /// ProgCount (Definition 2) of an active region: cells of its box that
+  /// are unmarked and that no other active region covers or threatens. The
+  /// region's own lo_cell is <= every box cell, so that is cover_lo == 1.
+  /// Kept per region as cells reach cover_lo == 1 or get marked, so this is
+  /// a lookup.
+  int64_t ProgCount(const Region& region) const {
+    return prog_count_[static_cast<size_t>(region.id)];
+  }
+
+  /// Cells visited by coverage upkeep (build passes, release row walks,
+  /// lowered cells) so far — a deterministic work counter.
+  uint64_t coverage_cells_walked() const { return coverage_cells_walked_; }
 
   // --- Tuple-level processing ----------------------------------------------
 
@@ -161,14 +199,6 @@ class OutputTable {
   void FlushCell(CellIndex c, std::vector<double>* values_out,
                  std::vector<CellTupleIds>* ids_out);
 
-  /// Cells killed (marked) at runtime since the last drain; the caller
-  /// (ProgDetermine) must drop them from its pending set. Assigns into
-  /// `*out`, reusing its capacity.
-  void DrainMarkedEvents(std::vector<CellIndex>* out);
-
-  /// Allocating convenience overload (tests).
-  std::vector<CellIndex> DrainMarkedEvents();
-
   /// All cells currently holding live tuples (diagnostic / final sweep).
   std::vector<CellIndex> PopulatedCells() const;
 
@@ -202,6 +232,10 @@ class OutputTable {
   /// Kills a cell: drops its live tuples and marks it non-contributing.
   void KillCell(CellIndex c);
 
+  /// Adds `delta` to the ProgCount of the single region counted in
+  /// cover_lo at cell `c` (with coordinates `coords`), if its box holds c.
+  void AdjustProgCount(CellIndex c, const CellCoord* coords, int64_t delta);
+
   /// Unflushed-cell list upkeep: a cell joins when its first live tuple
   /// arrives and leaves when it flushes, is killed or loses its last live
   /// tuple to eviction. Swap-pop removal, O(1) either way.
@@ -228,6 +262,24 @@ class OutputTable {
   DomCounter dom_counter_;
 
   std::vector<int32_t> reg_count_;
+  /// cover_lo packed with the ids of the regions it counts: the low 32 bits
+  /// hold the count, the high 32 bits the sum of their ids mod 2^32, so
+  /// where the count is 1 the high half names that one region. Counts stay
+  /// below 2^32, so one 64-bit add or subtract of CoverTerm(id) updates
+  /// both halves without a carry between them — prefix sums included.
+  std::vector<uint64_t> cover_;
+  static uint64_t CoverTerm(int32_t id) {
+    return static_cast<uint64_t>(static_cast<uint32_t>(id)) << 32 | 1u;
+  }
+  /// ProgCount per region id (see ProgCount); `regions_` is the vector
+  /// InitCoverage was given.
+  std::vector<int64_t> prog_count_;
+  const std::vector<Region>* regions_ = nullptr;
+  std::vector<CellCoord> prog_coords_;  // AdjustProgCount scratch
+  /// Top corner of the grid (cells_per_dim - 1 in every dimension): the
+  /// upper end of every up-set walk.
+  std::vector<CellCoord> top_cell_;
+  uint64_t coverage_cells_walked_ = 0;
   std::vector<uint8_t> marked_;
   std::vector<uint8_t> emitted_;
   std::vector<int32_t> cell_slot_;
@@ -240,8 +292,6 @@ class OutputTable {
   // index; the Pareto-minimal frontier and its append-only epoch log back
   // FrontierStrictlyDominates / FrontierDominatesSince.
   DominanceIndex pop_index_;
-
-  std::vector<CellIndex> marked_events_;
 
   // Unflushed cells (populated && !emitted && !marked): cell slots plus a
   // parallel flat copy of their coordinates (k per entry) so box-containment

@@ -1,130 +1,35 @@
 #include "progxe/prog_determine.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace progxe {
 
-ProgDetermine::ProgDetermine(OutputTable* table)
-    : table_(table), k_(table->dims()) {
-  pending_slot_.assign(static_cast<size_t>(table_->geometry().total_cells()),
-                       -1);
+ProgDetermine::ProgDetermine(const OutputTable* table) : table_(table) {
+  armed_.assign(static_cast<size_t>(table_->geometry().total_cells()), 0);
 }
 
-int64_t ProgDetermine::CountBlockers(const CellCoord* coords) const {
-  // Down-cone scan [0..coords] inclusive; the cell itself has RegCount == 0
-  // by the time this runs, so no self-exclusion is needed.
-  std::vector<CellCoord> zero(static_cast<size_t>(k_), 0);
-  int64_t blockers = 0;
-  table_->geometry().ForEachCellInBox(zero.data(), coords,
-                                      [&](CellIndex c) {
-                                        if (table_->reg_count(c) > 0) {
-                                          ++blockers;
-                                        }
-                                      });
-  return blockers;
-}
-
-void ProgDetermine::OnCellsSettled(const std::vector<CellIndex>& settled,
-                                   std::vector<CellIndex>* flush_out) {
-  std::vector<CellIndex>& flush = *flush_out;
-  flush.clear();
-
-  // Phase 1: cascade this batch over previously pending cells. A settled
-  // cell s unblocks pending q iff s lies in q's dominator cone.
-  if (!settled.empty()) {
-    const size_t kk = static_cast<size_t>(k_);
-    settled_coords_scratch_.resize(settled.size() * kk);
-    for (size_t si = 0; si < settled.size(); ++si) {
-      table_->geometry().CoordsOfIndex(settled[si],
-                                       settled_coords_scratch_.data() +
-                                           si * kk);
-    }
-    for (Pending& p : pending_) {
-      if (p.dropped) continue;
-      for (size_t si = 0; si < settled.size(); ++si) {
-        if (settled[si] == p.cell) continue;
-        const CellCoord* sc = settled_coords_scratch_.data() + si * kk;
-        bool in_cone = true;
-        for (int d = 0; d < k_; ++d) {
-          if (sc[d] > p.coords[static_cast<size_t>(d)]) {
-            in_cone = false;
-            break;
-          }
-        }
-        if (in_cone) {
-          assert(p.blockers > 0);
-          --p.blockers;
-        }
-      }
-      if (p.blockers == 0) {
-        p.dropped = true;
-        --pending_live_;
-        pending_slot_[static_cast<size_t>(p.cell)] = -1;
-        if (!table_->marked(p.cell) && !table_->emitted(p.cell)) {
-          flush.push_back(p.cell);
-        }
-      }
-    }
-    // Compact dropped entries occasionally.
-    if (pending_.size() > 2 * pending_live_ + 16) {
-      std::vector<Pending> live;
-      live.reserve(pending_live_);
-      for (Pending& p : pending_) {
-        if (!p.dropped) {
-          pending_slot_[static_cast<size_t>(p.cell)] =
-              static_cast<int32_t>(live.size());
-          live.push_back(std::move(p));
-        }
-      }
-      pending_ = std::move(live);
+void ProgDetermine::OnRegionReleased(
+    const OutputTable::CoverageRelease& release,
+    std::vector<CellIndex>* flush_out) {
+  flush_out->clear();
+  for (CellIndex c : release.settled) {
+    if (table_->populated(c) && !table_->marked(c) && !table_->emitted(c)) {
+      armed_[static_cast<size_t>(c)] = 1;
+      ++armed_count_;
     }
   }
-
-  // Phase 2: admit the newly settled cells themselves. Their blocker count
-  // is computed against the *post-release* RegCounts, so the current batch
-  // is already accounted for.
-  coords_scratch_.resize(static_cast<size_t>(k_));
-  std::vector<CellCoord>& coords = coords_scratch_;
-  for (CellIndex s : settled) {
-    if (table_->emitted(s) || table_->marked(s) || !table_->populated(s)) {
-      continue;  // nothing will ever need flushing here
-    }
-    table_->geometry().CoordsOfIndex(s, coords.data());
-    const int64_t blockers = CountBlockers(coords.data());
-    if (blockers == 0) {
-      flush.push_back(s);
-    } else {
-      assert(pending_slot_[static_cast<size_t>(s)] < 0);
-      pending_slot_[static_cast<size_t>(s)] =
-          static_cast<int32_t>(pending_.size());
-      pending_.push_back(Pending{s, blockers, false, coords});
-      ++pending_live_;
-    }
+  // `lowered` is ascending, so the flush list is too.
+  for (CellIndex c : release.lowered) {
+    if (table_->cover_lo(c) != 0 || !armed_[static_cast<size_t>(c)]) continue;
+    armed_[static_cast<size_t>(c)] = 0;
+    --armed_count_;
+    if (!table_->marked(c) && !table_->emitted(c)) flush_out->push_back(c);
   }
-
-  std::sort(flush.begin(), flush.end());
-  flush.erase(std::unique(flush.begin(), flush.end()), flush.end());
 }
 
-std::vector<CellIndex> ProgDetermine::OnCellsSettled(
-    const std::vector<CellIndex>& settled) {
+std::vector<CellIndex> ProgDetermine::OnRegionReleased(
+    const OutputTable::CoverageRelease& release) {
   std::vector<CellIndex> flush;
-  OnCellsSettled(settled, &flush);
+  OnRegionReleased(release, &flush);
   return flush;
-}
-
-void ProgDetermine::OnCellsMarked(const std::vector<CellIndex>& marked) {
-  for (CellIndex c : marked) {
-    int32_t s = pending_slot_[static_cast<size_t>(c)];
-    if (s < 0) continue;
-    Pending& p = pending_[static_cast<size_t>(s)];
-    if (!p.dropped) {
-      p.dropped = true;
-      --pending_live_;
-    }
-    pending_slot_[static_cast<size_t>(c)] = -1;
-  }
 }
 
 }  // namespace progxe

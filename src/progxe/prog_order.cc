@@ -31,13 +31,9 @@ ProgOrder::ProgOrder(std::vector<Region>* regions, ElGraph* el_graph,
     return;
   }
 
-  // Dense up-set coverage for ProgCount.
-  cover_lo_.assign(static_cast<size_t>(table_->geometry().total_cells()), 0);
   in_queue_.assign(regions_->size(), 0);
   for (Region& region : *regions_) {
     if (!region.Active()) continue;
-    AddUpSetCoverage(region, +1);
-
     // Static per-region estimates (Equations 1 and 3-7).
     const double n_a = static_cast<double>(r_sizes_[static_cast<size_t>(region.a)]);
     const double n_b = static_cast<double>(t_sizes_[static_cast<size_t>(region.b)]);
@@ -52,34 +48,10 @@ ProgOrder::ProgOrder(std::vector<Region>* regions, ElGraph* el_graph,
   }
 }
 
-void ProgOrder::AddUpSetCoverage(const Region& region, int32_t delta) {
-  // Up-set of region.lo_cell: the box [lo_cell, cells-1]^d.
-  const int k = table_->dims();
-  std::vector<CellCoord> hi(static_cast<size_t>(k),
-                            table_->geometry().cells_per_dim() - 1);
-  table_->geometry().ForEachCellInBox(
-      region.lo_cell.data(), hi.data(),
-      [this, delta](CellIndex c) { cover_lo_[static_cast<size_t>(c)] += delta; });
-}
-
-int64_t ProgOrder::ComputeProgCount(const Region& region) const {
-  // Cells of the region's box that are unmarked and that no other active
-  // region covers-or-threatens. For q in box(region), region's own lower
-  // cell is <= q in every dimension, so "no other" means cover_lo_ == 1.
-  int64_t count = 0;
-  table_->geometry().ForEachCellInBox(
-      region.lo_cell.data(), region.hi_cell.data(), [&](CellIndex c) {
-        if (!table_->marked(c) && cover_lo_[static_cast<size_t>(c)] == 1) {
-          ++count;
-        }
-      });
-  return count;
-}
-
-double ProgOrder::ComputeRank(const Region& region) const {
-  const int64_t prog_count = ComputeProgCount(region);
+double ProgOrder::ComputeRank(Region& region) {
+  region.prog_count = table_->ProgCount(region);
   const double volume = static_cast<double>(region.BoxVolume());
-  const double benefit = (static_cast<double>(prog_count) / volume) *
+  const double benefit = (static_cast<double>(region.prog_count) / volume) *
                          region.cardinality_est;
   return benefit / region.cost_est;
 }
@@ -87,11 +59,7 @@ double ProgOrder::ComputeRank(const Region& region) const {
 void ProgOrder::PushRegion(int32_t id) {
   Region& region = (*regions_)[static_cast<size_t>(id)];
   if (!region.Active()) return;
-  region.prog_count = ComputeProgCount(region);
-  const double volume = static_cast<double>(region.BoxVolume());
-  const double benefit = (static_cast<double>(region.prog_count) / volume) *
-                         region.cardinality_est;
-  region.rank = benefit / region.cost_est;
+  region.rank = ComputeRank(region);
   ++region.rank_version;
   in_queue_[static_cast<size_t>(id)] = 1;
   queue_.push(Entry{region.rank, region.rank_version, id});
@@ -150,15 +118,15 @@ int32_t ProgOrder::PopNext() {
   }
 }
 
-void ProgOrder::OnRegionRemoved(int32_t id) {
+void ProgOrder::OnRegionRemoved(int32_t id,
+                                const std::vector<CellIndex>& lowered) {
   if (mode_ != OrderingMode::kProgOrder) {
     return;
   }
-  AddUpSetCoverage((*regions_)[static_cast<size_t>(id)], -1);
-
   // Admit regions that became EL-Graph roots. Benefit refresh of queued
   // regions (Algorithm 1, line 13) happens lazily inside PopNext.
-  for (int32_t new_root : el_graph_->OnRegionRemoved(id, *regions_)) {
+  el_graph_->OnRegionRemoved(id, lowered, &new_roots_);
+  for (int32_t new_root : new_roots_) {
     PushRegion(new_root);
   }
 }

@@ -4,11 +4,13 @@
 //
 // Benefit(R) = ProgCount(R) / PartitionCount(R) * Cardinality(R)  (Eq. 2)
 // where ProgCount (Definition 2) counts the cells of R's box that no
-// *other* unprocessed region covers-or-threatens — maintained with a dense
-// up-set coverage array so each update is O(box volume) instead of a global
-// rescan. Rank updates are event-driven (the paper's line 13): when a
-// region is removed, every region whose benefit may change is re-ranked and
-// re-pushed; stale priority-queue entries are version-skipped.
+// *other* unprocessed region covers-or-threatens — kept per region by the
+// output table alongside its cover_lo counter (OutputTable::ProgCount), so
+// a rank is a lookup and a few flops. A region's rank is computed when it
+// becomes a root. The paper re-ranks affected regions after every removal
+// (line 13); here ranks refresh lazily instead: PopNext recomputes the top
+// entry's rank and re-queues it if it no longer leads, with a budget of 64
+// such refreshes per pick. Stale priority-queue entries are version-skipped.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +40,11 @@ class ProgOrder {
   /// of mutual partial elimination, all remaining regions are force-rooted.
   int32_t PopNext();
 
-  /// Must be called after a region completes or is discarded: updates the
-  /// EL-Graph, admits new roots, and re-ranks affected queued regions.
-  void OnRegionRemoved(int32_t id);
-
-  /// Recomputes and stores rank for one region (exposed for tests).
-  double ComputeRank(const Region& region) const;
-
-  /// ProgCount per Definition 2 (exposed for tests).
-  int64_t ComputeProgCount(const Region& region) const;
+  /// Must be called after a region completes or is discarded, once its
+  /// coverage has left the table: `lowered` is that release's report
+  /// (OutputTable::CoverageRelease). Updates the EL-Graph and admits the
+  /// new roots; queued ranks refresh lazily in PopNext.
+  void OnRegionRemoved(int32_t id, const std::vector<CellIndex>& lowered);
 
  private:
   struct Entry {
@@ -59,8 +57,9 @@ class ProgOrder {
     }
   };
 
+  /// Rank (Equation 8) of one region; refreshes its prog_count.
+  double ComputeRank(Region& region);
   void PushRegion(int32_t id);
-  void AddUpSetCoverage(const Region& region, int32_t delta);
 
   std::vector<Region>* regions_;
   ElGraph* el_graph_;
@@ -73,9 +72,8 @@ class ProgOrder {
 
   // kProgOrder state.
   std::priority_queue<Entry> queue_;
-  /// cover_lo_[c] = #active regions whose lower cell is <= c in every dim.
-  std::vector<int32_t> cover_lo_;
   std::vector<uint8_t> in_queue_;  // region currently admitted as root
+  std::vector<int32_t> new_roots_;  // OnRegionRemoved scratch
   bool cycle_fallback_done_ = false;
 
   // kRandom / kSequential state.

@@ -26,7 +26,7 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
   table_.InitCoverage(*regions_);
 
   if (options_.ordering == OrderingMode::kProgOrder) {
-    el_graph_ = std::make_unique<ElGraph>(*regions_,
+    el_graph_ = std::make_unique<ElGraph>(*regions_, &table_,
                                           options_.max_regions_for_elgraph);
     stats_->elgraph_disabled = el_graph_->disabled();
   }
@@ -142,11 +142,9 @@ void RegionLoop::RemoveRegion(Region& region,
   removal_log_.push_back(region.id);
   assert(active_regions_ > 0);
   --active_regions_;
-  table_.ReleaseRegionCoverage(region, &settled_scratch_);
-  table_.DrainMarkedEvents(&marked_scratch_);
-  determine_.OnCellsMarked(marked_scratch_);
-  determine_.OnCellsSettled(settled_scratch_, &flush_scratch_);
-  order_->OnRegionRemoved(region.id);
+  table_.ReleaseRegionCoverage(region, &release_);
+  determine_.OnRegionReleased(release_, &flush_scratch_);
+  order_->OnRegionRemoved(region.id, release_.lowered);
   EmitCells(flush_scratch_, pending);
 }
 
@@ -219,10 +217,6 @@ void RegionLoop::FinishRegion(Region& region,
   {
     TraceSpan span(trace_cats::kRegion, "region.flush");
     span.arg("region", region.id);
-    // Kill events produced during insertion must reach ProgDetermine
-    // before settle processing.
-    table_.DrainMarkedEvents(&marked_scratch_);
-    determine_.OnCellsMarked(marked_scratch_);
     RemoveRegion(region, pending);
   }
 
@@ -344,9 +338,9 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
     prev = id;
   }
   // Mirror RemoveRegion, minus emission and stats: on the fresh table the
-  // settled cells are empty, so ProgDetermine never offers them for flush
-  // (and they can never repopulate — no active region covers them). The
-  // dead incarnation's counters travel separately (shard lost_stats).
+  // settled cells are empty, so ProgDetermine never arms them (and they can
+  // never repopulate — no active region covers them). The dead
+  // incarnation's counters travel separately (shard lost_stats).
   for (int32_t id : checkpoint.skip_regions) {
     Region& region = (*regions_)[static_cast<size_t>(id)];
     region.discarded = true;
@@ -354,11 +348,9 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
     removal_log_.push_back(id);
     assert(active_regions_ > 0);
     --active_regions_;
-    table_.ReleaseRegionCoverage(region, &settled_scratch_);
-    table_.DrainMarkedEvents(&marked_scratch_);
-    determine_.OnCellsMarked(marked_scratch_);
-    determine_.OnCellsSettled(settled_scratch_, &flush_scratch_);
-    order_->OnRegionRemoved(region.id);
+    table_.ReleaseRegionCoverage(region, &release_);
+    determine_.OnRegionReleased(release_, &flush_scratch_);
+    order_->OnRegionRemoved(region.id, release_.lowered);
   }
   resumed_ = !checkpoint.skip_regions.empty();
   replay_pairs_saved_ = resumed_ ? checkpoint.replay_pairs_saved : 0;

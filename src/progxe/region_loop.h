@@ -55,10 +55,9 @@ class RegionLoop {
   /// Min-merges into `lo[0..k)` the canonical lower cell edges of every
   /// active region's lo_cell. Sound as a bound on anything the loop may
   /// still emit: future join results land inside some active region's box,
-  /// and a populated unflushed cell always has reg_count > 0 (its tuples
-  /// came from a region whose box covers it, and cells flush the moment
-  /// their coverage drops to zero), so its tuples too sit above some active
-  /// region's lower cell edge.
+  /// and a populated unflushed cell c always has cover_lo[c] > 0 (it
+  /// flushes in the removal that brings cover_lo to zero), so some active
+  /// region's lo_cell is <= c and c's tuples sit above its lower edge.
   void RemainingLowerBound(std::vector<double>* lo) const;
 
   /// Fills `*out` with a resumable snapshot of the loop's region cursor.
@@ -75,6 +74,14 @@ class RegionLoop {
   /// ExportCheckpoint over the loop's lifetime (deterministic work counter).
   uint64_t checkpoint_cells_examined() const {
     return checkpoint_cells_examined_;
+  }
+
+  /// Cells visited by coverage upkeep and ProgCount plus EL-Graph
+  /// watch-list entries examined over the loop's lifetime (deterministic
+  /// work counter, like checkpoint_cells_examined; not a ProgXeStats field).
+  uint64_t coverage_cells_walked() const {
+    return table_.coverage_cells_walked() +
+           (el_graph_ != nullptr ? el_graph_->watch_entries_examined() : 0);
   }
 
   /// Join pairs generated for region `id` by this loop (0 if never picked).
@@ -113,7 +120,7 @@ class RegionLoop {
   /// no skyline members), in ascending region id.
   void ApplySeedDiscards(std::vector<ResultTuple>* pending);
   /// Post-join bookkeeping shared by the whole-region and sliced paths:
-  /// marked-event drain, region removal, discard sweep.
+  /// region removal, discard sweep.
   void FinishRegion(Region& region, std::vector<ResultTuple>* pending);
   void EmitCells(const std::vector<CellIndex>& cells,
                  std::vector<ResultTuple>* pending);
@@ -200,8 +207,7 @@ class RegionLoop {
   std::vector<double> flush_values_;
   std::vector<CellTupleIds> flush_ids_;
   ResultTuple result_;
-  std::vector<CellIndex> settled_scratch_;
-  std::vector<CellIndex> marked_scratch_;
+  OutputTable::CoverageRelease release_;
   std::vector<CellIndex> flush_scratch_;
   std::vector<int32_t> discard_scratch_;
 };

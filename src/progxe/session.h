@@ -153,6 +153,12 @@ class ProgXeSession : public ProgXeStream {
     return loop_ != nullptr ? loop_->checkpoint_cells_examined() : 0;
   }
 
+  /// Coverage bookkeeping work so far (RegionLoop::coverage_cells_walked;
+  /// 0 for a loop-less session).
+  uint64_t coverage_cells_walked() const {
+    return loop_ != nullptr ? loop_->coverage_cells_walked() : 0;
+  }
+
   /// The region loop (null for trivially-empty, failed or closed sessions):
   /// read-only access for diagnostics and reference checks.
   const RegionLoop* region_loop() const { return loop_.get(); }

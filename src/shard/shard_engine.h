@@ -84,6 +84,10 @@ class ShardEngine {
   /// RegionLoop::checkpoint_cells_examined). 0 for remote engines, whose
   /// export runs on the worker.
   virtual uint64_t checkpoint_cells_examined() const { return 0; }
+
+  /// Cumulative coverage bookkeeping work of this engine's region loop (see
+  /// RegionLoop::coverage_cells_walked). 0 for remote engines.
+  virtual uint64_t coverage_cells_walked() const { return 0; }
 };
 
 /// The in-process implementation: a thin forwarding wrapper over one
@@ -115,6 +119,9 @@ class LocalShardEngine : public ShardEngine {
   }
   uint64_t checkpoint_cells_examined() const override {
     return session_->checkpoint_cells_examined();
+  }
+  uint64_t coverage_cells_walked() const override {
+    return session_->coverage_cells_walked();
   }
 
  private:

@@ -272,6 +272,9 @@ Status ShardedStream::OpenShard(size_t i) {
       }
     }
   }
+  // The loop's set-up (coverage build, initial ranks, resume) ran in Open;
+  // pumps add their own deltas.
+  coverage_cells_walked_ += shard.session->coverage_cells_walked();
   if (shard.session->resumed()) {
     shard.resumed = true;
     replay_pairs_saved_ += shard.session->replay_pairs_saved();
@@ -385,6 +388,7 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       }
     }
     const uint64_t before = shard.session->stats().join_pairs_generated;
+    const uint64_t walked_before = shard.session->coverage_cells_walked();
     Status fault = MaybeInjectFault(faults_, fault_sites::kShardNextBatch,
                                     static_cast<int>(i));
     if (fault.ok()) {
@@ -398,6 +402,12 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       // Engine-level failures (the "session.next_batch" site) surface
       // through the sub-session's own error channel.
       fault = shard.session->last_status();
+      // A failed pump tore its loop down, counter included; its work is
+      // dropped from the tally.
+      if (fault.ok()) {
+        coverage_cells_walked_ +=
+            shard.session->coverage_cells_walked() - walked_before;
+      }
     }
     if (PROGXE_PREDICT_FALSE(!fault.ok())) {
       OnShardFailure(i, std::move(fault));

@@ -149,6 +149,11 @@ class ShardedStream : public ProgXeStream {
     return checkpoint_cells_examined_;
   }
 
+  /// Coverage bookkeeping work of every local shard's region loop, summed
+  /// over shards and incarnations (RegionLoop::coverage_cells_walked).
+  /// Deterministic and kept out of stats(), like the counters above.
+  uint64_t coverage_cells_walked() const { return coverage_cells_walked_; }
+
   /// Wall-clock seconds spent inside the merge sink (candidate ingest +
   /// release checks), excluding the sub-sessions' own work.
   double merge_seconds() const { return merge_seconds_; }
@@ -344,6 +349,7 @@ class ShardedStream : public ProgXeStream {
   DomCounter merge_counter_;
   double merge_seconds_ = 0.0;
   uint64_t checkpoint_cells_examined_ = 0;
+  uint64_t coverage_cells_walked_ = 0;
   /// Export target of the per-pump checkpoint capture; swapped with the
   /// shard's checkpoint when accepted, so the steady state reuses the
   /// buffers instead of allocating a snapshot per pump.

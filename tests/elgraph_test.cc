@@ -1,10 +1,12 @@
 // Tests for region elimination predicates and the EL-Graph (P6).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
 #include "elgraph/el_graph.h"
+#include "progxe/output_table.h"
 
 namespace progxe {
 namespace {
@@ -88,10 +90,41 @@ std::vector<Region> RandomRegions(Rng* rng, int count, int dims,
   return regions;
 }
 
+// An EL-Graph over `regions` on a dims x cells grid, with the output table
+// whose coverage counters it reads.
+struct GraphFixture {
+  GraphFixture(const std::vector<Region>& regions, int dims, CellCoord cells,
+               size_t max_regions = 8000)
+      : geometry(std::vector<Interval>(static_cast<size_t>(dims),
+                                       Interval(0, 1)),
+                 cells),
+        table(geometry,
+              std::vector<uint8_t>(static_cast<size_t>(geometry.total_cells()),
+                                   0),
+              &stats) {
+    table.InitCoverage(regions);
+    graph = std::make_unique<ElGraph>(regions, &table, max_regions);
+  }
+
+  /// Marks `region` processed and removes it from coverage and the graph.
+  std::vector<int32_t> Remove(Region* region) {
+    region->processed = true;
+    lowered = table.ReleaseRegionCoverage(*region).lowered;
+    return graph->OnRegionRemoved(region->id, lowered);
+  }
+
+  ProgXeStats stats;
+  GridGeometry geometry;
+  OutputTable table;
+  std::unique_ptr<ElGraph> graph;
+  std::vector<CellIndex> lowered;
+};
+
 TEST(ElGraph, IndegreesMatchBruteForce) {
   Rng rng(21);
   std::vector<Region> regions = RandomRegions(&rng, 40, 3, 6);
-  ElGraph graph(regions);
+  GraphFixture fx(regions, 3, 6);
+  ElGraph& graph = *fx.graph;
   ASSERT_FALSE(graph.disabled());
   for (const Region& v : regions) {
     int64_t expected = 0;
@@ -106,7 +139,8 @@ TEST(ElGraph, IndegreesMatchBruteForce) {
 TEST(ElGraph, RootsHaveZeroIndegree) {
   Rng rng(5);
   std::vector<Region> regions = RandomRegions(&rng, 30, 2, 8);
-  ElGraph graph(regions);
+  GraphFixture fx(regions, 2, 8);
+  ElGraph& graph = *fx.graph;
   for (int32_t root : graph.InitialRoots(regions)) {
     EXPECT_EQ(graph.indegree(root), 0);
   }
@@ -115,7 +149,8 @@ TEST(ElGraph, RootsHaveZeroIndegree) {
 TEST(ElGraph, RemovalPromotesNewRoots) {
   Rng rng(9);
   std::vector<Region> regions = RandomRegions(&rng, 50, 2, 10);
-  ElGraph graph(regions);
+  GraphFixture fx(regions, 2, 10);
+  ElGraph& graph = *fx.graph;
   std::set<int32_t> roots;
   for (int32_t r : graph.InitialRoots(regions)) roots.insert(r);
 
@@ -123,8 +158,7 @@ TEST(ElGraph, RemovalPromotesNewRoots) {
   // previously have had positive indegree and now have zero.
   for (Region& region : regions) {
     if (!region.Active()) continue;
-    region.processed = true;
-    for (int32_t nr : graph.OnRegionRemoved(region.id, regions)) {
+    for (int32_t nr : fx.Remove(&region)) {
       EXPECT_EQ(graph.indegree(nr), 0);
       EXPECT_TRUE(roots.insert(nr).second) << "root reported twice";
     }
@@ -138,27 +172,27 @@ TEST(ElGraph, RemovalPromotesNewRoots) {
   // means mutual elimination cycles whose members were processed without
   // ever being roots — allowed, but their count must match NonRootCount of
   // an empty graph (0 active regions left).
-  EXPECT_EQ(graph.NonRootCount(regions), 0u);
+  EXPECT_EQ(graph.NonRootCount(), 0u);
   EXPECT_LE(cyclic_leftover, regions.size());
 }
 
 TEST(ElGraph, DoubleRemovalIsIgnored) {
   Rng rng(2);
   std::vector<Region> regions = RandomRegions(&rng, 10, 2, 4);
-  ElGraph graph(regions);
-  regions[0].processed = true;
-  graph.OnRegionRemoved(0, regions);
-  EXPECT_TRUE(graph.OnRegionRemoved(0, regions).empty());
+  GraphFixture fx(regions, 2, 4);
+  fx.Remove(&regions[0]);
+  EXPECT_TRUE(fx.graph->OnRegionRemoved(0, fx.lowered).empty());
 }
 
 TEST(ElGraph, DisablesAboveRegionCap) {
   Rng rng(3);
   std::vector<Region> regions = RandomRegions(&rng, 30, 2, 6);
-  ElGraph graph(regions, /*max_regions=*/10);
+  GraphFixture fx(regions, 2, 6, /*max_regions=*/10);
+  ElGraph& graph = *fx.graph;
   EXPECT_TRUE(graph.disabled());
   // Disabled graph: everyone is a root.
   EXPECT_EQ(graph.InitialRoots(regions).size(), regions.size());
-  EXPECT_TRUE(graph.OnRegionRemoved(0, regions).empty());
+  EXPECT_TRUE(fx.Remove(&regions[0]).empty());
 }
 
 TEST(ElGraph, InactiveRegionsExcluded) {
@@ -166,8 +200,8 @@ TEST(ElGraph, InactiveRegionsExcluded) {
   std::vector<Region> regions = RandomRegions(&rng, 20, 2, 6);
   regions[3].pruned = true;
   regions[7].discarded = true;
-  ElGraph graph(regions);
-  auto roots = graph.InitialRoots(regions);
+  GraphFixture fx(regions, 2, 6);
+  auto roots = fx.graph->InitialRoots(regions);
   for (int32_t r : roots) {
     EXPECT_NE(r, 3);
     EXPECT_NE(r, 7);

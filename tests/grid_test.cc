@@ -4,6 +4,7 @@
 
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "common/rng.h"
 #include "data/generator.h"
@@ -152,6 +153,27 @@ TEST(GridGeometry, BoxIterationCoversExactlyTheBox) {
       EXPECT_LE(coords[static_cast<size_t>(d)], hi[d]);
     }
   }
+}
+
+TEST(GridGeometry, RowsTileTheBoxInRowMajorOrder) {
+  GridGeometry geometry({Interval(0, 1), Interval(0, 1), Interval(0, 1)}, 5);
+  const CellCoord lo[] = {1, 0, 2};
+  const CellCoord hi[] = {3, 1, 4};
+  std::vector<CellIndex> from_rows;
+  geometry.ForEachRowInBox(lo, hi, [&](CellIndex first, int64_t len) {
+    EXPECT_EQ(len, 3);
+    for (int64_t i = 0; i < len; ++i) from_rows.push_back(first + i);
+  });
+  std::vector<CellIndex> expected;
+  for (CellCoord x = lo[0]; x <= hi[0]; ++x) {
+    for (CellCoord y = lo[1]; y <= hi[1]; ++y) {
+      for (CellCoord z = lo[2]; z <= hi[2]; ++z) {
+        const CellCoord c[] = {x, y, z};
+        expected.push_back(geometry.IndexOf(c));
+      }
+    }
+  }
+  EXPECT_EQ(from_rows, expected);
 }
 
 TEST(GridGeometry, PointCoordWithinItsCellBounds) {

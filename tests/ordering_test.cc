@@ -62,8 +62,8 @@ TEST_F(ProgDetermineTest, FlushesImmediatelyWhenConeClear) {
   table_.InitCoverage(regions);
   const double pt[] = {1.0, 1.0};
   table_.Insert(pt, 0, 0);
-  auto settled = table_.ReleaseRegionCoverage(regions[0]);
-  auto flush = determine_.OnCellsSettled(settled);
+  auto flush =
+      determine_.OnRegionReleased(table_.ReleaseRegionCoverage(regions[0]));
   ASSERT_EQ(flush.size(), 1u);
   EXPECT_EQ(flush[0], CellAt(1.0, 1.0));
   EXPECT_EQ(determine_.PendingCount(), 0u);
@@ -78,13 +78,13 @@ TEST_F(ProgDetermineTest, HoldsCellUntilThreateningRegionCompletes) {
   const double pt[] = {5.0, 5.0};
   table_.Insert(pt, 0, 0);
 
-  auto flush_a = determine_.OnCellsSettled(
+  auto flush_a = determine_.OnRegionReleased(
       table_.ReleaseRegionCoverage(regions[0]));
   EXPECT_TRUE(flush_a.empty()) << "flushed while region B could still fill "
                                   "the dominator cone";
   EXPECT_EQ(determine_.PendingCount(), 1u);
 
-  auto flush_b = determine_.OnCellsSettled(
+  auto flush_b = determine_.OnRegionReleased(
       table_.ReleaseRegionCoverage(regions[1]));
   ASSERT_EQ(flush_b.size(), 1u);
   EXPECT_EQ(flush_b[0], CellAt(5.0, 5.0));
@@ -100,10 +100,10 @@ TEST_F(ProgDetermineTest, SliceNeighborAlsoBlocks) {
   const double pt[] = {5.0, 1.0};
   table_.Insert(pt, 0, 0);
   EXPECT_TRUE(determine_
-                  .OnCellsSettled(table_.ReleaseRegionCoverage(regions[0]))
+                  .OnRegionReleased(table_.ReleaseRegionCoverage(regions[0]))
                   .empty());
   EXPECT_EQ(determine_
-                .OnCellsSettled(table_.ReleaseRegionCoverage(regions[1]))
+                .OnRegionReleased(table_.ReleaseRegionCoverage(regions[1]))
                 .size(),
             1u);
 }
@@ -115,8 +115,7 @@ TEST_F(ProgDetermineTest, MarkedCellsNeverFlush) {
   const double high[] = {5.0, 5.0};
   table_.Insert(low, 0, 0);
   table_.Insert(high, 1, 1);  // frontier-discarded, cell marked
-  determine_.OnCellsMarked(table_.DrainMarkedEvents());
-  auto flush = determine_.OnCellsSettled(
+  auto flush = determine_.OnRegionReleased(
       table_.ReleaseRegionCoverage(regions[0]));
   ASSERT_EQ(flush.size(), 1u);  // only the low cell
   EXPECT_EQ(flush[0], CellAt(1.0, 1.0));
@@ -125,7 +124,7 @@ TEST_F(ProgDetermineTest, MarkedCellsNeverFlush) {
 TEST_F(ProgDetermineTest, UnpopulatedSettledCellsAreIgnored) {
   std::vector<Region> regions{MakeRegion(0, 0, 0, 7.9, 7.9)};
   table_.InitCoverage(regions);
-  auto flush = determine_.OnCellsSettled(
+  auto flush = determine_.OnRegionReleased(
       table_.ReleaseRegionCoverage(regions[0]));
   EXPECT_TRUE(flush.empty());
   EXPECT_EQ(determine_.PendingCount(), 0u);
@@ -148,6 +147,9 @@ TEST(ProgOrder, PrefersUnthreatenedCheapRegions) {
                 double hi_y) {
     Region region;
     region.id = id;
+    // Partition indices into the size vectors ProgOrder reads below.
+    region.a = id;
+    region.b = id;
     region.bounds = {Interval(lo_x, hi_x), Interval(lo_y, hi_y)};
     region.lo_cell.resize(2);
     region.hi_cell.resize(2);
@@ -167,7 +169,7 @@ TEST(ProgOrder, PrefersUnthreatenedCheapRegions) {
       mk(2, 8.0, 0.0, 9.9, 1.9),   // ...overlapped by region 2 exactly
   };
   table.InitCoverage(regions);
-  ElGraph graph(regions);
+  ElGraph graph(regions, &table);
   CostModelParams cost;
   cost.sigma = 0.01;
   cost.cells_per_dim = 5;
@@ -176,8 +178,8 @@ TEST(ProgOrder, PrefersUnthreatenedCheapRegions) {
   ProgOrder order(&regions, &graph, &table, cost, {100, 100, 100},
                   {100, 100, 100}, OrderingMode::kProgOrder, 1, &stats);
 
-  EXPECT_GT(order.ComputeProgCount(regions[0]), 0);
-  EXPECT_EQ(order.ComputeProgCount(regions[1]), 0);  // fully shared w/ 2
+  EXPECT_GT(table.ProgCount(regions[0]), 0);
+  EXPECT_EQ(table.ProgCount(regions[1]), 0);  // fully shared w/ 2
   const int32_t first = order.PopNext();
   EXPECT_EQ(first, 0);
 }

@@ -101,8 +101,11 @@ TEST_F(OutputTableTest, EagerKillOfStrictlyAbovePopulatedCells) {
   EXPECT_EQ(Insert(1.0, 1.0), InsertOutcome::kInserted);
   EXPECT_TRUE(table_.marked(CellAt(5.0, 5.0)));
   EXPECT_EQ(table_.AliveCount(CellAt(5.0, 5.0)), 0u);
-  auto events = table_.DrainMarkedEvents();
-  EXPECT_EQ(events.size(), 2u);
+  size_t marked = 0;
+  for (CellIndex c = 0; c < geometry_.total_cells(); ++c) {
+    marked += table_.marked(c) ? 1 : 0;
+  }
+  EXPECT_EQ(marked, 2u);
 }
 
 TEST_F(OutputTableTest, MarkedCellDiscardsArrivals) {
@@ -126,8 +129,12 @@ TEST_F(OutputTableTest, CoverageSettlesOnRelease) {
   EXPECT_EQ(table_.reg_count(CellAt(1, 1)), 1);
   EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 2);  // overlap cell (1,1)
   EXPECT_EQ(table_.reg_count(CellAt(9, 9)), 0);
+  // cover_lo counts regions whose lower cell is <= the cell.
+  EXPECT_EQ(table_.cover_lo(CellAt(1, 1)), 1);
+  EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 2);
+  EXPECT_EQ(table_.cover_lo(CellAt(9, 1)), 1);
 
-  auto settled0 = table_.ReleaseRegionCoverage(regions[0]);
+  auto settled0 = table_.ReleaseRegionCoverage(regions[0]).settled;
   // Cells covered only by region 0 settle; the overlap cell does not.
   EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 1);
   bool overlap_settled = false;
@@ -135,9 +142,10 @@ TEST_F(OutputTableTest, CoverageSettlesOnRelease) {
   EXPECT_FALSE(overlap_settled);
   EXPECT_EQ(settled0.size(), 3u);  // cells (0,0) (0,1) (1,0)
 
-  auto settled1 = table_.ReleaseRegionCoverage(regions[1]);
+  auto settled1 = table_.ReleaseRegionCoverage(regions[1]).settled;
   EXPECT_EQ(settled1.size(), 4u);  // all of region 1's cells now settle
   EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 0);
+  EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 0);
 }
 
 TEST_F(OutputTableTest, InactiveRegionsNotCounted) {
@@ -146,6 +154,7 @@ TEST_F(OutputTableTest, InactiveRegionsNotCounted) {
   regions.back().pruned = true;
   table_.InitCoverage(regions);
   EXPECT_EQ(table_.reg_count(CellAt(1, 1)), 0);
+  EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 0);
 }
 
 TEST_F(OutputTableTest, FlushEmitsAliveTuplesAndKeepsThemAsDominators) {

@@ -14,6 +14,14 @@ cached blocking cells and scan the short unflushed-cell list, so a return
 to walking every finished region's cell box on each pump multiplies it by
 orders of magnitude — again regardless of machine speed.
 
+`coverage_cells_walked` (the same run's region-coverage bookkeeping counter:
+cells visited by the coverage build and release row walks, cells examined
+for ProgCount upkeep, and EL-Graph watch-list entries, summed over shards)
+is held under `--coverage_budget` when that flag is given. The counters are
+built by prefix sums and maintained by one box walk plus one up-set walk
+per removed region; a return to per-region build walks, per-call ProgCount
+box walks or cone walks multiplies it — on any runner.
+
 `fault_hook_ns_per_call` (when present in the JSON) is additionally held
 under a per-call nanosecond budget: the disabled MaybeInjectFault hook is
 contractually one predicted branch, and a regression that consults the rule
@@ -46,6 +54,7 @@ there is no reuse section either).
 
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--checkpoint_budget=N]
+                                    [--coverage_budget=N]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
 """
@@ -59,6 +68,7 @@ def main(argv):
     shards = 4
     budget = 200000
     checkpoint_budget = None
+    coverage_budget = None
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
     for arg in argv[1:]:
@@ -68,6 +78,8 @@ def main(argv):
             budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--checkpoint_budget="):
             checkpoint_budget = int(arg.split("=", 1)[1])
+        elif arg.startswith("--coverage_budget="):
+            coverage_budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--hook_budget_ns="):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
@@ -116,6 +128,20 @@ def main(argv):
                     f"the budget ({cells} > {checkpoint_budget}) — checkpoint "
                     f"export is walking region boxes instead of testing "
                     f"cached blockers against the unflushed-cell list")
+        if coverage_budget is not None:
+            walked = run.get("coverage_cells_walked")
+            if walked is None:
+                raise SystemExit(
+                    f"FAIL: --coverage_budget given but the K={shards} run "
+                    f"records no coverage_cells_walked")
+            print(f"K={shards}: coverage_cells_walked={walked} "
+                  f"budget={coverage_budget}")
+            if walked > coverage_budget:
+                raise SystemExit(
+                    f"FAIL: coverage_cells_walked at K={shards} exceeded the "
+                    f"budget ({walked} > {coverage_budget}) — region "
+                    f"coverage upkeep is walking more than one box and one "
+                    f"up-set per removed region")
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
 

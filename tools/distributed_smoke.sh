@@ -29,6 +29,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Malformed numeric flags must be rejected, not truncated ("4x" -> 4).
+if "$cli" --shards=4x --n=100 --series=0 >/dev/null 2>&1; then
+  echo "FAIL: progxe_cli accepted --shards=4x" >&2
+  exit 1
+fi
+
 # Start two workers on ephemeral ports and read the announced ports back.
 endpoints=()
 for i in 1 2; do

@@ -71,6 +71,7 @@
 
 #include "common/csv_writer.h"
 #include "common/fault_injection.h"
+#include "common/parse_number.h"
 #include "common/stopwatch.h"
 #include "harness/experiment.h"
 #include "net/worker_pool.h"
@@ -113,6 +114,13 @@ struct CliArgs {
   bool reuse = false;
 };
 
+/// Prints the flag's malformed value and returns false.
+bool BadNumber(const char* flag, const char* value) {
+  std::fprintf(stderr, "%s: malformed or out-of-range number '%s'\n", flag,
+               value);
+  return false;
+}
+
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -128,13 +136,13 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       args->dist = *dist;
     } else if (const char* v = value("--n=")) {
-      args->n = static_cast<size_t>(std::atoll(v));
+      if (!ParseSize(v, &args->n)) return BadNumber("--n", v);
     } else if (const char* v = value("--dims=")) {
-      args->dims = std::atoi(v);
+      if (!ParseI32(v, &args->dims)) return BadNumber("--dims", v);
     } else if (const char* v = value("--sigma=")) {
-      args->sigma = std::atof(v);
+      if (!ParseF64(v, &args->sigma)) return BadNumber("--sigma", v);
     } else if (const char* v = value("--seed=")) {
-      args->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseU64(v, &args->seed)) return BadNumber("--seed", v);
     } else if (const char* v = value("--algo=")) {
       args->algo = v;
     } else if (const char* v = value("--csv=")) {
@@ -142,13 +150,15 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (const char* v = value("--trace_out=")) {
       args->trace_path = v;
     } else if (const char* v = value("--num_threads=")) {
-      args->num_threads = std::atoi(v);
+      if (!ParseI32(v, &args->num_threads)) {
+        return BadNumber("--num_threads", v);
+      }
       if (args->num_threads < 1) {
         std::fprintf(stderr, "--num_threads must be >= 1\n");
         return false;
       }
     } else if (const char* v = value("--shards=")) {
-      args->shards = std::atoi(v);
+      if (!ParseI32(v, &args->shards)) return BadNumber("--shards", v);
       if (args->shards < 1) {
         std::fprintf(stderr, "--shards must be >= 1\n");
         return false;
@@ -169,19 +179,27 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (std::strcmp(arg, "--result_hash") == 0) {
       args->result_hash = true;
     } else if (const char* v = value("--series=")) {
-      args->series_samples = std::atoi(v);
+      if (!ParseI32(v, &args->series_samples)) {
+        return BadNumber("--series", v);
+      }
     } else if (const char* v = value("--faults=")) {
       args->faults = v;
     } else if (const char* v = value("--fault_seed=")) {
-      args->fault_seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseU64(v, &args->fault_seed)) {
+        return BadNumber("--fault_seed", v);
+      }
     } else if (const char* v = value("--max_retries=")) {
-      args->max_retries = std::atoi(v);
+      if (!ParseI32(v, &args->max_retries)) {
+        return BadNumber("--max_retries", v);
+      }
       if (args->max_retries < 0) {
         std::fprintf(stderr, "--max_retries must be >= 0\n");
         return false;
       }
     } else if (const char* v = value("--retry_backoff_ms=")) {
-      args->retry_backoff_ms = std::atoi(v);
+      if (!ParseI32(v, &args->retry_backoff_ms)) {
+        return BadNumber("--retry_backoff_ms", v);
+      }
       if (args->retry_backoff_ms < 0) {
         std::fprintf(stderr, "--retry_backoff_ms must be >= 0\n");
         return false;
@@ -189,17 +207,19 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (std::strcmp(arg, "--allow_partial") == 0) {
       args->allow_partial = true;
     } else if (const char* v = value("--queries=")) {
-      args->queries = static_cast<size_t>(std::atoll(v));
+      if (!ParseSize(v, &args->queries)) return BadNumber("--queries", v);
       if (args->queries < 1) {
         std::fprintf(stderr, "--queries must be >= 1\n");
         return false;
       }
     } else if (const char* v = value("--workers=")) {
-      args->workers = std::atoi(v);
+      if (!ParseI32(v, &args->workers)) return BadNumber("--workers", v);
     } else if (const char* v = value("--budget=")) {
-      args->budget = static_cast<size_t>(std::atoll(v));
+      if (!ParseSize(v, &args->budget)) return BadNumber("--budget", v);
     } else if (const char* v = value("--max_concurrent=")) {
-      args->max_concurrent = static_cast<size_t>(std::atoll(v));
+      if (!ParseSize(v, &args->max_concurrent)) {
+        return BadNumber("--max_concurrent", v);
+      }
     } else if (const char* v = value("--policy=")) {
       if (!FairnessPolicyFromName(v, &args->policy)) {
         std::fprintf(stderr, "--policy must be rr or wf\n");

@@ -82,11 +82,9 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -97,6 +95,7 @@
 #include <vector>
 
 #include "common/fault_injection.h"
+#include "common/parse_number.h"
 #include "common/stopwatch.h"
 #include "harness/experiment.h"
 #include "harness/workload.h"
@@ -118,44 +117,6 @@ constexpr int kMaxDims = 16;
 constexpr int kMaxShards = 64;
 constexpr int kMaxThreads = 128;
 constexpr int kMaxRetries = 1000;
-
-/// Strict full-token numeric parsers: the whole string must be consumed
-/// ("12x", "", "-3" for unsigned all fail), unlike atoi/atof which return
-/// 0 on garbage and would silently run a default workload.
-bool ParseU64(const std::string& s, uint64_t* out) {
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end && !s.empty();
-}
-
-bool ParseI64(const std::string& s, int64_t* out) {
-  const char* end = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
-  return ec == std::errc() && ptr == end && !s.empty();
-}
-
-bool ParseI32(const std::string& s, int* out) {
-  int64_t wide;
-  if (!ParseI64(s, &wide) || wide < INT32_MIN || wide > INT32_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(wide);
-  return true;
-}
-
-bool ParseSize(const std::string& s, size_t* out) {
-  uint64_t wide;
-  if (!ParseU64(s, &wide) || wide > SIZE_MAX) return false;
-  *out = static_cast<size_t>(wide);
-  return true;
-}
-
-bool ParseF64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
 
 std::mutex g_out_mtx;
 

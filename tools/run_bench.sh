@@ -122,7 +122,7 @@ if isinstance(sharded, dict):
     for run in sharded.get("runs", []):
         if run.get("shards") == 4:
             for key in ("merge_comparisons", "checkpoint_cells_examined",
-                        "makespan_s", "t_first_s"):
+                        "coverage_cells_walked", "makespan_s", "t_first_s"):
                 if key in run:
                     entry[f"k4_{key}"] = run[key]
 reuse = summary.get("reuse")
