@@ -3,7 +3,9 @@
 //
 //   1. Output-grid resolution: the comparable-slice bound says a new tuple
 //      fights at most k^d - (k-1)^d of the k^d partitions; finer grids cut
-//      dominance comparisons until bookkeeping overhead wins.
+//      dominance comparisons until bookkeeping overhead wins. Each row
+//      reports both sides of that trade (dominance comparisons and region
+//      coverage cells walked); the `auto` row is the engine's own pick.
 //   2. Input-grid resolution: more input partitions => more, tighter
 //      regions => more look-ahead pruning and fewer join pairs, at the cost
 //      of more region bookkeeping.
@@ -14,6 +16,7 @@
 #include <cmath>
 
 #include "bench_common.h"
+#include "progxe/session.h"
 
 using namespace progxe;
 using namespace progxe::bench;
@@ -40,17 +43,38 @@ void PrintStatsRow(const char* label, const ProgXeStats& s, double secs) {
               s.partition_pairs_skipped, secs);
 }
 
-ProgXeStats RunWith(const Workload& workload, ProgXeOptions options,
-                    double* secs) {
-  ProgXeExecutor exec(workload.query(), options);
+/// One drained session: its stats, plus the two numbers stats() does not
+/// carry that the output-grid sweep trades against comparisons — the
+/// coverage bookkeeping work and the resolved cells per dimension.
+struct AblationRun {
+  ProgXeStats stats;
+  double secs = 0.0;
+  uint64_t coverage_cells = 0;
+  int output_cells = 0;
+};
+
+AblationRun RunWith(const Workload& workload, const ProgXeOptions& options) {
   Stopwatch watch;
-  Status st = exec.Run([](const ResultTuple&) {});
-  *secs = watch.ElapsedSeconds();
-  if (!st.ok()) {
-    std::fprintf(stderr, "run failed: %s\n", st.ToString().c_str());
+  auto session = ProgXeSession::Open(workload.query(), options);
+  if (!session.ok()) {
+    std::fprintf(stderr, "open failed: %s\n",
+                 session.status().ToString().c_str());
     std::exit(1);
   }
-  return exec.stats();
+  std::vector<ResultTuple> batch;
+  while ((*session)->NextBatch(0, &batch) > 0) {
+  }
+  AblationRun run;
+  run.secs = watch.ElapsedSeconds();
+  if (!(*session)->last_status().ok()) {
+    std::fprintf(stderr, "run failed: %s\n",
+                 (*session)->last_status().ToString().c_str());
+    std::exit(1);
+  }
+  run.stats = (*session)->stats();
+  run.coverage_cells = (*session)->coverage_cells_walked();
+  run.output_cells = (*session)->options().output_cells_per_dim;
+  return run;
 }
 
 }  // namespace
@@ -64,14 +88,23 @@ int main(int argc, char** argv) {
   std::printf("--- output_cells_per_dim sweep (anticorrelated) ---\n");
   {
     Workload w = StandardWorkload(args, Distribution::kAntiCorrelated);
-    for (int cells : {1, 2, 4, 8, 16}) {
+    for (int cells : {1, 2, 4, 8, 16, 0}) {
       ProgXeOptions options;
-      options.output_cells_per_dim = cells;
-      double secs = 0;
-      ProgXeStats stats = RunWith(w, options, &secs);
+      options.output_cells_per_dim = cells;  // 0 = auto
+      const AblationRun run = RunWith(w, options);
       char label[32];
-      std::snprintf(label, sizeof(label), "k=%d", cells);
-      PrintStatsRow(label, stats, secs);
+      if (cells == 0) {
+        std::snprintf(label, sizeof(label), "k=auto(%d)", run.output_cells);
+      } else {
+        std::snprintf(label, sizeof(label), "k=%d", cells);
+      }
+      std::printf(
+          "  %-14s cmps=%-11llu cov_cells=%-11llu pairs=%-9llu time=%.4fs\n",
+          label,
+          static_cast<unsigned long long>(run.stats.dominance_comparisons),
+          static_cast<unsigned long long>(run.coverage_cells),
+          static_cast<unsigned long long>(run.stats.join_pairs_generated),
+          run.secs);
     }
   }
 
@@ -82,11 +115,10 @@ int main(int argc, char** argv) {
     for (int cells : {1, 2, 3, 4}) {
       ProgXeOptions options;
       options.input_cells_per_dim = cells;
-      double secs = 0;
-      ProgXeStats stats = RunWith(w, options, &secs);
+      const AblationRun run = RunWith(w, options);
       char label[32];
       std::snprintf(label, sizeof(label), "q=%d", cells);
-      PrintStatsRow(label, stats, secs);
+      PrintStatsRow(label, run.stats, run.secs);
     }
   }
 
@@ -103,10 +135,9 @@ int main(int argc, char** argv) {
     for (SignatureMode mode : {SignatureMode::kExact, SignatureMode::kBloom}) {
       ProgXeOptions options;
       options.signature_mode = mode;
-      double secs = 0;
-      ProgXeStats stats = RunWith(w, options, &secs);
-      PrintStatsRow(mode == SignatureMode::kExact ? "exact" : "bloom", stats,
-                    secs);
+      const AblationRun run = RunWith(w, options);
+      PrintStatsRow(mode == SignatureMode::kExact ? "exact" : "bloom",
+                    run.stats, run.secs);
     }
   }
 
@@ -120,14 +151,13 @@ int main(int argc, char** argv) {
          {PartitioningScheme::kUniformGrid, PartitioningScheme::kKdTree}) {
       ProgXeOptions options;
       options.partitioning = scheme;
-      double secs = 0;
-      ProgXeStats stats = RunWith(w, options, &secs);
+      const AblationRun run = RunWith(w, options);
       char label[48];
       std::snprintf(label, sizeof(label), "%s/%s",
                     DistributionName(dist),
                     scheme == PartitioningScheme::kUniformGrid ? "grid"
                                                                : "kd");
-      PrintStatsRow(label, stats, secs);
+      PrintStatsRow(label, run.stats, run.secs);
     }
   }
 

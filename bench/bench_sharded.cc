@@ -13,8 +13,10 @@
 // deterministic work counter is reported as checkpoint_cells_examined. The
 // region loops' coverage bookkeeping (coverage build, release row walks,
 // ProgCount, EL-Graph watch lists) is reported as coverage_cells_walked,
-// summed over shards. The
-// result *set* is checked identical to the K = 1 run on every configuration.
+// summed over shards. Each shard sizes its own output grid from its slice's
+// expected join output; the resolved cells per dimension are reported per
+// shard as output_cells_per_dim. The result *set* is checked identical to
+// the K = 1 run on every configuration.
 //
 // Extra flags over bench_common: --json=<path>.
 #include <algorithm>
@@ -48,7 +50,18 @@ struct ShardRun {
   double merge_time = 0.0;         // seconds spent inside the merge sink
   uint64_t checkpoint_cells = 0;   // checkpoint-export work (cells examined)
   uint64_t coverage_cells = 0;     // region-coverage bookkeeping work
+  std::vector<int> output_cells;   // resolved output grid, per shard
 };
+
+/// "5/5/6/5": one resolved cells-per-dimension entry per shard.
+std::string JoinCells(const std::vector<int>& cells, const char* sep) {
+  std::string out;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) out += sep;
+    out += std::to_string(cells[i]);
+  }
+  return out;
+}
 
 using IdSet = std::vector<std::pair<RowId, RowId>>;
 
@@ -145,9 +158,11 @@ int main(int argc, char** argv) {
       run.merge_time = sharded->merge_seconds();
       run.checkpoint_cells = sharded->checkpoint_cells_examined();
       run.coverage_cells = sharded->coverage_cells_walked();
+      run.output_cells = sharded->output_cells_per_dim();
     } else if (const auto* session =
                    dynamic_cast<const ProgXeSession*>(stream->get())) {
       run.coverage_cells = session->coverage_cells_walked();
+      run.output_cells = {session->options().output_cells_per_dim};
     }
 
     std::sort(ids.begin(), ids.end());
@@ -165,14 +180,15 @@ int main(int argc, char** argv) {
     std::printf(
         "  K=%-2d makespan=%8.4fs t_first=%8.4fs results=%-7zu "
         "pairs=%-10llu cmps=%-10llu merge_cmps=%-9llu held_peak=%-6zu "
-        "merge_t=%.4fs ckpt_cells=%llu cov_cells=%llu\n",
+        "merge_t=%.4fs ckpt_cells=%llu cov_cells=%llu grid=%s^%d\n",
         run.num_shards, run.makespan, run.t_first, run.results,
         static_cast<unsigned long long>(run.join_pairs),
         static_cast<unsigned long long>(run.comparisons),
         static_cast<unsigned long long>(run.merge_comparisons),
         run.held_peak, run.merge_time,
         static_cast<unsigned long long>(run.checkpoint_cells),
-        static_cast<unsigned long long>(run.coverage_cells));
+        static_cast<unsigned long long>(run.coverage_cells),
+        JoinCells(run.output_cells, "/").c_str(), params.dims);
   }
 
   const double hook_ns = MeasureDisabledHookNs();
@@ -204,7 +220,8 @@ int main(int argc, char** argv) {
                    "\"merge_comparisons\": %llu, \"held_peak\": %zu, "
                    "\"merge_time_s\": %.6f, "
                    "\"checkpoint_cells_examined\": %llu, "
-                   "\"coverage_cells_walked\": %llu}%s\n",
+                   "\"coverage_cells_walked\": %llu, "
+                   "\"output_cells_per_dim\": [%s]}%s\n",
                    r.num_shards, r.makespan, r.t_first, r.results,
                    static_cast<unsigned long long>(r.join_pairs),
                    static_cast<unsigned long long>(r.comparisons),
@@ -212,6 +229,7 @@ int main(int argc, char** argv) {
                    r.held_peak, r.merge_time,
                    static_cast<unsigned long long>(r.checkpoint_cells),
                    static_cast<unsigned long long>(r.coverage_cells),
+                   JoinCells(r.output_cells, ", ").c_str(),
                    i + 1 == runs.size() ? "" : ",");
     }
     std::fprintf(out, "  ]\n}\n");

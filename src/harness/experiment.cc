@@ -8,7 +8,9 @@
 #include "baselines/jf_sl.h"
 #include "baselines/saj.h"
 #include "baselines/ssmj.h"
+#include "progxe/session.h"
 #include "progxe/stream.h"
+#include "shard/sharded_stream.h"
 
 namespace progxe {
 
@@ -140,6 +142,13 @@ Result<ExperimentRun> RunAlgorithm(Algo algo, const Workload& workload,
       run.coverage = stream->coverage();
       run.dominance_comparisons = stream->stats().dominance_comparisons;
       run.join_pairs = stream->stats().join_pairs_generated;
+      if (const auto* sharded =
+              dynamic_cast<const ShardedStream*>(stream.get())) {
+        run.output_cells_per_dim = sharded->output_cells_per_dim();
+      } else if (const auto* session =
+                     dynamic_cast<const ProgXeSession*>(stream.get())) {
+        run.output_cells_per_dim = {session->options().output_cells_per_dim};
+      }
       break;
     }
     case Algo::kJfSl:

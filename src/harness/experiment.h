@@ -52,6 +52,10 @@ struct ExperimentRun {
   /// `!complete()` when ShardOptions::allow_partial let a run finish with
   /// abandoned shards. Default-complete for the baselines.
   ShardCoverage coverage;
+  /// ProgXe in-process stream path only: the output grid's resolved cells
+  /// per dimension (the partition size delta) — one entry unsharded, one
+  /// per shard otherwise (0 for a remote shard). Empty for the baselines.
+  std::vector<int> output_cells_per_dim;
   /// The emitted results (final skyline; SSMJ false positives excluded).
   std::vector<ResultTuple> results;
 };

@@ -16,8 +16,11 @@
 //       !populated || emitted || marked — i.e. every live tuple it could
 //       have contributed is already flushed (delivered) or dead.
 //
-// Both conditions are permanent once true (emitted/marked never un-set), so
-// positive verdicts are cached across exports.
+// A positive verdict is permanent, so it is cached across exports. The box
+// condition (b) is not: a still-active region may later populate a cell of
+// the box. But the processed region's own tuples are fixed, and once each is
+// delivered or dead it stays so (emitted/marked are never un-set), which is
+// what skip-safety needs.
 //
 // Export cost (RegionLoop::ExportCheckpoint) follows what changed since the
 // previous export, not region count x box volume. Regions removed since

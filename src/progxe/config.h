@@ -66,7 +66,9 @@ struct ProgXeOptions {
   /// For kKdTree this bounds leaves at input_cells_per_dim ^ dims.
   int input_cells_per_dim = 0;
   /// Output grid cells per dimension (the paper's partition size delta);
-  /// 0 = choose automatically (bounded total cell count).
+  /// 0 = size the grid to the work: ~16 * sqrt(|R'| * |T'| * sigma) cells
+  /// in total (|R'|, |T'| after push-through), capped at 60K, at 4..24 per
+  /// dimension. Each shard resolves its own from its slice (prepare.cc).
   int output_cells_per_dim = 0;
   /// Join-signature realization for input partitions.
   SignatureMode signature_mode = SignatureMode::kExact;

@@ -50,6 +50,22 @@ size_t PartitioningBytes(const InputPartitioning* grid) {
   return bytes;
 }
 
+/// The output grid's cells per dimension: the paper's partition size delta.
+/// An explicit (non-zero) request passes through. Otherwise delta follows
+/// the work: the grid gets ~16 * sqrt(expected join pairs) cells, capped at
+/// 60K so the dense per-cell state stays cache-resident. Region bookkeeping
+/// (look-ahead, coverage prefix sums, the per-removal box and up-set row
+/// walks) scales with the cell count, while dominance comparisons per cell
+/// grow as cells coarsen; the sqrt balances the two. A sweep of fixed delta across N, sigma, K and d
+/// (docs/ARCHITECTURE.md, "Region-loop bookkeeping") found this pick at or
+/// next to the fastest delta on every shape. Each shard prepares its own
+/// slice, so each shard sizes its own grid.
+int OutputCellsPerDim(int requested, int k, double expected_pairs) {
+  if (requested > 0) return requested;
+  const double budget = std::min(60000.0, 16.0 * std::sqrt(expected_pairs));
+  return AutoCellsPerDim(k, budget, 4, 24);
+}
+
 }  // namespace
 
 size_t PreparedInputs::ApproxBytes() const {
@@ -96,18 +112,15 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   }
   ProgXeStats* stats = &out->prepare_stats;
   out->resolved_input_cells_per_dim = options.input_cells_per_dim;
-  out->resolved_output_cells_per_dim = options.output_cells_per_dim;
-  if (out->resolved_output_cells_per_dim == 0) {
-    const int k_out = query.map.output_dimensions();
-    // ~60K output cells keeps the dense per-cell state cache-resident.
-    out->resolved_output_cells_per_dim = AutoCellsPerDim(k_out, 60000.0, 4, 24);
-  }
+  const int k_out = query.map.output_dimensions();
 
   const Relation& r_full = *query.r;
   const Relation& t_full = *query.t;
   stats->r_rows = r_full.size();
   stats->t_rows = t_full.size();
   if (r_full.empty() || t_full.empty()) {
+    out->resolved_output_cells_per_dim =
+        OutputCellsPerDim(options.output_cells_per_dim, k_out, 0.0);
     out->trivially_empty = true;
     return Status::OK();
   }
@@ -156,6 +169,13 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     TraceSpan span(trace_cats::kPrepare, "prepare.sigma");
     out->sigma = MeasureSigma(*out->r_rel, *out->t_rel);
   }
+  // The output grid is sized to the expected join output |R'| |T'| sigma,
+  // known only from here on (see OutputCellsPerDim).
+  const double expected_pairs = static_cast<double>(out->r_rel->size()) *
+                                static_cast<double>(out->t_rel->size()) *
+                                out->sigma;
+  out->resolved_output_cells_per_dim =
+      OutputCellsPerDim(options.output_cells_per_dim, k_out, expected_pairs);
   if (out->sigma <= 0.0) {  // provably empty join
     out->trivially_empty = true;
     return Status::OK();
@@ -257,12 +277,12 @@ void AdoptPreparedInputs(std::shared_ptr<const PreparedInputs> inputs,
   stats->cells_marked_lookahead = p.cells_marked_lookahead;
   // Mirror the grid resolutions the build resolved, so cost models and any
   // caller inspecting the options see the same values as on the cold path.
+  // The output grid is resolved on every build path; the input grid only
+  // once sigma is known.
   if (inputs->resolved_input_cells_per_dim > 0) {
     options->input_cells_per_dim = inputs->resolved_input_cells_per_dim;
   }
-  if (inputs->resolved_output_cells_per_dim > 0) {
-    options->output_cells_per_dim = inputs->resolved_output_cells_per_dim;
-  }
+  options->output_cells_per_dim = inputs->resolved_output_cells_per_dim;
   out->trivially_empty = inputs->trivially_empty;
   out->lookahead = inputs->lookahead;  // private mutable copy
   out->inputs = std::move(inputs);

@@ -16,6 +16,7 @@
 #include "net/worker_pool.h"
 #include "obs/trace.h"
 #include "prefs/dominance.h"
+#include "progxe/prepare.h"
 
 namespace progxe {
 
@@ -69,9 +70,10 @@ std::vector<Interval> AttributeHull(const Relation& rel) {
   return hull;
 }
 
-/// Merge-grid resolution: same budget rule and constants as the engine's
-/// auto-sized output grid (prepare.cc), so the accepted-frontier index
-/// stays cache-resident.
+/// Merge-grid resolution: a fixed ~60K-cell budget, so the accepted-frontier
+/// index stays cache-resident. Deliberately not the engine's work-modelled
+/// output grid (prepare.cc): this grid indexes accepted results, not region
+/// coverage, so there is no per-cell bookkeeping for a coarser grid to save.
 int MergeCellsPerDim(int k) { return AutoCellsPerDim(k, 60000.0, 4, 24); }
 
 /// splitmix64 finalizer (same mixer as shard_planner's key hash).
@@ -283,6 +285,20 @@ Status ShardedStream::OpenShard(size_t i) {
                  static_cast<int64_t>(shard.checkpoint.skip_regions.size()));
   }
   return Status::OK();
+}
+
+std::vector<int> ShardedStream::output_cells_per_dim() const {
+  std::vector<int> cells;
+  cells.reserve(shards_.size());
+  for (const SubShard& shard : shards_) {
+    const std::shared_ptr<const PreparedInputs> prepared =
+        shard.session != nullptr ? shard.session->prepared_inputs()
+                                 : shard.prepared;
+    cells.push_back(prepared != nullptr
+                        ? prepared->resolved_output_cells_per_dim
+                        : 0);
+  }
+  return cells;
 }
 
 void ShardedStream::OnShardFailure(size_t i, Status status) {

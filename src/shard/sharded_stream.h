@@ -154,6 +154,11 @@ class ShardedStream : public ProgXeStream {
   /// Deterministic and kept out of stats(), like the counters above.
   uint64_t coverage_cells_walked() const { return coverage_cells_walked_; }
 
+  /// Each shard's output-grid resolution (cells per dimension, the paper's
+  /// partition size delta) as its own prepare resolved it for its slice.
+  /// 0 for a remote shard or one with no open incarnation.
+  std::vector<int> output_cells_per_dim() const;
+
   /// Wall-clock seconds spent inside the merge sink (candidate ingest +
   /// release checks), excluding the sub-sessions' own work.
   double merge_seconds() const { return merge_seconds_; }

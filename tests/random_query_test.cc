@@ -125,7 +125,9 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
   RandomQuery q = MakeRandomQuery(&rng);
   const auto oracle = OracleSkyline(q);
 
-  // ProgXe in several configurations.
+  // ProgXe in several configurations, each over the auto-sized output grid
+  // and a coarse and a fine explicit one: the result set must not depend
+  // on the partition size delta.
   for (int cfg = 0; cfg < 4; ++cfg) {
     ProgXeOptions options;
     options.push_through = (cfg & 1) != 0;
@@ -133,12 +135,16 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
                                       : OrderingMode::kProgOrder;
     options.seed = rng.Next();
     if (cfg == 3) options.partitioning = PartitioningScheme::kKdTree;
-    std::vector<ResultTuple> results;
-    ProgXeExecutor exec(q.query(), options);
-    ASSERT_TRUE(exec.Run([&](const ResultTuple& r) {
-                      results.push_back(r);
-                    }).ok());
-    EXPECT_EQ(Sorted(results), oracle) << "ProgXe cfg=" << cfg;
+    for (int output_cells : {0, 4, 24}) {
+      options.output_cells_per_dim = output_cells;
+      std::vector<ResultTuple> results;
+      ProgXeExecutor exec(q.query(), options);
+      ASSERT_TRUE(exec.Run([&](const ResultTuple& r) {
+                        results.push_back(r);
+                      }).ok());
+      EXPECT_EQ(Sorted(results), oracle)
+          << "ProgXe cfg=" << cfg << " output_cells_per_dim=" << output_cells;
+    }
   }
 
   // Baselines.

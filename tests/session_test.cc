@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "equivalence_common.h"
+#include "harness/workload.h"
+#include "progxe/prepare.h"
 #include "progxe/session.h"
+#include "shard/sharded_stream.h"
 
 namespace progxe {
 namespace {
@@ -223,6 +226,91 @@ TEST(Session, StatsVisibleBeforeFirstBatch) {
   EXPECT_EQ((*session)->stats().t_rows, cfg.t.size());
   EXPECT_GT((*session)->stats().regions_created, 0u);
   EXPECT_EQ((*session)->stats().results_emitted, 0u);
+}
+
+// --- Output-grid resolution (the partition size delta) --------------------
+
+/// An anticorrelated n x n workload with join selectivity 0.001.
+Result<Workload> AntiWorkload(size_t n, int dims) {
+  WorkloadParams params;
+  params.distribution = Distribution::kAntiCorrelated;
+  params.cardinality = n;
+  params.dims = dims;
+  params.sigma = 0.001;
+  params.seed = 7;
+  return Workload::Make(params);
+}
+
+/// The output grid the session's prepare resolved over AntiWorkload(n,
+/// dims). `sigma_hint` pins the modelled sigma (0 = measure it).
+int ResolvedOutputCells(size_t n, int dims, double sigma_hint,
+                        int requested = 0) {
+  Result<Workload> workload = AntiWorkload(n, dims);
+  EXPECT_TRUE(workload.ok());
+  ProgXeOptions options;
+  options.sigma_hint = sigma_hint;
+  options.output_cells_per_dim = requested;
+  auto session = ProgXeSession::Open(workload->query(), options);
+  EXPECT_TRUE(session.ok());
+  const int resolved =
+      (*session)->prepared_inputs()->resolved_output_cells_per_dim;
+  // The resolution is written back into the session's options, where the
+  // region loop's cost model reads it.
+  EXPECT_EQ((*session)->options().output_cells_per_dim, resolved);
+  return resolved;
+}
+
+// delta = AutoCellsPerDim(k, min(60000, 16 sqrt(|R'| |T'| sigma)), 4, 24).
+TEST(OutputGridResolution, FollowsTheExpectedJoinOutput) {
+  // 16 sqrt(25000) = 2530 cells -> 7 per dimension at d=4.
+  EXPECT_EQ(ResolvedOutputCells(5000, 4, 0.001), 7);
+  // 16 sqrt(400000) = 10119 cells -> 10 per dimension.
+  EXPECT_EQ(ResolvedOutputCells(20000, 4, 0.001), 10);
+  // 16 sqrt(2.5e7) = 80000 cells, capped at the 60000-cell budget -> 15.
+  EXPECT_EQ(ResolvedOutputCells(5000, 4, 1.0), 15);
+  // d=2: sqrt(2530) = 50 per dimension, clamped to the 24 ceiling.
+  EXPECT_EQ(ResolvedOutputCells(5000, 2, 0.001), 24);
+}
+
+TEST(OutputGridResolution, ExplicitValuePassesThrough) {
+  EXPECT_EQ(ResolvedOutputCells(5000, 4, 0.001, /*requested=*/9), 9);
+  EXPECT_EQ(ResolvedOutputCells(5000, 4, 1.0, /*requested=*/3), 3);
+}
+
+TEST(OutputGridResolution, EmptySourceStillResolves) {
+  Config cfg;
+  cfg.r = Relation(Schema::Anonymous(2));
+  cfg.t = Relation(Schema::Anonymous(2));
+  cfg.map = MapSpec::PairwiseSum(2);
+  cfg.pref = Preference::AllLowest(2);
+  auto session = ProgXeSession::Open(cfg.query(), ProgXeOptions());
+  ASSERT_TRUE(session.ok());
+  // No expected output: the coarsest grid.
+  EXPECT_EQ((*session)->options().output_cells_per_dim, 4);
+}
+
+// Each shard prepares its own slice, so it sizes its own, smaller grid:
+// a K-way slice expects ~1/K of the join output.
+TEST(OutputGridResolution, ShardsSizeTheirOwnGrid) {
+  Result<Workload> workload = AntiWorkload(5000, 4);
+  ASSERT_TRUE(workload.ok());
+
+  auto parent = ProgXeSession::Open(workload->query(), ProgXeOptions());
+  ASSERT_TRUE(parent.ok());
+  const int parent_cells =
+      (*parent)->prepared_inputs()->resolved_output_cells_per_dim;
+
+  ShardOptions shard_options;
+  shard_options.num_shards = 4;
+  auto sharded =
+      ShardedStream::Open(workload->query(), ProgXeOptions(), shard_options);
+  ASSERT_TRUE(sharded.ok());
+  const std::vector<int> shard_cells = (*sharded)->output_cells_per_dim();
+  ASSERT_EQ(shard_cells.size(), 4u);
+  for (int cells : shard_cells) {
+    EXPECT_GE(cells, 4);
+    EXPECT_LT(cells, parent_cells);
+  }
 }
 
 }  // namespace

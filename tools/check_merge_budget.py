@@ -19,8 +19,10 @@ cells visited by the coverage build and release row walks, cells examined
 for ProgCount upkeep, and EL-Graph watch-list entries, summed over shards)
 is held under `--coverage_budget` when that flag is given. The counters are
 built by prefix sums and maintained by one box walk plus one up-set walk
-per removed region; a return to per-region build walks, per-call ProgCount
-box walks or cone walks multiplies it — on any runner.
+per removed region, over an output grid each shard sizes to its slice's
+expected join output; a return to per-region build walks, per-call ProgCount
+box walks, cone walks or a fixed full-size grid multiplies it — on any
+runner.
 
 `fault_hook_ns_per_call` (when present in the JSON) is additionally held
 under a per-call nanosecond budget: the disabled MaybeInjectFault hook is
@@ -141,7 +143,8 @@ def main(argv):
                     f"FAIL: coverage_cells_walked at K={shards} exceeded the "
                     f"budget ({walked} > {coverage_budget}) — region "
                     f"coverage upkeep is walking more than one box and one "
-                    f"up-set per removed region")
+                    f"up-set per removed region, or the output grid is no "
+                    f"longer sized to the shard's join output")
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
 

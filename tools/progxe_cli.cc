@@ -62,6 +62,7 @@
 //                         Prints the scheduler's cache counters at the end.
 // --shards also applies here: each query is served as one sharded stream
 // behind its QueryHandle.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -259,6 +260,22 @@ uint64_t ResultHash(const std::vector<ResultTuple>& results) {
   return h;
 }
 
+/// The resolved output grid of a ProgXe run as " grid=7^4", or per shard
+/// as " grid=5/6/5/5^4" ("?" for a remote shard, whose grid is resolved on
+/// its worker). Empty for the baselines.
+std::string GridLabel(const std::vector<int>& cells_per_dim, int dims) {
+  if (cells_per_dim.empty()) return "";
+  const bool uniform =
+      std::all_of(cells_per_dim.begin(), cells_per_dim.end(),
+                  [&](int c) { return c == cells_per_dim.front(); });
+  std::string label = " grid=";
+  for (size_t i = 0; i < (uniform ? 1 : cells_per_dim.size()); ++i) {
+    if (i > 0) label += "/";
+    label += cells_per_dim[i] > 0 ? std::to_string(cells_per_dim[i]) : "?";
+  }
+  return label + "^" + std::to_string(dims);
+}
+
 /// Compiles the --faults/--max_retries/--allow_partial flags into the
 /// engine and shard options. False (with a message) on a malformed spec.
 bool ApplyFaultArgs(const CliArgs& args, ProgXeOptions* tuning,
@@ -303,12 +320,13 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
     return 1;
   }
   std::printf("%-20s results=%-8zu t_first=%.6fs t_50%%=%.6fs total=%.6fs "
-              "cmps=%llu pairs=%llu\n",
+              "cmps=%llu pairs=%llu%s\n",
               AlgoName(algo), run->metrics.total_results,
               run->metrics.time_to_first, run->metrics.time_to_50pct,
               run->metrics.total_time,
               static_cast<unsigned long long>(run->dominance_comparisons),
-              static_cast<unsigned long long>(run->join_pairs));
+              static_cast<unsigned long long>(run->join_pairs),
+              GridLabel(run->output_cells_per_dim, args.dims).c_str());
   if (run->coverage.retries > 0 || !run->coverage.complete()) {
     std::printf("  coverage: %s%s\n", run->coverage.ToString().c_str(),
                 run->coverage.complete() ? "" : " (PARTIAL result set)");
