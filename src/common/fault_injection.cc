@@ -1,12 +1,13 @@
 #include "common/fault_injection.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
+
+#include "common/parse_number.h"
 
 namespace progxe {
 namespace {
@@ -42,13 +43,6 @@ bool Fires(uint64_t seed, uint64_t site_hash, int instance, uint64_t call,
   // Top 53 bits -> uniform double in [0, 1).
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return u < probability;
-}
-
-bool ParseInt64(std::string_view s, int64_t* out) {
-  const char* first = s.data();
-  const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, *out);
-  return ec == std::errc() && ptr == last;
 }
 
 bool ParseDouble(std::string_view s, double* out) {
@@ -87,16 +81,16 @@ Status ParseRule(std::string_view entry, FaultRule* rule) {
         return BadSpec("p must be a probability in [0,1]", field);
       }
     } else if (key == "max") {
-      if (!ParseInt64(value, &rule->max_fires) || rule->max_fires < 0) {
+      if (!ParseI64(value, &rule->max_fires) || rule->max_fires < 0) {
         return BadSpec("max must be a non-negative integer", field);
       }
     } else if (key == "skip") {
-      if (!ParseInt64(value, &rule->skip) || rule->skip < 0) {
+      if (!ParseI64(value, &rule->skip) || rule->skip < 0) {
         return BadSpec("skip must be a non-negative integer", field);
       }
     } else if (key == "shard") {
       int64_t v = 0;
-      if (!ParseInt64(value, &v) || v < 0 || v > INT32_MAX) {
+      if (!ParseI64(value, &v) || v < 0 || v > INT32_MAX) {
         return BadSpec("shard must be a non-negative integer", field);
       }
       rule->instance = static_cast<int>(v);
@@ -161,7 +155,13 @@ FaultInjector* FaultInjector::FromEnv() {
     if (spec == nullptr || spec[0] == '\0') return nullptr;
     uint64_t seed = 0;
     if (const char* s = std::getenv("PROGXE_FAULT_SEED")) {
-      seed = std::strtoull(s, nullptr, 10);
+      if (!ParseU64(s, &seed)) {
+        std::fprintf(stderr,
+                     "fatal: PROGXE_FAULT_SEED: '%s' is not an unsigned "
+                     "64-bit integer\n",
+                     s);
+        std::abort();
+      }
     }
     auto parsed = Parse(spec, seed);
     if (!parsed.ok()) {
@@ -186,8 +186,11 @@ Status FaultInjector::Check(std::string_view site, int instance) {
     if (rule.site != site) continue;
     if (rule.instance >= 0 && rule.instance != instance) continue;
     Counters& counters = counters_[i];
-    const uint64_t call =
-        counters.calls.fetch_add(1, std::memory_order_relaxed);
+    uint64_t call = 0;
+    {
+      std::lock_guard<std::mutex> lock(counters.mu);
+      call = counters.calls[instance]++;
+    }
     if (static_cast<int64_t>(call) < rule.skip) continue;
     if (!Fires(seed_, HashString(rule.site), instance, call,
                rule.probability)) {

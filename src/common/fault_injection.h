@@ -8,11 +8,27 @@
 //                                         shard_index));
 //
 // and receives a non-OK Status (kUnavailable by default) when a rule fires.
-// Firing decisions are a pure function of (seed, site, instance, per-rule
-// call number), so a given spec + seed produces the same fault schedule on
-// every run, at any thread count — which is what makes recovery testable:
-// the suite can replay the exact same crash pattern and assert the repaired
-// result set bit-identical to the fault-free one.
+// Firing decisions are a pure function of (seed, site, instance, call
+// number), where calls are counted per (rule, instance): the n-th call a
+// given shard (or query) makes at a site decides the same way however the
+// calls of other instances interleave with it. A given spec + seed
+// therefore replays the same fault schedule on every run — which is what
+// makes recovery testable: the suite can replay the exact same crash
+// pattern and assert the repaired result set bit-identical to the
+// fault-free one. Each instance's calls come from one thread at a time in a
+// fixed order: the sharded stream checks its coordinator sites (shard.open,
+// shard.next_batch, merge.release) on the coordinator in its deterministic
+// order (shard.next_batch once per pump it applies), and a shard's
+// in-engine sites (prepare.build,
+// pipeline.chunk, session.next_batch) run on that shard's sequential pump
+// chain. Two inputs do depend on thread interleaving:
+//
+//   * a `max=` budget on a rule without `shard=` that in-engine sites of
+//     several concurrently pumped shards hit: the fire budget is shared
+//     across instances, so which shard spends it is a race (give such
+//     rules `shard=`, or no `max=`, for a reproducible schedule);
+//   * the net.* transport sites, whose instance is always 0, so concurrent
+//     connections share one call sequence.
 //
 // Rules come from a spec string, either programmatic
 // (ProgXeOptions::faults) or ambient (the PROGXE_FAULT_SITES environment
@@ -38,8 +54,10 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/macros.h"
@@ -103,9 +121,10 @@ struct FaultRule {
 };
 
 /// A compiled, thread-safe fault schedule. Immutable after Parse except for
-/// the per-rule call/fire counters (atomics), so one injector may be shared
-/// across sub-sessions, scheduler workers and option copies — sharing is
-/// what makes `max=` a budget over the whole run rather than per copy.
+/// the call counters (per rule and instance) and the per-rule fire counters,
+/// so one injector may be shared across sub-sessions, scheduler workers and
+/// option copies — sharing is what makes `max=` a budget over the whole run
+/// rather than per copy.
 class FaultInjector {
  public:
   /// Compiles `spec` (grammar above). Fails with InvalidArgument on any
@@ -116,7 +135,8 @@ class FaultInjector {
   /// The process-wide injector from PROGXE_FAULT_SITES (seeded by
   /// PROGXE_FAULT_SEED), or nullptr when the variable is unset/empty. The
   /// environment is read and parsed exactly once, on first call; a
-  /// malformed spec aborts loudly rather than silently soaking nothing.
+  /// malformed spec or seed aborts loudly rather than silently soaking
+  /// nothing (or a different schedule).
   /// The returned pointer has process lifetime.
   static FaultInjector* FromEnv();
 
@@ -135,7 +155,9 @@ class FaultInjector {
 
   /// Counters live apart from the (immutable) rules, one slot per rule.
   struct Counters {
-    std::atomic<uint64_t> calls{0};
+    std::mutex mu;
+    /// Calls so far per instance; guarded by `mu`.
+    std::unordered_map<int, uint64_t> calls;
     std::atomic<int64_t> fired{0};
   };
 

@@ -49,8 +49,9 @@ struct ShardOptions {
   /// the number of *consecutive* failures tolerated per shard before the
   /// retry budget is exhausted (a successful pump resets it); 0 disables
   /// retry. The PROGXE_FAULT_RETRIES environment variable, when set,
-  /// overrides this — the CI soak uses it to make random fault schedules
-  /// survivable without touching per-test options.
+  /// raises this — the CI soak uses it to make random fault schedules
+  /// survivable without touching per-test options. A value that is not a
+  /// non-negative integer aborts the process.
   int max_retries = 2;
 
   /// Backoff before the first re-open; doubles per consecutive failure
@@ -136,7 +137,10 @@ class ProgXeStream {
   /// results (0 = no per-call cap). Returns the number delivered. A budgeted
   /// call may return 0 while !Finished(): the slice ended without anything
   /// becoming final (a *yield*) — the next call resumes without redoing
-  /// work.
+  /// work. A sharded stream keeps pumping ahead after an unbudgeted call
+  /// returns (see shard/sharded_stream.h): up to two pumps per shard, each
+  /// bounded by one shard emission. The first budgeted calls after an
+  /// unbudgeted one apply that work first and may exceed their budget.
   virtual size_t NextBatch(size_t max_results, size_t max_pairs,
                            std::vector<ResultTuple>* out) = 0;
 
@@ -145,8 +149,9 @@ class ProgXeStream {
     return NextBatch(max_results, /*max_pairs=*/0, out);
   }
 
-  /// Cooperatively tears the stream down: joins any worker threads and
-  /// releases engine state; stats() stays readable. Finished() is true
+  /// Cooperatively tears the stream down: joins any worker threads (for a
+  /// sharded stream: waits for each shard's running pump, dropping the
+  /// queued ones) and releases engine state; stats() stays readable. Finished() is true
   /// afterwards and further NextBatch calls deliver nothing. Idempotent.
   virtual void Close() = 0;
 

@@ -77,7 +77,12 @@ struct ServiceOptions {
   /// Join-pair budget per NextBatch slice. 0 disables slicing: each slice
   /// then drives the session to its next flush, so one huge region can
   /// hold a worker for its full join. Small budgets sharpen fairness and
-  /// time-to-first-result at a small switching cost.
+  /// time-to-first-result at a small switching cost. With 0, a sharded
+  /// query (SubmitOptions::shards) also keeps up to two pumps per shard
+  /// running between its slices, on the process-wide shard pool (at most
+  /// hardware_concurrency threads, shared by all queries) rather than on
+  /// these workers; a cancel or deadline then waits for each shard's
+  /// running pump. Budgeted slices leave nothing running between slices.
   size_t batch_budget = 4096;
 
   /// Per-OnBatch result cap (0 = deliver everything a slice produced).

@@ -3,13 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/macros.h"
+#include "common/parse_number.h"
 #include "common/stopwatch.h"
 #include "mapping/interval.h"
 #include "net/remote_shard.h"
@@ -76,6 +82,61 @@ std::vector<Interval> AttributeHull(const Relation& rel) {
 /// coverage, so there is no per-cell bookkeeping for a coarser grid to save.
 int MergeCellsPerDim(int k) { return AutoCellsPerDim(k, 60000.0, 4, 24); }
 
+/// Unbudgeted pumps a healthy shard may have in flight ahead of the merge.
+constexpr int kRunAhead = 2;
+
+/// The process-wide pool every ShardedStream runs its shard prepares and
+/// pumps on: at most hardware_concurrency threads, started as work arrives
+/// and kept for the process lifetime. Concurrent streams (a QueryScheduler
+/// serving several sharded queries) share these cores instead of each
+/// starting threads of its own. Tasks run FIFO and never wait on other
+/// tasks, so the queue cannot deadlock; a stream waits for its own tasks
+/// before it goes away.
+class ShardWorkPool {
+ public:
+  static ShardWorkPool& Shared() {
+    // Never destroyed: its detached threads outlive static destruction.
+    static ShardWorkPool* const pool = new ShardWorkPool();
+    return *pool;
+  }
+
+  void Submit(std::function<void()> task) {
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    if (tasks_.size() > idle_ && threads_ < max_threads_) {
+      ++threads_;
+      std::thread(&ShardWorkPool::Loop, this).detach();
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  ShardWorkPool()
+      : max_threads_(std::max(1u, std::thread::hardware_concurrency())) {}
+
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      ++idle_;
+      cv_.wait(lock, [this] { return !tasks_.empty(); });
+      --idle_;
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      lock.unlock();
+      task();
+      task = nullptr;
+      lock.lock();
+    }
+  }
+
+  const size_t max_threads_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  size_t threads_ = 0;
+  size_t idle_ = 0;
+};
+
 /// splitmix64 finalizer (same mixer as shard_planner's key hash).
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -120,9 +181,19 @@ Result<std::unique_ptr<ShardedStream>> ShardedStream::Open(
   if (const char* env = std::getenv("PROGXE_FAULT_RETRIES")) {
     // Soak override: a randomized ambient fault schedule must not exhaust
     // the per-test retry budget, or every suite would need fault-aware
-    // options. Only ever raises the budget.
+    // options. Only ever raises the budget. A malformed value aborts like a
+    // malformed PROGXE_FAULT_SITES: a soak must not run a different budget
+    // than it asked for.
+    int retries = 0;
+    if (!ParseI32(env, &retries) || retries < 0) {
+      std::fprintf(stderr,
+                   "fatal: PROGXE_FAULT_RETRIES: '%s' is not a non-negative "
+                   "integer\n",
+                   env);
+      std::abort();
+    }
     stream->shard_options_.max_retries =
-        std::max(stream->shard_options_.max_retries, std::atoi(env));
+        std::max(stream->shard_options_.max_retries, retries);
   }
   // The cap is a property of the merged stream: a shard must not stop at
   // max_results of its *local* skyline, which is unrelated to the first
@@ -148,18 +219,44 @@ Result<std::unique_ptr<ShardedStream>> ShardedStream::Open(
     stream->shards_.emplace_back();
     stream->shards_.back().slice = std::move(slice);
   }
-  for (size_t i = 0; i < stream->shards_.size(); ++i) {
-    // Validation runs per shard before the empty-source short-circuit, so
-    // an invalid query fails here even when every shard is empty.
-    Status st = stream->OpenShard(i);
-    if (!st.ok()) {
-      // A non-retryable open failure (validation) fails Open itself; a
-      // retryable one is a containable fault even here — quarantine the
-      // shard and let the pump retry it, unless the budget is already gone.
-      if (!IsRetryableStatusCode(st.code())) return st;
-      stream->OnShardFailure(i, std::move(st));
-      if (stream->failed_) return stream->status_;
+  // The shard.open draws stay on the coordinator, in shard order; the
+  // prepares they let through run concurrently on the shared pool.
+  std::vector<Status> opened(stream->shards_.size());
+  size_t preparing = 0;
+  for (size_t i = 0; i < opened.size(); ++i) {
+    opened[i] = MaybeInjectFault(stream->faults_, fault_sites::kShardOpen,
+                                 static_cast<int>(i));
+    if (!opened[i].ok()) continue;
+    ShardedStream* self = stream.get();
+    {
+      std::lock_guard<std::mutex> lock(self->mu_);
+      ++preparing;
     }
+    ShardWorkPool::Shared().Submit([self, &opened, &preparing, i] {
+      Status st = self->OpenEngine(i);
+      std::lock_guard<std::mutex> done(self->mu_);
+      opened[i] = std::move(st);
+      --preparing;
+      self->done_cv_.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(stream->mu_);
+    stream->done_cv_.wait(lock, [&] { return preparing == 0; });
+  }
+  for (size_t i = 0; i < opened.size(); ++i) {
+    if (opened[i].ok()) {
+      stream->AdoptOpened(i);
+      continue;
+    }
+    // Validation runs per shard before the empty-source short-circuit, so
+    // an invalid query fails here even when every shard is empty. A
+    // non-retryable open failure (validation) fails Open itself; a
+    // retryable one is a containable fault even here — quarantine the
+    // shard and let the pump retry it, unless the budget is already gone.
+    if (!IsRetryableStatusCode(opened[i].code())) return opened[i];
+    stream->OnShardFailure(i, std::move(opened[i]));
+    if (stream->failed_) return stream->status_;
   }
   stream->mapper_ = CanonicalMapper(query.map, query.pref);
   stream->k_ = stream->mapper_.output_dimensions();
@@ -201,10 +298,8 @@ bool ShardedStream::AllExhausted() const {
   return true;
 }
 
-Status ShardedStream::OpenShard(size_t i) {
+Status ShardedStream::OpenEngine(size_t i) {
   SubShard& shard = shards_[i];
-  PROGXE_RETURN_NOT_OK(MaybeInjectFault(faults_, fault_sites::kShardOpen,
-                                        static_cast<int>(i)));
   ProgXeOptions opts = sub_options_;
   opts.fault_instance = static_cast<int>(i);
   const SessionCheckpoint* resume =
@@ -274,29 +369,35 @@ Status ShardedStream::OpenShard(size_t i) {
       }
     }
   }
-  // The loop's set-up (coverage build, initial ranks, resume) ran in Open;
-  // pumps add their own deltas.
-  coverage_cells_walked_ += shard.session->coverage_cells_walked();
-  if (shard.session->resumed()) {
+  return Status::OK();
+}
+
+void ShardedStream::AdoptOpened(size_t i) {
+  SubShard& shard = shards_[i];
+  const ShardEngine& engine = *shard.session;
+  // The loop's set-up (coverage build, initial ranks, resume) ran in the
+  // open; pumps add their own deltas.
+  coverage_cells_walked_ += engine.coverage_cells_walked();
+  if (engine.resumed()) {
     shard.resumed = true;
-    replay_pairs_saved_ += shard.session->replay_pairs_saved();
+    replay_pairs_saved_ += engine.replay_pairs_saved();
     TraceInstant(trace_cats::kShard, "retry.resume", "shard",
                  static_cast<int64_t>(i), "regions_skipped",
                  static_cast<int64_t>(shard.checkpoint.skip_regions.size()));
   }
-  return Status::OK();
+  shard.applied_stats = engine.stats();
+  shard.applied_exhausted = !engine.RemainingLowerBound(&shard.applied_bound);
+  if (const std::shared_ptr<const PreparedInputs> prepared =
+          engine.prepared_inputs()) {
+    shard.output_cells_per_dim = prepared->resolved_output_cells_per_dim;
+  }
 }
 
 std::vector<int> ShardedStream::output_cells_per_dim() const {
   std::vector<int> cells;
   cells.reserve(shards_.size());
   for (const SubShard& shard : shards_) {
-    const std::shared_ptr<const PreparedInputs> prepared =
-        shard.session != nullptr ? shard.session->prepared_inputs()
-                                 : shard.prepared;
-    cells.push_back(prepared != nullptr
-                        ? prepared->resolved_output_cells_per_dim
-                        : 0);
+    cells.push_back(shard.output_cells_per_dim);
   }
   return cells;
 }
@@ -304,10 +405,13 @@ std::vector<int> ShardedStream::output_cells_per_dim() const {
 void ShardedStream::OnShardFailure(size_t i, Status status) {
   assert(!status.ok());
   SubShard& shard = shards_[i];
+  Quiesce(i);
   if (shard.session != nullptr) {
-    // The incarnation is dead but its work happened: fold its counters into
-    // the shard's lost tally before dropping it (reset joins any workers).
-    shard.lost_stats.Accumulate(shard.session->stats());
+    // The incarnation is dead but its applied work happened: fold its
+    // counters into the shard's lost tally before dropping it (reset joins
+    // any workers).
+    shard.lost_stats.Accumulate(shard.applied_stats);
+    shard.applied_stats = ProgXeStats{};
     shard.session.reset();
   }
   shard.last_error = status;
@@ -366,9 +470,7 @@ void ShardedStream::FailStream(Status status) {
   status_ = std::move(status);
   // Close (not reset) the surviving sessions so stats() stays readable;
   // dead incarnations are already folded into lost_stats.
-  for (SubShard& shard : shards_) {
-    if (shard.session != nullptr) shard.session->Close();
-  }
+  Shutdown();
   ReleaseMergeState();
   ready_.clear();
   ready_pos_ = 0;
@@ -385,7 +487,160 @@ ShardedStream::Clock::time_point ShardedStream::NextRetryAt() const {
   return next;
 }
 
+void ShardedStream::Issue(size_t i, size_t max_pairs) {
+  SubShard& shard = shards_[i];
+  assert(shard.session != nullptr);
+  ++shard.in_flight;
+  std::lock_guard<std::mutex> lock(mu_);
+  shard.requests.push_back(max_pairs);
+  if (!shard.pumping && !shard.halted) {
+    shard.pumping = true;
+    ShardWorkPool::Shared().Submit([this, i] { RunChain(i); });
+  }
+}
+
+void ShardedStream::TopUp(size_t i) {
+  SubShard& shard = shards_[i];
+  while (shard.session != nullptr && !shard.applied_exhausted &&
+         shard.in_flight < kRunAhead) {
+    Issue(i, 0);
+  }
+}
+
+void ShardedStream::RunChain(size_t i) {
+  SubShard& shard = shards_[i];
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!shard.requests.empty() && !shard.halted) {
+    const size_t max_pairs = shard.requests.front();
+    shard.requests.pop_front();
+    PumpResult result;
+    if (!shard.spare.empty()) {
+      result = std::move(shard.spare.back());
+      shard.spare.pop_back();
+    }
+    lock.unlock();
+    PumpOnce(i, max_pairs, &result);
+    lock.lock();
+    // Nothing runs after a failed or exhausting pump: the coordinator
+    // stops at its result, so later requests would pump a dead or drained
+    // engine.
+    shard.halted = !result.status.ok() || result.exhausted;
+    shard.results.push_back(std::move(result));
+    done_cv_.notify_all();
+  }
+  shard.requests.clear();
+  shard.pumping = false;
+  done_cv_.notify_all();
+}
+
+void ShardedStream::PumpOnce(size_t i, size_t max_pairs, PumpResult* result) {
+  ShardEngine& engine = *shards_[i].session;
+  // `result` may be a recycled one: every field is rewritten, and the
+  // vectors keep their capacity.
+  result->coverage_cells = 0;
+  result->checkpoint_cells = 0;
+  result->has_checkpoint = false;
+  result->exhausted = false;
+  const uint64_t before = engine.stats().join_pairs_generated;
+  const uint64_t walked_before = engine.coverage_cells_walked();
+  {
+    TraceSpan span(trace_cats::kShard, "shard.pump");
+    span.arg("shard", static_cast<int64_t>(i));
+    engine.NextBatch(/*max_results=*/0, max_pairs, &result->tuples);
+    result->stats = engine.stats();
+    result->pairs = result->stats.join_pairs_generated - before;
+    span.arg("pairs", static_cast<int64_t>(result->pairs));
+  }
+  // Engine-level failures (the "session.next_batch" site) surface through
+  // the sub-session's own error channel. A failed pump tore its loop down,
+  // counter included; its work is dropped from the tally.
+  result->status = engine.last_status();
+  if (!result->status.ok()) return;
+  result->coverage_cells = engine.coverage_cells_walked() - walked_before;
+  if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
+    // Capture the freshest resume point while the shard is healthy; the
+    // coordinator decides whether to adopt it.
+    const uint64_t before_export = engine.checkpoint_cells_examined();
+    result->has_checkpoint = engine.ExportCheckpoint(&result->checkpoint);
+    result->checkpoint_cells =
+        engine.checkpoint_cells_examined() - before_export;
+  }
+  result->exhausted = !engine.RemainingLowerBound(&result->bound);
+}
+
+ShardedStream::PumpResult ShardedStream::Take(size_t i) {
+  SubShard& shard = shards_[i];
+  assert(shard.in_flight > 0);
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&shard] { return !shard.results.empty(); });
+  PumpResult result = std::move(shard.results.front());
+  shard.results.pop_front();
+  --shard.in_flight;
+  return result;
+}
+
+void ShardedStream::Recycle(size_t i, PumpResult result) {
+  SubShard& shard = shards_[i];
+  std::lock_guard<std::mutex> lock(mu_);
+  if (shard.spare.size() < kRunAhead) shard.spare.push_back(std::move(result));
+}
+
+void ShardedStream::Quiesce(size_t i) {
+  SubShard& shard = shards_[i];
+  std::unique_lock<std::mutex> lock(mu_);
+  shard.requests.clear();
+  done_cv_.wait(lock, [&shard] { return !shard.pumping; });
+  shard.results.clear();
+  shard.halted = false;
+  shard.in_flight = 0;
+}
+
+void ShardedStream::Shutdown() {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    Quiesce(i);
+    if (shards_[i].session != nullptr) shards_[i].session->Close();
+  }
+}
+
+void ShardedStream::Apply(size_t i, PumpResult* result) {
+  SubShard& shard = shards_[i];
+  shard.applied_stats = result->stats;
+  if (PROGXE_PREDICT_FALSE(!result->status.ok())) {
+    OnShardFailure(i, std::move(result->status));
+    return;
+  }
+  shard.consecutive_failures = 0;  // a healthy pump re-arms the budget
+  coverage_cells_walked_ += result->coverage_cells;
+  shard.applied_exhausted = result->exhausted;
+  std::swap(shard.applied_bound, result->bound);
+  Ingest(i, result->tuples);
+  if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
+    // Only adopt a checkpoint whose delivered count is consistent with what
+    // this coordinator actually merged (a stale/corrupt remote snapshot must
+    // not survive to a resume — full replay is always sound). The swap
+    // hands the previous checkpoint's buffers back for the next export.
+    if (result->has_checkpoint &&
+        result->checkpoint.delivered <= shard.ingested.size()) {
+      std::swap(shard.checkpoint, result->checkpoint);
+      shard.has_checkpoint = true;
+    }
+    checkpoint_cells_examined_ += result->checkpoint_cells;
+  }
+}
+
 uint64_t ShardedStream::PumpRound(size_t per_shard) {
+  const bool run_ahead = per_shard == 0;
+  // Issue first, so every shard works while the coordinator applies.
+  // A shard with pumps still in flight (run ahead by an earlier
+  // unbudgeted call) applies those instead.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const SubShard& shard = shards_[i];
+    if (shard.exhausted || shard.abandoned || shard.session == nullptr) {
+      continue;
+    }
+    if (shard.in_flight == 0) Issue(i, per_shard);
+    if (run_ahead) TopUp(i);
+  }
   uint64_t used = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     SubShard& shard = shards_[i];
@@ -396,57 +651,34 @@ uint64_t ShardedStream::PumpRound(size_t per_shard) {
       // from the start.
       if (Clock::now() < shard.next_attempt) continue;
       ++total_retries_;
-      Status reopened = OpenShard(i);
+      Status reopened = MaybeInjectFault(faults_, fault_sites::kShardOpen,
+                                         static_cast<int>(i));
+      if (reopened.ok()) reopened = OpenEngine(i);
       if (!reopened.ok()) {
         OnShardFailure(i, std::move(reopened));
         if (failed_) return used;
         continue;
       }
+      AdoptOpened(i);
+      Issue(i, per_shard);
+      if (run_ahead) TopUp(i);
     }
-    const uint64_t before = shard.session->stats().join_pairs_generated;
-    const uint64_t walked_before = shard.session->coverage_cells_walked();
+    // The coordinator's shard.next_batch draw, one per applied pump in
+    // apply order. A fired fault kills the incarnation: its pumps in
+    // flight are waited out and dropped with it.
     Status fault = MaybeInjectFault(faults_, fault_sites::kShardNextBatch,
                                     static_cast<int>(i));
-    if (fault.ok()) {
-      TraceSpan span(trace_cats::kShard, "shard.pump");
-      span.arg("shard", static_cast<int64_t>(i));
-      shard.session->NextBatch(/*max_results=*/0, per_shard, &pump_scratch_);
-      const uint64_t pumped =
-          shard.session->stats().join_pairs_generated - before;
-      used += pumped;
-      span.arg("pairs", static_cast<int64_t>(pumped));
-      // Engine-level failures (the "session.next_batch" site) surface
-      // through the sub-session's own error channel.
-      fault = shard.session->last_status();
-      // A failed pump tore its loop down, counter included; its work is
-      // dropped from the tally.
-      if (fault.ok()) {
-        coverage_cells_walked_ +=
-            shard.session->coverage_cells_walked() - walked_before;
-      }
-    }
     if (PROGXE_PREDICT_FALSE(!fault.ok())) {
       OnShardFailure(i, std::move(fault));
       if (failed_) return used;
       continue;
     }
-    shard.consecutive_failures = 0;  // a healthy pump re-arms the budget
-    Ingest(i, pump_scratch_);
-    if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
-      // Capture the freshest resume point while the shard is healthy; a
-      // later retry hands it to the re-opened incarnation. Only adopt a
-      // checkpoint whose delivered count is consistent with what this
-      // coordinator actually merged (a stale/corrupt remote snapshot must
-      // not survive to a resume — full replay is always sound).
-      const uint64_t before_export = shard.session->checkpoint_cells_examined();
-      if (shard.session->ExportCheckpoint(&checkpoint_scratch_) &&
-          checkpoint_scratch_.delivered <= shard.ingested.size()) {
-        std::swap(shard.checkpoint, checkpoint_scratch_);
-        shard.has_checkpoint = true;
-      }
-      checkpoint_cells_examined_ +=
-          shard.session->checkpoint_cells_examined() - before_export;
-    }
+    PumpResult result = Take(i);
+    used += result.pairs;
+    Apply(i, &result);
+    if (failed_) return used;
+    Recycle(i, std::move(result));
+    if (run_ahead) TopUp(i);
   }
   return used;
 }
@@ -612,7 +844,7 @@ void ShardedStream::RefreshBoundsAndRelease() {
     // shard's remaining *new* outputs are a subset of what the old frontier
     // bounded.
     if (shard.session == nullptr) continue;
-    if (!shard.session->RemainingLowerBound(&bound_scratch_)) {
+    if (shard.applied_exhausted) {
       shard.exhausted = true;
       advanced = true;
       // The shard finished healthy: nothing can ever replay it, so the
@@ -623,7 +855,7 @@ void ShardedStream::RefreshBoundsAndRelease() {
       shard.checkpoint = SessionCheckpoint{};
       shard.has_checkpoint = false;
     } else if (shard.bound.empty()) {
-      shard.bound = bound_scratch_;
+      shard.bound = shard.applied_bound;
       advanced = true;
     } else if (shard.replayed) {
       // A shard that has ever been replayed ratchets componentwise: the
@@ -631,13 +863,13 @@ void ShardedStream::RefreshBoundsAndRelease() {
       // bound while it re-covers old ground, and both bounds are valid, so
       // the effective bound is their max.
       for (size_t j = 0; j < shard.bound.size(); ++j) {
-        if (bound_scratch_[j] > shard.bound[j]) {
-          shard.bound[j] = bound_scratch_[j];
+        if (shard.applied_bound[j] > shard.bound[j]) {
+          shard.bound[j] = shard.applied_bound[j];
           advanced = true;
         }
       }
-    } else if (bound_scratch_ != shard.bound) {
-      shard.bound = bound_scratch_;
+    } else if (shard.applied_bound != shard.bound) {
+      shard.bound = shard.applied_bound;
       advanced = true;
     }
   }
@@ -730,11 +962,9 @@ size_t ShardedStream::NextBatch(size_t max_results, size_t max_pairs,
   delivered_ += n;
   if (CapReached()) {
     // Early termination, merge-level: the remaining shard work (and the
-    // held candidates) can never be delivered — release the engines (and
-    // their worker threads) now.
-    for (SubShard& shard : shards_) {
-      if (shard.session != nullptr) shard.session->Close();
-    }
+    // held candidates) can never be delivered — drop the run-ahead pumps
+    // and release the engines (and their worker threads) now.
+    Shutdown();
     ReleaseMergeState();
   }
   return n;
@@ -752,9 +982,7 @@ void ShardedStream::ReleaseMergeState() {
 void ShardedStream::Close() {
   if (closed_) return;
   closed_ = true;
-  for (SubShard& shard : shards_) {
-    if (shard.session != nullptr) shard.session->Close();
-  }
+  Shutdown();
   ReleaseMergeState();
   ready_.clear();
   ready_pos_ = 0;
@@ -767,12 +995,19 @@ bool ShardedStream::Finished() const {
 
 const ProgXeStats& ShardedStream::stats() const {
   agg_stats_ = ProgXeStats{};
-  for (const SubShard& shard : shards_) {
-    // Dead incarnations of retried shards first, then whatever is live.
-    agg_stats_.Accumulate(shard.lost_stats);
-    if (shard.session != nullptr) agg_stats_.Accumulate(shard.session->stats());
+  for (int i = 0; i < num_shards(); ++i) {
+    agg_stats_.Accumulate(shard_stats(i));
   }
   return agg_stats_;
+}
+
+ProgXeStats ShardedStream::shard_stats(int shard) const {
+  // Dead incarnations of a retried shard first, then the live one as of
+  // its last applied pump.
+  const SubShard& sub = shards_[static_cast<size_t>(shard)];
+  ProgXeStats stats = sub.lost_stats;
+  stats.Accumulate(sub.applied_stats);
+  return stats;
 }
 
 ShardCoverage ShardedStream::coverage() const {

@@ -4,7 +4,56 @@
 // shards (shard/shard_planner.h), one ProgXeSession per shard. Each pump
 // round splits the caller's pair budget across the runnable shards and
 // funnels their locally-final outputs into a merge sink that re-validates
-// finality *globally* before emitting:
+// finality *globally* before emitting.
+//
+// The shards' work runs concurrently on one process-wide pool of at most
+// hardware_concurrency threads, shared by every sharded stream in the
+// process (so a scheduler serving several sharded queries adds no threads
+// per query); the merge stays on the calling (coordinator) thread:
+//
+//   * Open prepares every shard on the pool at once.
+//   * Each shard has a pump chain: the pumps issued to it run one after
+//     another on some pool thread, and each returns a self-contained
+//     PumpResult — tuples, status, post-pump ProgXeStats, coverage and
+//     checkpoint-cell deltas, the checkpoint export and the remaining-bound
+//     snapshot (or "exhausted").
+//   * Run-ahead rule: an unbudgeted call (max_pairs == 0) pumps each shard
+//     to its next local emission, which does not depend on when it runs, so
+//     every unbudgeted shard keeps up to two pumps in flight ahead of the
+//     merge — also after NextBatch returns, which is what lets the next
+//     call find results waiting. A budgeted call (a scheduler slice) issues
+//     each runnable shard one pump with its share of the budget; the
+//     round's shards pump concurrently, with no run-ahead, so nothing runs
+//     between slices. Budgeted calls that follow an unbudgeted one first
+//     apply the pumps it left in flight (at most two per shard, each
+//     bounded by one emission; one per shard per round) and charge their
+//     pairs, so those calls — at most two — may exceed their budget; no
+//     budgeted pump is issued to a shard until its leftovers are applied.
+//   * Ordered apply: each round, the coordinator applies one PumpResult
+//     per runnable shard, in shard order (round-robin). Ingest, checkpoint
+//     adoption, RefreshBoundsAndRelease and stats() read only applied
+//     results, never a live engine. A shard's pump sequence is internal to
+//     it, so the merge input — and with it the delivered set, per-shard
+//     ProgXeStats, merge_comparisons() and held_peak() — is bit-identical
+//     at any pool size and interleaving.
+//   * Determinism rule: coordinator fault sites (shard.open,
+//     shard.next_batch, merge.release) are drawn on the coordinator in its
+//     deterministic order — shard.next_batch once per pump it applies, just
+//     before applying it, so draws match applied pumps one for one and a
+//     pump run ahead but never applied draws nothing. A fired draw kills
+//     the incarnation; the pump it would have applied is dropped. In-engine
+//     sites run on the shard's own sequential chain, and FaultInjector counts
+//     calls per (rule, instance), so their schedule does not depend on the
+//     interleaving either (see common/fault_injection.h for the one
+//     exception).
+//   * Close, the result cap and quarantine drop the affected shards'
+//     queued pumps, wait for the one running per shard (bounded by one
+//     emission; the shards' running pumps finish concurrently) and drop the
+//     results never applied. Applied pump results go back to their shard
+//     for reuse, so a steady pump reuses its tuple, bound and checkpoint
+//     buffers.
+//
+// Remote shards take the same path, so their pump RPCs overlap. The merge:
 //
 //   * A per-shard "final" certificate only covers that shard's own join
 //     pairs — a tuple a shard proved undominated locally may still be
@@ -64,7 +113,10 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 #include <vector>
 
@@ -94,10 +146,12 @@ std::chrono::nanoseconds JitteredRetryBackoff(const ShardOptions& opts,
 
 class ShardedStream : public ProgXeStream {
  public:
-  /// Plans the shards and opens one sub-session per shard (each runs
-  /// PreparePhase over its slice). `options.max_results` is enforced at the
-  /// merge sink, not per shard. The relations behind `query` must outlive
-  /// the stream; the shard slices are owned by it.
+  /// Plans the shards and opens one sub-session per shard, concurrently
+  /// (each runs PreparePhase over its slice). Fault checks and error
+  /// reporting stay in shard order: the first failing shard's status fails
+  /// Open. `options.max_results` is enforced at the merge sink, not per
+  /// shard. The relations behind `query` must outlive the stream; the shard
+  /// slices are owned by it.
   static Result<std::unique_ptr<ShardedStream>> Open(
       const SkyMapJoinQuery& query, ProgXeOptions options,
       const ShardOptions& shards);
@@ -110,8 +164,14 @@ class ShardedStream : public ProgXeStream {
   bool Finished() const override;
 
   /// Elementwise sum of the sub-sessions' counters (doubles add, flags OR),
-  /// including the work done by failed incarnations of retried shards.
+  /// including the work done by failed incarnations of retried shards. Only
+  /// applied pumps count: work a shard ran ahead and the stream never
+  /// merged (Close, result cap) is not included.
   const ProgXeStats& stats() const override;
+
+  /// Shard `shard`'s share of stats(): its failed incarnations plus the
+  /// live one as of its last applied pump.
+  ProgXeStats shard_stats(int shard) const;
 
   /// OK while healthy. A retryable sub-session fault quarantines that shard
   /// and replays it (see ShardOptions::max_retries); only retry exhaustion
@@ -156,7 +216,7 @@ class ShardedStream : public ProgXeStream {
 
   /// Each shard's output-grid resolution (cells per dimension, the paper's
   /// partition size delta) as its own prepare resolved it for its slice.
-  /// 0 for a remote shard or one with no open incarnation.
+  /// 0 for a remote shard or one never opened.
   std::vector<int> output_cells_per_dim() const;
 
   /// Wall-clock seconds spent inside the merge sink (candidate ingest +
@@ -173,6 +233,22 @@ class ShardedStream : public ProgXeStream {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// Everything the coordinator needs from one pump, snapshotted on the
+  /// pump thread right after it, so applying it never reads the engine.
+  struct PumpResult {
+    std::vector<ResultTuple> tuples;
+    Status status;
+    ProgXeStats stats;  ///< post-pump engine counters
+    uint64_t pairs = 0;  ///< join pairs this pump generated
+    /// RegionLoop::coverage_cells_walked / checkpoint_cells_examined deltas.
+    uint64_t coverage_cells = 0;
+    uint64_t checkpoint_cells = 0;
+    bool has_checkpoint = false;
+    SessionCheckpoint checkpoint;
+    bool exhausted = false;      ///< the shard can emit nothing more
+    std::vector<double> bound;   ///< remaining-output corner otherwise
+  };
 
   struct SubShard {
     QueryShard slice;
@@ -234,6 +310,25 @@ class ShardedStream : public ProgXeStream {
     /// A resumed incarnation may emit tuples that are not locally final,
     /// so GloballyFinal then also tests the candidate's *own* shard bound.
     bool resumed = false;
+    /// The live incarnation as of its last applied open or pump: counters,
+    /// and remaining-output corner or exhaustion. The coordinator reads a
+    /// shard only through these, never through the (possibly run-ahead)
+    /// engine.
+    ProgXeStats applied_stats;
+    std::vector<double> applied_bound;
+    bool applied_exhausted = false;
+    int output_cells_per_dim = 0;
+    /// Coordinator-only: pumps issued and not yet applied.
+    int in_flight = 0;
+    /// The pump chain, guarded by mu_: the pair budgets of pumps issued but
+    /// not started, pumps finished but not applied, applied results kept
+    /// for reuse, whether a pool thread owns the engine, and whether the
+    /// chain stopped after a failed or exhausting pump.
+    std::deque<size_t> requests;
+    std::deque<PumpResult> results;
+    std::vector<PumpResult> spare;
+    bool pumping = false;
+    bool halted = false;
   };
 
   /// One locally-final tuple awaiting the global finality check. Its
@@ -255,9 +350,12 @@ class ShardedStream : public ProgXeStream {
   bool CapReached() const {
     return cap_ != 0 && delivered_ >= cap_;
   }
-  /// (Re-)opens shard `i`'s sub-session over its slice; fires the
-  /// "shard.open" fault site first.
-  Status OpenShard(size_t i);
+  /// (Re-)opens shard `i`'s engine over its slice. Touches only shard `i`,
+  /// so Open runs it on the pool; the caller draws the shard.open fault.
+  Status OpenEngine(size_t i);
+  /// Coordinator side of a successful open: folds the incarnation's set-up
+  /// work into the stream counters and takes its first snapshot.
+  void AdoptOpened(size_t i);
   /// Containment: snapshots the dead incarnation's counters, tears it down
   /// and either quarantines the shard for retry (exponential backoff),
   /// abandons it (retry budget gone, allow_partial) or fails the whole
@@ -269,10 +367,33 @@ class ShardedStream : public ProgXeStream {
   /// Earliest quarantined shard re-open time (Clock::time_point::max() if
   /// none are quarantined).
   Clock::time_point NextRetryAt() const;
-  /// Advances every runnable shard by its slice of `per_shard` pairs and
-  /// ingests what it produced; re-opens quarantined shards whose backoff
-  /// expired. Returns the pairs actually consumed.
+  /// One round: issues every runnable shard its pump (`per_shard` pairs,
+  /// 0 = to the next emission, with run-ahead), re-opens quarantined
+  /// shards whose backoff expired, and applies one result per shard in
+  /// shard order. Returns the pairs the applied pumps consumed.
   uint64_t PumpRound(size_t per_shard);
+  /// Queues one pump on shard `i`'s chain, starting the chain on the pool
+  /// if it is idle.
+  void Issue(size_t i, size_t max_pairs);
+  /// Keeps kRunAhead unbudgeted pumps in flight on a healthy shard.
+  void TopUp(size_t i);
+  /// Runs shard `i`'s queued pumps in order (on a pool thread).
+  void RunChain(size_t i);
+  /// One pump of shard `i`'s engine, snapshotted into `result` (which may
+  /// be a recycled one).
+  void PumpOnce(size_t i, size_t max_pairs, PumpResult* result);
+  /// Waits for shard `i`'s oldest unapplied result.
+  PumpResult Take(size_t i);
+  /// Applies one pump result: failure containment, or counters, snapshot,
+  /// Ingest and checkpoint adoption.
+  void Apply(size_t i, PumpResult* result);
+  /// Hands an applied result back to shard `i`'s chain for reuse.
+  void Recycle(size_t i, PumpResult result);
+  /// Drops shard `i`'s queued pumps, waits out the running one and
+  /// discards every unapplied result.
+  void Quiesce(size_t i);
+  /// Quiesces every shard, then closes the engines.
+  void Shutdown();
   /// Filters a sub-session batch through the accepted-frontier index and
   /// admits the survivors into the held queue.
   void Ingest(size_t shard_idx, const std::vector<ResultTuple>& batch);
@@ -291,7 +412,7 @@ class ShardedStream : public ProgXeStream {
   /// Retained for retry re-opens (the relations outlive the stream by the
   /// Open contract; the slices live in shards_).
   SkyMapJoinQuery query_;
-  /// The per-shard engine options (cap stripped); OpenShard stamps
+  /// The per-shard engine options (cap stripped); OpenEngine stamps
   /// fault_instance per shard.
   ProgXeOptions sub_options_;
   ShardOptions shard_options_;
@@ -355,14 +476,12 @@ class ShardedStream : public ProgXeStream {
   double merge_seconds_ = 0.0;
   uint64_t checkpoint_cells_examined_ = 0;
   uint64_t coverage_cells_walked_ = 0;
-  /// Export target of the per-pump checkpoint capture; swapped with the
-  /// shard's checkpoint when accepted, so the steady state reuses the
-  /// buffers instead of allocating a snapshot per pump.
-  SessionCheckpoint checkpoint_scratch_;
-  std::vector<ResultTuple> pump_scratch_;
   std::vector<double> canon_scratch_;
   std::vector<CellCoord> coord_scratch_;
-  std::vector<double> bound_scratch_;
+
+  /// Guards the shards' pump chains and Open's prepare tally.
+  std::mutex mu_;
+  std::condition_variable done_cv_;  ///< coordinator: a result or idle chain
 };
 
 }  // namespace progxe

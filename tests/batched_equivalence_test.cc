@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "equivalence_common.h"
-#include "skyline/skyline.h"
 
 namespace progxe {
 namespace {
@@ -21,32 +20,7 @@ namespace {
 using test::Config;
 using test::ExpectSameStats;
 using test::MakeConfig;
-
-/// Oracle per the issue: materialize the join, canonicalize the mapped
-/// values under the preference, and run the O(n^2) SkylineReference.
-std::vector<std::pair<RowId, RowId>> Oracle(const Config& cfg) {
-  const int k = cfg.map.output_dimensions();
-  std::vector<double> canon;
-  std::vector<std::pair<RowId, RowId>> ids;
-  std::vector<double> v(static_cast<size_t>(k));
-  for (RowId a = 0; a < cfg.r.size(); ++a) {
-    for (RowId b = 0; b < cfg.t.size(); ++b) {
-      if (cfg.r.join_key(a) != cfg.t.join_key(b)) continue;
-      cfg.map.Eval(cfg.r.attrs(a), cfg.t.attrs(b), v.data());
-      for (int j = 0; j < k; ++j) {
-        canon.push_back(cfg.pref.Canonicalize(j, v[static_cast<size_t>(j)]));
-      }
-      ids.emplace_back(a, b);
-    }
-  }
-  PointView view{canon.data(), ids.size(), k};
-  std::vector<std::pair<RowId, RowId>> skyline;
-  for (uint32_t idx : SkylineReference(view)) {
-    skyline.push_back(ids[idx]);
-  }
-  std::sort(skyline.begin(), skyline.end());
-  return skyline;
-}
+using test::Oracle;
 
 std::vector<std::pair<RowId, RowId>> Sorted(
     const std::vector<ResultTuple>& results) {

@@ -1,18 +1,21 @@
 // Shared helpers for the executor-equivalence test suites
-// (batched_equivalence_test, session_test): a randomized SkyMapJoin config
-// generator and the ProgXeStats counter-identity assertion. Keeping these
-// in one place means a counter added to ProgXeStats is guarded by every
+// (batched_equivalence_test, session_test, shard_test, ...): randomized
+// and fixed SkyMapJoin config generators, the brute-force skyline oracle
+// and the ProgXeStats counter-identity assertion. Keeping these in one
+// place means a counter added to ProgXeStats is guarded by every
 // equivalence suite at once.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/generator.h"
 #include "progxe/executor.h"
+#include "skyline/skyline.h"
 
 namespace progxe {
 namespace test {
@@ -77,6 +80,50 @@ inline Config MakeConfig(Rng* rng, bool tied, bool high_sigma) {
   cfg.map = MapSpec(std::move(funcs));
   cfg.pref = Preference(std::move(dirs));
   return cfg;
+}
+
+/// A larger fixed-shape query (anticorrelated d=2, sigma=0.02, pairwise
+/// sum): enough regions that a sharded run pumps each shard many times.
+inline Config MakeLargeConfig(uint64_t seed, size_t cardinality) {
+  Config cfg;
+  GeneratorOptions gen;
+  gen.distribution = Distribution::kAntiCorrelated;
+  gen.cardinality = cardinality;
+  gen.num_attributes = 2;
+  gen.join_selectivity = 0.02;
+  gen.seed = seed;
+  cfg.r = GenerateRelation(gen).MoveValue();
+  gen.seed = seed + 1;
+  cfg.t = GenerateRelation(gen).MoveValue();
+  cfg.map = MapSpec::PairwiseSum(2);
+  cfg.pref = Preference::AllLowest(2);
+  return cfg;
+}
+
+/// Oracle: materialize the join, canonicalize the mapped values under the
+/// preference, and run the O(n^2) SkylineReference. Sorted (r, t) ids.
+inline std::vector<std::pair<RowId, RowId>> Oracle(const Config& cfg) {
+  const int k = cfg.map.output_dimensions();
+  std::vector<double> canon;
+  std::vector<std::pair<RowId, RowId>> ids;
+  std::vector<double> v(static_cast<size_t>(k));
+  for (RowId a = 0; a < cfg.r.size(); ++a) {
+    for (RowId b = 0; b < cfg.t.size(); ++b) {
+      if (cfg.r.join_key(a) != cfg.t.join_key(b)) continue;
+      cfg.map.Eval(cfg.r.attrs(a), cfg.t.attrs(b), v.data());
+      for (int j = 0; j < k; ++j) {
+        canon.push_back(cfg.pref.Canonicalize(j, v[static_cast<size_t>(j)]));
+      }
+      ids.emplace_back(a, b);
+    }
+  }
+  PointView view{canon.data(), ids.size(), k};
+  std::vector<std::pair<RowId, RowId>> skyline;
+  for (uint32_t idx : SkylineReference(view)) {
+    skyline.push_back(ids[idx]);
+  }
+  std::sort(skyline.begin(), skyline.end());
+  return skyline;
 }
 
 /// The counters that define the pipeline's observable work. Every

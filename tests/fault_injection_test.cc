@@ -1,9 +1,11 @@
 // FaultInjector unit tests plus the error channel it feeds: spec parsing,
-// deterministic per-seed fire schedules, thread-safe fire budgets, and the
-// terminal-error contract of ProgXeSession / ProgXeExecutor /
-// QueryScheduler when a fault fires.
+// deterministic per-seed fire schedules (also under concurrent shard
+// pumping), thread-safe fire budgets, strict parsing of the soak
+// environment variables, and the terminal-error contract of ProgXeSession /
+// ProgXeExecutor / QueryScheduler when a fault fires.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -12,12 +14,14 @@
 #include "equivalence_common.h"
 #include "progxe/session.h"
 #include "service/scheduler.h"
+#include "shard/sharded_stream.h"
 
 namespace progxe {
 namespace {
 
 using test::Config;
 using test::MakeConfig;
+using test::Oracle;
 
 std::shared_ptr<FaultInjector> MustParse(std::string_view spec,
                                          uint64_t seed = 0) {
@@ -131,6 +135,27 @@ TEST(FaultInjector, MaxFiresIsExactAcrossThreads) {
   EXPECT_TRUE(injector->Check("s").ok()) << "budget exhausted, must pass";
 }
 
+// Calls are counted per (rule, instance): one instance's schedule does not
+// depend on how other instances' calls interleave with it.
+TEST(FaultInjector, CallsAreCountedPerInstance) {
+  auto pattern = [](bool interleave) {
+    auto injector = MustParse("s:p=0.5", 11);
+    std::vector<bool> fired;
+    for (int i = 0; i < 64; ++i) {
+      if (interleave) injector->Check("s", 1).ok();
+      fired.push_back(!injector->Check("s", 0).ok());
+    }
+    return fired;
+  };
+  EXPECT_EQ(pattern(false), pattern(true));
+  auto skip = MustParse("s:p=1,skip=2");
+  for (int instance = 0; instance < 3; ++instance) {
+    EXPECT_TRUE(skip->Check("s", instance).ok());
+    EXPECT_TRUE(skip->Check("s", instance).ok());
+    EXPECT_FALSE(skip->Check("s", instance).ok()) << instance;
+  }
+}
+
 TEST(FaultInjector, NullHookIsOk) {
   EXPECT_TRUE(MaybeInjectFault(nullptr, fault_sites::kShardOpen, 3).ok());
 }
@@ -238,6 +263,93 @@ TEST(SchedulerFaults, SliceFaultFailsQueryWithRealStatus) {
   const SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.finished, 1u);
+}
+
+// The CI soak spec, run programmatically at K=4 with the shards pumped
+// concurrently: the schedule is a function of (seed, site, instance, call)
+// and every instance's calls come in a fixed order, so each run must fire
+// the same faults, retry the same shards and deliver the same set.
+TEST(FaultSchedule, SoakSpecAtK4IsDeterministicUnderConcurrency) {
+  constexpr char kSoakSpec[] =
+      "shard.open:p=0.2,max=8;shard.next_batch:p=0.05,max=60;"
+      "prepare.build:p=0.2,max=6,shard=1;pipeline.chunk:p=0.05,max=30,shard=2";
+  // Large enough that every site of the spec fires, the in-engine ones
+  // included (prepare.build on shard 1, pipeline.chunk on shard 2).
+  const Config cfg = test::MakeLargeConfig(0x50a4, 1500);
+  const auto oracle = Oracle(cfg);
+  int64_t fires = -1;
+  uint64_t retries = 0;
+  uint64_t merge_comparisons = 0;
+  ProgXeStats stats;
+  for (int run = 0; run < 20; ++run) {
+    ProgXeOptions options;
+    options.seed = 0xfeed;
+    auto injector = MustParse(kSoakSpec, 4);
+    options.faults = injector;
+    ShardOptions shard_options;
+    shard_options.num_shards = 4;
+    shard_options.max_retries = 10;
+    shard_options.retry_backoff = std::chrono::milliseconds(0);
+    auto stream = ShardedStream::Open(cfg.query(), options, shard_options);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    std::vector<std::pair<RowId, RowId>> delivered;
+    std::vector<ResultTuple> batch;
+    while (!(*stream)->Finished()) {
+      (*stream)->NextBatch(0, 0, &batch);
+      for (const ResultTuple& res : batch) {
+        delivered.emplace_back(res.r_id, res.t_id);
+      }
+    }
+    ASSERT_TRUE((*stream)->last_status().ok())
+        << (*stream)->last_status().ToString();
+    std::sort(delivered.begin(), delivered.end());
+    EXPECT_EQ(delivered, oracle) << "run " << run;
+    if (run == 0) {
+      fires = injector->fires();
+      retries = (*stream)->coverage().retries;
+      merge_comparisons = (*stream)->merge_comparisons();
+      stats = (*stream)->stats();
+      // Non-vacuity: the schedule actually hit this query.
+      EXPECT_GT(fires, 0);
+      EXPECT_GT(retries, 0u);
+      continue;
+    }
+    EXPECT_EQ(injector->fires(), fires) << "run " << run;
+    EXPECT_EQ((*stream)->coverage().retries, retries) << "run " << run;
+    EXPECT_EQ((*stream)->merge_comparisons(), merge_comparisons)
+        << "run " << run;
+    test::ExpectSameStats(stats, (*stream)->stats(), "soak run");
+  }
+}
+
+// The soak knobs parse strictly: a typo'd seed or retry budget aborts
+// instead of silently soaking another schedule. Each death statement sets
+// the variable inside the re-executed child, so this process's environment
+// (and its cached injector) stay untouched.
+TEST(FaultInjectorDeathTest, MalformedSeedAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        setenv("PROGXE_FAULT_SITES", "shard.open:p=0", 1);
+        setenv("PROGXE_FAULT_SEED", "7x", 1);
+        FaultInjector::FromEnv();
+      },
+      "PROGXE_FAULT_SEED");
+}
+
+TEST(FaultInjectorDeathTest, MalformedRetryBudgetAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(0xdea7);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ShardOptions shard_options;
+  shard_options.num_shards = 2;
+  EXPECT_DEATH(
+      {
+        setenv("PROGXE_FAULT_RETRIES", "abc", 1);
+        (void)ShardedStream::Open(cfg.query(), ProgXeOptions(),
+                                  shard_options);
+      },
+      "PROGXE_FAULT_RETRIES");
 }
 
 }  // namespace

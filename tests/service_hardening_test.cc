@@ -3,6 +3,7 @@
 // scheduler-served sharded queries, and the enum name round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -351,6 +352,92 @@ TEST(ShardedServing, CapReachedQueryReportsCompleteCoverageAndProgress) {
   EXPECT_EQ(progress.shards_completed, 2u);
   EXPECT_EQ(progress.shards_abandoned, 0u);
   EXPECT_NE(progress.ToString().find("finished"), std::string::npos);
+}
+
+// Unsliced serving (batch_budget = 0) of a sharded query: each slice leaves
+// up to two pumps per shard running ahead when it returns. A cancel or an
+// expired deadline seen at the next slice boundary closes the stream,
+// which drops the queued pumps and waits only for the one running per
+// shard — so the query still ends promptly, with exactly one OnDone and a
+// delivered set that is part of the skyline. The sink holds the worker in
+// the first delivery until the stop is in place, so the stop always lands
+// mid-stream.
+TEST(ShardedServing, UnslicedShardedQueryStopsWithPumpsInFlight) {
+  const Config cfg = test::MakeLargeConfig(0x5eed5, 1500);
+  ProgXeStats solo_stats;
+  IdSet reference = SoloReference(cfg, ProgXeOptions(), &solo_stats);
+  std::sort(reference.begin(), reference.end());
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kDeadline = std::chrono::milliseconds(300);
+
+  struct StopInFirstBatch : QuerySink {
+    RecordingSink inner;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool first = true;
+    bool delivered = false;
+    bool stopped = false;
+    Clock::time_point release_at{};
+    void OnBatch(const std::vector<ResultTuple>& batch) override {
+      inner.OnBatch(batch);
+      std::unique_lock<std::mutex> lock(mu);
+      if (!first) return;
+      first = false;
+      delivered = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return stopped; });
+      std::this_thread::sleep_until(release_at);
+    }
+    void OnDone(QueryState state, const Status& status,
+                const ProgXeStats& stats) override {
+      inner.OnDone(state, status, stats);
+    }
+  };
+
+  for (bool cancel : {true, false}) {
+    ServiceOptions sopts;
+    sopts.num_workers = 1;
+    sopts.batch_budget = 0;
+    QueryScheduler scheduler(sopts);
+    StopInFirstBatch sink;
+    SubmitOptions submit;
+    submit.shards.num_shards = 4;
+    if (!cancel) submit.deadline = kDeadline;
+    const Clock::time_point submitted = Clock::now();
+    auto handle = scheduler.Submit(cfg.query(), ProgXeOptions(), &sink, submit);
+    ASSERT_TRUE(handle.ok());
+    {
+      std::unique_lock<std::mutex> lock(sink.mu);
+      sink.cv.wait(lock, [&sink] { return sink.delivered; });
+      // A deadline stop holds the slice until the deadline has passed.
+      if (cancel) {
+        handle->Cancel();
+      } else {
+        sink.release_at = submitted + kDeadline + std::chrono::milliseconds(20);
+      }
+      sink.stopped = true;
+      sink.cv.notify_all();
+    }
+    const Clock::time_point stop_at =
+        cancel ? Clock::now() : submitted + kDeadline;
+    handle->Wait();
+    const double stop_to_done_s =
+        std::chrono::duration<double>(Clock::now() - stop_at).count();
+    const QueryState expected =
+        cancel ? QueryState::kCancelled : QueryState::kDeadlineExceeded;
+    EXPECT_EQ(handle->state(), expected);
+    EXPECT_TRUE(sink.inner.done());
+    EXPECT_EQ(sink.inner.final_state(), expected);
+    EXPECT_LT(stop_to_done_s, 5.0) << "stop waited on more than the running pumps";
+    IdSet served = sink.inner.seq();
+    std::sort(served.begin(), served.end());
+    EXPECT_FALSE(served.empty());
+    EXPECT_LT(served.size(), reference.size())
+        << "the stop landed mid-stream, yet everything was delivered";
+    EXPECT_TRUE(std::includes(reference.begin(), reference.end(),
+                              served.begin(), served.end()));
+    scheduler.Drain();
+  }
 }
 
 TEST(Names, FairnessPolicyRoundTrips) {

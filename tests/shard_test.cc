@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "equivalence_common.h"
+#include "net/worker_service.h"
 #include "progxe/session.h"
 #include "progxe/stream.h"
 #include "shard/shard_planner.h"
@@ -24,6 +29,7 @@ namespace {
 using test::Config;
 using test::ExpectSameStats;
 using test::MakeConfig;
+using test::Oracle;
 
 using IdSet = std::vector<std::pair<RowId, RowId>>;
 
@@ -356,6 +362,303 @@ TEST(ShardedStream, CloseMidStreamReleasesAndFinishes) {
   EXPECT_EQ((*stream)->NextBatch(0, 0, &batch), 0u);
   // Counters stay readable after Close.
   EXPECT_GT((*stream)->stats().r_rows, 0u);
+}
+
+// --- Concurrent shard pumping ----------------------------------------------
+//
+// The stream pumps its shards on a pool and applies their results in
+// round-robin order, so the merge input — and everything derived from it —
+// must not depend on the interleaving.
+
+std::unique_ptr<WorkerServer> StartLoopbackWorker() {
+  WorkerServerOptions options;
+  options.port = 0;
+  auto server = WorkerServer::Start(options);
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  return server.ok() ? server.MoveValue() : nullptr;
+}
+
+/// Counters of one shard's slice drained alone, unbudgeted: after the open
+/// (index 0) and after every NextBatch(0, 0) pump that followed.
+std::vector<ProgXeStats> SoloPumpSnapshots(const QueryShard& shard,
+                                           const Config& cfg,
+                                           const ProgXeOptions& options) {
+  auto session = ProgXeSession::Open(shard.Query(cfg.query()), options);
+  EXPECT_TRUE(session.ok());
+  std::vector<ProgXeStats> snapshots = {(*session)->stats()};
+  std::vector<ResultTuple> batch;
+  while (!(*session)->Finished()) {
+    (*session)->NextBatch(0, 0, &batch);
+    snapshots.push_back((*session)->stats());
+  }
+  return snapshots;
+}
+
+bool SameWork(const ProgXeStats& a, const ProgXeStats& b) {
+  return a.join_pairs_generated == b.join_pairs_generated &&
+         a.dominance_comparisons == b.dominance_comparisons &&
+         a.results_emitted == b.results_emitted &&
+         a.regions_processed == b.regions_processed &&
+         a.cells_flushed == b.cells_flushed;
+}
+
+/// An unbudgeted stream applies exactly one pump per live shard per round.
+/// So after R rounds each shard's counters must be its solo session's after
+/// min(R, its pump count) pumps — with one R for every shard. And every
+/// result a live shard's counters claim must have reached the merge: the
+/// replay-dedup sets hold exactly the tuples ingested from shards that have
+/// not finished. Counting a pump a shard ran ahead but the stream never
+/// applied breaks the second check even when every shard ran equally far.
+void ExpectAppliedRoundsOnly(const ShardedStream& stream,
+                             const std::vector<QueryShard>& slices,
+                             const Config& cfg, const ProgXeOptions& options,
+                             const std::string& label) {
+  std::vector<std::vector<ProgXeStats>> solo;
+  size_t longest = 0;
+  for (const QueryShard& slice : slices) {
+    solo.push_back(SoloPumpSnapshots(slice, cfg, options));
+    longest = std::max(longest, solo.back().size());
+  }
+  auto at = [&solo](size_t s, size_t round) -> const ProgXeStats& {
+    return solo[s][std::min(round, solo[s].size() - 1)];
+  };
+  for (size_t round = 0; round < longest; ++round) {
+    bool all = true;
+    for (size_t s = 0; s < solo.size() && all; ++s) {
+      all = SameWork(stream.shard_stats(static_cast<int>(s)), at(s, round));
+    }
+    if (!all) continue;
+    size_t ingested = 0;
+    for (size_t s = 0; s < solo.size(); ++s) {
+      const ProgXeStats applied = stream.shard_stats(static_cast<int>(s));
+      ExpectSameStats(at(s, round), applied, label.c_str());
+      if (round + 1 < solo[s].size()) ingested += applied.results_emitted;
+    }
+    EXPECT_GT(ingested, 0u) << label << ": every shard already finished";
+    EXPECT_EQ(stream.dedup_entries(), ingested) << label;
+    return;
+  }
+  ADD_FAILURE() << label << ": shard counters match no common round count";
+}
+
+// The acceptance matrix: K in {2, 4, 8} x unbudgeted / 97-pair budgeted x
+// in-process / loopback workers. The delivered set is the brute-force
+// skyline, every shard's counters are its standalone session's, and the
+// merge's own deterministic counters repeat exactly.
+TEST(ShardedConcurrency, MatrixMatchesOracleAndRepeatsExactly) {
+  Rng rng(0xc0c0);
+  const Config cfg = MakeConfig(&rng, false, true);
+  const auto oracle = Oracle(cfg);
+  ASSERT_GT(oracle.size(), 10u) << "config too small to exercise the merge";
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  // Exact counters only hold fault-free: under an ambient soak, replayed
+  // incarnations redo work, so only the delivered set is checked.
+  const bool fault_free = FaultInjector::FromEnv() == nullptr;
+  constexpr int kRepeats = 20;
+
+  auto worker_a = StartLoopbackWorker();
+  auto worker_b = StartLoopbackWorker();
+  ASSERT_TRUE(worker_a != nullptr && worker_b != nullptr);
+  const std::vector<std::string> endpoints = {
+      "127.0.0.1:" + std::to_string(worker_a->port()),
+      "127.0.0.1:" + std::to_string(worker_b->port())};
+
+  for (int num_shards : {2, 4, 8}) {
+    std::vector<ProgXeStats> solo;
+    for (const QueryShard& slice : PlanShards(cfg.r, cfg.t, num_shards)) {
+      solo.push_back(SoloPumpSnapshots(slice, cfg, options).back());
+    }
+    for (size_t max_pairs : {size_t{0}, size_t{97}}) {
+      for (bool remote : {false, true}) {
+        const std::string label = "K=" + std::to_string(num_shards) +
+                                  " max_pairs=" + std::to_string(max_pairs) +
+                                  (remote ? " loopback" : " in-process");
+        ShardOptions shard_options;
+        shard_options.num_shards = num_shards;
+        if (remote) shard_options.workers = endpoints;
+        uint64_t merge_comparisons = 0;
+        size_t held_peak = 0;
+        for (int rep = 0; rep < kRepeats; ++rep) {
+          auto stream = ShardedStream::Open(cfg.query(), options,
+                                            shard_options);
+          ASSERT_TRUE(stream.ok()) << label;
+          EXPECT_EQ(SortedIds(DrainStream(stream->get(), 0, max_pairs)),
+                    oracle)
+              << label << " rep=" << rep;
+          if (!fault_free) continue;
+          if (rep == 0) {
+            for (int s = 0; s < num_shards; ++s) {
+              ExpectSameStats(solo[static_cast<size_t>(s)],
+                              (*stream)->shard_stats(s), label.c_str());
+            }
+            merge_comparisons = (*stream)->merge_comparisons();
+            held_peak = (*stream)->held_peak();
+          } else {
+            EXPECT_EQ((*stream)->merge_comparisons(), merge_comparisons)
+                << label << " rep=" << rep;
+            EXPECT_EQ((*stream)->held_peak(), held_peak)
+                << label << " rep=" << rep;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A result cap reached while every shard has pumps in flight: the stream
+// finishes without hanging, and stats() holds exactly the applied rounds —
+// never the work shards ran ahead. Odd repeats take the two results one
+// call at a time and let the run-ahead pumps finish in between, so the
+// unapplied work differs between repeats while the applied rounds do not.
+TEST(ShardedConcurrency, CapWithPumpsInFlightCountsAppliedPumpsOnly) {
+  if (FaultInjector::FromEnv() != nullptr) {
+    GTEST_SKIP() << "exact round accounting holds fault-free only";
+  }
+  const Config cfg = test::MakeLargeConfig(0xcab5, 1500);
+  const auto oracle = Oracle(cfg);
+  ASSERT_GT(oracle.size(), 2u);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  constexpr int kShards = 4;
+  const std::vector<QueryShard> slices = PlanShards(cfg.r, cfg.t, kShards);
+  ProgXeStats first;
+  for (int rep = 0; rep < 6; ++rep) {
+    ProgXeOptions capped = options;
+    capped.max_results = 2;
+    ShardOptions shard_options;
+    shard_options.num_shards = kShards;
+    auto stream = ShardedStream::Open(cfg.query(), capped, shard_options);
+    ASSERT_TRUE(stream.ok());
+    std::vector<ResultTuple> all;
+    if (rep % 2 == 1) {
+      ASSERT_EQ((*stream)->NextBatch(1, 0, &all), 1u);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    for (ResultTuple& res : DrainStream(stream->get(), 0, 0)) {
+      all.push_back(std::move(res));
+    }
+    const IdSet got = SortedIds(all);
+    EXPECT_EQ(got.size(), 2u);
+    for (const auto& id : got) {
+      EXPECT_TRUE(std::binary_search(oracle.begin(), oracle.end(), id));
+    }
+    ExpectAppliedRoundsOnly(**stream, slices, cfg, options, "capped");
+    if (rep == 0) first = (*stream)->stats();
+    ExpectSameStats(first, (*stream)->stats(), "capped repeat");
+  }
+}
+
+// Close after the first unbudgeted batch, with up to two pumps per shard
+// still running ahead: Close waits them out, drops their results and the
+// counters stay at the applied rounds — whether the run-ahead pumps had
+// finished (odd repeats wait for them) or were still running.
+TEST(ShardedConcurrency, CloseWithPumpsInFlightCountsAppliedPumpsOnly) {
+  if (FaultInjector::FromEnv() != nullptr) {
+    GTEST_SKIP() << "exact round accounting holds fault-free only";
+  }
+  const Config cfg = test::MakeLargeConfig(0xc105e, 1500);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  constexpr int kShards = 8;
+  const std::vector<QueryShard> slices = PlanShards(cfg.r, cfg.t, kShards);
+  ProgXeStats first;
+  for (int rep = 0; rep < 6; ++rep) {
+    ShardOptions shard_options;
+    shard_options.num_shards = kShards;
+    auto stream = ShardedStream::Open(cfg.query(), options, shard_options);
+    ASSERT_TRUE(stream.ok());
+    std::vector<ResultTuple> batch;
+    EXPECT_GT((*stream)->NextBatch(0, 0, &batch), 0u);
+    if (rep % 2 == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    (*stream)->Close();
+    EXPECT_TRUE((*stream)->Finished());
+    EXPECT_EQ((*stream)->NextBatch(0, 0, &batch), 0u);
+    ExpectAppliedRoundsOnly(**stream, slices, cfg, options, "closed");
+    if (rep == 0) first = (*stream)->stats();
+    ExpectSameStats(first, (*stream)->stats(), "closed repeat");
+  }
+}
+
+// A budgeted call after an unbudgeted one. The unbudgeted call applied R
+// pumps per shard and left the next two running ahead; the budgeted calls
+// that follow apply exactly those leftovers first — one per shard per call,
+// charged to the call, so these calls exceed their budget — before any
+// budgeted pump is issued. From then on every call is an ordinary budgeted
+// one, no larger than the largest call of a stream that was never
+// unbudgeted.
+TEST(ShardedConcurrency, BudgetedCallsAfterUnbudgetedApplyLeftoversFirst) {
+  if (FaultInjector::FromEnv() != nullptr) {
+    GTEST_SKIP() << "exact pump accounting holds fault-free only";
+  }
+  const Config cfg = test::MakeLargeConfig(0xb0d9e7, 1500);
+  const auto oracle = Oracle(cfg);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  constexpr int kShards = 4;
+  constexpr size_t kBudget = 97;
+  ShardOptions shard_options;
+  shard_options.num_shards = kShards;
+
+  // Pairs of each solo unbudgeted pump, per shard.
+  std::vector<std::vector<uint64_t>> pumps;
+  for (const QueryShard& slice : PlanShards(cfg.r, cfg.t, kShards)) {
+    const std::vector<ProgXeStats> snaps =
+        SoloPumpSnapshots(slice, cfg, options);
+    pumps.emplace_back();
+    for (size_t p = 1; p < snaps.size(); ++p) {
+      pumps.back().push_back(snaps[p].join_pairs_generated -
+                             snaps[p - 1].join_pairs_generated);
+    }
+  }
+  auto pump_pairs = [&pumps](size_t round) {
+    uint64_t sum = 0;
+    for (const std::vector<uint64_t>& shard : pumps) {
+      if (round < shard.size()) sum += shard[round];
+    }
+    return sum;
+  };
+
+  auto budgeted_only = ShardedStream::Open(cfg.query(), options, shard_options);
+  ASSERT_TRUE(budgeted_only.ok());
+  std::vector<ResultTuple> batch;
+  uint64_t largest_call = 0;
+  while (!(*budgeted_only)->Finished()) {
+    const uint64_t before = (*budgeted_only)->stats().join_pairs_generated;
+    (*budgeted_only)->NextBatch(0, kBudget, &batch);
+    largest_call = std::max(
+        largest_call, (*budgeted_only)->stats().join_pairs_generated - before);
+  }
+
+  auto stream = ShardedStream::Open(cfg.query(), options, shard_options);
+  ASSERT_TRUE(stream.ok());
+  std::vector<ResultTuple> all;
+  ASSERT_GT((*stream)->NextBatch(0, 0, &all), 0u);
+  // R: the unbudgeted call's rounds, one pump per shard each.
+  size_t rounds = 0;
+  uint64_t applied = 0;
+  while (applied < (*stream)->stats().join_pairs_generated) {
+    applied += pump_pairs(rounds++);
+  }
+  ASSERT_EQ(applied, (*stream)->stats().join_pairs_generated);
+  size_t call = 0;
+  while (!(*stream)->Finished()) {
+    const uint64_t before = (*stream)->stats().join_pairs_generated;
+    (*stream)->NextBatch(0, kBudget, &batch);
+    all.insert(all.end(), batch.begin(), batch.end());
+    const uint64_t pairs = (*stream)->stats().join_pairs_generated - before;
+    if (call < 2) {
+      EXPECT_EQ(pairs, pump_pairs(rounds + call)) << "leftover call " << call;
+      EXPECT_GT(pairs, kBudget) << "leftover call " << call;
+    } else {
+      EXPECT_LE(pairs, largest_call) << "call " << call;
+    }
+    ++call;
+  }
+  EXPECT_GT(call, 2u);
+  EXPECT_EQ(SortedIds(all), oracle);
 }
 
 TEST(ShardedStream, InvalidQueryFailsOpenAndEmptySourcesFinish) {

@@ -48,6 +48,15 @@ recovering via checkpointed retry) is gated the same way, plus
 `replay_pairs_saved > 0`: a resume that saves nothing means checkpoints
 are not actually shipping and every retry replays from scratch.
 
+`--match=<json>` compares every K-run's deterministic counters (results,
+join pairs, engine and merge comparisons, held peak, checkpoint and
+coverage cells, resolved grids) with another bench_sharded JSON of the
+same workload, e.g. a sanitizer build against a plain one: the shards'
+pool may interleave differently in each, and none of these may move.
+`--counters_only` skips the two disabled-hook timing gates, for builds
+whose instrumentation makes nanosecond timings meaningless (sanitizers);
+the plain build keeps them.
+
 Accepts a bare bench_sharded JSON ({"runs": [...]}), a full
 BENCH_progxe.json (takes its "sharded" key, plus "reuse"/"distributed"
 when present), or a bare bench_multiquery JSON (no sharded runs — only
@@ -59,7 +68,38 @@ Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--coverage_budget=N]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
+                                    [--match=<json>] [--counters_only]
 """
+
+# bench_sharded run fields that are deterministic work counts, not timings.
+DETERMINISTIC_RUN_KEYS = (
+    "results", "join_pairs", "comparisons", "merge_comparisons", "held_peak",
+    "checkpoint_cells_examined", "coverage_cells_walked",
+    "output_cells_per_dim")
+
+
+def load_runs(doc):
+    data = doc if "runs" in doc else doc.get("sharded", {})
+    return data, {run["shards"]: run
+                  for run in data.get("runs", []) if "shards" in run}
+
+
+def check_match(runs, path, other_path):
+    with open(other_path) as f:
+        _, other = load_runs(json.load(f))
+    if sorted(runs) != sorted(other):
+        raise SystemExit(f"FAIL: {path} runs K={sorted(runs)} but "
+                         f"{other_path} runs K={sorted(other)}")
+    for k in sorted(runs):
+        for key in DETERMINISTIC_RUN_KEYS:
+            a, b = runs[k].get(key), other[k].get(key)
+            if a != b:
+                raise SystemExit(
+                    f"FAIL: K={k} {key} is {a} in {path} but {b} in "
+                    f"{other_path} — a deterministic counter moved between "
+                    f"builds, so shard scheduling leaked into the results")
+    print(f"match: deterministic counters identical to {other_path} "
+          f"(K={sorted(runs)})")
 
 import json
 import sys
@@ -73,6 +113,8 @@ def main(argv):
     coverage_budget = None
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
+    match_path = None
+    timing = True
     for arg in argv[1:]:
         if arg.startswith("--shards="):
             shards = int(arg.split("=", 1)[1])
@@ -86,6 +128,10 @@ def main(argv):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
             trace_budget_ns = float(arg.split("=", 1)[1])
+        elif arg.startswith("--match="):
+            match_path = arg.split("=", 1)[1]
+        elif arg == "--counters_only":
+            timing = False
         elif path is None:
             path = arg
         else:
@@ -95,11 +141,7 @@ def main(argv):
 
     with open(path) as f:
         doc = json.load(f)
-    data = doc
-    if "runs" not in data:
-        data = data.get("sharded", {})
-    runs = {run["shards"]: run
-            for run in data.get("runs", []) if "shards" in run}
+    data, runs = load_runs(doc)
     reuse = doc.get("reuse")
     if reuse is None and isinstance(doc.get("multiquery"), dict):
         reuse = doc["multiquery"].get("reuse")
@@ -148,7 +190,10 @@ def main(argv):
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
 
-    hook_ns = data.get("fault_hook_ns_per_call")
+    if match_path is not None:
+        check_match(runs, path, match_path)
+
+    hook_ns = data.get("fault_hook_ns_per_call") if timing else None
     if hook_ns is not None:
         print(f"fault_hook_ns_per_call={hook_ns} budget={hook_budget_ns}")
         if hook_ns > hook_budget_ns:
@@ -157,7 +202,7 @@ def main(argv):
                 f"per call (> {hook_budget_ns}ns) — it must stay a single "
                 f"predicted branch when no injector is installed")
 
-    trace_ns = data.get("trace_hook_ns_per_call")
+    trace_ns = data.get("trace_hook_ns_per_call") if timing else None
     if trace_ns is not None:
         print(f"trace_hook_ns_per_call={trace_ns} budget={trace_budget_ns}")
         if trace_ns > trace_budget_ns:

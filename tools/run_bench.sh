@@ -70,13 +70,30 @@ if [[ -x "$build_dir/bench_micro_components" ]]; then
       --benchmark_format=json 2>/dev/null)"
 fi
 
+# Run metadata for the history entry: timings from different scales, core
+# counts, compilers or commits are not comparable.
+scale=full
+for arg in "$@"; do
+  [[ "$arg" == "--quick" ]] && scale=quick
+done
+cores="$(nproc 2>/dev/null || echo unknown)"
+compiler="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' \
+    "$build_dir/CMakeCache.txt" 2>/dev/null | head -1)"
+compiler="$("${compiler:-c++}" --version 2>/dev/null | head -1 || true)"
+sha="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [[ -n "$(git -C "$repo_root" status --porcelain --untracked-files=no \
+    2>/dev/null)" ]]; then
+  sha="$sha-dirty"
+fi
+
 # Merge the thread-scaling, multi-query, sharded and micro results (if any)
 # into the summary JSON, and carry forward the run history: each invocation
 # appends one timestamped headline entry to a bounded "history" array
 # instead of wiping the previous runs' trajectory.
 MICRO_JSON="$micro_json" THREADS_JSON="$threads_json" \
 MULTIQUERY_JSON="$multiquery_json" SHARDED_JSON="$sharded_json" \
-DISTRIBUTED_JSON="$distributed_json" \
+DISTRIBUTED_JSON="$distributed_json" RUN_SCALE="$scale" RUN_NPROC="$cores" \
+RUN_COMPILER="$compiler" RUN_SHA="$sha" \
 python3 - "$out.tmp" "$out" <<'EOF'
 import datetime, json, os, sys
 summary = json.load(open(sys.argv[1]))
@@ -113,7 +130,11 @@ if micro_raw.strip():
 # top-level keys, which describe only the latest run.
 entry = {"timestamp":
          datetime.datetime.now(datetime.timezone.utc)
-         .strftime("%Y-%m-%dT%H:%M:%SZ")}
+         .strftime("%Y-%m-%dT%H:%M:%SZ"),
+         "scale": os.environ["RUN_SCALE"],
+         "nproc": os.environ["RUN_NPROC"],
+         "compiler": os.environ["RUN_COMPILER"],
+         "git_sha": os.environ["RUN_SHA"]}
 sharded = summary.get("sharded")
 if isinstance(sharded, dict):
     for key in ("fault_hook_ns_per_call", "trace_hook_ns_per_call"):
@@ -122,7 +143,8 @@ if isinstance(sharded, dict):
     for run in sharded.get("runs", []):
         if run.get("shards") == 4:
             for key in ("merge_comparisons", "checkpoint_cells_examined",
-                        "coverage_cells_walked", "makespan_s", "t_first_s"):
+                        "coverage_cells_walked", "makespan_s", "t_first_s",
+                        "t_first_ratio"):
                 if key in run:
                     entry[f"k4_{key}"] = run[key]
 reuse = summary.get("reuse")
