@@ -286,9 +286,10 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < workloads.size(); ++i) {
         sinks[i].Reset(&watch, heavy_flags[i]);
         // Under weighted-fair, interactive queries get 4x the share.
-        const double weight = heavy_flags[i] ? 1.0 : 4.0;
+        SubmitOptions submit;
+        submit.weight = heavy_flags[i] ? 1.0 : 4.0;
         auto handle = scheduler.Submit(workloads[i].query(), ProgXeOptions(),
-                                       &sinks[i], weight);
+                                       &sinks[i], submit);
         if (!handle.ok()) {
           std::fprintf(stderr, "submit: %s\n",
                        handle.status().ToString().c_str());

@@ -89,10 +89,10 @@ inline constexpr const char kSchedulerSlice[] = "scheduler.slice";
 /// (N >= 1) exercises shard-open recovery without failing unsharded
 /// sessions, whose instance is 0.
 inline constexpr const char kPrepareBuild[] = "prepare.build";
-/// RegionLoop about to drive the (possibly parallel) join->map->insert
-/// pipeline for one region chunk; instance = ProgXeOptions::fault_instance
-/// (same shard-targeting convention as prepare.build). Fires through the
-/// session's error channel mid-stream, exactly where a worker-thread crash
+/// RegionLoop about to drive the join->map->insert pipeline for one region
+/// (or one slice of it); instance = ProgXeOptions::fault_instance (same
+/// shard-targeting convention as prepare.build). Fires through the
+/// session's error channel mid-stream, exactly where a pipeline failure
 /// would surface.
 inline constexpr const char kPipelineChunk[] = "pipeline.chunk";
 /// Transport chaos sites (net/socket.cc). Instance is always 0 — socket

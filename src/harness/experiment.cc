@@ -124,9 +124,10 @@ Result<ExperimentRun> RunAlgorithm(Algo algo, const Workload& workload,
     case Algo::kProgXeNoOrder:
     case Algo::kProgXePlusNoOrder: {
       // Driven through the pull-based stream (same results and counters as
-      // ProgXeExecutor::Run): tuning carries num_threads and batch size
-      // straight into the pipeline, so benches can sweep thread counts, and
-      // `shards` selects the sharded executor behind the same interface.
+      // ProgXeExecutor::Run): tuning carries the batch size and grid
+      // settings straight into the pipeline, and `shards` selects the
+      // sharded executor (the one intra-query parallel path) behind the
+      // same interface.
       // Reset precedes Open so the timed window covers PreparePhase, like
       // the baselines' end-to-end timing.
       recorder.Reset();

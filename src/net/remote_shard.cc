@@ -21,7 +21,6 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   std::unique_ptr<RemoteShardStream> stream(
       new RemoteShardStream(pool, endpoint, shard_index));
   PROGXE_ASSIGN_OR_RETURN(stream->conn_, pool->Checkout(endpoint));
-  const bool v2 = stream->conn_->wire_version() >= 2;
 
   std::string payload;
   WireWriter w(&payload);
@@ -31,12 +30,8 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   WritePreference(pref, &w);
   WriteRelation(r, &w);
   WriteRelation(t, &w);
-  if (v2) {
-    // v2 resume group. On a v1 link (old worker) the checkpoint is dropped
-    // and the retry degrades to the PR 6 full replay — same delivered set.
-    w.PutU8(resume != nullptr ? 1 : 0);
-    if (resume != nullptr) WriteCheckpoint(*resume, &w);
-  }
+  w.PutU8(resume != nullptr ? 1 : 0);
+  if (resume != nullptr) WriteCheckpoint(*resume, &w);
 
   std::string reply;
   Status st = stream->conn_->Call(MsgType::kOpenShard, payload,
@@ -58,17 +53,15 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   PROGXE_RETURN_NOT_OK(
       ReadWatermark(&reader, &stream->has_bound_, &stream->bound_));
   PROGXE_RETURN_NOT_OK(ReadStats(&reader, &stream->stats_));
-  if (v2) {
-    uint8_t resumed = 0;
-    uint32_t regions_skipped = 0;
-    uint64_t pairs_saved = 0;
-    if (!reader.GetU8(&resumed) || !reader.GetU32(&regions_skipped) ||
-        !reader.GetU64(&pairs_saved)) {
-      return reader.status();
-    }
-    stream->resumed_ = resumed != 0;
-    stream->replay_pairs_saved_ = stream->resumed_ ? pairs_saved : 0;
+  uint8_t resumed = 0;
+  uint32_t regions_skipped = 0;
+  uint64_t pairs_saved = 0;
+  if (!reader.GetU8(&resumed) || !reader.GetU32(&regions_skipped) ||
+      !reader.GetU64(&pairs_saved)) {
+    return reader.status();
   }
+  stream->resumed_ = resumed != 0;
+  stream->replay_pairs_saved_ = stream->resumed_ ? pairs_saved : 0;
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in open_result payload");
   }
@@ -119,26 +112,24 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
   if (!status_.ok()) return 0;
   status_ = ReadStats(&reader, &stats_);
   if (!status_.ok()) return 0;
-  if (conn_->wire_version() >= 2) {
-    uint8_t has_checkpoint = 0;
-    if (!reader.GetU8(&has_checkpoint)) {
-      status_ = reader.status();
+  uint8_t has_checkpoint = 0;
+  if (!reader.GetU8(&has_checkpoint)) {
+    status_ = reader.status();
+    out->clear();
+    return 0;
+  }
+  if (has_checkpoint != 0) {
+    status_ = ReadCheckpoint(&reader, &last_checkpoint_);
+    if (!status_.ok()) {
       out->clear();
       return 0;
     }
-    if (has_checkpoint != 0) {
-      status_ = ReadCheckpoint(&reader, &last_checkpoint_);
-      if (!status_.ok()) {
-        out->clear();
-        return 0;
-      }
-      has_checkpoint_ = true;
-      ++checkpoints_received_;
-    }
-    // No checkpoint this pump (nothing newly skip-safe, mid-region budget
-    // cut, result cap, or exhaustion): keep the previous one — it is still
-    // a valid, if less advanced, resume point.
+    has_checkpoint_ = true;
+    ++checkpoints_received_;
   }
+  // No checkpoint this pump (nothing newly skip-safe, mid-region budget
+  // cut, result cap, or exhaustion): keep the previous one — it is still a
+  // valid, if less advanced, resume point.
   if (!reader.AtEnd()) {
     status_ =
         Status::InvalidArgument("trailing bytes in pump_result payload");

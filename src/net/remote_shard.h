@@ -32,11 +32,9 @@ class RemoteShardStream : public ShardEngine {
   /// session (the reply carries the prepare-phase stats + initial
   /// watermark). `options` must already carry the shard's fault_instance /
   /// seed; its coordinator-local pointers (faults, prepare_cache) do not
-  /// travel. With `resume` set and a v2 link, the checkpoint travels in
-  /// kOpenShard and the worker resumes past its skip-safe regions; on a v1
-  /// link (old worker) the checkpoint is silently dropped — full replay,
-  /// same delivered set. A worker that rejects the checkpoint as
-  /// stale/corrupt also falls back to full replay and reports
+  /// travel. With `resume` set, the checkpoint travels in kOpenShard and the
+  /// worker resumes past its skip-safe regions. A worker that rejects the
+  /// checkpoint as stale/corrupt falls back to full replay and reports
   /// resumed() == false.
   static Result<std::unique_ptr<RemoteShardStream>> Open(
       std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
@@ -57,7 +55,7 @@ class RemoteShardStream : public ShardEngine {
   bool RemainingLowerBound(std::vector<double>* lo) const override;
 
   /// Answered from the checkpoint streamed with the last kPumpResult
-  /// (v2 links only; v1 workers never send one).
+  /// that carried one.
   bool ExportCheckpoint(SessionCheckpoint* out) override;
   bool resumed() const override { return resumed_; }
   uint64_t replay_pairs_saved() const override { return replay_pairs_saved_; }
@@ -82,7 +80,7 @@ class RemoteShardStream : public ShardEngine {
   std::vector<double> bound_;
   bool closed_ = false;
 
-  // Resume state (v2): whether the worker actually resumed from the
+  // Resume state: whether the worker actually resumed from the
   // shipped checkpoint, the pairs that saved, and the freshest checkpoint
   // it streamed back.
   bool resumed_ = false;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/macros.h"
@@ -345,6 +346,17 @@ Status ReadPreference(WireReader* r, Preference* out) {
 
 // --- ProgXeOptions ---------------------------------------------------------
 
+namespace {
+/// The pipeline sizes its insert-block buffers from insert_batch_size, so a
+/// corrupted value must not reach it; useful blocks are a few hundred pairs.
+constexpr uint64_t kMaxWireInsertBatch = 65536;
+
+bool FitsInt(int64_t v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
+}
+}  // namespace
+
 void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutU8(static_cast<uint8_t>(options.ordering));
   w->PutU8(options.push_through ? 1 : 0);
@@ -356,7 +368,6 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutI64(options.bloom_hashes);
   w->PutDouble(options.sigma_hint);
   w->PutU64(options.insert_batch_size);
-  w->PutI64(options.num_threads);
   w->PutU64(options.seed);
   w->PutU64(options.max_regions_for_elgraph);
   w->PutI64(options.max_output_cells);
@@ -376,16 +387,15 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
 Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
   uint8_t ordering, push_through, partitioning, signature_mode;
-  int64_t in_cpd, out_cpd, bloom_hashes, num_threads, max_output_cells,
-      fault_instance;
+  int64_t in_cpd, out_cpd, bloom_hashes, max_output_cells, fault_instance;
   uint64_t bloom_bits, insert_batch, seed, max_regions, max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
       !r->GetI64(&out_cpd) || !r->GetU8(&signature_mode) ||
       !r->GetU64(&bloom_bits) || !r->GetI64(&bloom_hashes) ||
       !r->GetDouble(&o.sigma_hint) || !r->GetU64(&insert_batch) ||
-      !r->GetI64(&num_threads) || !r->GetU64(&seed) ||
-      !r->GetU64(&max_regions) || !r->GetI64(&max_output_cells) ||
+      !r->GetU64(&seed) || !r->GetU64(&max_regions) ||
+      !r->GetI64(&max_output_cells) ||
       !r->GetI64(&fault_instance) || !r->GetU64(&max_results)) {
     return r->status();
   }
@@ -393,6 +403,15 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
       partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree) ||
       signature_mode > static_cast<uint8_t>(SignatureMode::kBloom)) {
     r->Fail("wire options carry an unknown enum value");
+    return r->status();
+  }
+  if (insert_batch > kMaxWireInsertBatch) {
+    r->Fail("wire options carry an insert_batch_size above the ceiling");
+    return r->status();
+  }
+  if (!FitsInt(in_cpd) || !FitsInt(out_cpd) || !FitsInt(bloom_hashes) ||
+      !FitsInt(fault_instance)) {
+    r->Fail("wire options carry an int field out of range");
     return r->status();
   }
   o.ordering = static_cast<OrderingMode>(ordering);
@@ -404,7 +423,6 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   o.bloom_bits = bloom_bits;
   o.bloom_hashes = static_cast<int>(bloom_hashes);
   o.insert_batch_size = insert_batch;
-  o.num_threads = static_cast<int>(num_threads);
   o.seed = seed;
   o.max_regions_for_elgraph = max_regions;
   o.max_output_cells = max_output_cells;
@@ -416,6 +434,10 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
     auto refinement = std::make_shared<RefinementSeed>();
     int64_t k;
     if (!r->GetI64(&k) || !r->GetDoubles(&refinement->canonical)) {
+      return r->status();
+    }
+    if (!FitsInt(k)) {
+      r->Fail("wire refinement seed k out of range");
       return r->status();
     }
     refinement->k = static_cast<int>(k);
@@ -547,7 +569,7 @@ Status ReadWatermark(WireReader* r, bool* has_bound,
   return Status::OK();
 }
 
-// --- Resume checkpoints (v2) -----------------------------------------------
+// --- Resume checkpoints ----------------------------------------------------
 
 void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w) {
   w->PutU32(checkpoint.k);

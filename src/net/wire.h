@@ -49,22 +49,20 @@
 
 namespace progxe {
 
-/// Connection handshake constants. Since v2 the handshake *negotiates*: the
-/// client offers its version, the worker acks min(offer, own), and both
-/// sides speak the acked version on that connection — so a v2 coordinator
-/// interoperates with a v1 worker (and vice versa) by simply omitting the
-/// v2-only field groups. A magic mismatch, or a version outside [1, offer],
-/// still closes the connection before any other frame is parsed.
+/// Connection handshake constants. There is one wire version: the client's
+/// kHello carries kWireMagic and kWireVersion, and the worker acks with the
+/// same pair. Any other first frame, magic or version — older or newer —
+/// fails the handshake before any other frame is parsed: the worker replies
+/// kError and closes; the pool reports InvalidArgument. Bump kWireVersion
+/// whenever any payload layout changes.
 ///
-/// v1 -> v2: kOpenShard may carry a resume SessionCheckpoint (u8
-/// has_checkpoint + checkpoint group), kOpenResult appends resume info
+/// Version 3 payloads: kOpenShard ends with a resume SessionCheckpoint
+/// (u8 has_checkpoint + checkpoint group), kOpenResult with resume info
 /// (u8 resumed, u32 regions_skipped, u64 replay_pairs_saved) and
-/// kPumpResult appends u8 has_checkpoint + checkpoint group (0 = keep the
-/// previous checkpoint; workers ship one only when its skip list grew). v1
-/// payloads are byte-identical to before.
+/// kPumpResult with u8 has_checkpoint + checkpoint group (0 = keep the
+/// previous checkpoint; workers ship one only when its skip list grew).
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 2;
-inline constexpr uint16_t kWireVersionMin = 1;
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -169,7 +167,8 @@ Status ReadPreference(WireReader* r, Preference* out);
 /// Serializes every *value* field of ProgXeOptions (including an inline
 /// refinement seed) — everything that affects results or counters. The
 /// pointer fields (faults, prepare_cache) are coordinator-local by design
-/// and decode as null.
+/// and decode as null. ReadOptions rejects an int field outside int range
+/// and an insert_batch_size above a fixed ceiling (65536).
 void WriteOptions(const ProgXeOptions& options, WireWriter* w);
 Status ReadOptions(WireReader* r, ProgXeOptions* out);
 
@@ -189,7 +188,7 @@ void WriteWatermark(bool has_bound, const std::vector<double>& bound,
 Status ReadWatermark(WireReader* r, bool* has_bound,
                      std::vector<double>* bound);
 
-/// Resume checkpoint (progxe/checkpoint.h), v2-only: u32 k, u64
+/// Resume checkpoint (progxe/checkpoint.h): u32 k, u64
 /// frontier_epoch, u64 delivered, u64 region_count, u64 replay_pairs_saved,
 /// u32 skip_count + skip_count u32 region ids (validated against the bytes
 /// present and required strictly increasing), then WriteStats. Decode

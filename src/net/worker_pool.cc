@@ -128,15 +128,12 @@ Result<std::unique_ptr<WorkerConnection>> WorkerPool::Checkout(
   }
   std::unique_ptr<WorkerConnection> conn(
       new WorkerConnection(*dialed, endpoint));
-  // Offer the newest version this coordinator is willing to speak; the
-  // worker acks min(offer, its own version) and both sides hold to the ack.
-  const uint16_t offer =
-      std::min(kWireVersion, std::max(options_.max_wire_version,
-                                      kWireVersionMin));
+  // Both sides speak exactly kWireVersion: a worker of another version
+  // rejects the kHello (its kError surfaces as InvalidArgument here).
   std::string hello;
   WireWriter w(&hello);
   w.PutU32(kWireMagic);
-  w.PutU16(offer);
+  w.PutU16(kWireVersion);
   std::string ack;
   Status st = conn->Call(MsgType::kHello, hello, MsgType::kHelloAck, &ack,
                          options_.connect_timeout);
@@ -148,12 +145,11 @@ Result<std::unique_ptr<WorkerConnection>> WorkerPool::Checkout(
   uint32_t magic = 0;
   uint16_t version = 0;
   if (!r.GetU32(&magic) || !r.GetU16(&version) || magic != kWireMagic ||
-      version < kWireVersionMin || version > offer) {
+      version != kWireVersion) {
     ReportFailure(endpoint);
     return Status::InvalidArgument("worker handshake mismatch (" + endpoint +
                                    ")");
   }
-  conn->wire_version_ = version;
   ReportSuccess(endpoint);
   std::lock_guard<std::mutex> lock(mtx_);
   ++created_;

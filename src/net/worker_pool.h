@@ -40,11 +40,6 @@ struct NetOptions {
   /// declared dead (kUnavailable) and the shard retries elsewhere.
   std::chrono::milliseconds pump_timeout{10000};
 
-  /// Highest wire version the coordinator offers in its kHello; the worker
-  /// acks min(offer, own version). Defaults to the newest this build
-  /// speaks; tests pin 1 to exercise the downlevel path.
-  uint16_t max_wire_version = kWireVersion;
-
   /// Per-endpoint circuit breaker: this many *consecutive* transport
   /// failures (dial, handshake, open or pump) open the endpoint's circuit
   /// and shard placement routes around it for a cooldown. <= 0 disables
@@ -81,9 +76,6 @@ class WorkerConnection {
   const std::string& endpoint() const { return endpoint_; }
   /// False once any exchange on this link failed or desynced.
   bool healthy() const { return healthy_; }
-  /// The version negotiated during this connection's kHello handshake;
-  /// v2-only field groups are written/expected only when >= 2.
-  uint16_t wire_version() const { return wire_version_; }
 
   WorkerConnection(const WorkerConnection&) = delete;
   WorkerConnection& operator=(const WorkerConnection&) = delete;
@@ -96,7 +88,6 @@ class WorkerConnection {
   int fd_;
   std::string endpoint_;
   bool healthy_ = true;
-  uint16_t wire_version_ = kWireVersionMin;
 };
 
 class WorkerPool {

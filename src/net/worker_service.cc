@@ -188,30 +188,30 @@ void WorkerServer::HandleConnection(int fd) {
   MsgType type;
   std::unique_ptr<OpenState> state;
 
-  // Handshake: the very first frame must be a matching kHello. The client
-  // offers the newest version it speaks; we ack min(offer, ours) and both
-  // sides hold to the ack for the life of the connection.
+  // Handshake: the very first frame must be a kHello carrying exactly our
+  // magic and version; anything else gets an error reply and the link
+  // closes before any other frame is parsed.
   Status st = RecvFrame(fd, &type, &payload, options_.heartbeat_interval * 50);
-  bool ok = st.ok() && type == MsgType::kHello;
-  uint16_t wire_version = kWireVersionMin;
+  bool ok = st.ok();
   if (ok) {
     WireReader r(payload);
     uint32_t magic = 0;
-    uint16_t offer = 0;
-    ok = r.GetU32(&magic) && r.GetU16(&offer) && magic == kWireMagic &&
-         offer >= kWireVersionMin;
+    uint16_t version = 0;
+    ok = type == MsgType::kHello && r.GetU32(&magic) &&
+         r.GetU16(&version) && magic == kWireMagic &&
+         version == kWireVersion;
     if (!ok) {
       SendError(fd, Status::InvalidArgument(
-                        "wire handshake rejected (magic/version mismatch)"));
-    } else {
-      wire_version = std::min(offer, kWireVersion);
+                        "wire handshake rejected (magic/version mismatch; "
+                        "this worker speaks only version " +
+                        std::to_string(kWireVersion) + ")"));
     }
   }
   if (ok) {
     reply.clear();
     WireWriter w(&reply);
     w.PutU32(kWireMagic);
-    w.PutU16(wire_version);
+    w.PutU16(kWireVersion);
     ok = SendFrame(fd, MsgType::kHelloAck, reply).ok();
   }
 
@@ -254,11 +254,9 @@ void WorkerServer::HandleConnection(int fd) {
           ReadRelation(&r, &next->t);
           SessionCheckpoint resume;
           bool has_resume = false;
-          if (r.ok() && wire_version >= 2) {
-            uint8_t flag = 0;
-            if (r.GetU8(&flag) && flag != 0) {
-              if (ReadCheckpoint(&r, &resume).ok()) has_resume = true;
-            }
+          uint8_t flag = 0;
+          if (r.GetU8(&flag) && flag != 0) {
+            if (ReadCheckpoint(&r, &resume).ok()) has_resume = true;
           }
           if (!r.ok() || !r.AtEnd()) {
             if (r.ok()) r.Fail("trailing bytes after open_shard payload");
@@ -309,11 +307,9 @@ void WorkerServer::HandleConnection(int fd) {
           const bool has_bound = next->session->RemainingLowerBound(&bound);
           WriteWatermark(has_bound, bound, &w);
           WriteStats(next->session->stats(), &w);
-          if (wire_version >= 2) {
-            w.PutU8(next->session->resumed() ? 1 : 0);
-            w.PutU32(next->session->resumed_regions_skipped());
-            w.PutU64(next->session->replay_pairs_saved());
-          }
+          w.PutU8(next->session->resumed() ? 1 : 0);
+          w.PutU32(next->session->resumed_regions_skipped());
+          w.PutU64(next->session->replay_pairs_saved());
           state = std::move(next);
           PROGXE_LOG(Info) << "worker opened shard " << state->shard_index
                            << " (r=" << state->r.size()
@@ -385,21 +381,19 @@ void WorkerServer::HandleConnection(int fd) {
           const bool has_bound = session.RemainingLowerBound(&bound);
           WriteWatermark(has_bound, bound, &w);
           WriteStats(session.stats(), &w);
-          if (wire_version >= 2) {
-            // Ship a resume point only when it skips more regions than the
-            // last one shipped (skip lists only grow). Otherwise — nothing
-            // newly skip-safe, or a mid-region budget cut — the coordinator
-            // keeps the previous one, which is still a valid resume point.
-            const bool has_checkpoint =
-                session.ExportCheckpoint(&state->checkpoint) &&
-                state->checkpoint.skip_regions.size() >
-                    state->shipped_skip_regions;
-            w.PutU8(has_checkpoint ? 1 : 0);
-            if (has_checkpoint) {
-              WriteCheckpoint(state->checkpoint, &w);
-              state->shipped_skip_regions =
-                  state->checkpoint.skip_regions.size();
-            }
+          // Ship a resume point only when it skips more regions than the
+          // last one shipped (skip lists only grow). Otherwise — nothing
+          // newly skip-safe, or a mid-region budget cut — the coordinator
+          // keeps the previous one, which is still a valid resume point.
+          const bool has_checkpoint =
+              session.ExportCheckpoint(&state->checkpoint) &&
+              state->checkpoint.skip_regions.size() >
+                  state->shipped_skip_regions;
+          w.PutU8(has_checkpoint ? 1 : 0);
+          if (has_checkpoint) {
+            WriteCheckpoint(state->checkpoint, &w);
+            state->shipped_skip_regions =
+                state->checkpoint.skip_regions.size();
           }
         }
         ok = SendFrame(fd, MsgType::kPumpResult, reply).ok();

@@ -30,7 +30,6 @@
 //   prepare   prepare.build + per-stage sub-spans (push_through, sigma,
 //             partition, lookahead)
 //   region    region.pick / region.pipeline / region.flush / region.discard
-//   pipeline  pipeline.chunk — one per parallel join->map worker chunk
 //   sched     sched.slice (args: query, pairs) + admit/done instants
 //   shard     shard.pump / shard.merge / shard.release spans,
 //             shard.retry_backoff / shard.abandon instants
@@ -51,7 +50,6 @@ namespace progxe {
 namespace trace_cats {
 inline constexpr const char kPrepare[] = "prepare";
 inline constexpr const char kRegion[] = "region";
-inline constexpr const char kPipeline[] = "pipeline";
 inline constexpr const char kSched[] = "sched";
 inline constexpr const char kShard[] = "shard";
 inline constexpr const char kCache[] = "cache";

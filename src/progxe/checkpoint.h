@@ -42,10 +42,10 @@
 // check (see shard/sharded_stream.h) and by its per-shard dedup set, so the
 // merged delivered set stays bit-identical.
 //
-// Checkpoints travel over the wire (v2 `kOpenShard` field group) to resume
-// remote shards; all fields are validated on restore and a stale or corrupt
-// checkpoint is rejected with kInvalidArgument, which callers treat as
-// "fall back to full replay".
+// Checkpoints travel over the wire (the `kOpenShard` checkpoint group) to
+// resume remote shards; all fields are validated on restore and a stale or
+// corrupt checkpoint is rejected with kInvalidArgument, which callers treat
+// as "fall back to full replay".
 #pragma once
 
 #include <cstdint>

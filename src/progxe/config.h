@@ -85,14 +85,6 @@ struct ProgXeOptions {
   /// paths produce identical results *and* identical ProgXeStats counters.
   size_t insert_batch_size = 256;
 
-  /// Worker threads for the region-level join->map stage. Each region's
-  /// matching join groups are split into contiguous chunks; workers expand,
-  /// map and pre-grid their chunks in parallel, and a deterministic ordered
-  /// merge feeds the single-threaded OutputTable insert in exactly the
-  /// sequential pair order — so results *and* all ProgXeStats counters are
-  /// bit-identical at any thread count. Values <= 1 run fully inline.
-  int num_threads = 1;
-
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;
 

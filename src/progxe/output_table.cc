@@ -340,13 +340,6 @@ void OutputTable::InsertBatch(const double* values, const RowIdPair* ids,
   InsertRuns(values, ids, n, batch_coords_.data(), batch_cells_.data());
 }
 
-void OutputTable::InsertBatchPrebinned(const double* values,
-                                       const RowIdPair* ids, size_t n,
-                                       const CellCoord* coords,
-                                       const CellIndex* cells) {
-  InsertRuns(values, ids, n, coords, cells);
-}
-
 void OutputTable::InsertRuns(const double* values, const RowIdPair* ids,
                              size_t n, const CellCoord* coords_flat,
                              const CellIndex* cells) {

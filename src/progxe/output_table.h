@@ -130,14 +130,6 @@ class OutputTable {
   /// make the frontier dominate it; see output_table.cc).
   void InsertBatch(const double* values, const RowIdPair* ids, size_t n);
 
-  /// InsertBatch for callers that already binned the block: `coords` holds
-  /// k cell coordinates per tuple and `cells` the matching linear indices,
-  /// exactly as GridGeometry would compute them from `values`. Used by the
-  /// parallel pipeline, whose workers pre-grid their chunks off-thread.
-  void InsertBatchPrebinned(const double* values, const RowIdPair* ids,
-                            size_t n, const CellCoord* coords,
-                            const CellIndex* cells);
-
   // --- Cell predicates -----------------------------------------------------
 
   bool marked(CellIndex c) const { return marked_[static_cast<size_t>(c)] != 0; }
@@ -251,8 +243,8 @@ class OutputTable {
   InsertOutcome InsertAlive(const double* values, RowId r_id, RowId t_id,
                             const CellCoord* coords, CellIndex c);
 
-  /// Shared pass 2 of the batch entry points: processes runs of
-  /// consecutive same-cell tuples over pre-binned coordinates.
+  /// InsertBatch's pass 2: processes runs of consecutive same-cell tuples
+  /// over the block's binned coordinates.
   void InsertRuns(const double* values, const RowIdPair* ids, size_t n,
                   const CellCoord* coords_flat, const CellIndex* cells);
 

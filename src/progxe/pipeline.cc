@@ -1,45 +1,19 @@
 #include "progxe/pipeline.h"
 
-#include <algorithm>
-
-#include "obs/trace.h"
-
 namespace progxe {
 
 RegionJoinPipeline::RegionJoinPipeline(const CanonicalMapper* mapper,
                                        const double* r_flat,
                                        const double* t_flat,
-                                       const GridGeometry* geometry,
-                                       size_t insert_batch_size,
-                                       int num_threads)
+                                       size_t insert_batch_size)
     : mapper_(mapper),
       r_flat_(r_flat),
       t_flat_(t_flat),
-      geometry_(geometry),
       batch_cap_(insert_batch_size > 1 ? insert_batch_size : 0),
-      num_threads_(num_threads),
       k_(mapper->output_dimensions()) {
   seq_pairs_.resize(batch_cap_);
   seq_values_.resize(batch_cap_ * static_cast<size_t>(k_));
   tuple_values_.resize(static_cast<size_t>(k_));
-  if (num_threads_ > 1) {
-    slots_.resize(2 * static_cast<size_t>(num_threads_));
-    workers_.reserve(static_cast<size_t>(num_threads_));
-    for (int i = 0; i < num_threads_; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-}
-
-RegionJoinPipeline::~RegionJoinPipeline() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mtx_);
-      shutdown_ = true;
-    }
-    cv_workers_.notify_all();
-    for (std::thread& w : workers_) w.join();
-  }
 }
 
 uint64_t RegionJoinPipeline::ProcessRegion(const InputPartition& pa,
@@ -52,110 +26,23 @@ uint64_t RegionJoinPipeline::ProcessRegion(const InputPartition& pa,
   return ProcessSome(/*max_pairs=*/0, table);
 }
 
-void RegionJoinPipeline::FillChunk(size_t task_begin, size_t task_end,
-                                   ChunkSlot* slot) const {
-  const size_t kk = static_cast<size_t>(k_);
-  size_t n = 0;
-  for (size_t i = task_begin; i < task_end; ++i) {
-    n += tasks_[i].t_rows->size();
-  }
-  if (slot->pairs.size() < n) slot->pairs.resize(n);
-  if (slot->values.size() < n * kk) slot->values.resize(n * kk);
-  if (slot->coords.size() < n * kk) slot->coords.resize(n * kk);
-  if (slot->cells.size() < n) slot->cells.resize(n);
-
-  size_t p = 0;
-  for (size_t i = task_begin; i < task_end; ++i) {
-    const RowId r = tasks_[i].r;
-    for (RowId t : *tasks_[i].t_rows) {
-      slot->pairs[p++] = RowIdPair{r, t};
-    }
-  }
-  mapper_->CombineBatch(slot->pairs.data(), n, r_flat_, t_flat_,
-                        slot->values.data());
-  for (size_t i = 0; i < n; ++i) {
-    CellCoord* coords = slot->coords.data() + i * kk;
-    geometry_->CoordsOf(slot->values.data() + i * kk, coords);
-    slot->cells[i] = geometry_->IndexOf(coords);
-  }
-  slot->n = n;
-}
-
-uint64_t RegionJoinPipeline::BuildTasks(const InputPartition& pa,
-                                        const InputPartition& pb) {
-  // Task list in the exact JoinIndexes enumeration order. Workers are idle
-  // here (no chunks outstanding), so the shared vectors are safe to write;
-  // a parallel publish hands them over under the mutex.
+void RegionJoinPipeline::BeginRegion(const InputPartition& pa,
+                                     const InputPartition& pb) {
+  // Task list in the exact JoinIndexes enumeration order.
   tasks_.clear();
-  uint64_t total_pairs = 0;
   pa.key_index.ForEach([&](JoinKey key, const std::vector<RowId>& r_rows) {
     const std::vector<RowId>* t_rows = pb.key_index.Find(key);
     if (t_rows == nullptr) return;
     for (RowId r : r_rows) tasks_.push_back(Task{r, t_rows});
-    total_pairs +=
-        static_cast<uint64_t>(r_rows.size()) * t_rows->size();
   });
-  return total_pairs;
-}
-
-size_t RegionJoinPipeline::BuildChunks(uint64_t total_pairs) {
-  // Chunk sizing: enough chunks to keep every worker busy, each chunk big
-  // enough to amortize a slot handshake, capped to bound ring memory.
-  const size_t floor_pairs = std::max<size_t>(batch_cap_, 1024);
-  size_t target = static_cast<size_t>(
-      total_pairs / (static_cast<uint64_t>(num_threads_) * 4));
-  target = std::clamp(target, floor_pairs, size_t{32768});
-
-  chunk_task_end_.clear();
-  size_t acc = 0;
-  for (size_t i = 0; i < tasks_.size(); ++i) {
-    acc += tasks_[i].t_rows->size();
-    if (acc >= target) {
-      chunk_task_end_.push_back(i + 1);
-      acc = 0;
-    }
-  }
-  if (acc > 0) chunk_task_end_.push_back(tasks_.size());
-  return chunk_task_end_.size();
-}
-
-void RegionJoinPipeline::BeginRegion(const InputPartition& pa,
-                                     const InputPartition& pb) {
-  const uint64_t total_pairs = BuildTasks(pa, pb);
   cursor_task_ = 0;
   cursor_offset_ = 0;
-  resumable_parallel_ = false;
   region_open_ = !tasks_.empty();
-  if (!region_open_) return;
-
-  // Parallel mode pays off only when there is more than one chunk; a
-  // single chunk (or no pool) walks the sequential cursor instead.
-  if (!workers_.empty() && BuildChunks(total_pairs) > 1) {
-    resumable_parallel_ = true;
-    merge_chunk_ = 0;
-    const size_t ring = slots_.size();
-    {
-      std::lock_guard<std::mutex> lock(mtx_);
-      for (size_t s = 0; s < ring; ++s) {
-        slots_[s].expected = s;
-        slots_[s].filled = false;
-      }
-      next_chunk_ = 0;
-      num_chunks_ = chunk_task_end_.size();
-    }
-    cv_workers_.notify_all();
-  }
 }
 
 uint64_t RegionJoinPipeline::ProcessSome(size_t max_pairs,
                                          OutputTable* table) {
   if (!region_open_) return 0;
-  return resumable_parallel_ ? ProcessSomeParallel(max_pairs, table)
-                             : ProcessSomeSequential(max_pairs, table);
-}
-
-uint64_t RegionJoinPipeline::ProcessSomeSequential(size_t max_pairs,
-                                                   OutputTable* table) {
   const size_t kk = static_cast<size_t>(k_);
   uint64_t done = 0;
   if (batch_cap_ > 0) {
@@ -206,66 +93,6 @@ uint64_t RegionJoinPipeline::ProcessSomeSequential(size_t max_pairs,
   }
   if (cursor_task_ >= tasks_.size()) region_open_ = false;
   return done;
-}
-
-uint64_t RegionJoinPipeline::ProcessSomeParallel(size_t max_pairs,
-                                                 OutputTable* table) {
-  // Same ordered merge as ProcessParallel, pausable between chunks. During
-  // a pause workers fill the remaining ring slots and then block, so the
-  // yielded region holds no CPU.
-  const size_t ring = slots_.size();
-  const size_t num_chunks = chunk_task_end_.size();
-  uint64_t done = 0;
-  while (merge_chunk_ < num_chunks) {
-    ChunkSlot& slot = slots_[merge_chunk_ % ring];
-    {
-      std::unique_lock<std::mutex> lock(mtx_);
-      cv_driver_.wait(lock, [&] { return slot.filled; });
-    }
-    table->InsertBatchPrebinned(slot.values.data(), slot.pairs.data(), slot.n,
-                                slot.coords.data(), slot.cells.data());
-    done += slot.n;
-    {
-      std::lock_guard<std::mutex> lock(mtx_);
-      slot.filled = false;
-      slot.expected = merge_chunk_ + ring;
-    }
-    cv_workers_.notify_all();
-    ++merge_chunk_;
-    if (max_pairs != 0 && done >= max_pairs) break;
-  }
-  if (merge_chunk_ >= num_chunks) region_open_ = false;
-  return done;
-}
-
-void RegionJoinPipeline::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mtx_);
-  for (;;) {
-    cv_workers_.wait(
-        lock, [&] { return shutdown_ || next_chunk_ < num_chunks_; });
-    if (shutdown_) return;
-    const size_t c = next_chunk_++;
-    ChunkSlot& slot = slots_[c % slots_.size()];
-    // The slot may still hold chunk c - ring: wait for the merge to drain
-    // it. Claims are ordered, so the merge can always make progress and
-    // this wait is bounded.
-    cv_workers_.wait(lock, [&] {
-      return shutdown_ || (!slot.filled && slot.expected == c);
-    });
-    if (shutdown_) return;
-    const size_t begin = c == 0 ? 0 : chunk_task_end_[c - 1];
-    const size_t end = chunk_task_end_[c];
-    lock.unlock();
-    {
-      TraceSpan span(trace_cats::kPipeline, "pipeline.chunk");
-      span.arg("chunk", static_cast<int64_t>(c));
-      FillChunk(begin, end, &slot);
-      span.arg("pairs", static_cast<int64_t>(slot.n));
-    }
-    lock.lock();
-    slot.filled = true;
-    cv_driver_.notify_one();
-  }
 }
 
 }  // namespace progxe

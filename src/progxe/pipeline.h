@@ -1,24 +1,20 @@
 // The region-level tuple pipeline: join a region's partition pair, map the
-// pairs through CanonicalMapper, and insert into the OutputTable — either
-// inline (num_threads <= 1, the PR-1 batched path or the per-tuple legacy
-// path) or across a fixed worker pool.
+// pairs through CanonicalMapper, and insert into the OutputTable in one
+// ordered stream, on the calling thread.
 //
-// Parallel mode decomposes a region's join into *tasks* (one R-side row of
-// one matching join group, paired with that group's T rows) enumerated in
-// exactly the order JoinIndexes visits pairs. Contiguous task ranges form
-// chunks; workers claim chunks in order, expand the pairs, run
-// CanonicalMapper::CombineBatch and pre-compute output-grid coordinates
-// into a per-chunk buffer from a fixed ring. The driver merges chunks back
-// *in chunk order*, handing each to the single-threaded
-// OutputTable::InsertBatch — so the table observes exactly the sequential
-// pair order and every ProgXeStats counter is bit-identical at any thread
-// count (enforced by tests/batched_equivalence_test.cc).
+// A region's join is enumerated as *tasks* (one R-side row of one matching
+// join group, paired with that group's T rows) in exactly the order
+// JoinIndexes visits pairs. A cursor over the tasks fills insert blocks of
+// `insert_batch_size` pairs for CanonicalMapper::CombineBatch and
+// OutputTable::InsertBatch; `insert_batch_size <= 1` selects the per-tuple
+// path (Combine + Insert), kept as the counter reference for the batched
+// one. Both paths present the table the same pair order, so every
+// ProgXeStats counter is identical between them and at any slice boundary
+// (enforced by tests/batched_equivalence_test.cc). Intra-query parallelism
+// lives one level up, in ShardedStream's concurrent shard pumps.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "grid/partitioning.h"
@@ -29,12 +25,10 @@ namespace progxe {
 
 class RegionJoinPipeline {
  public:
-  /// `mapper`, `r_flat`/`t_flat` (flat contribution tables) and `geometry`
-  /// must outlive the pipeline. `num_threads <= 1` spawns no threads.
+  /// `mapper` and `r_flat`/`t_flat` (flat contribution tables) must outlive
+  /// the pipeline.
   RegionJoinPipeline(const CanonicalMapper* mapper, const double* r_flat,
-                     const double* t_flat, const GridGeometry* geometry,
-                     size_t insert_batch_size, int num_threads);
-  ~RegionJoinPipeline();
+                     const double* t_flat, size_t insert_batch_size);
 
   RegionJoinPipeline(const RegionJoinPipeline&) = delete;
   RegionJoinPipeline& operator=(const RegionJoinPipeline&) = delete;
@@ -45,19 +39,16 @@ class RegionJoinPipeline {
                          OutputTable* table);
 
   /// Resumable mode — the serving layer's yield point. BeginRegion
-  /// enumerates the region's tasks (and, in parallel mode, publishes its
-  /// chunks to the pool); each ProcessSome call then advances at least one
-  /// block of join pairs and at most ~`max_pairs` (0 = all remaining),
-  /// returning the pairs it inserted. Slices visit pairs in exactly the
-  /// ProcessRegion order, so results and every ProgXeStats counter are
-  /// bit-identical no matter where the slice boundaries fall. A region is
-  /// complete once RegionExhausted(); abandoning one mid-way is only safe
-  /// through the destructor (which shuts the pool down).
+  /// enumerates the region's tasks; each ProcessSome call then advances at
+  /// least one block of join pairs and at most ~`max_pairs` (0 = all
+  /// remaining), returning the pairs it inserted. Slices visit pairs in
+  /// exactly the ProcessRegion order, so results and every ProgXeStats
+  /// counter are bit-identical no matter where the slice boundaries fall.
+  /// A region is complete once RegionExhausted(); abandoning one mid-way
+  /// holds no resources beyond the task list.
   void BeginRegion(const InputPartition& pa, const InputPartition& pb);
   uint64_t ProcessSome(size_t max_pairs, OutputTable* table);
   bool RegionExhausted() const { return !region_open_; }
-
-  int num_threads() const { return num_threads_; }
 
  private:
   /// One R row joined against its group's T rows: |t_rows| consecutive
@@ -67,72 +58,22 @@ class RegionJoinPipeline {
     const std::vector<RowId>* t_rows;
   };
 
-  /// A chunk's output buffers plus its slot-handshake state.
-  struct ChunkSlot {
-    std::vector<RowIdPair> pairs;
-    std::vector<double> values;    // k per pair
-    std::vector<CellCoord> coords; // k per pair
-    std::vector<CellIndex> cells;  // one per pair
-    size_t n = 0;
-    /// The next chunk index this slot will carry; a worker may fill the
-    /// slot only when `filled == false && expected == its chunk`.
-    size_t expected = 0;
-    bool filled = false;
-  };
-
-  /// Builds tasks_ (and total pair count) for `pa` x `pb` in the exact
-  /// JoinIndexes enumeration order. Workers must be idle.
-  uint64_t BuildTasks(const InputPartition& pa, const InputPartition& pb);
-  /// Splits tasks_ into chunk_task_end_ and returns the chunk count.
-  size_t BuildChunks(uint64_t total_pairs);
-  uint64_t ProcessSomeSequential(size_t max_pairs, OutputTable* table);
-  uint64_t ProcessSomeParallel(size_t max_pairs, OutputTable* table);
-
-  /// Expands tasks [begin, end) into `slot` (pairs, mapped values, grid
-  /// coordinates and cell indices). Runs on workers; touches only
-  /// read-only shared state and the slot.
-  void FillChunk(size_t task_begin, size_t task_end, ChunkSlot* slot) const;
-
-  void WorkerLoop();
-
   const CanonicalMapper* mapper_;
   const double* r_flat_;
   const double* t_flat_;
-  const GridGeometry* geometry_;
   size_t batch_cap_;  // insert_batch_size; <= 1 selects the per-tuple path
-  int num_threads_;
   int k_;
 
-  // Sequential-path scratch (also the per-tuple path's value buffer).
+  // Batched-path scratch, and the per-tuple path's value buffer.
   std::vector<RowIdPair> seq_pairs_;
   std::vector<double> seq_values_;
   std::vector<double> tuple_values_;
 
-  // Resumable-mode cursor. In sequential mode the cursor walks tasks_
-  // directly; in parallel mode it tracks the next chunk to merge while the
-  // pool keeps filling slots ahead (workers block on the ring during a
-  // pause, so a yielded region costs no CPU).
-  bool region_open_ = false;
-  bool resumable_parallel_ = false;
-  size_t cursor_task_ = 0;    // sequential: next task to expand
-  size_t cursor_offset_ = 0;  // sequential: offset into that task's t_rows
-  size_t merge_chunk_ = 0;    // parallel: next chunk to merge
-
-  // --- Parallel state (guarded by mtx_ unless noted) -----------------------
-  std::vector<std::thread> workers_;
-  std::mutex mtx_;
-  std::condition_variable cv_workers_;  // slot freed / new region / shutdown
-  std::condition_variable cv_driver_;   // slot filled
-  bool shutdown_ = false;
-  size_t next_chunk_ = 0;
-  size_t num_chunks_ = 0;
-
-  // Shared per-region inputs, written by the driver while workers are idle
-  // (between region epochs), read-only to workers during an epoch.
+  // The open region's tasks and the resumable cursor over them.
   std::vector<Task> tasks_;
-  std::vector<size_t> chunk_task_end_;  // chunk i covers tasks
-                                        // [chunk_task_end_[i-1], chunk_task_end_[i])
-  std::vector<ChunkSlot> slots_;        // ring, 2 * num_threads_ entries
+  bool region_open_ = false;
+  size_t cursor_task_ = 0;    // next task to expand
+  size_t cursor_offset_ = 0;  // offset into that task's t_rows
 };
 
 }  // namespace progxe

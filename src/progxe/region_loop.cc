@@ -20,8 +20,8 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
              stats),
       determine_(&table_),
       pipeline_(&prep->inputs->mapper, prep->inputs->r_contrib->flat().data(),
-                prep->inputs->t_contrib->flat().data(), &table_.geometry(),
-                options.insert_batch_size, options.num_threads) {
+                prep->inputs->t_contrib->flat().data(),
+                options.insert_batch_size) {
   const PreparedInputs& inputs = *prep->inputs;
   table_.InitCoverage(*regions_);
 
@@ -397,8 +397,7 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
           prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)];
       if (max_pairs == 0) {
         // Whole-region fast path: join the partition pair, map, insert —
-        // via the (optionally parallel) pipeline, which preserves the
-        // sequential pair order and hence every counter.
+        // the same pair order as the sliced path, hence every counter.
         Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
                                         options_.fault_instance);
         if (PROGXE_PREDICT_FALSE(!fault.ok())) {

@@ -1,8 +1,8 @@
 // RegionLoop: the incremental driver of ProgXe's main loop (Algorithm 1).
 // One Step() = one iteration — ProgOrder picks a region, the tuple pipeline
-// joins/maps/inserts it (optionally across worker threads), ProgDetermine
-// flushes settled cells, and the epoch-gated runtime discard sweep removes
-// regions the new frontier wholly dominates. Emitted results are appended
+// joins/maps/inserts it in one ordered stream, ProgDetermine flushes
+// settled cells, and the epoch-gated runtime discard sweep removes regions
+// the new frontier wholly dominates. Emitted results are appended
 // to the caller's pending vector, which is what lets ProgXeSession expose a
 // pull-based NextBatch on top while ProgXeExecutor::Run stays a thin loop.
 #pragma once
@@ -47,9 +47,8 @@ class RegionLoop {
   bool done() const { return done_; }
 
   /// OK while healthy. The "pipeline.chunk" fault site (a stand-in for a
-  /// parallel join->map worker crash) lands here; the loop is done()
-  /// afterwards and the session surfaces the failure through its own error
-  /// channel.
+  /// join->map failure) lands here; the loop is done() afterwards and the
+  /// session surfaces the failure through its own error channel.
   const Status& status() const { return status_; }
 
   /// Min-merges into `lo[0..k)` the canonical lower cell edges of every

@@ -166,8 +166,8 @@ void ProgXeSession::Fail(Status status) {
 void ProgXeSession::Close() {
   if (closed_) return;
   closed_ = true;
-  // The loop references the prepared state: destroy it first. Its pipeline
-  // destructor joins any worker threads, even mid-region.
+  // The loop references the prepared state: destroy it first, even
+  // mid-region.
   loop_.reset();
   prep_.reset();
   pending_.clear();

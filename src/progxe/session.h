@@ -80,12 +80,12 @@ class ProgXeSession : public ProgXeStream {
   size_t NextBatch(size_t max_results, size_t max_pairs,
                    std::vector<ResultTuple>* out) override;
 
-  /// Cooperatively tears the session down: joins any RegionJoinPipeline
-  /// workers, releases the prepared query state and scratch buffers, and
-  /// drops undelivered results. Finished() is true afterwards and further
-  /// NextBatch calls deliver nothing. Idempotent; the destructor delegates
-  /// here, so an explicit Close is only needed to reclaim resources (or
-  /// worker threads) before the session object itself goes away.
+  /// Cooperatively tears the session down: releases the prepared query
+  /// state and scratch buffers, and drops undelivered results. Finished()
+  /// is true afterwards and further NextBatch calls deliver nothing.
+  /// Idempotent; the destructor delegates here, so an explicit Close is
+  /// only needed to reclaim resources before the session object itself
+  /// goes away.
   void Close() override;
 
   /// True once every result has been delivered (the run completed, hit

@@ -101,7 +101,7 @@ struct ShardOptions {
   /// and hands it to the re-opened incarnation, which pre-removes the
   /// checkpoint's skip-safe regions instead of replaying the whole
   /// sub-session — bounding replay pairs (and re-shipped bytes for remote
-  /// shards on v2 links). The delivered set is bit-identical either way;
+  /// shards). The delivered set is bit-identical either way;
   /// the dedup set remains the safety net. False restores the PR 6
   /// from-scratch replay behavior.
   bool checkpoint_retry = true;
@@ -149,10 +149,10 @@ class ProgXeStream {
     return NextBatch(max_results, /*max_pairs=*/0, out);
   }
 
-  /// Cooperatively tears the stream down: joins any worker threads (for a
-  /// sharded stream: waits for each shard's running pump, dropping the
-  /// queued ones) and releases engine state; stats() stays readable. Finished() is true
-  /// afterwards and further NextBatch calls deliver nothing. Idempotent.
+  /// Cooperatively tears the stream down (for a sharded stream: waits for
+  /// each shard's running pump, dropping the queued ones) and releases
+  /// engine state; stats() stays readable. Finished() is true afterwards
+  /// and further NextBatch calls deliver nothing. Idempotent.
   virtual void Close() = 0;
 
   /// True once every result has been delivered or the stream was closed.

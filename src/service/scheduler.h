@@ -70,8 +70,8 @@ bool FairnessPolicyFromName(std::string_view name, FairnessPolicy* out);
 /// Serving-layer configuration.
 struct ServiceOptions {
   /// Scheduler worker threads (>= 1). Workers run PreparePhase on
-  /// admission and NextBatch slices; a query's own
-  /// ProgXeOptions::num_threads pool, if any, is layered underneath.
+  /// admission and NextBatch slices; a sharded query's shard pumps run
+  /// underneath, on ShardedStream's process-wide pool.
   int num_workers = 1;
 
   /// Join-pair budget per NextBatch slice. 0 disables slicing: each slice
@@ -359,16 +359,7 @@ class QueryScheduler {
   /// admission queue is full.
   Result<QueryHandle> Submit(const SkyMapJoinQuery& query,
                              ProgXeOptions options, QuerySink* sink,
-                             const SubmitOptions& submit);
-
-  /// Weight-only convenience overload (the pre-SubmitOptions signature).
-  Result<QueryHandle> Submit(const SkyMapJoinQuery& query,
-                             ProgXeOptions options, QuerySink* sink,
-                             double weight = 1.0) {
-    SubmitOptions submit;
-    submit.weight = weight;
-    return Submit(query, std::move(options), sink, submit);
-  }
+                             const SubmitOptions& submit = SubmitOptions());
 
   /// Blocks until every query submitted so far is terminal.
   void Drain();

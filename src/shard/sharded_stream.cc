@@ -963,7 +963,7 @@ size_t ShardedStream::NextBatch(size_t max_results, size_t max_pairs,
   if (CapReached()) {
     // Early termination, merge-level: the remaining shard work (and the
     // held candidates) can never be delivered — drop the run-ahead pumps
-    // and release the engines (and their worker threads) now.
+    // and release the engines now.
     Shutdown();
     ReleaseMergeState();
   }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -32,25 +31,12 @@ std::vector<std::pair<RowId, RowId>> Sorted(
 
 Result<std::vector<ResultTuple>> RunConfig(const Config& cfg, size_t batch_size,
                                      ProgXeStats* stats,
-                                     size_t max_results = 0,
-                                     int num_threads = 1) {
+                                     size_t max_results = 0) {
   ProgXeOptions options;
   options.insert_batch_size = batch_size;
   options.max_results = max_results;
   options.seed = 0xfeed;
-  options.num_threads = num_threads;
   return RunProgXe(cfg.query(), options, stats);
-}
-
-/// Thread counts the parallel pipeline is swept over; PROGXE_TEST_THREADS
-/// adds one more (the ThreadSanitizer CI job sets it to 4).
-std::vector<int> ThreadSweep() {
-  std::vector<int> sweep = {2, 8};
-  if (const char* env = std::getenv("PROGXE_TEST_THREADS")) {
-    const int extra = std::atoi(env);
-    if (extra > 1) sweep.push_back(extra);
-  }
-  return sweep;
 }
 
 class BatchedEquivalenceSweep : public ::testing::TestWithParam<int> {};
@@ -68,7 +54,6 @@ TEST_P(BatchedEquivalenceSweep, BatchedMatchesOracleAndLegacyCounters) {
   EXPECT_EQ(Sorted(legacy.value()), oracle) << "legacy path, param=" << param;
 
   // Default block size plus an odd size that exercises ragged tails.
-  std::vector<std::pair<RowId, RowId>> batched256_seq;
   for (size_t batch : {size_t{256}, size_t{7}}) {
     ProgXeStats batched_stats;
     auto batched = RunConfig(cfg, batch, &batched_stats);
@@ -76,26 +61,6 @@ TEST_P(BatchedEquivalenceSweep, BatchedMatchesOracleAndLegacyCounters) {
     EXPECT_EQ(Sorted(batched.value()), oracle)
         << "batch=" << batch << ", param=" << param;
     ExpectSameStats(legacy_stats, batched_stats, "full run");
-    if (batch == 256) {
-      for (const auto& res : batched.value()) {
-        batched256_seq.emplace_back(res.r_id, res.t_id);
-      }
-    }
-  }
-
-  // The parallel join->map pipeline: any worker count must reproduce the
-  // single-threaded *emission sequence* and counters bit-for-bit — the
-  // ordered merge feeds the output table in exactly the sequential pair
-  // order.
-  for (int threads : ThreadSweep()) {
-    ProgXeStats mt_stats;
-    auto mt = RunConfig(cfg, 256, &mt_stats, 0, threads);
-    ASSERT_TRUE(mt.ok());
-    std::vector<std::pair<RowId, RowId>> mt_seq;
-    for (const auto& res : mt.value()) mt_seq.emplace_back(res.r_id, res.t_id);
-    EXPECT_EQ(mt_seq, batched256_seq)
-        << "threads=" << threads << ", param=" << param;
-    ExpectSameStats(legacy_stats, mt_stats, "parallel run");
   }
 
   // max_results early termination: the emitted prefix must be identical

@@ -13,6 +13,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -366,6 +367,71 @@ TEST(Wire, OverflowedRowCountRejectedBeforeAllocation) {
   Relation rel{Schema::Anonymous(0)};
   EXPECT_FALSE(ReadRelation(&r, &rel).ok());
   EXPECT_FALSE(r.status().ok());
+}
+
+/// WriteOptions' bytes with the i64 field that encodes `sentinel`
+/// overwritten by `forged` (the sentinel must occur exactly once).
+std::string ForgeOptionsField(const ProgXeOptions& options, int64_t sentinel,
+                              int64_t forged) {
+  std::string buf;
+  WireWriter w(&buf);
+  WriteOptions(options, &w);
+  std::string needle;
+  WireWriter(&needle).PutI64(sentinel);
+  const size_t at = buf.find(needle);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(buf.find(needle, at + 1), std::string::npos);
+  std::string patch;
+  WireWriter(&patch).PutI64(forged);
+  buf.replace(at, patch.size(), patch);
+  return buf;
+}
+
+// insert_batch_size sizes the pipeline's block buffers: a frame carrying
+// 2^40 must fail the decode, not reach a worker's allocation.
+TEST(Wire, OptionsRejectInsertBatchSizeAboveCeiling) {
+  ProgXeOptions options;
+  options.insert_batch_size = size_t{1} << 40;
+  std::string buf;
+  WireWriter w(&buf);
+  WriteOptions(options, &w);
+  WireReader r(buf);
+  ProgXeOptions decoded;
+  EXPECT_TRUE(ReadOptions(&r, &decoded).IsInvalidArgument());
+
+  options.insert_batch_size = 256;  // the default decodes fine
+  buf.clear();
+  WriteOptions(options, &w);
+  WireReader ok_reader(buf);
+  EXPECT_TRUE(ReadOptions(&ok_reader, &decoded).ok());
+  EXPECT_EQ(decoded.insert_batch_size, 256u);
+}
+
+// The int-typed options travel as i64; a value outside int range must be
+// rejected, never narrowed.
+TEST(Wire, OptionsRejectIntFieldsOutOfRange) {
+  ProgXeOptions options;
+  options.input_cells_per_dim = 0x1a2b3c01;
+  options.output_cells_per_dim = 0x1a2b3c02;
+  options.bloom_hashes = 0x1a2b3c03;
+  options.fault_instance = 0x1a2b3c04;
+  for (int64_t sentinel : {0x1a2b3c01, 0x1a2b3c02, 0x1a2b3c03, 0x1a2b3c04}) {
+    for (int64_t forged : {int64_t{1} << 40, -(int64_t{1} << 40),
+                           int64_t{std::numeric_limits<int>::max()} + 1}) {
+      const std::string buf = ForgeOptionsField(options, sentinel, forged);
+      WireReader r(buf);
+      ProgXeOptions decoded;
+      EXPECT_TRUE(ReadOptions(&r, &decoded).IsInvalidArgument())
+          << "sentinel=" << sentinel << " forged=" << forged;
+    }
+  }
+  // In range, the same bytes decode to the same values.
+  const std::string buf = ForgeOptionsField(options, 0x1a2b3c01, 8);
+  WireReader r(buf);
+  ProgXeOptions decoded;
+  ASSERT_TRUE(ReadOptions(&r, &decoded).ok());
+  EXPECT_EQ(decoded.input_cells_per_dim, 8);
+  EXPECT_EQ(decoded.fault_instance, 0x1a2b3c04);
 }
 
 TEST(Net, ParseWorkerListValidates) {
@@ -799,57 +865,70 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
   EXPECT_GT(suppressed, 0);
 }
 
-// A coordinator pinned to wire v1 never ships checkpoints: the same kill
-// choreography still recovers bit-identically, but via full replay
-// (replay_pairs_saved stays 0) — the downlevel path must remain sound.
-TEST(Net, V1PinnedPoolRecoversViaFullReplay) {
-  Rng rng(0xd15e);
-  const Config cfg = MakeConfig(&rng, false, false);
-  ProgXeOptions options;
-  options.seed = 0xfeed;
-  constexpr int kShards = 4;
-
-  ShardOptions local;
-  local.num_shards = kShards;
-  auto in_process = OpenProgXeStream(cfg.query(), options, local);
-  ASSERT_TRUE(in_process.ok());
-  const IdSet reference = SortedIds(DrainStream(in_process->get(), 0, 0));
-
-  auto doomed = MustStartWorker();
-  auto survivor = MustStartWorker();
-  NetOptions net;
-  net.max_wire_version = 1;
-  auto pool = std::make_shared<WorkerPool>(net);
-
-  ShardOptions distributed;
-  distributed.num_shards = kShards;
-  distributed.workers = {Endpoint(*doomed), Endpoint(*survivor)};
-  distributed.worker_pool = pool;
-  distributed.max_retries = 8;
-  distributed.retry_backoff = std::chrono::milliseconds(1);
-  auto stream = OpenProgXeStream(cfg.query(), options, distributed);
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-
-  std::vector<ResultTuple> batch;
-  IdSet delivered;
-  int pumps = 0;
-  while (!(*stream)->Finished()) {
-    (*stream)->NextBatch(0, 160, &batch);
-    for (const ResultTuple& res : batch) {
-      delivered.emplace_back(res.r_id, res.t_id);
-    }
-    if (++pumps == 2 && doomed != nullptr) {
-      doomed->Stop();
-      doomed.reset();
-    }
+// There is one wire version. A kHello offering the previous or the next
+// version, or a wrong magic, gets a kError reply and the worker closes the
+// link before parsing any other frame; a worker acking another version
+// fails the pool's checkout with InvalidArgument. A normal checkout still
+// handshakes.
+TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
+  constexpr std::chrono::milliseconds kDeadline(2000);
+  auto worker = MustStartWorker();
+  const std::string endpoint = Endpoint(*worker);
+  struct Hello {
+    uint32_t magic;
+    uint16_t version;
+  };
+  for (const Hello& hello :
+       {Hello{kWireMagic, kWireVersion - 1}, Hello{kWireMagic, kWireVersion + 1},
+        Hello{kWireMagic ^ 0xffu, kWireVersion}}) {
+    auto fd = DialTcp(endpoint, kDeadline);
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    std::string payload;
+    WireWriter w(&payload);
+    w.PutU32(hello.magic);
+    w.PutU16(hello.version);
+    ASSERT_TRUE(SendFrame(*fd, MsgType::kHello, payload).ok());
+    MsgType type;
+    ASSERT_TRUE(RecvFrame(*fd, &type, &payload, kDeadline).ok());
+    EXPECT_EQ(type, MsgType::kError) << "version=" << hello.version;
+    WireReader r(payload);
+    Status error;
+    ASSERT_TRUE(ReadStatusPayload(&r, &error).ok());
+    EXPECT_TRUE(error.IsInvalidArgument()) << error.ToString();
+    // The worker closed the link: the next read hits EOF, not a frame.
+    EXPECT_FALSE(RecvFrame(*fd, &type, &payload, kDeadline).ok());
+    CloseFd(*fd);
   }
-  std::sort(delivered.begin(), delivered.end());
-  EXPECT_EQ(delivered, reference);
-  EXPECT_TRUE((*stream)->last_status().ok());
-  const ShardCoverage coverage = (*stream)->coverage();
-  EXPECT_TRUE(coverage.complete());
-  EXPECT_EQ(coverage.replay_pairs_saved, 0u)
-      << "a v1 link cannot ship checkpoints";
+
+  WorkerPool pool;
+  auto conn = pool.Checkout(endpoint);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  EXPECT_TRUE((*conn)->healthy());
+  pool.Return(std::move(*conn));
+
+  // Coordinator side: a peer that acks a newer version is refused.
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread fake_worker([fd = listener->fd, kDeadline] {
+    auto peer = AcceptTcp(fd);
+    if (!peer.ok()) return;
+    MsgType type;
+    std::string payload;
+    if (RecvFrame(*peer, &type, &payload, kDeadline).ok()) {
+      std::string ack;
+      WireWriter w(&ack);
+      w.PutU32(kWireMagic);
+      w.PutU16(kWireVersion + 1);
+      (void)SendFrame(*peer, MsgType::kHelloAck, ack);
+    }
+    CloseFd(*peer);
+  });
+  auto refused =
+      pool.Checkout("127.0.0.1:" + std::to_string(listener->port));
+  fake_worker.join();
+  CloseFd(listener->fd);
+  EXPECT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
 }
 
 // Loopback run under seeded net.send/net.recv/net.frame chaos: torn

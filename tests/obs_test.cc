@@ -225,7 +225,7 @@ TEST(Trace, MultiThreadInterleavingIsCleanAndComplete) {
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([t] {
       for (int i = 0; i < kPerThread; ++i) {
-        TraceSpan span(trace_cats::kPipeline, "mt.span");
+        TraceSpan span(trace_cats::kRegion, "mt.span");
         span.arg("thread", t);
         span.arg("i", i);
       }
@@ -276,7 +276,6 @@ TEST(Trace, TracingOnAndOffAreBitIdentical) {
   for (int round = 0; round < 3; ++round) {
     const test::Config cfg = test::MakeConfig(&rng, round == 1, round == 2);
     ProgXeOptions options;
-    options.num_threads = round == 2 ? 3 : 1;
 
     ProgXeStats stats_off;
     auto off = RunProgXe(cfg.query(), options, &stats_off);

@@ -122,12 +122,12 @@ TEST(PrepareCacheFingerprint, SeparatesPrepareInputsIgnoresConsumption) {
   pushed.push_through = !options.push_through;
   EXPECT_NE(fp, PrepareCache::Fingerprint(cfg.query(), pushed));
 
-  // ...while consumption-side options (ordering, threads, budgets, seed)
+  // ...while consumption-side options (ordering, batch size, budgets, seed)
   // never change what the prepare phase builds, so they share the entry.
   ProgXeOptions consumer = options;
   consumer.seed = 0xbeef;
   consumer.ordering = OrderingMode::kRandom;
-  consumer.num_threads = 4;
+  consumer.insert_batch_size = 7;
   consumer.max_results = 7;
   EXPECT_EQ(fp, PrepareCache::Fingerprint(cfg.query(), consumer));
 }
@@ -275,7 +275,6 @@ TEST_P(PrepareCacheEquivalenceSweep, CachedHitMatchesColdRun) {
 
   ProgXeOptions options;
   options.seed = 0xfeed;
-  if (param % 3 == 1) options.num_threads = 2 + (param % 2) * 6;
   if (param % 3 == 2) options.max_results = 1 + static_cast<size_t>(param);
 
   ProgXeStats cold_stats;

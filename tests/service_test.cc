@@ -132,9 +132,7 @@ TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
     configs.push_back(MakeConfig(&rng, i % 5 == 0, i % 4 == 0));
     ProgXeOptions opt;
     opt.seed = 0xfeed + static_cast<uint64_t>(i);
-    // Exercise a per-session worker pool under the scheduler pool, and one
-    // early-terminated query.
-    if (i % 4 == 2) opt.num_threads = 2;
+    // One early-terminated query.
     if (i == 5) opt.max_results = 7;
     options.push_back(opt);
   }
@@ -158,10 +156,12 @@ TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
   std::vector<RecordingSink> sinks(kQueries);
   std::vector<QueryHandle> handles;
   for (int i = 0; i < kQueries; ++i) {
+    SubmitOptions submit;
+    submit.weight = 1.0 + i % 3;
     auto handle = scheduler.Submit(
         configs[static_cast<size_t>(i)].query(),
         options[static_cast<size_t>(i)], &sinks[static_cast<size_t>(i)],
-        /*weight=*/1.0 + i % 3);
+        submit);
     ASSERT_TRUE(handle.ok());
     handles.push_back(*handle);
   }
@@ -436,7 +436,9 @@ TEST(Scheduler, SubmitRejectsNullSinkAndBadWeight) {
                   .status()
                   .IsInvalidArgument());
   RecordingSink sink;
-  EXPECT_TRUE(scheduler.Submit(cfg.query(), ProgXeOptions(), &sink, 0.0)
+  SubmitOptions zero_weight;
+  zero_weight.weight = 0.0;
+  EXPECT_TRUE(scheduler.Submit(cfg.query(), ProgXeOptions(), &sink, zero_weight)
                   .status()
                   .IsInvalidArgument());
 }

@@ -1,10 +1,9 @@
 // ProgXeSession tests: incremental NextBatch consumption must deliver
 // exactly the one-shot Run emission sequence with identical ProgXeStats
-// counters, across randomized seeded configs, batch granularities, thread
-// counts and early termination.
+// counters, across randomized seeded configs, batch granularities, pair
+// budgets and early termination.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -66,9 +65,7 @@ TEST_P(SessionEquivalenceSweep, NextBatchMatchesRun) {
 
   ProgXeOptions options;
   options.seed = 0xfeed;
-  // A third of the configs exercise the parallel pipeline through the
-  // session; another third run with an early-termination cap.
-  if (param % 3 == 1) options.num_threads = 2 + (param % 2) * 6;
+  // A third of the configs run with an early-termination cap.
   if (param % 3 == 2) options.max_results = 1 + static_cast<size_t>(param);
 
   ProgXeStats run_stats;
@@ -121,7 +118,6 @@ TEST_P(SessionBudgetSweep, BudgetedNextBatchMatchesRun) {
 
   ProgXeOptions options;
   options.seed = 0xfeed;
-  if (param % 3 == 1) options.num_threads = 2 + (param % 2) * 2;
   if (param % 3 == 2) options.max_results = 1 + static_cast<size_t>(param);
 
   ProgXeStats run_stats;
@@ -168,16 +164,13 @@ TEST(Session, CloseReleasesAndFinishes) {
   EXPECT_TRUE((*session)->Finished());
 }
 
-TEST(Session, CloseMidRegionJoinsParallelWorkers) {
+TEST(Session, CloseMidRegionIsClean) {
   Rng rng(0xc106);
   const Config cfg = MakeConfig(&rng, false, true);
   ProgXeOptions options;
-  options.num_threads = 4;
-  const char* env_threads = std::getenv("PROGXE_TEST_THREADS");
-  if (env_threads != nullptr) options.num_threads = std::atoi(env_threads);
 
   // Yield mid-region with a tiny budget, then Close while the pipeline
-  // still holds an open region: worker teardown must be deterministic.
+  // still holds an open region: teardown must be clean.
   auto session = ProgXeSession::Open(cfg.query(), options);
   ASSERT_TRUE(session.ok());
   std::vector<ResultTuple> batch;

@@ -2,12 +2,11 @@
 // shards must deliver exactly the unsharded result *set* — only
 // guaranteed-final tuples, no retractions, no duplicates — with the
 // aggregate ProgXeStats equal to the per-shard counters summed, for any
-// K, consumption granularity, pair budget and thread count.
+// K, consumption granularity and pair budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
@@ -39,13 +38,6 @@ IdSet SortedIds(const std::vector<ResultTuple>& results) {
   for (const ResultTuple& res : results) ids.emplace_back(res.r_id, res.t_id);
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-/// Worker threads for the threaded sweep configs; PROGXE_TEST_THREADS
-/// overrides (the TSan CI job runs with 4).
-int TestThreads() {
-  const char* env = std::getenv("PROGXE_TEST_THREADS");
-  return env != nullptr ? std::atoi(env) : 2;
 }
 
 /// Drains a stream through the abstract interface. With a budget, counts
@@ -126,7 +118,6 @@ TEST_P(ShardedEquivalenceSweep, ShardedSetEqualsUnsharded) {
 
   ProgXeOptions options;
   options.seed = 0xfeed + static_cast<uint64_t>(param);
-  if (param % 3 == 1) options.num_threads = TestThreads();
   // Push-through stacks a second id remap (pruned -> shard -> original).
   if (param % 4 == 2) options.push_through = true;
 
@@ -176,7 +167,6 @@ TEST_P(ShardedBudgetSweep, BudgetedConsumptionDeliversSameSet) {
 
   ProgXeOptions options;
   options.seed = 0xfeed;
-  if (param % 2 == 1) options.num_threads = TestThreads();
 
   ProgXeStats unsharded_stats;
   const IdSet reference = UnshardedReference(cfg, options, &unsharded_stats);
@@ -350,7 +340,6 @@ TEST(ShardedStream, CloseMidStreamReleasesAndFinishes) {
   Rng rng(0xc1053);
   const Config cfg = MakeConfig(&rng, false, true);
   ProgXeOptions options;
-  options.num_threads = TestThreads();  // worker teardown mid-shard
   ShardOptions shard_options;
   shard_options.num_shards = 4;
   auto stream = OpenProgXeStream(cfg.query(), options, shard_options);

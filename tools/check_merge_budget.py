@@ -58,10 +58,11 @@ whose instrumentation makes nanosecond timings meaningless (sanitizers);
 the plain build keeps them.
 
 Accepts a bare bench_sharded JSON ({"runs": [...]}), a full
-BENCH_progxe.json (takes its "sharded" key, plus "reuse"/"distributed"
-when present), or a bare bench_multiquery JSON (no sharded runs — only
-the "reuse" gate applies; missing sharded data is an error only when
-there is no reuse section either).
+BENCH_progxe.json (takes its "sharded" key, plus "multiquery.reuse" and
+"distributed" when present), or a bare bench_multiquery JSON (its
+top-level "reuse"; no sharded runs — only the "reuse" gate applies;
+missing sharded data is an error only when there is no reuse section
+either).
 
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--checkpoint_budget=N]

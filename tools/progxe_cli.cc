@@ -13,8 +13,6 @@
 //   --algo=<name|all>  ProgXe, ProgXe+, ProgXe-NoOrder, ProgXe+-NoOrder,
 //                      JF-SL, JF-SL+, SSMJ, SAJ, all  (default ProgXe)
 //   --kd               use the kd-tree partitioner for ProgXe variants
-//   --num_threads=<w>  join->map worker threads for ProgXe variants
-//                      (default 1; results are identical at any count)
 //   --shards=<K>       hash-partition the join across K engine shards
 //                      (ProgXe variants; default 1 = unsharded, the result
 //                      set is identical at any K)
@@ -91,7 +89,6 @@ struct CliArgs {
   uint64_t seed = 42;
   std::string algo = "ProgXe";
   bool kd = false;
-  int num_threads = 1;
   int shards = 1;
   std::vector<std::string> shard_workers;
   bool result_hash = false;
@@ -150,14 +147,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       args->csv_path = v;
     } else if (const char* v = value("--trace_out=")) {
       args->trace_path = v;
-    } else if (const char* v = value("--num_threads=")) {
-      if (!ParseI32(v, &args->num_threads)) {
-        return BadNumber("--num_threads", v);
-      }
-      if (args->num_threads < 1) {
-        std::fprintf(stderr, "--num_threads must be >= 1\n");
-        return false;
-      }
     } else if (const char* v = value("--shards=")) {
       if (!ParseI32(v, &args->shards)) return BadNumber("--shards", v);
       if (args->shards < 1) {
@@ -299,7 +288,6 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
            CsvWriter* csv) {
   ProgXeOptions tuning;
   if (args.kd) tuning.partitioning = PartitioningScheme::kKdTree;
-  tuning.num_threads = args.num_threads;
   ShardOptions shards;
   shards.num_shards = args.shards;
   if (!ApplyFaultArgs(args, &tuning, &shards)) return 2;
@@ -410,7 +398,6 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
 
   ProgXeOptions tuning;
   if (args.kd) tuning.partitioning = PartitioningScheme::kKdTree;
-  tuning.num_threads = args.num_threads;
   SubmitOptions submit;
   submit.shards.num_shards = args.shards;
   if (!ApplyFaultArgs(args, &tuning, &submit.shards)) return 2;

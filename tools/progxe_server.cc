@@ -29,7 +29,7 @@
 //
 // Protocol (one command per line; tokens are key=value or bare words):
 //   submit [dist=independent|correlated|anticorrelated] [n=10000] [dims=4]
-//          [sigma=0.001] [seed=42] [threads=1] [max_results=0] [weight=1]
+//          [sigma=0.001] [seed=42] [max_results=0] [weight=1]
 //          [shards=1] [deadline_ms=0]
 //          [algo=ProgXe|ProgXe+|ProgXe-NoOrder|ProgXe+-NoOrder] [kd]
 //          [faults=<spec>] [fault_seed=0] [max_retries=2]
@@ -115,7 +115,6 @@ namespace {
 constexpr size_t kMaxCardinality = 20'000'000;
 constexpr int kMaxDims = 16;
 constexpr int kMaxShards = 64;
-constexpr int kMaxThreads = 128;
 constexpr int kMaxRetries = 1000;
 
 std::mutex g_out_mtx;
@@ -282,14 +281,6 @@ bool ParseSubmit(const std::vector<std::string>& tokens, SubmitSpec* spec,
     } else if (key == "seed") {
       if (!ParseU64(val, &spec->params.seed)) return bad_value();
       spec->shaped = true;
-    } else if (key == "threads") {
-      if (!ParseI32(val, &spec->options.num_threads)) return bad_value();
-      if (spec->options.num_threads < 1 ||
-          spec->options.num_threads > kMaxThreads) {
-        *error = "threads out of range [1, " + std::to_string(kMaxThreads) +
-                 "]: " + val;
-        return false;
-      }
     } else if (key == "max_results") {
       if (!ParseSize(val, &spec->options.max_results)) return bad_value();
     } else if (key == "weight") {

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Runs the perf-trajectory benches and writes BENCH_progxe.json at the repo
 # root: Fig-10/13-style per-config total time, time-to-first-result and
-# dominance-comparison counts, the thread-scaling sweep of the parallel
-# join->map pipeline (bench_scaling_threads), the multi-query serving-layer
-# sweep (bench_multiquery), the shard-count sweep of the sharded executor
+# dominance-comparison counts, the multi-query serving-layer sweep
+# (bench_multiquery), the shard-count sweep of the sharded executor
 # (bench_sharded), plus the insert-path and CombineBatch microbenchmark
 # throughput when google-benchmark is available.
 #
@@ -20,7 +19,6 @@ if [[ ! -x "$build_dir/bench_json_summary" ]]; then
   echo "building benches in $build_dir ..."
   cmake -B "$build_dir" -S "$repo_root" >/dev/null
   cmake --build "$build_dir" -j --target bench_json_summary >/dev/null
-  cmake --build "$build_dir" -j --target bench_scaling_threads >/dev/null
   cmake --build "$build_dir" -j --target bench_multiquery >/dev/null
   cmake --build "$build_dir" -j --target bench_sharded >/dev/null
   cmake --build "$build_dir" -j --target bench_distributed >/dev/null
@@ -29,14 +27,6 @@ fi
 
 out="$repo_root/BENCH_progxe.json"
 "$build_dir/bench_json_summary" --out="$out.tmp" "$@"
-
-threads_json=""
-if [[ -x "$build_dir/bench_scaling_threads" ]]; then
-  echo "running thread-scaling bench ..."
-  "$build_dir/bench_scaling_threads" --json="$out.threads.tmp" "$@"
-  threads_json="$(cat "$out.threads.tmp")"
-  rm -f "$out.threads.tmp"
-fi
 
 multiquery_json=""
 if [[ -x "$build_dir/bench_multiquery" ]]; then
@@ -86,27 +76,20 @@ if [[ -n "$(git -C "$repo_root" status --porcelain --untracked-files=no \
   sha="$sha-dirty"
 fi
 
-# Merge the thread-scaling, multi-query, sharded and micro results (if any)
+# Merge the multi-query, sharded, distributed and micro results (if any)
 # into the summary JSON, and carry forward the run history: each invocation
 # appends one timestamped headline entry to a bounded "history" array
 # instead of wiping the previous runs' trajectory.
-MICRO_JSON="$micro_json" THREADS_JSON="$threads_json" \
+MICRO_JSON="$micro_json" \
 MULTIQUERY_JSON="$multiquery_json" SHARDED_JSON="$sharded_json" \
 DISTRIBUTED_JSON="$distributed_json" RUN_SCALE="$scale" RUN_NPROC="$cores" \
 RUN_COMPILER="$compiler" RUN_SHA="$sha" \
 python3 - "$out.tmp" "$out" <<'EOF'
 import datetime, json, os, sys
 summary = json.load(open(sys.argv[1]))
-threads_raw = os.environ.get("THREADS_JSON", "")
-if threads_raw.strip():
-    summary["thread_scaling"] = json.loads(threads_raw)
 multiquery_raw = os.environ.get("MULTIQUERY_JSON", "")
 if multiquery_raw.strip():
     summary["multiquery"] = json.loads(multiquery_raw)
-    # Cross-query reuse headline (refinement burst): lifted to the top
-    # level so the CI gate and trend tooling find it without digging.
-    if isinstance(summary["multiquery"], dict) and "reuse" in summary["multiquery"]:
-        summary["reuse"] = summary["multiquery"]["reuse"]
 sharded_raw = os.environ.get("SHARDED_JSON", "")
 if sharded_raw.strip():
     summary["sharded"] = json.loads(sharded_raw)
@@ -147,7 +130,8 @@ if isinstance(sharded, dict):
                         "t_first_ratio"):
                 if key in run:
                     entry[f"k4_{key}"] = run[key]
-reuse = summary.get("reuse")
+multiquery = summary.get("multiquery")
+reuse = multiquery.get("reuse") if isinstance(multiquery, dict) else None
 if isinstance(reuse, dict):
     for key in ("prepare_skipped", "results_match"):
         if key in reuse:
