@@ -9,9 +9,10 @@
 //   2. Input-grid resolution: more input partitions => more, tighter
 //      regions => more look-ahead pruning and fewer join pairs, at the cost
 //      of more region bookkeeping.
-//   3. Signature realization: exact signatures guarantee population (and so
-//      enable region/cell pruning); Bloom signatures only skip provably
-//      disjoint pairs.
+//   3. Shared-key test: the exact test merges the two partitions' sorted
+//      key runs, and a hit guarantees population (and so enables
+//      region/cell pruning); Bloom filters only skip provably disjoint
+//      pairs, and the exact mode builds none.
 //   4. The analytic slice bound itself, tabulated.
 #include <cmath>
 
@@ -122,8 +123,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 3. Signature realization --------------------------------------------
-  std::printf("\n--- signature mode (independent, low sigma) ---\n");
+  // --- 3. Shared-key test ---------------------------------------------------
+  std::printf("\n--- shared-key test (independent, low sigma) ---\n");
   {
     WorkloadParams params;
     params.distribution = Distribution::kIndependent;
@@ -132,11 +133,11 @@ int main(int argc, char** argv) {
     params.sigma = 0.0005;
     params.seed = args.seed;
     Workload w = MustMakeWorkload(params);
-    for (SignatureMode mode : {SignatureMode::kExact, SignatureMode::kBloom}) {
+    for (SharedKeyTest mode : {SharedKeyTest::kExact, SharedKeyTest::kBloom}) {
       ProgXeOptions options;
       options.signature_mode = mode;
       const AblationRun run = RunWith(w, options);
-      PrintStatsRow(mode == SignatureMode::kExact ? "exact" : "bloom",
+      PrintStatsRow(mode == SharedKeyTest::kExact ? "exact" : "bloom",
                     run.stats, run.secs);
     }
   }

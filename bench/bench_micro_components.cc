@@ -9,7 +9,7 @@
 #include "data/generator.h"
 #include "grid/bloom_filter.h"
 #include "grid/grid_geometry.h"
-#include "join/hash_join.h"
+#include "join/key_index.h"
 #include "mapping/canonical.h"
 #include "prefs/dominance.h"
 #include "progxe/output_table.h"
@@ -116,7 +116,8 @@ void BM_GridCoordsOf(benchmark::State& state) {
 }
 BENCHMARK(BM_GridCoordsOf)->Arg(2)->Arg(4)->Arg(5);
 
-void BM_HashJoin(benchmark::State& state) {
+// Builds both sides' key runs and merge-joins them, the way JF-SL joins.
+void BM_KeyIndexJoin(benchmark::State& state) {
   const double sigma = 1.0 / static_cast<double>(state.range(0));
   GeneratorOptions opts;
   opts.cardinality = 5000;
@@ -127,12 +128,12 @@ void BM_HashJoin(benchmark::State& state) {
   opts.seed = 2;
   Relation t = GenerateRelation(opts).MoveValue();
   for (auto _ : state) {
-    size_t count = 0;
-    HashJoin(r, t, [&count](RowId, RowId) { ++count; });
+    const size_t count =
+        JoinIndexes(KeyIndex(r), KeyIndex(t), [](RowId, RowId) {});
     benchmark::DoNotOptimize(count);
   }
 }
-BENCHMARK(BM_HashJoin)->Arg(10)->Arg(1000);
+BENCHMARK(BM_KeyIndexJoin)->Arg(10)->Arg(1000);
 
 void BM_OutputTableInsert(benchmark::State& state) {
   const int d = 4;

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "join/hash_join.h"
+#include "join/key_index.h"
 #include "skyline/group_skyline.h"
 #include "skyline/skyline.h"
 
@@ -79,7 +79,7 @@ Status RunJfSlImpl(const SkyMapJoinQuery& query, const EmitFn& emit,
   std::vector<double> values;  // flat, k per candidate, canonical
   std::vector<Candidate> cands;
   std::vector<double> buf(static_cast<size_t>(k));
-  HashJoin(*r_rel, *t_rel, [&](RowId r_id, RowId t_id) {
+  JoinIndexes(KeyIndex(*r_rel), KeyIndex(*t_rel), [&](RowId r_id, RowId t_id) {
     ++s.join_pairs;
     mapper.Combine(r_contrib.vector(r_id), t_contrib.vector(t_id), buf.data());
     values.insert(values.end(), buf.begin(), buf.end());

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "join/sort_merge_join.h"
+#include "join/key_index.h"
 #include "skyline/group_skyline.h"
 #include "skyline/skyline.h"
 
@@ -67,10 +67,10 @@ Status RunSsmj(const SkyMapJoinQuery& query, const EmitFn& emit,
   s.r_rows_used = r_lists.group_skyline.size();
   s.t_rows_used = t_lists.group_skyline.size();
 
-  std::vector<KeyedRow> r_s = SortByKey(r_rel, r_lists.source_skyline);
-  std::vector<KeyedRow> r_n = SortByKey(r_rel, r_n_only);
-  std::vector<KeyedRow> t_s = SortByKey(t_rel, t_lists.source_skyline);
-  std::vector<KeyedRow> t_n = SortByKey(t_rel, t_n_only);
+  const KeyIndex r_s(r_rel, r_lists.source_skyline);
+  const KeyIndex r_n(r_rel, r_n_only);
+  const KeyIndex t_s(t_rel, t_lists.source_skyline);
+  const KeyIndex t_n(t_rel, t_n_only);
 
   std::vector<double> values;  // flat canonical vectors of all candidates
   std::vector<Candidate> cands;
@@ -95,7 +95,7 @@ Status RunSsmj(const SkyMapJoinQuery& query, const EmitFn& emit,
   };
 
   // --- Phase 1: LS(S) join LS(S) -> first output batch ----------------------
-  MergeJoin(r_s, t_s, collect);
+  JoinIndexes(r_s, t_s, collect);
   const size_t phase1_count = cands.size();
   std::unordered_set<uint64_t> batch1_keys;
   {
@@ -112,9 +112,9 @@ Status RunSsmj(const SkyMapJoinQuery& query, const EmitFn& emit,
   if (on_batch) on_batch(1);
 
   // --- Phase 2: remaining LS combinations, final skyline at the end ---------
-  MergeJoin(r_s, t_n, collect);
-  MergeJoin(r_n, t_s, collect);
-  MergeJoin(r_n, t_n, collect);
+  JoinIndexes(r_s, t_n, collect);
+  JoinIndexes(r_n, t_s, collect);
+  JoinIndexes(r_n, t_n, collect);
 
   {
     PointView view{values.data(), cands.size(), k};

@@ -5,21 +5,11 @@
 
 namespace progxe {
 
-ElGraph::ElGraph(const std::vector<Region>& regions, const OutputTable* table,
-                 size_t max_regions)
+ElGraph::ElGraph(const std::vector<Region>& regions, const OutputTable* table)
     : table_(table) {
   removed_.assign(regions.size(), 0);
-  size_t active = 0;
   for (const Region& region : regions) {
-    if (region.Active()) {
-      ++active;
-    } else {
-      removed_[static_cast<size_t>(region.id)] = 1;
-    }
-  }
-  if (active > max_regions) {
-    disabled_ = true;
-    return;
+    if (!region.Active()) removed_[static_cast<size_t>(region.id)] = 1;
   }
 
   const GridGeometry& geometry = table_->geometry();
@@ -58,7 +48,6 @@ ElGraph::ElGraph(const std::vector<Region>& regions, const OutputTable* table,
 }
 
 int64_t ElGraph::indegree(int32_t id) const {
-  if (disabled_) return 0;
   const CellIndex c = watch_cell_[static_cast<size_t>(id)];
   if (c < 0) return 0;
   return table_->cover_lo(c) - self_term_[static_cast<size_t>(id)];
@@ -69,7 +58,7 @@ std::vector<int32_t> ElGraph::InitialRoots(
   std::vector<int32_t> roots;
   for (const Region& region : regions) {
     if (!region.Active()) continue;
-    if (disabled_ || indegree(region.id) == 0) roots.push_back(region.id);
+    if (indegree(region.id) == 0) roots.push_back(region.id);
   }
   return roots;
 }
@@ -81,7 +70,6 @@ void ElGraph::OnRegionRemoved(int32_t removed_id,
   assert(static_cast<size_t>(removed_id) < removed_.size());
   if (removed_[static_cast<size_t>(removed_id)]) return;
   removed_[static_cast<size_t>(removed_id)] = 1;
-  if (disabled_) return;
 
   // cover_lo drops by exactly one per removal, so a watcher whose cell now
   // sits at its own term just went from in-degree 1 to 0.
@@ -109,7 +97,6 @@ std::vector<int32_t> ElGraph::OnRegionRemoved(
 }
 
 size_t ElGraph::NonRootCount() const {
-  if (disabled_) return 0;
   size_t count = 0;
   for (size_t id = 0; id < removed_.size(); ++id) {
     if (!removed_[id] && indegree(static_cast<int32_t>(id)) > 0) ++count;

@@ -36,17 +36,11 @@ class ElGraph {
  public:
   /// Indexes the regions with Active() == true over `table`'s cover_lo,
   /// which must already hold their coverage (OutputTable::InitCoverage) and
-  /// must outlive the graph. If the active count exceeds `max_regions`, the
-  /// graph disables itself (every region reports as a root); disabled()
-  /// tells callers ordering quality is degraded. The cap keeps the pick
-  /// order of very large region sets unchanged, so it stays.
-  ElGraph(const std::vector<Region>& regions, const OutputTable* table,
-          size_t max_regions = 8000);
+  /// must outlive the graph. Set-up is linear in regions plus cells, so the
+  /// graph orders region sets of every size.
+  ElGraph(const std::vector<Region>& regions, const OutputTable* table);
 
-  bool disabled() const { return disabled_; }
-
-  /// Current roots: active regions with in-degree zero (all active regions
-  /// when disabled), in ascending id.
+  /// Current roots: active regions with in-degree zero, in ascending id.
   std::vector<int32_t> InitialRoots(const std::vector<Region>& regions) const;
 
   /// Removes `removed_id` from the graph (it was processed or discarded).
@@ -73,7 +67,6 @@ class ElGraph {
 
  private:
   const OutputTable* table_;
-  bool disabled_ = false;
   std::vector<uint8_t> removed_;
   /// Per region: its watch cell hi - 1 (-1 when some hi coordinate is 0)
   /// and its own term in that cell's cover_lo.

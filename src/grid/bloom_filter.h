@@ -1,11 +1,12 @@
 // Bloom filter over join-key values (Section III-A: partition signatures
 // "efficiently maintained by either Bloom Filter or a bit vector").
 //
-// A Bloom signature can only prove that two partitions do NOT share a join
-// value (no false negatives); a positive intersection test is "maybe". The
-// engine therefore uses Bloom signatures to skip partition pairs, but only
-// exact signatures to establish the guaranteed-populated property that
-// region- and partition-level pruning require.
+// A Bloom filter can only prove that two partitions do NOT share a join
+// value (no false negatives); a positive intersection test is "maybe". In
+// Bloom mode the engine therefore uses the filters to skip partition pairs,
+// but only the exact key-run test (KeyIndex::SharesKeyWith) establishes the
+// guaranteed-populated property that region- and partition-level pruning
+// require.
 #pragma once
 
 #include <cstddef>

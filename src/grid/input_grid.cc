@@ -71,10 +71,7 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
       }
     }
 
-    part.key_index = KeyIndex(rel, part.rows);
-    part.signature =
-        Signature::Build(rel, part.rows, options.signature_mode,
-                         options.bloom_bits, options.bloom_hashes);
+    IndexPartitionKeys(rel, options.keys, &part);
     partitions_.push_back(std::move(part));
   }
 }

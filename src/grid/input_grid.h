@@ -23,9 +23,7 @@ namespace progxe {
 /// Options controlling uniform-grid input partitioning.
 struct InputGridOptions {
   int cells_per_dim = 3;
-  SignatureMode signature_mode = SignatureMode::kExact;
-  size_t bloom_bits = 2048;
-  int bloom_hashes = 4;
+  PartitionKeyOptions keys;
 };
 
 /// The gridded view of one source.

@@ -96,11 +96,9 @@ void KdPartitioner::EmitLeaf(const Relation& rel,
       b = Interval(std::min(b.lo, v[j]), std::max(b.hi, v[j]));
     }
   }
-  part.key_index = KeyIndex(rel, rows);
-  part.signature = Signature::Build(rel, rows, options_.signature_mode,
-                                    options_.bloom_bits, options_.bloom_hashes);
   part.coords.assign(static_cast<size_t>(k), 0);  // not grid-aligned
   part.rows = std::move(rows);
+  IndexPartitionKeys(rel, options_.keys, &part);
   partitions_.push_back(std::move(part));
 }
 

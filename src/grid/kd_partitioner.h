@@ -21,9 +21,7 @@ struct KdPartitionerOptions {
   size_t max_rows_per_partition = 0;
   /// Upper bound on the number of leaves produced.
   size_t max_partitions = 128;
-  SignatureMode signature_mode = SignatureMode::kExact;
-  size_t bloom_bits = 2048;
-  int bloom_hashes = 4;
+  PartitionKeyOptions keys;
 };
 
 class KdPartitioner : public InputPartitioning {

@@ -1,121 +1,89 @@
-// Join-key hash index over a subset of a relation's rows.
+// Join-key index over a set of a relation's rows, as sorted key runs.
 //
 // Input partitions keep one of these so that tuple-level processing of a
-// region (Section III-B) joins two partitions in time proportional to the
-// matching groups rather than |I_a| * |I_b|.
+// region (Section III-B) joins two partitions in time proportional to their
+// key lists plus the matching pairs, rather than |I_a| * |I_b|. It is the
+// one key structure every equi-join reads: a region's join and the
+// look-ahead's shared-key test (ForEachMatch, SharesKeyWith), the
+// baselines' joins (JoinIndexes) and push-through's join groups (ForEach).
+//
+// The index is CSR-shaped: the distinct keys in ascending order, and per
+// key a run of its rows in ascending row id. Joins therefore visit pairs in
+// (key, r row, t row) order, a function of the data alone.
 #pragma once
 
-#include <cassert>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "data/relation.h"
 
 namespace progxe {
 
-/// Maps each distinct join key to the row ids bearing it.
 class KeyIndex {
  public:
   KeyIndex() = default;
 
   /// Indexes the given rows of `rel`.
-  KeyIndex(const Relation& rel, const std::vector<RowId>& rows) {
-    buckets_.reserve(rows.size());
-    for (RowId id : rows) {
-      buckets_[rel.join_key(id)].push_back(id);
-    }
-  }
+  KeyIndex(const Relation& rel, const std::vector<RowId>& rows);
 
   /// Indexes every row of `rel`.
-  explicit KeyIndex(const Relation& rel) {
-    buckets_.reserve(rel.size());
-    for (size_t i = 0; i < rel.size(); ++i) {
-      buckets_[rel.join_key(static_cast<RowId>(i))].push_back(
-          static_cast<RowId>(i));
-    }
-  }
+  explicit KeyIndex(const Relation& rel);
 
-  /// Rows with the given key, or nullptr if none.
-  const std::vector<RowId>* Find(JoinKey key) const {
-    auto it = buckets_.find(key);
-    return it == buckets_.end() ? nullptr : &it->second;
-  }
-
-  size_t distinct_keys() const { return buckets_.size(); }
-
-  /// Iterates (key, rows) pairs.
+  /// Calls fn(key, rows) per distinct key, in ascending key order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [key, rows] : buckets_) fn(key, rows);
+    for (size_t i = 0; i < keys_.size(); ++i) fn(keys_[i], run(i));
   }
 
-  /// True iff this index and `other` share at least one key. Iterates the
-  /// smaller index.
-  bool SharesKeyWith(const KeyIndex& other) const {
-    const KeyIndex* small = this;
-    const KeyIndex* large = &other;
-    if (small->buckets_.size() > large->buckets_.size()) {
-      std::swap(small, large);
+  /// Calls fn(my_rows, other_rows) per key both indexes hold, in ascending
+  /// key order: one linear merge of the two key lists.
+  template <typename Fn>
+  void ForEachMatch(const KeyIndex& other, Fn&& fn) const {
+    size_t i = 0;
+    size_t j = 0;
+    while (i < keys_.size() && j < other.keys_.size()) {
+      if (keys_[i] < other.keys_[j]) {
+        ++i;
+      } else if (other.keys_[j] < keys_[i]) {
+        ++j;
+      } else {
+        fn(run(i++), other.run(j++));
+      }
     }
-    for (const auto& [key, rows] : small->buckets_) {
-      (void)rows;
-      if (large->buckets_.count(key) != 0) return true;
-    }
-    return false;
   }
+
+  /// True iff this index and `other` share at least one key: the merge of
+  /// ForEachMatch, stopping at the first match.
+  bool SharesKeyWith(const KeyIndex& other) const;
 
  private:
-  std::unordered_map<JoinKey, std::vector<RowId>> buckets_;
+  /// Sorts the (key, row) entries and lays them out as key runs.
+  void Build(std::vector<std::pair<JoinKey, RowId>> entries);
+
+  std::span<const RowId> run(size_t i) const {
+    return {rows_.data() + offsets_[i], rows_.data() + offsets_[i + 1]};
+  }
+
+  std::vector<JoinKey> keys_;      // distinct keys, ascending
+  std::vector<uint32_t> offsets_;  // key i's run: [offsets_[i], offsets_[i+1])
+  std::vector<RowId> rows_;        // grouped by key, ascending within a key
 };
 
 /// Joins two key indexes, invoking `emit(r_id, t_id)` for every matching
-/// pair. Returns the number of pairs emitted.
+/// pair in (key, r, t) order. Returns the number of pairs emitted.
 template <typename Fn>
 size_t JoinIndexes(const KeyIndex& r_index, const KeyIndex& t_index,
                    Fn&& emit) {
   size_t count = 0;
-  r_index.ForEach([&](JoinKey key, const std::vector<RowId>& r_rows) {
-    const std::vector<RowId>* t_rows = t_index.Find(key);
-    if (t_rows == nullptr) return;
+  r_index.ForEachMatch(t_index, [&](std::span<const RowId> r_rows,
+                                    std::span<const RowId> t_rows) {
     for (RowId r : r_rows) {
-      for (RowId t : *t_rows) {
-        emit(r, t);
-        ++count;
-      }
+      for (RowId t : t_rows) emit(r, t);
     }
+    count += r_rows.size() * t_rows.size();
   });
-  return count;
-}
-
-/// Batched form of JoinIndexes: fills the caller-owned buffer `buf`
-/// (capacity `cap` pairs) and invokes `flush(buf, n)` whenever it fills,
-/// plus once for the tail. Pair order is identical to JoinIndexes, so the
-/// two forms drive downstream consumers through the same state sequence.
-/// Returns the number of pairs emitted.
-template <typename FlushFn>
-size_t JoinIndexesBatched(const KeyIndex& r_index, const KeyIndex& t_index,
-                          RowIdPair* buf, size_t cap, FlushFn&& flush) {
-  assert(cap > 0);
-  size_t count = 0;
-  size_t n = 0;
-  r_index.ForEach([&](JoinKey key, const std::vector<RowId>& r_rows) {
-    const std::vector<RowId>* t_rows = t_index.Find(key);
-    if (t_rows == nullptr) return;
-    for (RowId r : r_rows) {
-      for (RowId t : *t_rows) {
-        buf[n++] = RowIdPair{r, t};
-        if (n == cap) {
-          flush(buf, n);
-          count += n;
-          n = 0;
-        }
-      }
-    }
-  });
-  if (n > 0) {
-    flush(buf, n);
-    count += n;
-  }
   return count;
 }
 

@@ -369,7 +369,6 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutDouble(options.sigma_hint);
   w->PutU64(options.insert_batch_size);
   w->PutU64(options.seed);
-  w->PutU64(options.max_regions_for_elgraph);
   w->PutI64(options.max_output_cells);
   w->PutI64(options.fault_instance);
   w->PutU64(options.max_results);
@@ -388,20 +387,19 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
   uint8_t ordering, push_through, partitioning, signature_mode;
   int64_t in_cpd, out_cpd, bloom_hashes, max_output_cells, fault_instance;
-  uint64_t bloom_bits, insert_batch, seed, max_regions, max_results;
+  uint64_t bloom_bits, insert_batch, seed, max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
       !r->GetI64(&out_cpd) || !r->GetU8(&signature_mode) ||
       !r->GetU64(&bloom_bits) || !r->GetI64(&bloom_hashes) ||
       !r->GetDouble(&o.sigma_hint) || !r->GetU64(&insert_batch) ||
-      !r->GetU64(&seed) || !r->GetU64(&max_regions) ||
-      !r->GetI64(&max_output_cells) ||
+      !r->GetU64(&seed) || !r->GetI64(&max_output_cells) ||
       !r->GetI64(&fault_instance) || !r->GetU64(&max_results)) {
     return r->status();
   }
   if (ordering > static_cast<uint8_t>(OrderingMode::kSequential) ||
       partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree) ||
-      signature_mode > static_cast<uint8_t>(SignatureMode::kBloom)) {
+      signature_mode > static_cast<uint8_t>(SharedKeyTest::kBloom)) {
     r->Fail("wire options carry an unknown enum value");
     return r->status();
   }
@@ -419,12 +417,11 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   o.partitioning = static_cast<PartitioningScheme>(partitioning);
   o.input_cells_per_dim = static_cast<int>(in_cpd);
   o.output_cells_per_dim = static_cast<int>(out_cpd);
-  o.signature_mode = static_cast<SignatureMode>(signature_mode);
+  o.signature_mode = static_cast<SharedKeyTest>(signature_mode);
   o.bloom_bits = bloom_bits;
   o.bloom_hashes = static_cast<int>(bloom_hashes);
   o.insert_batch_size = insert_batch;
   o.seed = seed;
-  o.max_regions_for_elgraph = max_regions;
   o.max_output_cells = max_output_cells;
   o.fault_instance = static_cast<int>(fault_instance);
   o.max_results = max_results;
@@ -460,7 +457,6 @@ void WriteStats(const ProgXeStats& s, WireWriter* w) {
   w->PutU64(s.regions_created);
   w->PutU64(s.regions_pruned_lookahead);
   w->PutU64(s.cells_marked_lookahead);
-  w->PutU8(s.elgraph_disabled ? 1 : 0);
   w->PutU64(s.regions_processed);
   w->PutU64(s.regions_discarded_runtime);
   w->PutU64(s.regions_discarded_seed);
@@ -479,7 +475,6 @@ void WriteStats(const ProgXeStats& s, WireWriter* w) {
 Status ReadStats(WireReader* r, ProgXeStats* out) {
   ProgXeStats s;
   uint64_t u;
-  uint8_t b;
   auto get_size = [&](size_t* field) {
     if (!r->GetU64(&u)) return false;
     *field = static_cast<size_t>(u);
@@ -492,11 +487,8 @@ Status ReadStats(WireReader* r, ProgXeStats* out) {
       !get_size(&s.partition_pairs_skipped) ||
       !get_size(&s.regions_created) ||
       !get_size(&s.regions_pruned_lookahead) ||
-      !get_size(&s.cells_marked_lookahead) || !r->GetU8(&b)) {
-    return r->status();
-  }
-  s.elgraph_disabled = b != 0;
-  if (!get_size(&s.regions_processed) ||
+      !get_size(&s.cells_marked_lookahead) ||
+      !get_size(&s.regions_processed) ||
       !get_size(&s.regions_discarded_runtime) ||
       !get_size(&s.regions_discarded_seed) || !get_size(&s.pq_reorderings) ||
       !r->GetU64(&s.join_pairs_generated) ||

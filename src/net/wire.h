@@ -56,13 +56,15 @@ namespace progxe {
 /// kError and closes; the pool reports InvalidArgument. Bump kWireVersion
 /// whenever any payload layout changes.
 ///
-/// Version 3 payloads: kOpenShard ends with a resume SessionCheckpoint
-/// (u8 has_checkpoint + checkpoint group), kOpenResult with resume info
-/// (u8 resumed, u32 regions_skipped, u64 replay_pairs_saved) and
-/// kPumpResult with u8 has_checkpoint + checkpoint group (0 = keep the
-/// previous checkpoint; workers ship one only when its skip list grew).
+/// kOpenShard ends with a resume SessionCheckpoint (u8 has_checkpoint +
+/// checkpoint group), kOpenResult with resume info (u8 resumed,
+/// u32 regions_skipped, u64 replay_pairs_saved) and kPumpResult with
+/// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
+/// workers ship one only when its skip list grew). Version 4 workers join
+/// each region in key order, which moves order-sensitive counters, so they
+/// must not pair with a version-3 (hash-order) peer.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 3;
+inline constexpr uint16_t kWireVersion = 4;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted

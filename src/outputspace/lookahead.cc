@@ -38,7 +38,11 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
     for (size_t b = 0; b < t_parts.size(); ++b) {
       const InputPartition& pa = r_parts[a];
       const InputPartition& pb = t_parts[b];
-      if (!pa.signature.MightIntersect(pb.signature)) {
+      // Exact mode: the key lists share a key, which guarantees >= 1 join
+      // result. Bloom mode: the filters may share one.
+      const bool exact = !pa.bloom || !pb.bloom;
+      if (exact ? !pa.key_index.SharesKeyWith(pb.key_index)
+                : !pa.bloom->MightIntersect(*pb.bloom)) {
         ++out.stats.pairs_skipped_signature;
         continue;
       }
@@ -48,9 +52,7 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
       region.b = static_cast<int32_t>(b);
       mapper.CombineBounds(pa.bounds.data(), pb.bounds.data(), bounds.data());
       region.bounds = bounds;
-      // A positive exact-signature intersection guarantees >= 1 join result.
-      region.guaranteed =
-          pa.signature.exact() && pb.signature.exact();
+      region.guaranteed = exact;
       out.regions.push_back(std::move(region));
     }
   }

@@ -29,8 +29,9 @@ struct Region {
   std::vector<CellCoord> lo_cell;
   std::vector<CellCoord> hi_cell;
 
-  /// True iff at least one join result is guaranteed to exist (exact
-  /// signatures sharing a value). Only guaranteed regions may prune others.
+  /// True iff at least one join result is guaranteed to exist (exact mode:
+  /// the partitions share a join key). Only guaranteed regions may prune
+  /// others.
   bool guaranteed = false;
 
   /// Eliminated during output-space look-ahead (Example 2): every tuple this

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "data/relation.h"
-#include "grid/signature.h"
+#include "grid/partitioning.h"
 
 namespace progxe {
 
@@ -52,6 +52,13 @@ enum class OrderingMode : uint8_t {
   kSequential,
 };
 
+/// Bloom-mode ceilings on ProgXeOptions::bloom_bits (per partition filter)
+/// and bloom_hashes (probes per key). Each partition allocates its filter
+/// and every key runs the probe loop, so an unchecked value from a caller
+/// or the wire could exhaust memory or stall prepare.
+inline constexpr size_t kMaxBloomBits = size_t{1} << 16;
+inline constexpr int kMaxBloomHashes = 16;
+
 /// The four ProgXe variants evaluated in Section VI-B.
 struct ProgXeOptions {
   OrderingMode ordering = OrderingMode::kProgOrder;
@@ -70,8 +77,10 @@ struct ProgXeOptions {
   /// in total (|R'|, |T'| after push-through), capped at 60K, at 4..24 per
   /// dimension. Each shard resolves its own from its slice (prepare.cc).
   int output_cells_per_dim = 0;
-  /// Join-signature realization for input partitions.
-  SignatureMode signature_mode = SignatureMode::kExact;
+  /// How the look-ahead tests partition pairs for a shared join key. In
+  /// Bloom mode, Open rejects bloom_bits outside [1, kMaxBloomBits] and
+  /// bloom_hashes outside [1, kMaxBloomHashes].
+  SharedKeyTest signature_mode = SharedKeyTest::kExact;
   size_t bloom_bits = 2048;
   int bloom_hashes = 4;
 
@@ -87,13 +96,6 @@ struct ProgXeOptions {
 
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;
-
-  /// EL-Graph is bypassed above this many active regions (see ElGraph):
-  /// every region is then a root and ranking alone orders them. Set-up no
-  /// longer grows with the region count squared (in-degrees come off the
-  /// coverage counter); the cap stays because lifting it changes the pick
-  /// order of large region sets.
-  size_t max_regions_for_elgraph = 8000;
 
   /// Hard cap on dense output-cell state.
   int64_t max_output_cells = 8 * 1000 * 1000;
@@ -164,7 +166,6 @@ struct ProgXeStats {
   size_t cells_marked_lookahead = 0;
 
   // Ordering.
-  bool elgraph_disabled = false;
   size_t regions_processed = 0;
   size_t regions_discarded_runtime = 0;
   /// Regions dropped up front because a refinement seed point strictly
@@ -186,7 +187,7 @@ struct ProgXeStats {
   /// Results emitted strictly before the last region finished processing.
   size_t results_emitted_early = 0;
 
-  /// Elementwise counter sum (booleans OR, sigma adds) — the one aggregation
+  /// Elementwise counter sum (sigma adds too) — the one aggregation
   /// used everywhere stats from multiple runs combine: the sharded stream's
   /// per-shard rollup, the server's process totals, the metrics export.
   void Accumulate(const ProgXeStats& other);

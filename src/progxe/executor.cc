@@ -41,7 +41,6 @@ void ProgXeStats::Accumulate(const ProgXeStats& s) {
   regions_created += s.regions_created;
   regions_pruned_lookahead += s.regions_pruned_lookahead;
   cells_marked_lookahead += s.cells_marked_lookahead;
-  elgraph_disabled = elgraph_disabled || s.elgraph_disabled;
   regions_processed += s.regions_processed;
   regions_discarded_runtime += s.regions_discarded_runtime;
   regions_discarded_seed += s.regions_discarded_seed;

@@ -2,7 +2,7 @@
 //
 // Pipeline per query:
 //   1. (optional, "+" variants) skyline partial push-through on each source
-//   2. contribution tables + input grids with join signatures
+//   2. contribution tables + input grids with sorted join-key runs
 //   3. output-space look-ahead: regions, region pruning, cell marking
 //   4. iterated tuple-level processing, region order chosen by ProgOrder,
 //      with ProgDetermine flushing safe partitions after every region

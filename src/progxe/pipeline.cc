@@ -28,11 +28,10 @@ uint64_t RegionJoinPipeline::ProcessRegion(const InputPartition& pa,
 
 void RegionJoinPipeline::BeginRegion(const InputPartition& pa,
                                      const InputPartition& pb) {
-  // Task list in the exact JoinIndexes enumeration order.
+  // Task list in key order: the JoinIndexes enumeration order.
   tasks_.clear();
-  pa.key_index.ForEach([&](JoinKey key, const std::vector<RowId>& r_rows) {
-    const std::vector<RowId>* t_rows = pb.key_index.Find(key);
-    if (t_rows == nullptr) return;
+  pa.key_index.ForEachMatch(pb.key_index, [&](std::span<const RowId> r_rows,
+                                              std::span<const RowId> t_rows) {
     for (RowId r : r_rows) tasks_.push_back(Task{r, t_rows});
   });
   cursor_task_ = 0;
@@ -47,12 +46,11 @@ uint64_t RegionJoinPipeline::ProcessSome(size_t max_pairs,
   uint64_t done = 0;
   if (batch_cap_ > 0) {
     while (cursor_task_ < tasks_.size()) {
-      // Fill one insert block from the cursor, spanning tasks exactly like
-      // JoinIndexesBatched spans join groups.
+      // Fill one insert block from the cursor; a block may span tasks.
       size_t n = 0;
       while (n < batch_cap_ && cursor_task_ < tasks_.size()) {
         const Task& task = tasks_[cursor_task_];
-        const std::vector<RowId>& t_rows = *task.t_rows;
+        const std::span<const RowId> t_rows = task.t_rows;
         while (cursor_offset_ < t_rows.size() && n < batch_cap_) {
           seq_pairs_[n++] = RowIdPair{task.r, t_rows[cursor_offset_++]};
         }
@@ -72,7 +70,7 @@ uint64_t RegionJoinPipeline::ProcessSome(size_t max_pairs,
     bool stop = false;
     while (!stop && cursor_task_ < tasks_.size()) {
       const Task& task = tasks_[cursor_task_];
-      const std::vector<RowId>& t_rows = *task.t_rows;
+      const std::span<const RowId> t_rows = task.t_rows;
       while (cursor_offset_ < t_rows.size()) {
         const RowId t = t_rows[cursor_offset_++];
         mapper_->Combine(r_flat_ + static_cast<size_t>(task.r) * kk,

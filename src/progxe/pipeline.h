@@ -2,19 +2,22 @@
 // pairs through CanonicalMapper, and insert into the OutputTable in one
 // ordered stream, on the calling thread.
 //
-// A region's join is enumerated as *tasks* (one R-side row of one matching
-// join group, paired with that group's T rows) in exactly the order
-// JoinIndexes visits pairs. A cursor over the tasks fills insert blocks of
-// `insert_batch_size` pairs for CanonicalMapper::CombineBatch and
-// OutputTable::InsertBatch; `insert_batch_size <= 1` selects the per-tuple
-// path (Combine + Insert), kept as the counter reference for the batched
-// one. Both paths present the table the same pair order, so every
+// A region's join is one merge of the two partitions' sorted key runs
+// (KeyIndex::ForEachMatch), enumerated as *tasks*: one R row of a shared
+// key, paired with that key's T rows. Pairs are visited in key order, then
+// ascending R row, then ascending T row, so the order, and every counter
+// that depends on it, is a function of the data alone. A cursor over the
+// tasks fills insert blocks of `insert_batch_size` pairs for
+// CanonicalMapper::CombineBatch and OutputTable::InsertBatch;
+// `insert_batch_size <= 1` selects the per-tuple path (Combine + Insert),
+// kept as the counter reference for the batched one. Both paths present the table the same pair order, so every
 // ProgXeStats counter is identical between them and at any slice boundary
 // (enforced by tests/batched_equivalence_test.cc). Intra-query parallelism
 // lives one level up, in ShardedStream's concurrent shard pumps.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "grid/partitioning.h"
@@ -55,7 +58,7 @@ class RegionJoinPipeline {
   /// pairs of the sequential order.
   struct Task {
     RowId r;
-    const std::vector<RowId>* t_rows;
+    std::span<const RowId> t_rows;  // into pb's key runs
   };
 
   const CanonicalMapper* mapper_;

@@ -13,25 +13,21 @@
 
 namespace progxe {
 
-namespace {
-
-/// Measured join selectivity via key histograms: sum over shared keys of
-/// cnt_R(k) * cnt_T(k), divided by |R| * |T|.
-double MeasureSigma(const Relation& r, const Relation& t) {
+double MeasuredJoinSelectivity(const Relation& r, const Relation& t) {
   if (r.empty() || t.empty()) return 0.0;
   std::unordered_map<JoinKey, size_t> r_hist;
   r_hist.reserve(r.size());
-  for (size_t i = 0; i < r.size(); ++i) {
-    ++r_hist[r.join_key(static_cast<RowId>(i))];
-  }
+  for (JoinKey key : r.join_keys()) ++r_hist[key];
   double pairs = 0.0;
-  for (size_t i = 0; i < t.size(); ++i) {
-    auto it = r_hist.find(t.join_key(static_cast<RowId>(i)));
+  for (JoinKey key : t.join_keys()) {
+    auto it = r_hist.find(key);
     if (it != r_hist.end()) pairs += static_cast<double>(it->second);
   }
   return pairs /
          (static_cast<double>(r.size()) * static_cast<double>(t.size()));
 }
+
+namespace {
 
 size_t RelationBytes(const Relation& rel) {
   return rel.size() * (rel.num_attributes() * sizeof(double) +
@@ -110,6 +106,14 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   if (options.input_cells_per_dim < 0 || options.output_cells_per_dim < 0) {
     return Status::InvalidArgument("grid cell counts must be >= 0");
   }
+  if (options.signature_mode == SharedKeyTest::kBloom &&
+      (options.bloom_bits < 1 || options.bloom_bits > kMaxBloomBits ||
+       options.bloom_hashes < 1 || options.bloom_hashes > kMaxBloomHashes)) {
+    // A filter without probes has no bits set and would skip every pair.
+    return Status::InvalidArgument(
+        "bloom_bits must be in [1, " + std::to_string(kMaxBloomBits) +
+        "] and bloom_hashes in [1, " + std::to_string(kMaxBloomHashes) + "]");
+  }
   ProgXeStats* stats = &out->prepare_stats;
   out->resolved_input_cells_per_dim = options.input_cells_per_dim;
   const int k_out = query.map.output_dimensions();
@@ -167,7 +171,7 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   out->sigma = options.sigma_hint;
   if (out->sigma <= 0.0) {
     TraceSpan span(trace_cats::kPrepare, "prepare.sigma");
-    out->sigma = MeasureSigma(*out->r_rel, *out->t_rel);
+    out->sigma = MeasuredJoinSelectivity(*out->r_rel, *out->t_rel);
   }
   // The output grid is sized to the expected join output |R'| |T'| sigma,
   // known only from here on (see OutputCellsPerDim).
@@ -205,12 +209,12 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     out->t_contrib = std::make_unique<ContributionTable>(*out->t_rel,
                                                          out->mapper,
                                                          Side::kT);
+    const PartitionKeyOptions keys{options.signature_mode, options.bloom_bits,
+                                   options.bloom_hashes};
     if (options.partitioning == PartitioningScheme::kUniformGrid) {
       InputGridOptions grid_options;
       grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
-      grid_options.signature_mode = options.signature_mode;
-      grid_options.bloom_bits = options.bloom_bits;
-      grid_options.bloom_hashes = options.bloom_hashes;
+      grid_options.keys = keys;
       out->r_grid = std::make_unique<InputGrid>(*out->r_rel, *out->r_contrib,
                                                 grid_options);
       out->t_grid = std::make_unique<InputGrid>(*out->t_rel, *out->t_contrib,
@@ -224,9 +228,7 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
       }
       kd_options.max_partitions =
           static_cast<size_t>(std::clamp(leaves, 1.0, 4096.0));
-      kd_options.signature_mode = options.signature_mode;
-      kd_options.bloom_bits = options.bloom_bits;
-      kd_options.bloom_hashes = options.bloom_hashes;
+      kd_options.keys = keys;
       out->r_grid = std::make_unique<KdPartitioner>(*out->r_rel,
                                                     *out->r_contrib,
                                                     kd_options);

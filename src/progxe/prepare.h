@@ -98,6 +98,10 @@ struct PreparedQuery {
   bool trivially_empty = false;
 };
 
+/// Measured join selectivity |R join T| / (|R| * |T|), from a key histogram
+/// of R probed with T's keys: O(|R| + |T|), no pair is formed.
+double MeasuredJoinSelectivity(const Relation& r, const Relation& t);
+
 /// Validates `query`/`options` and builds the immutable prepared state.
 /// Never mutates `options`; the resolved grid resolutions and prepare-side
 /// stats are recorded on `*out` and applied by AdoptPreparedInputs. With

@@ -26,9 +26,7 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
   table_.InitCoverage(*regions_);
 
   if (options_.ordering == OrderingMode::kProgOrder) {
-    el_graph_ = std::make_unique<ElGraph>(*regions_, &table_,
-                                          options_.max_regions_for_elgraph);
-    stats_->elgraph_disabled = el_graph_->disabled();
+    el_graph_ = std::make_unique<ElGraph>(*regions_, &table_);
   }
 
   CostModelParams cost_params;

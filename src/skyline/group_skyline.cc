@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "join/key_index.h"
 #include "skyline/skyline.h"
 
 namespace progxe {
@@ -33,16 +34,10 @@ SourceLists ComputeSourceLists(const Relation& rel,
     lists.in_source_skyline[id] = true;
   }
 
-  // Group-level skyline: bucket rows by join key, skyline each bucket.
-  std::unordered_map<JoinKey, std::vector<RowId>> groups;
-  groups.reserve(n / 4 + 1);
-  for (size_t i = 0; i < n; ++i) {
-    groups[rel.join_key(static_cast<RowId>(i))].push_back(
-        static_cast<RowId>(i));
-  }
+  // Group-level skyline: skyline each join-key group. Each group's result
+  // is independent of the order groups are visited in.
   std::vector<double> scratch;
-  for (auto& [key, rows] : groups) {
-    (void)key;
+  KeyIndex(rel).ForEach([&](JoinKey, std::span<const RowId> rows) {
     scratch.clear();
     scratch.reserve(rows.size() * static_cast<size_t>(k));
     for (RowId id : rows) {
@@ -54,7 +49,7 @@ SourceLists ComputeSourceLists(const Relation& rel,
       lists.in_group_skyline[rows[local]] = true;
       lists.group_skyline.push_back(rows[local]);
     }
-  }
+  });
   std::sort(lists.group_skyline.begin(), lists.group_skyline.end());
   return lists;
 }

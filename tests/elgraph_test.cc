@@ -93,8 +93,7 @@ std::vector<Region> RandomRegions(Rng* rng, int count, int dims,
 // An EL-Graph over `regions` on a dims x cells grid, with the output table
 // whose coverage counters it reads.
 struct GraphFixture {
-  GraphFixture(const std::vector<Region>& regions, int dims, CellCoord cells,
-               size_t max_regions = 8000)
+  GraphFixture(const std::vector<Region>& regions, int dims, CellCoord cells)
       : geometry(std::vector<Interval>(static_cast<size_t>(dims),
                                        Interval(0, 1)),
                  cells),
@@ -103,7 +102,7 @@ struct GraphFixture {
                                    0),
               &stats) {
     table.InitCoverage(regions);
-    graph = std::make_unique<ElGraph>(regions, &table, max_regions);
+    graph = std::make_unique<ElGraph>(regions, &table);
   }
 
   /// Marks `region` processed and removes it from coverage and the graph.
@@ -125,7 +124,6 @@ TEST(ElGraph, IndegreesMatchBruteForce) {
   std::vector<Region> regions = RandomRegions(&rng, 40, 3, 6);
   GraphFixture fx(regions, 3, 6);
   ElGraph& graph = *fx.graph;
-  ASSERT_FALSE(graph.disabled());
   for (const Region& v : regions) {
     int64_t expected = 0;
     for (const Region& u : regions) {
@@ -182,17 +180,6 @@ TEST(ElGraph, DoubleRemovalIsIgnored) {
   GraphFixture fx(regions, 2, 4);
   fx.Remove(&regions[0]);
   EXPECT_TRUE(fx.graph->OnRegionRemoved(0, fx.lowered).empty());
-}
-
-TEST(ElGraph, DisablesAboveRegionCap) {
-  Rng rng(3);
-  std::vector<Region> regions = RandomRegions(&rng, 30, 2, 6);
-  GraphFixture fx(regions, 2, 6, /*max_regions=*/10);
-  ElGraph& graph = *fx.graph;
-  EXPECT_TRUE(graph.disabled());
-  // Disabled graph: everyone is a root.
-  EXPECT_EQ(graph.InitialRoots(regions).size(), regions.size());
-  EXPECT_TRUE(fx.Remove(&regions[0]).empty());
 }
 
 TEST(ElGraph, InactiveRegionsExcluded) {

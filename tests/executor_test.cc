@@ -223,7 +223,7 @@ TEST(Executor, PushThroughShrinksSources) {
   EXPECT_LT(exec.stats().t_rows_after_push_through, 2000u);
 }
 
-TEST(Executor, BloomSignatureModeStillCorrect) {
+TEST(Executor, BloomKeyTestStillCorrect) {
   GeneratorOptions gen;
   gen.cardinality = 600;
   gen.num_attributes = 3;
@@ -233,7 +233,7 @@ TEST(Executor, BloomSignatureModeStillCorrect) {
   gen.seed = 4;
   Relation t = GenerateRelation(gen).MoveValue();
 
-  auto run_with = [&](SignatureMode mode) {
+  auto run_with = [&](SharedKeyTest mode) {
     ProgXeOptions opts;
     opts.signature_mode = mode;
     std::vector<std::pair<RowId, RowId>> ids;
@@ -246,8 +246,8 @@ TEST(Executor, BloomSignatureModeStillCorrect) {
     std::sort(ids.begin(), ids.end());
     return ids;
   };
-  EXPECT_EQ(run_with(SignatureMode::kBloom),
-            run_with(SignatureMode::kExact));
+  EXPECT_EQ(run_with(SharedKeyTest::kBloom),
+            run_with(SharedKeyTest::kExact));
 }
 
 TEST(Executor, SequentialOrderingModeWorks) {

@@ -1,4 +1,4 @@
-// Unit tests for Bloom filters, join signatures, grid geometry and input
+// Unit tests for Bloom filters, partition key tests, grid geometry and input
 // partitioning (property P7 of DESIGN.md).
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "grid/bloom_filter.h"
 #include "grid/grid_geometry.h"
 #include "grid/input_grid.h"
-#include "grid/signature.h"
+#include "grid/partitioning.h"
 
 namespace progxe {
 namespace {
@@ -59,7 +59,15 @@ TEST(BloomFilter, IntersectionIsSoundSkipTest) {
   }
 }
 
-TEST(Signature, ExactIntersection) {
+InputPartition KeyedPartition(const Relation& rel, std::vector<RowId> rows,
+                              const PartitionKeyOptions& options) {
+  InputPartition part;
+  part.rows = std::move(rows);
+  IndexPartitionKeys(rel, options, &part);
+  return part;
+}
+
+TEST(PartitionKeys, ExactModeSharesKeyWith) {
   Relation rel(Schema::Anonymous(1));
   double v = 0;
   rel.Append({&v, 1}, 1);
@@ -67,27 +75,35 @@ TEST(Signature, ExactIntersection) {
   rel.Append({&v, 1}, 9);
   rel.Append({&v, 1}, 5);  // duplicate
 
-  Signature a = Signature::Build(rel, {0, 1, 3}, SignatureMode::kExact);
-  Signature b = Signature::Build(rel, {2}, SignatureMode::kExact);
-  Signature c = Signature::Build(rel, {1, 2}, SignatureMode::kExact);
-  EXPECT_EQ(a.distinct_keys(), 2u);  // {1, 5}
-  EXPECT_TRUE(a.exact());
-  EXPECT_FALSE(a.MightIntersect(b));   // {1,5} vs {9}
-  EXPECT_TRUE(a.MightIntersect(c));    // share 5
-  EXPECT_TRUE(b.MightIntersect(c));    // share 9
+  const PartitionKeyOptions exact;
+  InputPartition a = KeyedPartition(rel, {0, 1, 3}, exact);
+  InputPartition b = KeyedPartition(rel, {2}, exact);
+  InputPartition c = KeyedPartition(rel, {1, 2}, exact);
+  size_t keys = 0;
+  a.key_index.ForEach([&](JoinKey, std::span<const RowId>) { ++keys; });
+  EXPECT_EQ(keys, 2u);  // {1, 5}
+  EXPECT_FALSE(a.bloom.has_value());  // exact mode builds no filter
+  EXPECT_FALSE(a.key_index.SharesKeyWith(b.key_index));  // {1,5} vs {9}
+  EXPECT_TRUE(a.key_index.SharesKeyWith(c.key_index));   // share 5
+  EXPECT_TRUE(b.key_index.SharesKeyWith(c.key_index));   // share 9
 }
 
-TEST(Signature, BloomModeNeverFalseNegative) {
+TEST(PartitionKeys, BloomModeNeverFalseNegative) {
   Relation rel(Schema::Anonymous(1));
   double v = 0;
   for (JoinKey k = 0; k < 50; ++k) rel.Append({&v, 1}, k);
   std::vector<RowId> left, right;
   for (RowId i = 0; i < 25; ++i) left.push_back(i);
   for (RowId i = 24; i < 50; ++i) right.push_back(i);  // overlap at key 24
-  Signature a = Signature::Build(rel, left, SignatureMode::kBloom, 1024, 4);
-  Signature b = Signature::Build(rel, right, SignatureMode::kBloom, 1024, 4);
-  EXPECT_FALSE(a.exact());
-  EXPECT_TRUE(a.MightIntersect(b));
+  PartitionKeyOptions bloom;
+  bloom.test = SharedKeyTest::kBloom;
+  bloom.bloom_bits = 1024;
+  bloom.bloom_hashes = 4;
+  InputPartition a = KeyedPartition(rel, left, bloom);
+  InputPartition b = KeyedPartition(rel, right, bloom);
+  ASSERT_TRUE(a.bloom.has_value());
+  ASSERT_TRUE(b.bloom.has_value());
+  EXPECT_TRUE(a.bloom->MightIntersect(*b.bloom));
 }
 
 TEST(GridGeometry, CoordsAndIndexRoundTrip) {
@@ -236,7 +252,7 @@ TEST(InputGrid, BoundsAreTightOverContributions) {
   }
 }
 
-TEST(InputGrid, SignaturesReflectPartitionKeys) {
+TEST(InputGrid, KeyIndexesReflectPartitionKeys) {
   Relation rel(Schema::Anonymous(1));
   // Two clusters in value space with disjoint key sets.
   for (int i = 0; i < 10; ++i) {
@@ -254,8 +270,8 @@ TEST(InputGrid, SignaturesReflectPartitionKeys) {
   opts.cells_per_dim = 2;
   InputGrid grid(rel, contribs, opts);
   ASSERT_EQ(grid.num_partitions(), 2u);
-  EXPECT_FALSE(grid.partitions()[0].signature.MightIntersect(
-      grid.partitions()[1].signature));
+  EXPECT_FALSE(grid.partitions()[0].key_index.SharesKeyWith(
+      grid.partitions()[1].key_index));
 }
 
 }  // namespace

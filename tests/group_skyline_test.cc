@@ -6,7 +6,7 @@
 #include <set>
 
 #include "data/generator.h"
-#include "join/hash_join.h"
+#include "join/key_index.h"
 #include "skyline/group_skyline.h"
 #include "skyline/skyline.h"
 
@@ -87,7 +87,7 @@ TEST(PushThroughProperty, PreservesSkyMapJoinResult) {
       std::vector<double> vals;
       std::vector<std::pair<RowId, RowId>> ids;
       double buf[3];
-      HashJoin(rr, tt, [&](RowId a, RowId b) {
+      JoinIndexes(KeyIndex(rr), KeyIndex(tt), [&](RowId a, RowId b) {
         mapper.Combine(rcc.vector(a), tcc.vector(b), buf);
         vals.insert(vals.end(), buf, buf + 3);
         ids.emplace_back(a, b);

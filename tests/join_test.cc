@@ -1,14 +1,16 @@
-// Unit tests for the join substrate: key index, hash join, sort-merge join.
+// Unit tests for the join substrate: the key-run index, its joins and the
+// measured join selectivity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
+#include <tuple>
 
 #include "common/rng.h"
 #include "data/generator.h"
-#include "join/hash_join.h"
 #include "join/key_index.h"
-#include "join/sort_merge_join.h"
+#include "progxe/prepare.h"
 
 namespace progxe {
 namespace {
@@ -22,161 +24,93 @@ Relation MakeRelation(const std::vector<JoinKey>& keys) {
   return rel;
 }
 
-using Pair = std::pair<RowId, RowId>;
+using Match = std::tuple<JoinKey, RowId, RowId>;
 
-std::vector<Pair> NestedLoopJoin(const Relation& r, const Relation& t) {
-  std::vector<Pair> out;
-  for (RowId i = 0; i < r.size(); ++i) {
-    for (RowId j = 0; j < t.size(); ++j) {
-      if (r.join_key(i) == t.join_key(j)) out.emplace_back(i, j);
+TEST(KeyIndex, JoinMatchesNestedLoopInKeyOrder) {
+  // Random relations with many duplicate (and negative) keys, joined over
+  // random row subsets (sometimes all rows, sometimes none): JoinIndexes
+  // must emit exactly the nested-loop pairs, in (key, r, t) order, and
+  // SharesKeyWith must say whether that join is non-empty.
+  Rng rng(19);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int64_t domain = 1 + static_cast<int64_t>(rng.NextBelow(12));
+    auto make = [&] {
+      std::vector<JoinKey> keys(rng.NextBelow(30));
+      for (JoinKey& key : keys) key = rng.UniformInt(-domain, domain);
+      return MakeRelation(keys);
+    };
+    const Relation r = make();
+    const Relation t = make();
+    auto subset = [&](const Relation& rel) {
+      std::vector<RowId> rows;
+      const double keep = rng.NextDouble();
+      for (RowId id = 0; id < rel.size(); ++id) {
+        if (rng.Bernoulli(keep)) rows.push_back(id);
+      }
+      rng.Shuffle(&rows);
+      return rows;
+    };
+    const bool whole = trial % 4 == 0;
+    const std::vector<RowId> r_rows = subset(r);
+    const std::vector<RowId> t_rows = subset(t);
+    const KeyIndex ir = whole ? KeyIndex(r) : KeyIndex(r, r_rows);
+    const KeyIndex it = whole ? KeyIndex(t) : KeyIndex(t, t_rows);
+
+    std::vector<RowId> r_all(r.size());
+    std::iota(r_all.begin(), r_all.end(), 0u);
+    std::vector<RowId> t_all(t.size());
+    std::iota(t_all.begin(), t_all.end(), 0u);
+    std::vector<Match> expected;
+    for (RowId a : whole ? r_all : r_rows) {
+      for (RowId b : whole ? t_all : t_rows) {
+        if (r.join_key(a) == t.join_key(b)) {
+          expected.emplace_back(r.join_key(a), a, b);
+        }
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+
+    std::vector<Match> got;
+    const size_t count = JoinIndexes(ir, it, [&](RowId a, RowId b) {
+      got.emplace_back(r.join_key(a), a, b);
+    });
+    EXPECT_EQ(got, expected) << "trial " << trial;
+    EXPECT_EQ(count, expected.size()) << "trial " << trial;
+    EXPECT_EQ(ir.SharesKeyWith(it), !expected.empty()) << "trial " << trial;
+    EXPECT_EQ(it.SharesKeyWith(ir), !expected.empty()) << "trial " << trial;
+    if (whole && !r.empty() && !t.empty()) {
+      EXPECT_DOUBLE_EQ(MeasuredJoinSelectivity(r, t),
+                       static_cast<double>(expected.size()) /
+                           static_cast<double>(r.size() * t.size()))
+          << "trial " << trial;
     }
   }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
-TEST(KeyIndex, FindAndDistinct) {
-  Relation rel = MakeRelation({1, 2, 1, 3, 2, 1});
-  KeyIndex index(rel);
-  EXPECT_EQ(index.distinct_keys(), 3u);
-  ASSERT_NE(index.Find(1), nullptr);
-  EXPECT_EQ(index.Find(1)->size(), 3u);
-  EXPECT_EQ(index.Find(99), nullptr);
-}
-
-TEST(KeyIndex, SubsetOfRows) {
-  Relation rel = MakeRelation({1, 2, 1, 3});
-  KeyIndex index(rel, {0, 3});
-  EXPECT_EQ(index.distinct_keys(), 2u);
-  EXPECT_EQ(index.Find(2), nullptr);
-  ASSERT_NE(index.Find(1), nullptr);
-  EXPECT_EQ(index.Find(1)->size(), 1u);
-}
-
-TEST(KeyIndex, SharesKeyWith) {
-  Relation a = MakeRelation({1, 2, 3});
-  Relation b = MakeRelation({4, 5, 3});
-  Relation c = MakeRelation({6, 7});
-  KeyIndex ia(a), ib(b), ic(c);
-  EXPECT_TRUE(ia.SharesKeyWith(ib));
-  EXPECT_TRUE(ib.SharesKeyWith(ia));
-  EXPECT_FALSE(ia.SharesKeyWith(ic));
-}
-
-TEST(JoinIndexes, EmitsCrossProductPerKey) {
-  Relation r = MakeRelation({1, 1, 2});
-  Relation t = MakeRelation({1, 2, 2});
-  std::vector<RowId> all_r(r.size());
-  std::iota(all_r.begin(), all_r.end(), 0u);
-  std::vector<RowId> all_t(t.size());
-  std::iota(all_t.begin(), all_t.end(), 0u);
-  KeyIndex ir(r, all_r), it(t, all_t);
-  std::vector<Pair> pairs;
-  size_t count = JoinIndexes(ir, it, [&](RowId a, RowId b) {
-    pairs.emplace_back(a, b);
+TEST(KeyIndex, ForEachVisitsKeyRunsInOrder) {
+  Relation rel = MakeRelation({3, 1, 3, 2, 1, 3});
+  KeyIndex index(rel, {5, 0, 4, 3, 2});
+  std::vector<std::pair<JoinKey, std::vector<RowId>>> runs;
+  index.ForEach([&](JoinKey key, std::span<const RowId> rows) {
+    runs.emplace_back(key, std::vector<RowId>(rows.begin(), rows.end()));
   });
-  std::sort(pairs.begin(), pairs.end());
-  EXPECT_EQ(count, 4u);  // key 1: 2x1, key 2: 1x2
-  EXPECT_EQ(pairs, NestedLoopJoin(r, t));
+  const std::vector<std::pair<JoinKey, std::vector<RowId>>> expected{
+      {1, {4}}, {2, {3}}, {3, {0, 2, 5}}};
+  EXPECT_EQ(runs, expected);
 }
 
-TEST(JoinIndexesBatched, SamePairSequenceForAnyCapacity) {
-  Relation r = MakeRelation({1, 1, 2, 3, 3, 3});
-  Relation t = MakeRelation({1, 2, 2, 3, 3});
-  KeyIndex ir(r), it(t);
-  std::vector<Pair> reference;
-  const size_t ref_count = JoinIndexes(ir, it, [&](RowId a, RowId b) {
-    reference.emplace_back(a, b);
-  });
-  // Batched joins must emit the identical sequence, full blocks plus a
-  // ragged tail, for every buffer capacity.
-  for (size_t cap : {size_t{1}, size_t{3}, size_t{4}, size_t{64}}) {
-    std::vector<RowIdPair> buf(cap);
-    std::vector<Pair> got;
-    const size_t count = JoinIndexesBatched(
-        ir, it, buf.data(), cap, [&](const RowIdPair* pairs, size_t n) {
-          EXPECT_LE(n, cap);
-          for (size_t i = 0; i < n; ++i) got.emplace_back(pairs[i].r, pairs[i].t);
-        });
-    EXPECT_EQ(count, ref_count) << "cap=" << cap;
-    EXPECT_EQ(got, reference) << "cap=" << cap;
-  }
-}
-
-TEST(HashJoin, MatchesNestedLoop) {
-  Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<JoinKey> rk(50);
-    std::vector<JoinKey> tk(70);
-    for (auto& key : rk) key = static_cast<JoinKey>(rng.NextBelow(10));
-    for (auto& key : tk) key = static_cast<JoinKey>(rng.NextBelow(10));
-    Relation r = MakeRelation(rk);
-    Relation t = MakeRelation(tk);
-    std::vector<Pair> pairs;
-    JoinStats stats =
-        HashJoin(r, t, [&](RowId a, RowId b) { pairs.emplace_back(a, b); });
-    std::sort(pairs.begin(), pairs.end());
-    EXPECT_EQ(pairs, NestedLoopJoin(r, t));
-    EXPECT_EQ(stats.output_pairs, pairs.size());
-  }
-}
-
-TEST(HashJoin, BuildsOnSmallerSide) {
-  Relation small = MakeRelation({1, 2});
-  Relation large = MakeRelation({1, 1, 2, 2, 3});
-  JoinStats st = HashJoin(small, large, [](RowId, RowId) {});
-  EXPECT_EQ(st.build_rows, 2u);
-  EXPECT_EQ(st.probe_rows, 5u);
-  // Emission stays in (r, t) order regardless of build side.
-  std::vector<Pair> pairs;
-  HashJoin(large, small, [&](RowId a, RowId b) { pairs.emplace_back(a, b); });
-  for (const Pair& p : pairs) {
-    EXPECT_EQ(large.join_key(p.first), small.join_key(p.second));
-  }
-}
-
-TEST(HashJoin, CountAndSelectivity) {
-  Relation r = MakeRelation({1, 2, 3, 4});
+TEST(MeasuredJoinSelectivity, CountsPairsOverSharedKeys) {
+  Relation r = MakeRelation({1, 2, 3, 4, 1});
   Relation t = MakeRelation({1, 1, 9});
-  EXPECT_EQ(HashJoinCount(r, t), 2u);
-  EXPECT_DOUBLE_EQ(MeasuredJoinSelectivity(r, t), 2.0 / 12.0);
+  EXPECT_DOUBLE_EQ(MeasuredJoinSelectivity(r, t), 4.0 / 15.0);
   Relation empty = MakeRelation({});
   EXPECT_DOUBLE_EQ(MeasuredJoinSelectivity(r, empty), 0.0);
-}
-
-TEST(SortMergeJoin, MatchesHashJoin) {
-  Rng rng(44);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<JoinKey> rk(40);
-    std::vector<JoinKey> tk(60);
-    for (auto& key : rk) key = static_cast<JoinKey>(rng.NextBelow(8));
-    for (auto& key : tk) key = static_cast<JoinKey>(rng.NextBelow(8));
-    Relation r = MakeRelation(rk);
-    Relation t = MakeRelation(tk);
-    std::vector<RowId> all_r(r.size());
-    std::iota(all_r.begin(), all_r.end(), 0u);
-    std::vector<RowId> all_t(t.size());
-    std::iota(all_t.begin(), all_t.end(), 0u);
-    std::vector<Pair> pairs;
-    size_t count =
-        MergeJoin(SortByKey(r, all_r), SortByKey(t, all_t),
-                  [&](RowId a, RowId b) { pairs.emplace_back(a, b); });
-    std::sort(pairs.begin(), pairs.end());
-    EXPECT_EQ(pairs, NestedLoopJoin(r, t));
-    EXPECT_EQ(count, pairs.size());
-  }
-}
-
-TEST(SortMergeJoin, DisjointAndEmptyInputs) {
-  Relation r = MakeRelation({1, 2});
-  Relation t = MakeRelation({3, 4});
-  std::vector<RowId> all{0, 1};
-  size_t count = MergeJoin(SortByKey(r, all), SortByKey(t, all),
-                           [](RowId, RowId) { FAIL(); });
-  EXPECT_EQ(count, 0u);
-  count = MergeJoin(SortByKey(r, {}), SortByKey(t, all),
-                    [](RowId, RowId) { FAIL(); });
-  EXPECT_EQ(count, 0u);
+  // Keys at the ends of the int64 range.
+  const JoinKey big = std::numeric_limits<JoinKey>::max();
+  const JoinKey small = std::numeric_limits<JoinKey>::min();
+  Relation sparse_r = MakeRelation({small, 7, big, 7});
+  Relation sparse_t = MakeRelation({7, big, 3});
+  EXPECT_DOUBLE_EQ(MeasuredJoinSelectivity(sparse_r, sparse_t), 3.0 / 12.0);
 }
 
 TEST(GeneratedSelectivity, TracksRequestedSigma) {

@@ -7,7 +7,7 @@
 
 #include "data/generator.h"
 #include "grid/input_grid.h"
-#include "join/hash_join.h"
+#include "join/key_index.h"
 #include "outputspace/lookahead.h"
 #include "skyline/skyline.h"
 
@@ -89,7 +89,7 @@ TEST(Lookahead, SkippedPairsProduceNoJoinResults) {
       const InputPartition& pb = s.t_grid->partitions()[b];
       size_t pairs = JoinIndexes(pa.key_index, pb.key_index,
                                  [](RowId, RowId) {});
-      EXPECT_EQ(pairs, 0u) << "signature skip lost join results";
+      EXPECT_EQ(pairs, 0u) << "shared-key skip lost join results";
     }
   }
 }
@@ -121,7 +121,7 @@ TEST(Lookahead, PruningSoundness) {
     // Brute-force mapped join + skyline.
     std::vector<double> vals;
     double buf[3];
-    HashJoin(s.r, s.t, [&](RowId a, RowId b) {
+    JoinIndexes(KeyIndex(s.r), KeyIndex(s.t), [&](RowId a, RowId b) {
       s.mapper.Combine(s.rc->vector(a), s.tc->vector(b), buf);
       vals.insert(vals.end(), buf, buf + 3);
     });
@@ -184,7 +184,7 @@ TEST(Lookahead, RejectsOversizedOutputGrid) {
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
-TEST(Lookahead, BloomSignaturesDisableGuarantees) {
+TEST(Lookahead, BloomFiltersDisableGuarantees) {
   LaSetup s;
   GeneratorOptions gen;
   gen.cardinality = 300;
@@ -199,7 +199,7 @@ TEST(Lookahead, BloomSignaturesDisableGuarantees) {
   s.tc = std::make_unique<ContributionTable>(s.t, s.mapper, Side::kT);
   InputGridOptions opts;
   opts.cells_per_dim = 3;
-  opts.signature_mode = SignatureMode::kBloom;
+  opts.keys.test = SharedKeyTest::kBloom;
   s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, opts);
   s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, opts);
   LookaheadOptions la_opts;
@@ -207,7 +207,7 @@ TEST(Lookahead, BloomSignaturesDisableGuarantees) {
   ASSERT_TRUE(la.ok());
   for (const Region& region : la->regions) {
     EXPECT_FALSE(region.guaranteed)
-        << "Bloom signatures cannot guarantee population";
+        << "Bloom filters cannot guarantee population";
     EXPECT_FALSE(region.pruned)
         << "nothing may be pruned without a guaranteed dominator";
   }

@@ -707,6 +707,38 @@ TEST(Net, SemanticOpenFailureKeepsTheLinkUsable) {
   (*good)->Close();
 }
 
+// Bloom options arrive unchecked from the wire. A filter without probes
+// would skip every pair and stream 0 results with status OK; a ~2^40-bit
+// filter would throw bad_alloc and kill the worker. Both must come back as
+// an error reply on a link that stays usable.
+TEST(Net, RemoteOpenRejectsOutOfRangeBloomOptions) {
+  Rng rng(0xb1f0);
+  const Config cfg = MakeConfig(&rng, false, false);
+  auto worker = MustStartWorker();
+  auto pool = std::make_shared<WorkerPool>();
+
+  ProgXeOptions no_probes;
+  no_probes.signature_mode = SharedKeyTest::kBloom;
+  no_probes.bloom_hashes = 0;
+  ProgXeOptions huge = no_probes;
+  huge.bloom_hashes = 4;
+  huge.bloom_bits = size_t{1} << 40;
+  for (const ProgXeOptions& options : {no_probes, huge}) {
+    auto bad = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
+                                       cfg.t, cfg.map, cfg.pref, options);
+    ASSERT_FALSE(bad.ok()) << "the open must fail, not stream 0 results";
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
+  }
+
+  auto good = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
+                                      cfg.t, cfg.map, cfg.pref,
+                                      ProgXeOptions());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(pool->connections_created(), 1u)
+      << "the rejected opens must leave the link usable";
+  (*good)->Close();
+}
+
 // --- Checkpointed remote recovery + transport chaos -------------------------
 
 std::shared_ptr<FaultInjector> MustParseFaults(const std::string& spec,

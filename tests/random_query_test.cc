@@ -5,9 +5,10 @@
 // brute-force skyline of the mapped join.
 //
 // This is the widest net in the suite: it exercises canonical sign folding,
-// interval propagation through transforms, signature skipping, look-ahead
-// pruning, ordering, ProgDetermine and push-through all at once, against an
-// oracle that shares no code with the engine beyond MapSpec::Eval.
+// interval propagation through transforms, shared-key skipping (exact and
+// Bloom), look-ahead pruning, ordering, ProgDetermine and push-through all
+// at once, against an oracle that shares no code with the engine beyond
+// MapSpec::Eval.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,6 +148,25 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
     }
   }
 
+  // Bloom-filter pair skipping, over small filters that give false
+  // positives: sound, never a guarantee, the same result set.
+  {
+    ProgXeOptions options;
+    options.signature_mode = SharedKeyTest::kBloom;
+    options.bloom_bits = size_t{64} << (GetParam() % 6);
+    options.bloom_hashes = 1 + GetParam() % 4;
+    if (GetParam() % 2 == 1) {
+      options.partitioning = PartitioningScheme::kKdTree;
+    }
+    std::vector<ResultTuple> results;
+    ProgXeExecutor exec(q.query(), options);
+    ASSERT_TRUE(exec.Run([&](const ResultTuple& r) {
+                      results.push_back(r);
+                    }).ok());
+    EXPECT_EQ(Sorted(results), oracle)
+        << "ProgXe Bloom bits=" << options.bloom_bits;
+  }
+
   // Baselines.
   {
     std::vector<ResultTuple> results;
@@ -178,6 +198,33 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQuerySweep, ::testing::Range(0, 24));
+
+// More than 8000 regions: ProgOrder orders them through the EL-Graph as it
+// does any smaller set, and the result set must still be the oracle's.
+TEST(RandomQuery, LargeRegionSetMatchesTheOracle) {
+  RandomQuery q;
+  GeneratorOptions gen;
+  gen.distribution = Distribution::kIndependent;
+  gen.cardinality = 1000;
+  gen.num_attributes = 2;
+  gen.join_selectivity = 0.03;
+  gen.seed = 81;
+  q.r = GenerateRelation(gen).MoveValue();
+  gen.seed = 82;
+  q.t = GenerateRelation(gen).MoveValue();
+  q.map = MapSpec::PairwiseSum(2);
+  q.pref = Preference::AllLowest(2);
+
+  ProgXeOptions options;
+  options.input_cells_per_dim = 10;
+  std::vector<ResultTuple> results;
+  ProgXeExecutor exec(q.query(), options);
+  ASSERT_TRUE(exec.Run([&](const ResultTuple& r) {
+                    results.push_back(r);
+                  }).ok());
+  EXPECT_GT(exec.stats().regions_created, 8000u);
+  EXPECT_EQ(Sorted(results), OracleSkyline(q));
+}
 
 }  // namespace
 }  // namespace progxe

@@ -4,6 +4,7 @@
 // budgets and early termination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -207,6 +208,50 @@ TEST(Session, OpenValidatesQuery) {
   cfg.pref = Preference::AllLowest(3);  // dimensionality mismatch
   auto session = ProgXeSession::Open(cfg.query(), ProgXeOptions());
   EXPECT_TRUE(session.status().IsInvalidArgument());
+}
+
+// A Bloom filter with no probes sets no bits and would skip every
+// partition pair: the query would end with 0 results and status OK. Open
+// (local and sharded) rejects out-of-range Bloom options instead.
+TEST(Session, OpenRejectsOutOfRangeBloomOptions) {
+  Rng rng(0xb100);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ProgXeOptions bloom;
+  bloom.signature_mode = SharedKeyTest::kBloom;
+  std::vector<ProgXeOptions> bad(5, bloom);
+  bad[0].bloom_hashes = 0;
+  bad[1].bloom_hashes = -1;
+  bad[2].bloom_hashes = kMaxBloomHashes + 1;
+  bad[3].bloom_bits = 0;
+  bad[4].bloom_bits = size_t{1} << 40;
+  ShardOptions shards;
+  shards.num_shards = 2;
+  for (const ProgXeOptions& options : bad) {
+    auto session = ProgXeSession::Open(cfg.query(), options);
+    EXPECT_TRUE(session.status().IsInvalidArgument())
+        << session.status().ToString();
+    auto sharded = ShardedStream::Open(cfg.query(), options, shards);
+    EXPECT_TRUE(sharded.status().IsInvalidArgument())
+        << sharded.status().ToString();
+  }
+
+  // The ceilings themselves are accepted, and exact mode ignores the
+  // Bloom fields.
+  ProgXeOptions widest = bloom;
+  widest.bloom_bits = kMaxBloomBits;
+  widest.bloom_hashes = kMaxBloomHashes;
+  ProgXeOptions exact;
+  exact.bloom_hashes = 0;
+  ProgXeStats reference;
+  const IdSeq expected = RunReference(cfg, ProgXeOptions(), &reference);
+  for (const ProgXeOptions& options : {widest, exact}) {
+    ProgXeStats stats;
+    IdSeq got = DrainSession(cfg, options, 0, &stats);
+    std::sort(got.begin(), got.end());
+    IdSeq want = expected;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(Session, StatsVisibleBeforeFirstBatch) {

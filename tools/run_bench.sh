@@ -110,10 +110,12 @@ if micro_raw.strip():
 
 # One compact headline per run: enough to plot a trend, small enough that
 # dozens of entries stay readable. The full per-run detail lives in the
-# top-level keys, which describe only the latest run.
+# top-level keys, which describe only the latest run. Every timing here is
+# one run, not a repeated measurement: perfbench/ is the timing authority.
 entry = {"timestamp":
          datetime.datetime.now(datetime.timezone.utc)
          .strftime("%Y-%m-%dT%H:%M:%SZ"),
+         "timing": "single-shot",
          "scale": os.environ["RUN_SCALE"],
          "nproc": os.environ["RUN_NPROC"],
          "compiler": os.environ["RUN_COMPILER"],
