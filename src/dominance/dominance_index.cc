@@ -68,14 +68,11 @@ void DominanceIndex::SetBits(size_t i, const CellCoord* coords, bool value) {
   }
 }
 
-size_t DominanceIndex::GatherSweep(bool ge, const CellCoord* coords,
-                                   CellCoord offset) const {
+size_t DominanceIndex::GatherSweep(bool ge, const CellCoord* coords) const {
   size_t min_words = SIZE_MAX;
   for (int d = 0; d < k_; ++d) {
-    const CellCoord v = coords[d] + offset;
-    if (v < 0 || v >= cells_per_dim_) return 0;  // empty candidate set
-    const auto& bits = (ge ? ge_bits_ : le_bits_)[static_cast<size_t>(d)]
-                                                 [static_cast<size_t>(v)];
+    const auto& rows = (ge ? ge_bits_ : le_bits_)[static_cast<size_t>(d)];
+    const auto& bits = rows[static_cast<size_t>(coords[d])];
     sweep_ptrs_[static_cast<size_t>(d)] = bits.data();
     min_words = std::min(min_words, bits.size());
   }
@@ -112,49 +109,6 @@ void DominanceIndex::RebuildBits() {
   for (size_t i = 0; i < payloads_.size(); ++i) {
     SetBits(i, coords_.data() + i * kk, true);
   }
-}
-
-void DominanceIndex::NoteFrontier(const CellCoord* coords) {
-  const size_t kk = static_cast<size_t>(k_);
-  // Redundant if an existing frontier entry is <= coords everywhere.
-  for (size_t f = 0; f + kk <= frontier_.size(); f += kk) {
-    if (CoordsLeq(frontier_.data() + f, coords, k_)) return;
-  }
-  // Remove frontier entries that the new coordinates cover.
-  const size_t w = CompactParallel(
-      frontier_.size() / kk,
-      [this, coords, kk](size_t f) {
-        return !CoordsLeq(coords, frontier_.data() + f * kk, k_);
-      },
-      [this, kk](size_t from, size_t to) {
-        std::copy(frontier_.begin() + static_cast<ptrdiff_t>(from * kk),
-                  frontier_.begin() + static_cast<ptrdiff_t>((from + 1) * kk),
-                  frontier_.begin() + static_cast<ptrdiff_t>(to * kk));
-      });
-  frontier_.resize(w * kk);
-  frontier_.insert(frontier_.end(), coords, coords + k_);
-  frontier_log_.insert(frontier_log_.end(), coords, coords + k_);
-  ++frontier_epoch_;
-}
-
-bool DominanceIndex::FrontierStrictlyDominates(const CellCoord* coords) const {
-  const size_t kk = static_cast<size_t>(k_);
-  for (size_t f = 0; f + kk <= frontier_.size(); f += kk) {
-    if (CoordsStrictlyBelow(frontier_.data() + f, coords, k_)) return true;
-  }
-  return false;
-}
-
-bool DominanceIndex::FrontierDominatesSince(const CellCoord* coords,
-                                            uint64_t since_epoch) const {
-  const size_t kk = static_cast<size_t>(k_);
-  for (size_t f = static_cast<size_t>(since_epoch) * kk;
-       f + kk <= frontier_log_.size(); f += kk) {
-    if (CoordsStrictlyBelow(frontier_log_.data() + f, coords, k_)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace progxe

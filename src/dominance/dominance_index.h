@@ -5,8 +5,8 @@
 // sharded merge sink share one implementation and cannot drift:
 //
 //   * OutputTable (progxe/output_table.h) indexes its populated output
-//     cells here and runs the comparable-slice, eviction and eager-kill
-//     scans through SweepLe/SweepGe.
+//     cells here and runs the comparable-slice and eviction scans through
+//     SweepLe/SweepGe.
 //   * ShardedStream (shard/sharded_stream.cc) indexes the accepted global
 //     skyline candidates by canonical cell and filters dominated arrivals /
 //     disproved held candidates through the same sweeps, instead of a flat
@@ -25,13 +25,6 @@
 // quantization (a <= b componentwise implies coord(a) <= coord(b)), so the
 // cone is a sound superset filter even when points clamp at the grid edge;
 // exact point comparisons stay with the caller.
-//
-// The index also tracks the Pareto-minimal frontier of coordinates passed
-// to NoteFrontier, with the append-only epoch log consumed by the region
-// discard path (see FrontierDominatesSince). Frontier entries survive the
-// removal of their entry: a removed entry was either strictly dominated (its
-// dominator covers at least as much) or, for OutputTable, killed *because*
-// of a strictly lower cell — either way the log never loses dominators.
 #pragma once
 
 #include <cstdint>
@@ -78,15 +71,14 @@ class DominanceIndex {
   /// the sweep are skipped from that point on.
   template <typename Fn>
   void SweepLe(const CellCoord* coords, Fn&& fn) const {
-    SweepWords(GatherSweep(/*ge=*/false, coords, 0), fn);
+    SweepWords(GatherSweep(/*ge=*/false, coords), fn);
   }
 
-  /// Enumerates live entries with coordinates >= `coords[d] + offset` in
-  /// every dimension: offset 0 is the dominated cone, offset 1 the strictly
-  /// -above cone (OutputTable's eager kill).
+  /// Enumerates live entries whose coordinates are >= `coords` in every
+  /// dimension (the dominated cone), like SweepLe.
   template <typename Fn>
-  void SweepGe(const CellCoord* coords, CellCoord offset, Fn&& fn) const {
-    SweepWords(GatherSweep(/*ge=*/true, coords, offset), fn);
+  void SweepGe(const CellCoord* coords, Fn&& fn) const {
+    SweepWords(GatherSweep(/*ge=*/true, coords), fn);
   }
 
   /// Compacts once tombstones outnumber live entries (and the index is big
@@ -101,52 +93,6 @@ class DominanceIndex {
       remap(payloads_[i], static_cast<int32_t>(i));
     }
   }
-
-  // --- Pareto-minimal frontier + append-only epoch log ---------------------
-
-  /// Folds `coords` into the frontier: dropped if an existing entry is <=
-  /// everywhere, otherwise added (evicting entries it covers) and appended
-  /// to the epoch log.
-  void NoteFrontier(const CellCoord* coords);
-
-  /// True iff some frontier entry is strictly below `coords` in every
-  /// dimension. O(|frontier|) scan; see AnyLiveStrictlyBelow for the O(1)
-  /// bitmap form callers should prefer when its precondition holds.
-  bool FrontierStrictlyDominates(const CellCoord* coords) const;
-
-  /// True iff some *live entry* is strictly below `coords` in every
-  /// dimension — one bitmap AND with early exit. For an owner that (a)
-  /// notes every added entry to the frontier and (b) removes an entry only
-  /// when a strictly-lower live entry exists at removal time (OutputTable's
-  /// eager kill / frontier kill), this is exactly FrontierStrictlyDominates:
-  /// every removed entry's killer chain descends strictly in all
-  /// coordinates and terminates at a live entry. Owners that remove on
-  /// *point*-level dominance (the sharded merge sink) must not substitute
-  /// one for the other.
-  bool AnyLiveStrictlyBelow(const CellCoord* coords) const {
-    const size_t words = GatherSweep(/*ge=*/false, coords, -1);
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t m = sweep_ptrs_[0][w];
-      for (int d = 1; d < k_; ++d) {
-        m &= sweep_ptrs_[static_cast<size_t>(d)][w];
-      }
-      if (m != 0) return true;  // any set bit is a live entry (Remove clears)
-    }
-    return false;
-  }
-
-  /// True iff a frontier entry logged at epoch >= `since_epoch` strictly
-  /// dominates `coords`; with the epoch of the last surviving check this is
-  /// equivalent to FrontierStrictlyDominates (the log never loses
-  /// dominators).
-  bool FrontierDominatesSince(const CellCoord* coords,
-                              uint64_t since_epoch) const;
-
-  /// Number of frontier insertions so far (== log length).
-  uint64_t frontier_epoch() const { return frontier_epoch_; }
-
-  /// Current frontier entries (flat, k per entry; diagnostics/tests).
-  const std::vector<CellCoord>& frontier() const { return frontier_; }
 
   // --- Coordinate predicates shared with callers ---------------------------
 
@@ -172,11 +118,10 @@ class DominanceIndex {
   /// dimension.
   void SetBits(size_t i, const CellCoord* coords, bool value);
 
-  /// Fills sweep_ptrs_ with the per-dimension bitmap rows at coordinate
-  /// `coords[d] + offset` (ge_bits_ when `ge`, le_bits_ otherwise) and
-  /// returns the common sweepable word count — 0 when any dimension's
-  /// candidate set is empty or the offset leaves the grid.
-  size_t GatherSweep(bool ge, const CellCoord* coords, CellCoord offset) const;
+  /// Fills sweep_ptrs_ with the per-dimension bitmap rows at `coords`
+  /// (ge_bits_ when `ge`, le_bits_ otherwise) and returns the common
+  /// sweepable word count — 0 when any dimension's candidate set is empty.
+  size_t GatherSweep(bool ge, const CellCoord* coords) const;
 
   /// Enumerates ascending live entry positions in the AND of the gathered
   /// rows.
@@ -211,11 +156,6 @@ class DominanceIndex {
   // entries are added.
   std::vector<std::vector<std::vector<uint64_t>>> le_bits_;
   std::vector<std::vector<std::vector<uint64_t>>> ge_bits_;
-
-  // Pareto-minimal frontier (flat, k_ per entry) + append-only log.
-  std::vector<CellCoord> frontier_;
-  std::vector<CellCoord> frontier_log_;
-  uint64_t frontier_epoch_ = 0;
 
   // Reusable per-sweep row pointers (sweeps are logically const).
   mutable std::vector<const uint64_t*> sweep_ptrs_;

@@ -29,6 +29,8 @@ class BloomFilter {
   bool MightIntersect(const BloomFilter& other) const;
 
   size_t bit_count() const { return words_.size() * 64; }
+  /// Heap bytes held by the bit array.
+  size_t ApproxBytes() const { return words_.capacity() * sizeof(uint64_t); }
   int num_hashes() const { return num_hashes_; }
   size_t popcount() const;
 

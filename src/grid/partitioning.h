@@ -74,6 +74,21 @@ class InputPartitioning {
   virtual const std::vector<InputPartition>& partitions() const = 0;
 
   size_t num_partitions() const { return partitions().size(); }
+
+  /// Heap bytes held by the partitions: row lists, bounds, coordinates,
+  /// key runs and Bloom words (the prepared-state cache's byte budget).
+  size_t ApproxBytes() const {
+    size_t bytes = 0;
+    for (const InputPartition& p : partitions()) {
+      bytes += sizeof(InputPartition);
+      bytes += p.rows.capacity() * sizeof(RowId);
+      bytes += p.bounds.capacity() * sizeof(Interval);
+      bytes += p.coords.capacity() * sizeof(CellCoord);
+      bytes += p.key_index.ApproxBytes();
+      if (p.bloom) bytes += p.bloom->ApproxBytes();
+    }
+    return bytes;
+  }
 };
 
 }  // namespace progxe

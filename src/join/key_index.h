@@ -58,6 +58,13 @@ class KeyIndex {
   /// ForEachMatch, stopping at the first match.
   bool SharesKeyWith(const KeyIndex& other) const;
 
+  /// Heap bytes held: the key list, the run offsets and the rows.
+  size_t ApproxBytes() const {
+    return keys_.capacity() * sizeof(JoinKey) +
+           offsets_.capacity() * sizeof(uint32_t) +
+           rows_.capacity() * sizeof(RowId);
+  }
+
  private:
   /// Sorts the (key, row) entries and lays them out as key runs.
   void Build(std::vector<std::pair<JoinKey, RowId>> entries);

@@ -463,7 +463,6 @@ void WriteStats(const ProgXeStats& s, WireWriter* w) {
   w->PutU64(s.pq_reorderings);
   w->PutU64(s.join_pairs_generated);
   w->PutU64(s.tuples_discarded_marked);
-  w->PutU64(s.tuples_discarded_frontier);
   w->PutU64(s.tuples_dominated_on_insert);
   w->PutU64(s.tuples_evicted);
   w->PutU64(s.dominance_comparisons);
@@ -493,7 +492,6 @@ Status ReadStats(WireReader* r, ProgXeStats* out) {
       !get_size(&s.regions_discarded_seed) || !get_size(&s.pq_reorderings) ||
       !r->GetU64(&s.join_pairs_generated) ||
       !r->GetU64(&s.tuples_discarded_marked) ||
-      !r->GetU64(&s.tuples_discarded_frontier) ||
       !r->GetU64(&s.tuples_dominated_on_insert) ||
       !r->GetU64(&s.tuples_evicted) || !r->GetU64(&s.dominance_comparisons) ||
       !get_size(&s.results_emitted) || !get_size(&s.cells_flushed) ||
@@ -565,7 +563,6 @@ Status ReadWatermark(WireReader* r, bool* has_bound,
 
 void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w) {
   w->PutU32(checkpoint.k);
-  w->PutU64(checkpoint.frontier_epoch);
   w->PutU64(checkpoint.delivered);
   w->PutU64(checkpoint.region_count);
   w->PutU64(checkpoint.replay_pairs_saved);
@@ -579,9 +576,9 @@ void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w) {
 Status ReadCheckpoint(WireReader* r, SessionCheckpoint* out) {
   SessionCheckpoint cp;
   uint32_t count = 0;
-  if (!r->GetU32(&cp.k) || !r->GetU64(&cp.frontier_epoch) ||
-      !r->GetU64(&cp.delivered) || !r->GetU64(&cp.region_count) ||
-      !r->GetU64(&cp.replay_pairs_saved) || !r->GetU32(&count)) {
+  if (!r->GetU32(&cp.k) || !r->GetU64(&cp.delivered) ||
+      !r->GetU64(&cp.region_count) || !r->GetU64(&cp.replay_pairs_saved) ||
+      !r->GetU32(&count)) {
     return r->status();
   }
   if (static_cast<uint64_t>(count) * 4 > r->remaining()) {

@@ -60,11 +60,11 @@ namespace progxe {
 /// checkpoint group), kOpenResult with resume info (u8 resumed,
 /// u32 regions_skipped, u64 replay_pairs_saved) and kPumpResult with
 /// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
-/// workers ship one only when its skip list grew). Version 4 workers join
-/// each region in key order, which moves order-sensitive counters, so they
-/// must not pair with a version-3 (hash-order) peer.
+/// workers ship one only when its skip list grew). Version 5 dropped the
+/// frontier-discard counter from the stats group and the frontier epoch
+/// from the checkpoint group.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 4;
+inline constexpr uint16_t kWireVersion = 5;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -190,10 +190,10 @@ void WriteWatermark(bool has_bound, const std::vector<double>& bound,
 Status ReadWatermark(WireReader* r, bool* has_bound,
                      std::vector<double>* bound);
 
-/// Resume checkpoint (progxe/checkpoint.h): u32 k, u64
-/// frontier_epoch, u64 delivered, u64 region_count, u64 replay_pairs_saved,
-/// u32 skip_count + skip_count u32 region ids (validated against the bytes
-/// present and required strictly increasing), then WriteStats. Decode
+/// Resume checkpoint (progxe/checkpoint.h): u32 k, u64 delivered, u64
+/// region_count, u64 replay_pairs_saved, u32 skip_count + skip_count u32
+/// region ids (validated against the bytes present and required strictly
+/// increasing), then WriteStats. Decode
 /// failures surface through the reader; semantic staleness (wrong prepared
 /// inputs) is caught later by RegionLoop::RestoreCheckpoint.
 void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w);

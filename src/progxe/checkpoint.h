@@ -58,8 +58,6 @@ namespace progxe {
 struct SessionCheckpoint {
   /// Output dimensionality of the capturing session (validation).
   uint32_t k = 0;
-  /// Output-table frontier epoch at capture (observability/validation).
-  uint64_t frontier_epoch = 0;
   /// Results the capturing incarnation had delivered when the checkpoint
   /// was taken (cross-checked against the coordinator's dedup set).
   uint64_t delivered = 0;

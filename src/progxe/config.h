@@ -176,7 +176,6 @@ struct ProgXeStats {
   // Tuple-level processing.
   uint64_t join_pairs_generated = 0;
   uint64_t tuples_discarded_marked = 0;
-  uint64_t tuples_discarded_frontier = 0;
   uint64_t tuples_dominated_on_insert = 0;
   uint64_t tuples_evicted = 0;
   uint64_t dominance_comparisons = 0;

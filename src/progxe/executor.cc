@@ -21,7 +21,6 @@ std::string ProgXeStats::ToString() const {
      << " cells_marked=" << cells_marked_lookahead
      << " join_pairs=" << join_pairs_generated
      << " disc_marked=" << tuples_discarded_marked
-     << " disc_frontier=" << tuples_discarded_frontier
      << " dominated=" << tuples_dominated_on_insert
      << " evicted=" << tuples_evicted
      << " cmps=" << dominance_comparisons
@@ -47,7 +46,6 @@ void ProgXeStats::Accumulate(const ProgXeStats& s) {
   pq_reorderings += s.pq_reorderings;
   join_pairs_generated += s.join_pairs_generated;
   tuples_discarded_marked += s.tuples_discarded_marked;
-  tuples_discarded_frontier += s.tuples_discarded_frontier;
   tuples_dominated_on_insert += s.tuples_dominated_on_insert;
   tuples_evicted += s.tuples_evicted;
   dominance_comparisons += s.dominance_comparisons;

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "common/compact.h"
 
 namespace progxe {
+
+namespace {
+
+/// a <= b in every one of the k dimensions.
+bool AllLeq(const double* a, const double* b, int k) {
+  for (int d = 0; d < k; ++d) {
+    if (a[d] > b[d]) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 void OutputTable::CellData::Compact(int k) {
   if (dead_count == 0) return;
@@ -38,7 +51,20 @@ OutputTable::OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
   emitted_.assign(total, 0);
   cell_slot_.assign(total, -1);
   scratch_coords_.resize(static_cast<size_t>(k_));
+  walk_coords_.resize(static_cast<size_t>(k_));
   pop_index_ = DominanceIndex(k_, geometry_.cells_per_dim());
+#ifndef NDEBUG
+  // Up-closure: a marked cell's upper neighbours are marked.
+  std::vector<CellCoord> coords(static_cast<size_t>(k_));
+  for (CellIndex c = 0; c < geometry_.total_cells(); ++c) {
+    if (!marked_[static_cast<size_t>(c)]) continue;
+    geometry_.CoordsOfIndex(c, coords.data());
+    for (int d = 0; d < k_; ++d) {
+      assert(coords[static_cast<size_t>(d)] == top_cell_[0] ||
+             marked_[static_cast<size_t>(c + geometry_.stride(d))]);
+    }
+  }
+#endif
 }
 
 void OutputTable::InitCoverage(const std::vector<Region>& regions) {
@@ -179,32 +205,20 @@ size_t OutputTable::AliveCount(CellIndex c) const {
   return s < 0 ? 0 : cells_[static_cast<size_t>(s)].alive_count;
 }
 
-bool OutputTable::FrontierStrictlyDominates(const CellCoord* coords) const {
-  // Equivalent to scanning the frontier: a populated cell's index entry is
-  // removed only when a strictly-lower populated cell exists (eager kill /
-  // frontier kill), so a frontier dominator always implies a live one.
-  return pop_index_.AnyLiveStrictlyBelow(coords);
-}
-
-bool OutputTable::RegionDominatedByFrontier(const Region& region) const {
-  return FrontierStrictlyDominates(region.lo_cell.data());
-}
-
-bool OutputTable::FrontierDominatesSince(const CellCoord* coords,
-                                         uint64_t since_epoch) const {
-  return pop_index_.FrontierDominatesSince(coords, since_epoch);
-}
-
-OutputTable::CellData* OutputTable::EnsureCell(CellIndex c,
-                                               const CellCoord* coords) {
-  int32_t s = slot(c);
-  if (s >= 0) return &cells_[static_cast<size_t>(s)];
-  s = static_cast<int32_t>(cells_.size());
+int32_t OutputTable::AddCell(CellIndex c, const CellCoord* coords) {
+  assert(slot(c) < 0);
+  const int32_t s = static_cast<int32_t>(cells_.size());
   cells_.emplace_back();
-  cells_.back().coords.assign(coords, coords + k_);
-  cells_.back().index = c;
+  CellData& cell = cells_.back();
+  cell.coords.assign(coords, coords + k_);
+  cell.index = c;
+  cell.pop_pos = pop_index_.Add(coords, s);
   cell_slot_[static_cast<size_t>(c)] = s;
-  return &cells_.back();
+  cell_min_.insert(cell_min_.end(), static_cast<size_t>(k_),
+                   std::numeric_limits<double>::infinity());
+  cell_max_.insert(cell_max_.end(), static_cast<size_t>(k_),
+                   -std::numeric_limits<double>::infinity());
+  return s;
 }
 
 void OutputTable::AddUnflushed(int32_t cell_slot) {
@@ -251,54 +265,66 @@ CellIndex OutputTable::FindUnflushedInBox(const CellCoord* lo,
   return -1;
 }
 
-void OutputTable::KillCell(CellIndex c) {
-  if (marked_[static_cast<size_t>(c)]) return;
+void OutputTable::MarkCell(CellIndex c, const CellCoord* coords) {
+  assert(!marked_[static_cast<size_t>(c)]);
   marked_[static_cast<size_t>(c)] = 1;
-  if (cover_lo(c) == 1) {
-    geometry_.CoordsOfIndex(c, prog_coords_.data());
-    AdjustProgCount(c, prog_coords_.data(), -1);
-  }
+  newly_marked_.push_back(c);
+  if (cover_lo(c) == 1) AdjustProgCount(c, coords, -1);
   const int32_t s = slot(c);
-  if (s >= 0) {
-    CellData& cell = cells_[static_cast<size_t>(s)];
-    RemoveUnflushed(cell);
-    stats_->tuples_evicted += cell.alive_count;
-    cell.values.clear();
-    cell.ids.clear();
-    cell.alive.clear();
-    cell.alive_count = 0;
-    cell.dead_count = 0;
-    // Tombstone the populated-cell index entry: a marked cell never
-    // receives tuples again, so it can never re-populate.
-    if (cell.pop_pos >= 0) {
-      pop_index_.Remove(cell.pop_pos);
-      cell.pop_pos = -1;
+  if (s < 0) return;
+  CellData& cell = cells_[static_cast<size_t>(s)];
+  // Tuples arrive only in cells an active region covers, and a flushed
+  // cell has no active region at or below it — so none is above one.
+  assert(!emitted_[static_cast<size_t>(c)]);
+  RemoveUnflushed(cell);
+  stats_->tuples_evicted += cell.alive_count;
+  cell.values.clear();
+  cell.ids.clear();
+  cell.alive.clear();
+  cell.alive_count = 0;
+  cell.dead_count = 0;
+  // A marked cell never receives tuples again, so it can never re-populate.
+  pop_index_.Remove(cell.pop_pos);
+  cell.pop_pos = -1;
+}
+
+void OutputTable::MarkAbove(const CellCoord* coords) {
+  const CellCoord top = geometry_.cells_per_dim() - 1;
+  CellCoord* at = walk_coords_.data();
+  for (int d = 0; d < k_; ++d) {
+    if (coords[d] == top) return;  // nothing strictly above
+    at[d] = coords[d] + 1;
+  }
+  MarkFrom(0, geometry_.IndexOf(at), at);
+}
+
+void OutputTable::MarkFrom(int d, CellIndex corner, CellCoord* at) {
+  const CellCoord top = geometry_.cells_per_dim() - 1;
+  const CellCoord first = at[d];
+  const CellIndex stride = geometry_.stride(d);
+  for (; at[d] <= top; ++at[d], corner += stride) {
+    // `corner` is the lowest cell left in this loop: at[0..d] as they
+    // stand, at[e] in every later dimension. The walk has not visited it,
+    // so a mark there predates the walk and, by up-closure, covers every
+    // cell left in the loop.
+    if (marked_[static_cast<size_t>(corner)]) break;
+    if (d + 1 == k_) {
+      MarkCell(corner, at);
+    } else {
+      MarkFrom(d + 1, corner, at);
     }
   }
+  at[d] = first;
+}
+
+void OutputTable::TakeNewlyMarked(std::vector<CellIndex>* out) {
+  out->clear();
+  out->swap(newly_marked_);
 }
 
 void OutputTable::MaybeCompactPopulated() {
   pop_index_.MaybeCompact([this](int32_t cell_slot, int32_t pos) {
     cells_[static_cast<size_t>(cell_slot)].pop_pos = pos;
-  });
-}
-
-void OutputTable::OnCellPopulated(CellIndex c, const CellCoord* coords) {
-  CellData& self = cells_[static_cast<size_t>(slot(c))];
-  if (self.pop_pos < 0) {
-    self.pop_pos = pop_index_.Add(coords, slot(c));
-  }
-  pop_index_.NoteFrontier(coords);
-  // Eager kill: every populated cell strictly above `coords` is now wholly
-  // dominated (any tuple here dominates all of its tuples, half-open
-  // cells). Candidates have coord[d] >= coords[d] + 1 in every dimension.
-  pop_index_.SweepGe(coords, 1, [this](size_t p) {
-    CellData& other = cells_[static_cast<size_t>(pop_index_.payload(p))];
-    const CellIndex oc = other.index;
-    if (other.alive_count != 0 && !emitted_[static_cast<size_t>(oc)]) {
-      KillCell(oc);
-    }
-    return true;
   });
 }
 
@@ -314,11 +340,6 @@ InsertOutcome OutputTable::Insert(const double* values, RowId r_id,
   if (marked_[static_cast<size_t>(c)]) {
     ++stats_->tuples_discarded_marked;
     return InsertOutcome::kDiscardedMarked;
-  }
-  if (FrontierStrictlyDominates(coords)) {
-    KillCell(c);
-    ++stats_->tuples_discarded_frontier;
-    return InsertOutcome::kDiscardedFrontier;
   }
   MaybeCompactPopulated();
   return InsertAlive(values, r_id, t_id, coords, c);
@@ -346,11 +367,8 @@ void OutputTable::InsertRuns(const double* values, const RowIdPair* ids,
   const size_t kk = static_cast<size_t>(k_);
   // Pass 2: process runs of consecutive same-cell tuples. Processing order
   // is exactly the input order, so counters match the per-tuple path. The
-  // run-level shortcut is sound because within a run neither check can
-  // flip: inserting into cell c never marks c (the eager kill skips cells
-  // the new tuple does not strictly dominate, c included), and never makes
-  // the frontier strictly dominate c (the only entry added is c's own
-  // coordinates, and entries it evicts are covered by it).
+  // run-level shortcut is sound because within a run the marked check
+  // cannot flip: inserting into cell c marks only cells strictly above c.
   size_t i = 0;
   while (i < n) {
     const CellIndex c = cells[i];
@@ -364,15 +382,6 @@ void OutputTable::InsertRuns(const double* values, const RowIdPair* ids,
 
     if (marked_[static_cast<size_t>(c)]) {
       stats_->tuples_discarded_marked += run_len;
-      i = run_end;
-      continue;
-    }
-    if (FrontierStrictlyDominates(coords)) {
-      // Per-tuple equivalence: the first tuple takes the frontier hit and
-      // kills the cell; the rest would then see the cell marked.
-      KillCell(c);
-      ++stats_->tuples_discarded_frontier;
-      stats_->tuples_discarded_marked += run_len - 1;
       i = run_end;
       continue;
     }
@@ -390,10 +399,12 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
   const size_t kk = static_cast<size_t>(k_);
 
   // Dominance check against live tuples in the comparable dominator slice:
-  // populated cells p with p <= coords in every dimension (cells strictly
-  // below in all dimensions were handled by the frontier test above, so any
-  // survivor here shares at least one coordinate — the paper's slice).
-  // Candidates are enumerated by ANDing the per-dimension <= bitmaps.
+  // populated cells p with p <= coords in every dimension. None is strictly
+  // below in all dimensions — it would have marked this cell — so every
+  // candidate shares at least one coordinate (the paper's slice).
+  // Candidates are enumerated by ANDing the per-dimension <= bitmaps; a
+  // cell whose value min is not <= the newcomer holds no tuple that could
+  // dominate or equal it, and is skipped on the flat bounds alone.
   //
   // Tie fast-path: if an *alive* tuple exactly equals the newcomer, nothing
   // generated so far dominates either (or the incumbent would be dead), and
@@ -403,13 +414,11 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
   bool found_equal_alive = false;
   bool dominated = false;
   pop_index_.SweepLe(coords, [&](size_t p) {
-    const CellCoord* pc = pop_index_.entry_coords(p);
-    // Strictly-below populated cells cannot exist here (the frontier
-    // test ran first); skipping them keeps the slice identical to the
-    // paper's.
-    if (DominanceIndex::CoordsStrictlyBelow(pc, coords, k_)) return true;
-    const CellData& cell =
-        cells_[static_cast<size_t>(pop_index_.payload(p))];
+    assert(!DominanceIndex::CoordsStrictlyBelow(pop_index_.entry_coords(p),
+                                                coords, k_));
+    const size_t s = static_cast<size_t>(pop_index_.payload(p));
+    if (!AllLeq(cell_min_.data() + s * kk, values, k_)) return true;
+    const CellData& cell = cells_[s];
     if (cell.alive_count == 0) return true;
     const bool own_cell = cell.index == c;
     for (size_t i = 0; i < cell.ids.size(); ++i) {
@@ -438,17 +447,23 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
     return InsertOutcome::kDominated;
   }
 
+  // First tuple of the cell: every cell strictly above is now dominated
+  // (any tuple here dominates all of its tuples, half-open cells).
+  int32_t own_slot = slot(c);
+  if (own_slot < 0) {
+    own_slot = AddCell(c, coords);
+    MarkAbove(coords);
+  }
+
   // Evict live tuples the new one dominates: populated cells p with
-  // p >= coords in every dimension (again, sharing a coordinate; strictly
-  // greater cells are killed wholesale when this cell first populates).
+  // p >= coords in every dimension, none strictly above (just marked).
   if (!found_equal_alive) {
-    pop_index_.SweepGe(coords, 0, [&](size_t p) {
-      const CellCoord* pc = pop_index_.entry_coords(p);
-      // Strictly-above cells are killed wholesale (and marked) when this
-      // cell first populates; evicting their tuples here instead would
-      // leave them unmarked and still accepting arrivals.
-      if (DominanceIndex::CoordsStrictlyBelow(coords, pc, k_)) return true;
-      CellData& cell = cells_[static_cast<size_t>(pop_index_.payload(p))];
+    pop_index_.SweepGe(coords, [&](size_t p) {
+      assert(!DominanceIndex::CoordsStrictlyBelow(
+          coords, pop_index_.entry_coords(p), k_));
+      const size_t s = static_cast<size_t>(pop_index_.payload(p));
+      if (!AllLeq(values, cell_max_.data() + s * kk, k_)) return true;
+      CellData& cell = cells_[s];
       if (cell.alive_count == 0) return true;
       if (emitted_[static_cast<size_t>(cell.index)]) return true;
       for (size_t i = 0; i < cell.ids.size(); ++i) {
@@ -468,13 +483,17 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
   }
 
   // Insert.
-  CellData* cell = EnsureCell(c, coords);
-  const bool newly_populated = cell->alive_count == 0 && cell->ids.empty();
-  cell->values.insert(cell->values.end(), values, values + k_);
-  cell->ids.push_back(CellTupleIds{r_id, t_id});
-  cell->alive.push_back(1);
-  if (++cell->alive_count == 1) AddUnflushed(slot(c));
-  if (newly_populated) OnCellPopulated(c, coords);
+  CellData& cell = cells_[static_cast<size_t>(own_slot)];
+  cell.values.insert(cell.values.end(), values, values + k_);
+  cell.ids.push_back(CellTupleIds{r_id, t_id});
+  cell.alive.push_back(1);
+  if (++cell.alive_count == 1) AddUnflushed(own_slot);
+  double* lo = cell_min_.data() + static_cast<size_t>(own_slot) * kk;
+  double* hi = cell_max_.data() + static_cast<size_t>(own_slot) * kk;
+  for (int d = 0; d < k_; ++d) {
+    lo[d] = std::min(lo[d], values[d]);
+    hi[d] = std::max(hi[d], values[d]);
+  }
   return InsertOutcome::kInserted;
 }
 

@@ -1,24 +1,31 @@
 // Runtime state of the output partition grid: per-cell region coverage,
-// non-contributing marks, live intermediate tuples, and the populated-cell
-// frontier. Implements tuple-level processing (Section III-B): join results
-// fight only tuples mapped to their *comparable slice* of partitions, and
-// whole partitions are discarded by cell-level domination.
+// non-contributing marks and live intermediate tuples. Implements
+// tuple-level processing (Section III-B): join results fight only tuples
+// mapped to their *comparable slice* of partitions, and whole partitions
+// are discarded by cell-level domination.
 //
 // Cell-level soundness relies on half-open grid cells (see
 // grid/grid_geometry.h): a populated cell strictly below another cell in
 // every coordinate dominates *all* of that cell's present and future tuples.
+// So when a cell first populates, every cell strictly above it is marked
+// (and any tuples there dropped). The look-ahead marking is up-closed too,
+// so the marked set always is: "is this cell dominated at cell level" is
+// one byte, and a marking walk stops at the first already-marked corner,
+// which bounds all marking work by the grid.
 //
 // Hot-path layout: populated cells live in a shared DominanceIndex
 // (dominance/dominance_index.h — flat coordinates plus a parallel slot
 // payload, with per-dimension cumulative bitmaps) so the comparable-slice
-// and eager-kill scans are word-wise cone sweeps over contiguous memory;
-// killed cells leave tombstones that are compacted once they outnumber the
-// live entries. The insert path is allocation-free
-// in steady state — per-call coordinate buffers are member scratch — and
-// the batched entry point (InsertBatch) amortizes coordinate computation
-// and cell-level checks over runs of same-cell tuples while remaining
-// result- and counter-identical to per-tuple Insert calls in the same
-// order.
+// and eviction scans are word-wise cone sweeps over contiguous memory;
+// marked cells leave tombstones that are compacted once they outnumber the
+// live entries. Each cell slot also keeps the componentwise min and max of
+// the values ever inserted there, in flat arrays beside the index, so the
+// sweeps reject cells that hold nothing comparable without touching their
+// tuples. The insert path is allocation-free in steady state — per-call
+// coordinate buffers are member scratch — and the batched entry point
+// (InsertBatch) amortizes coordinate computation and the marked check over
+// runs of same-cell tuples while remaining result- and counter-identical to
+// per-tuple Insert calls in the same order.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +41,9 @@ namespace progxe {
 
 /// Outcome of inserting one join result.
 enum class InsertOutcome : uint8_t {
-  /// Discarded: mapped to a cell marked non-contributing at look-ahead or
-  /// killed at runtime.
+  /// Discarded: mapped to a marked cell — marked non-contributing at
+  /// look-ahead, or strictly above a cell that has populated.
   kDiscardedMarked,
-  /// Discarded: cell strictly dominated by a populated cell (frontier).
-  kDiscardedFrontier,
   /// Discarded: dominated by a live tuple in the comparable slice.
   kDominated,
   /// Inserted and currently alive.
@@ -53,7 +58,8 @@ struct CellTupleIds {
 
 class OutputTable {
  public:
-  /// `marked` is the look-ahead marking (moved in); `k` output dims.
+  /// `marked` is the look-ahead marking (moved in); it must be up-closed
+  /// (a marked cell's every upper neighbour is marked).
   OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
               ProgXeStats* stats);
 
@@ -125,9 +131,8 @@ class OutputTable {
   /// tuple, pair-major; `ids` is parallel). Exactly equivalent — stats
   /// counters included — to calling Insert per tuple in order, but bins the
   /// block into runs of same-cell tuples: coordinates are computed in one
-  /// tight pass and the marked/frontier cell checks run once per run
-  /// (sound because an insert into a cell can neither mark that cell nor
-  /// make the frontier dominate it; see output_table.cc).
+  /// tight pass and the marked check runs once per run (sound because an
+  /// insert into a cell marks only cells strictly above it).
   void InsertBatch(const double* values, const RowIdPair* ids, size_t n);
 
   // --- Cell predicates -----------------------------------------------------
@@ -153,34 +158,11 @@ class OutputTable {
   CellIndex FindUnflushedInBox(const CellCoord* lo, const CellCoord* hi,
                                uint64_t* examined) const;
 
-  /// True iff some populated cell is strictly below `coords` in every
-  /// dimension (i.e. every tuple of this cell is dominated).
-  bool FrontierStrictlyDominates(const CellCoord* coords) const;
-
-  /// True iff some populated cell is strictly below the given region's
-  /// lower cell in every dimension — the runtime region-discard test
-  /// (Algorithm 1, line 9).
-  bool RegionDominatedByFrontier(const Region& region) const;
-
-  // --- Incremental frontier tracking ---------------------------------------
-  //
-  // Every coordinate vector ever added to the frontier is appended to an
-  // append-only log; the epoch is the number of log entries. A consumer
-  // that verified "no frontier entry strictly dominates coords" at epoch e
-  // only needs to test log entries [e, frontier_epoch()) later: entries
-  // evicted from the frontier in between are always covered by a newer
-  // entry that dominates at least as much, so the log never loses
-  // dominators.
-
-  /// Number of frontier insertions so far. Advances only when a new cell
-  /// populates in a frontier-relevant position.
-  uint64_t frontier_epoch() const { return pop_index_.frontier_epoch(); }
-
-  /// True iff a frontier entry logged at epoch >= `since_epoch` strictly
-  /// dominates `coords`. With `since_epoch` equal to the epoch of the last
-  /// surviving check, this is equivalent to FrontierStrictlyDominates.
-  bool FrontierDominatesSince(const CellCoord* coords,
-                              uint64_t since_epoch) const;
+  /// Moves the cells marked since the last call (each once, in marking
+  /// order) into `*out`, dropping its old contents. Only the insert path
+  /// marks cells at runtime, and only cells strictly above a populated one:
+  /// the runtime region discard (Algorithm 1, line 9) reads these lo_cells.
+  void TakeNewlyMarked(std::vector<CellIndex>* out);
 
   // --- Flushing ------------------------------------------------------------
 
@@ -214,22 +196,29 @@ class OutputTable {
   /// Slot of a cell in cells_, or -1.
   int32_t slot(CellIndex c) const { return cell_slot_[static_cast<size_t>(c)]; }
 
-  /// Ensures a CellData exists for the (about-to-be-populated) cell.
-  CellData* EnsureCell(CellIndex c, const CellCoord* coords);
+  /// Creates the slot of a cell about to receive its first tuple: its
+  /// CellData, empty value bounds and populated-cell index entry.
+  int32_t AddCell(CellIndex c, const CellCoord* coords);
 
-  /// Registers a newly populated cell: populated-cell index, frontier
-  /// update, and eager kill of populated cells strictly above it.
-  void OnCellPopulated(CellIndex c, const CellCoord* coords);
+  /// Marks every unmarked cell strictly above `coords` (see MarkCell). The
+  /// walk over [coords + 1, top] ends a dimension's loop at the first
+  /// corner already marked: the marked set is up-closed, so the rest of
+  /// that slab is too.
+  void MarkAbove(const CellCoord* coords);
+  /// MarkAbove's walk over dimensions [d, k) from `corner`, the index of
+  /// `at` (scratch coordinates, restored on return).
+  void MarkFrom(int d, CellIndex corner, CellCoord* at);
 
-  /// Kills a cell: drops its live tuples and marks it non-contributing.
-  void KillCell(CellIndex c);
+  /// Marks an unmarked cell non-contributing: ProgCount upkeep, drops its
+  /// live tuples (counted as evicted) and tombstones its index entry.
+  void MarkCell(CellIndex c, const CellCoord* coords);
 
   /// Adds `delta` to the ProgCount of the single region counted in
   /// cover_lo at cell `c` (with coordinates `coords`), if its box holds c.
   void AdjustProgCount(CellIndex c, const CellCoord* coords, int64_t delta);
 
   /// Unflushed-cell list upkeep: a cell joins when its first live tuple
-  /// arrives and leaves when it flushes, is killed or loses its last live
+  /// arrives and leaves when it flushes, is marked or loses its last live
   /// tuple to eviction. Swap-pop removal, O(1) either way.
   void AddUnflushed(int32_t cell_slot);
   void RemoveUnflushed(CellData& cell);
@@ -238,8 +227,8 @@ class OutputTable {
   /// dominate it. Must only run outside the index sweeps.
   void MaybeCompactPopulated();
 
-  /// Insert continuation once the cell-level marked/frontier checks have
-  /// passed: slice dominance scan, eviction scan, and the append.
+  /// Insert continuation once the marked check has passed: slice dominance
+  /// scan, first-population marking, eviction scan, and the append.
   InsertOutcome InsertAlive(const double* values, RowId r_id, RowId t_id,
                             const CellCoord* coords, CellIndex c);
 
@@ -276,14 +265,22 @@ class OutputTable {
   std::vector<uint8_t> emitted_;
   std::vector<int32_t> cell_slot_;
   std::vector<CellData> cells_;
+  /// Componentwise min / max of every value inserted into a slot (k per
+  /// slot, parallel to cells_). They only widen, so after evictions they
+  /// stay conservative: a slice sweep may skip a cell whose min is not <=
+  /// the newcomer (nothing there can dominate it) or whose max is not >=
+  /// it (nothing there can be evicted by it).
+  std::vector<double> cell_min_;
+  std::vector<double> cell_max_;
 
-  // Populated-cell index + cell frontier, shared machinery with the
-  // sharded merge sink (dominance/dominance_index.h): entry payload is the
-  // slot into cells_, entry position is cached in CellData::pop_pos. The
-  // dominance-slice and eager-kill scans run as cone sweeps over this
-  // index; the Pareto-minimal frontier and its append-only epoch log back
-  // FrontierStrictlyDominates / FrontierDominatesSince.
+  // Populated-cell index, shared machinery with the sharded merge sink
+  // (dominance/dominance_index.h): entry payload is the slot into cells_,
+  // entry position is cached in CellData::pop_pos. The comparable-slice
+  // and eviction scans run as cone sweeps over this index.
   DominanceIndex pop_index_;
+
+  /// Cells marked at runtime since the last TakeNewlyMarked.
+  std::vector<CellIndex> newly_marked_;
 
   // Unflushed cells (populated && !emitted && !marked): cell slots plus a
   // parallel flat copy of their coordinates (k per entry) so box-containment
@@ -291,9 +288,10 @@ class OutputTable {
   std::vector<int32_t> unflushed_slots_;
   std::vector<CellCoord> unflushed_coords_;
 
-  // Reusable scratch: single-insert coordinates and the batch pipeline's
-  // per-block coordinate / cell-index buffers.
+  // Reusable scratch: single-insert and marking-walk coordinates and the
+  // batch pipeline's per-block coordinate / cell-index buffers.
   std::vector<CellCoord> scratch_coords_;
+  std::vector<CellCoord> walk_coords_;
   std::vector<CellCoord> batch_coords_;
   std::vector<CellIndex> batch_cells_;
 };

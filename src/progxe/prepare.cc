@@ -34,18 +34,6 @@ size_t RelationBytes(const Relation& rel) {
                        sizeof(JoinKey));
 }
 
-size_t PartitioningBytes(const InputPartitioning* grid) {
-  if (grid == nullptr) return 0;
-  size_t bytes = 0;
-  for (const InputPartition& p : grid->partitions()) {
-    bytes += p.rows.capacity() * sizeof(RowId);
-    bytes += p.bounds.capacity() * sizeof(Interval);
-    bytes += p.coords.capacity() * sizeof(CellCoord);
-    bytes += sizeof(InputPartition);
-  }
-  return bytes;
-}
-
 /// The output grid's cells per dimension: the paper's partition size delta.
 /// An explicit (non-zero) request passes through. Otherwise delta follows
 /// the work: the grid gets ~16 * sqrt(expected join pairs) cells, capped at
@@ -70,7 +58,8 @@ size_t PreparedInputs::ApproxBytes() const {
   bytes += (r_orig_ids.capacity() + t_orig_ids.capacity()) * sizeof(RowId);
   if (r_contrib) bytes += r_contrib->flat().size() * sizeof(double);
   if (t_contrib) bytes += t_contrib->flat().size() * sizeof(double);
-  bytes += PartitioningBytes(r_grid.get()) + PartitioningBytes(t_grid.get());
+  if (r_grid) bytes += r_grid->ApproxBytes();
+  if (t_grid) bytes += t_grid->ApproxBytes();
   bytes += lookahead.regions.capacity() * sizeof(Region);
   for (const Region& region : lookahead.regions) {
     bytes += region.bounds.capacity() * sizeof(Interval);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "obs/trace.h"
 
@@ -87,18 +86,23 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
   }
   seed_applied_ = seed_discard_.empty();
 
-  // Bucket the active regions by lo_cell for the runtime discard sweep.
-  std::unordered_map<CellIndex, size_t> bucket_of;
+  // Group the active regions by lo_cell for the runtime discard sweep (a
+  // counting sort: region ids stay ascending within a cell).
+  const GridGeometry& geom = table_.geometry();
+  lo_offsets_.assign(static_cast<size_t>(geom.total_cells()) + 1, 0);
   for (const Region& region : *regions_) {
     if (!region.Active()) continue;
-    const CellIndex lo_index = table_.geometry().IndexOf(region.lo_cell.data());
-    auto [it, inserted] =
-        bucket_of.try_emplace(lo_index, discard_buckets_.size());
-    if (inserted) {
-      discard_buckets_.emplace_back();
-      discard_buckets_.back().lo = region.lo_cell;
-    }
-    discard_buckets_[it->second].region_ids.push_back(region.id);
+    ++lo_offsets_[static_cast<size_t>(geom.IndexOf(region.lo_cell.data())) + 1];
+  }
+  for (size_t c = 1; c < lo_offsets_.size(); ++c) {
+    lo_offsets_[c] += lo_offsets_[c - 1];
+  }
+  lo_regions_.resize(lo_offsets_.back());
+  std::vector<uint32_t> next(lo_offsets_.begin(), lo_offsets_.end() - 1);
+  for (const Region& region : *regions_) {
+    if (!region.Active()) continue;
+    const size_t lo = static_cast<size_t>(geom.IndexOf(region.lo_cell.data()));
+    lo_regions_[next[lo]++] = region.id;
   }
 }
 
@@ -147,39 +151,17 @@ void RegionLoop::RemoveRegion(Region& region,
 }
 
 void RegionLoop::DiscardSweep(std::vector<ResultTuple>* pending) {
-  // Only runs when the frontier advanced since the last sweep; each bucket
-  // is tested against the frontier entries logged since it last survived.
-  const uint64_t epoch = table_.frontier_epoch();
-  if (epoch == last_sweep_epoch_) return;
+  // Only runs when the inserts marked cells since the last sweep; a cell is
+  // marked once, so each region is found here at most once.
+  table_.TakeNewlyMarked(&newly_marked_);
+  if (newly_marked_.empty()) return;
   TraceSpan span(trace_cats::kRegion, "region.discard");
   discard_scratch_.clear();
-  for (size_t bi = 0; bi < discard_buckets_.size();) {
-    DiscardBucket& bucket = discard_buckets_[bi];
-    // Lazily drop regions that completed or were discarded meanwhile.
-    std::erase_if(bucket.region_ids, [&](int32_t id) {
-      return !(*regions_)[static_cast<size_t>(id)].Active();
-    });
-    if (bucket.region_ids.empty()) {
-      // Permanently dead: swap-pop so later sweeps skip it entirely.
-      if (bi + 1 != discard_buckets_.size()) {
-        discard_buckets_[bi] = std::move(discard_buckets_.back());
-      }
-      discard_buckets_.pop_back();
-      continue;
-    }
-    if (table_.FrontierDominatesSince(bucket.lo.data(),
-                                      bucket.survived_epoch)) {
-      discard_scratch_.insert(discard_scratch_.end(),
-                              bucket.region_ids.begin(),
-                              bucket.region_ids.end());
-      if (bi + 1 != discard_buckets_.size()) {
-        discard_buckets_[bi] = std::move(discard_buckets_.back());
-      }
-      discard_buckets_.pop_back();
-      continue;
-    }
-    bucket.survived_epoch = epoch;
-    ++bi;
+  for (CellIndex c : newly_marked_) {
+    discard_scratch_.insert(
+        discard_scratch_.end(),
+        lo_regions_.begin() + lo_offsets_[static_cast<size_t>(c)],
+        lo_regions_.begin() + lo_offsets_[static_cast<size_t>(c) + 1]);
   }
   // Discard in ascending region id — the order the full rescan used — so
   // flush/emission order is byte-for-byte stable.
@@ -191,7 +173,6 @@ void RegionLoop::DiscardSweep(std::vector<ResultTuple>* pending) {
     ++stats_->regions_discarded_runtime;
     RemoveRegion(other, pending);
   }
-  last_sweep_epoch_ = epoch;
 }
 
 void RegionLoop::CompletenessSweep(std::vector<ResultTuple>* pending) {
@@ -307,7 +288,6 @@ bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
     }
   }
   out->k = static_cast<uint32_t>(prep_->inputs->k);
-  out->frontier_epoch = table_.frontier_epoch();
   out->region_count = regions_->size();
   out->replay_pairs_saved = skip_pairs_;
   out->skip_regions.assign(skip_regions_.begin(), skip_regions_.end());

@@ -1,8 +1,9 @@
 // RegionLoop: the incremental driver of ProgXe's main loop (Algorithm 1).
 // One Step() = one iteration — ProgOrder picks a region, the tuple pipeline
 // joins/maps/inserts it in one ordered stream, ProgDetermine flushes
-// settled cells, and the epoch-gated runtime discard sweep removes regions
-// the new frontier wholly dominates. Emitted results are appended
+// settled cells, and the runtime discard sweep removes regions whose
+// lo_cell the inserts have marked (wholly dominated). Emitted results are
+// appended
 // to the caller's pending vector, which is what lets ProgXeSession expose a
 // pull-based NextBatch on top while ProgXeExecutor::Run stays a thin loop.
 #pragma once
@@ -189,17 +190,14 @@ class RegionLoop {
   std::vector<int32_t> seed_discard_;
   bool seed_applied_ = false;
 
-  // Incremental runtime region discard (Algorithm 1, line 9): active
-  // regions bucketed by lo_cell — the discard test depends only on it — and
-  // re-tested only against frontier entries logged after the epoch at which
-  // the bucket last survived (see OutputTable::FrontierDominatesSince).
-  struct DiscardBucket {
-    std::vector<CellCoord> lo;        // shared lo_cell coordinates
-    std::vector<int32_t> region_ids;  // regions with this lo_cell
-    uint64_t survived_epoch = 0;      // frontier epoch last tested clean
-  };
-  std::vector<DiscardBucket> discard_buckets_;
-  uint64_t last_sweep_epoch_ = 0;
+  // Push-based runtime region discard (Algorithm 1, line 9): a region is
+  // wholly dominated once its lo_cell is marked, so each sweep looks up
+  // the cells the table marked since the last one (newly_marked_) in the
+  // active regions grouped by lo_cell: cell c's region ids, ascending, are
+  // lo_regions_[lo_offsets_[c] .. lo_offsets_[c + 1]).
+  std::vector<uint32_t> lo_offsets_;
+  std::vector<int32_t> lo_regions_;
+  std::vector<CellIndex> newly_marked_;
 
   // Emit-path scratch, reused across steps: the steady-state flush path
   // performs no allocations.

@@ -754,7 +754,7 @@ void ShardedStream::Ingest(size_t shard_idx,
     // frontier: the arrival rejects at least as much as every entry it
     // removes). Released entries cannot appear: nothing can dominate them
     // (see DropAccepted).
-    accepted_.SweepGe(coords, 0, [&](size_t pos) {
+    accepted_.SweepGe(coords, [&](size_t pos) {
       const int32_t id = accepted_.payload(pos);
       if (DominatesMin(canon,
                        acc_canon_.data() + static_cast<size_t>(id) * k, k_,

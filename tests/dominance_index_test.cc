@@ -1,12 +1,11 @@
 // Property tests for the shared DominanceIndex (dominance/dominance_index.h):
 // randomized insert/remove/query sweeps checked against a brute-force flat
-// scan, plus the frontier-pruning invariants the sharded merge sink and the
-// OutputTable fast path rely on.
+// scan, plus the sweep contracts the sharded merge sink and the OutputTable
+// rely on (early exit, removal mid-sweep).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -25,57 +24,19 @@ struct RefEntry {
 struct Reference {
   int k = 0;
   std::vector<RefEntry> entries;  // by insertion order
-  /// Mirror of the frontier's dedup: coords covered by a current frontier
-  /// entry are not logged; otherwise covered entries are evicted and the
-  /// coords appended. `noted` is therefore the reference epoch log.
-  std::vector<std::vector<CellCoord>> frontier;
-  std::vector<std::vector<CellCoord>> noted;
 
-  void Note(const std::vector<CellCoord>& coords) {
-    for (const auto& f : frontier) {
-      if (DominanceIndex::CoordsLeq(f.data(), coords.data(), k)) return;
-    }
-    std::erase_if(frontier, [&](const std::vector<CellCoord>& f) {
-      return DominanceIndex::CoordsLeq(coords.data(), f.data(), k);
-    });
-    frontier.push_back(coords);
-    noted.push_back(coords);
-  }
-
-  std::vector<int32_t> ConePayloads(const CellCoord* q, bool ge,
-                                    CellCoord offset) const {
+  std::vector<int32_t> ConePayloads(const CellCoord* q, bool ge) const {
     std::vector<int32_t> out;
     for (const RefEntry& e : entries) {
       if (!e.live) continue;
       bool in_cone = true;
       for (int d = 0; d < k && in_cone; ++d) {
-        in_cone = ge ? e.coords[static_cast<size_t>(d)] >= q[d] + offset
-                     : e.coords[static_cast<size_t>(d)] <= q[d] + offset;
+        in_cone = ge ? e.coords[static_cast<size_t>(d)] >= q[d]
+                     : e.coords[static_cast<size_t>(d)] <= q[d];
       }
       if (in_cone) out.push_back(e.payload);
     }
     return out;
-  }
-
-  bool AnyLiveStrictlyBelow(const CellCoord* q) const {
-    for (const RefEntry& e : entries) {
-      if (!e.live) continue;
-      if (DominanceIndex::CoordsStrictlyBelow(e.coords.data(), q, k)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// The frontier covers every coordinate vector ever noted, so its strict
-  /// -domination test must equal a scan of the full note log.
-  bool AnyNotedStrictlyBelow(const CellCoord* q, size_t from = 0) const {
-    for (size_t i = from; i < noted.size(); ++i) {
-      if (DominanceIndex::CoordsStrictlyBelow(noted[i].data(), q, k)) {
-        return true;
-      }
-    }
-    return false;
   }
 };
 
@@ -103,18 +64,12 @@ TEST_P(DominanceIndexSweep, MatchesBruteForceUnderRandomChurn) {
   for (int step = 0; step < 400; ++step) {
     const uint64_t action = rng.NextBelow(10);
     if (action < 5 || ref.entries.empty()) {
-      // Insert (and usually note the coords to the frontier, as OutputTable
-      // does; the merge sink path skips the note).
       RefEntry e;
       e.coords.resize(static_cast<size_t>(k));
       random_coords(e.coords.data());
       e.payload = static_cast<int32_t>(ref.entries.size());
       e.live = true;
       pos_of.push_back(index.Add(e.coords.data(), e.payload));
-      if (rng.NextBelow(4) != 0) {
-        index.NoteFrontier(e.coords.data());
-        ref.Note(e.coords);
-      }
       ref.entries.push_back(std::move(e));
     } else if (action < 7) {
       // Remove a random live entry.
@@ -131,14 +86,12 @@ TEST_P(DominanceIndexSweep, MatchesBruteForceUnderRandomChurn) {
         pos_of[static_cast<size_t>(payload)] = pos;
       });
     } else {
-      // Query: cone sweeps and the strict-below fast path vs brute force.
+      // Query: cone sweeps vs brute force.
       random_coords(q.data());
       const bool ge = rng.Bernoulli(0.5);
-      const CellCoord offset =
-          static_cast<CellCoord>(rng.NextBelow(2));  // 0 or 1
       std::vector<int32_t> got;
       if (ge) {
-        index.SweepGe(q.data(), offset, [&](size_t p) {
+        index.SweepGe(q.data(), [&](size_t p) {
           got.push_back(index.payload(p));
           return true;
         });
@@ -148,20 +101,12 @@ TEST_P(DominanceIndexSweep, MatchesBruteForceUnderRandomChurn) {
           return true;
         });
       }
-      std::vector<int32_t> want = ref.ConePayloads(q.data(), ge,
-                                                   ge ? offset : 0);
+      std::vector<int32_t> want = ref.ConePayloads(q.data(), ge);
       // Sweeps enumerate ascending positions; payloads follow insertion
       // order modulo compaction, which preserves relative order — so both
       // sides sort to the same multiset AND the sweep order itself is the
       // reference order.
       EXPECT_EQ(got, want) << "step=" << step << " ge=" << ge;
-
-      EXPECT_EQ(index.AnyLiveStrictlyBelow(q.data()),
-                ref.AnyLiveStrictlyBelow(q.data()))
-          << "step=" << step;
-      EXPECT_EQ(index.FrontierStrictlyDominates(q.data()),
-                ref.AnyNotedStrictlyBelow(q.data()))
-          << "step=" << step;
     }
 
     // Structural invariants, every step.
@@ -169,32 +114,6 @@ TEST_P(DominanceIndexSweep, MatchesBruteForceUnderRandomChurn) {
               static_cast<size_t>(std::count_if(
                   ref.entries.begin(), ref.entries.end(),
                   [](const RefEntry& e) { return e.live; })));
-    // Frontier pruning: the kept frontier is an antichain — no entry
-    // covered (<= everywhere) by another.
-    const auto& frontier = index.frontier();
-    const size_t kk = static_cast<size_t>(k);
-    for (size_t a = 0; a + kk <= frontier.size(); a += kk) {
-      for (size_t b = 0; b + kk <= frontier.size(); b += kk) {
-        if (a == b) continue;
-        EXPECT_FALSE(DominanceIndex::CoordsLeq(frontier.data() + a,
-                                               frontier.data() + b, k))
-            << "frontier entry dominated by another";
-      }
-    }
-  }
-
-  // The epoch log is append-only and never loses dominators: a check from
-  // any epoch suffix must agree with the reference log suffix.
-  ASSERT_EQ(index.frontier_epoch(), ref.noted.size());
-  for (int probe = 0; probe < 32; ++probe) {
-    random_coords(q.data());
-    const size_t since =
-        ref.noted.empty()
-            ? 0
-            : rng.NextBelow(static_cast<uint64_t>(ref.noted.size() + 1));
-    EXPECT_EQ(index.FrontierDominatesSince(q.data(), since),
-              ref.AnyNotedStrictlyBelow(q.data(), since))
-        << "since=" << since;
   }
 }
 
@@ -228,7 +147,7 @@ TEST(DominanceIndex, RemovalDuringSweepSkipsTombstones) {
   for (int32_t i = 0; i < 8; ++i) pos.push_back(index.Add(coords, i));
   std::vector<int32_t> seen;
   const CellCoord q[2] = {4, 4};
-  index.SweepGe(q, 0, [&](size_t p) {
+  index.SweepGe(q, [&](size_t p) {
     const int32_t id = index.payload(p);
     seen.push_back(id);
     if (id == 0) {

@@ -122,7 +122,9 @@ TEST(DominanceProperty, StrictPartialOrder) {
   for (int i = 0; i < kN; ++i) {
     EXPECT_FALSE(dom(i, i));
     for (int j = 0; j < kN; ++j) {
-      if (dom(i, j)) EXPECT_FALSE(dom(j, i));
+      if (dom(i, j)) {
+        EXPECT_FALSE(dom(j, i));
+      }
       for (int l = 0; l < kN; ++l) {
         if (dom(i, j) && dom(j, l)) {
           EXPECT_TRUE(dom(i, l))

@@ -133,8 +133,6 @@ inline void ExpectSameStats(const ProgXeStats& a, const ProgXeStats& b,
                             const char* label) {
   EXPECT_EQ(a.join_pairs_generated, b.join_pairs_generated) << label;
   EXPECT_EQ(a.tuples_discarded_marked, b.tuples_discarded_marked) << label;
-  EXPECT_EQ(a.tuples_discarded_frontier, b.tuples_discarded_frontier)
-      << label;
   EXPECT_EQ(a.tuples_dominated_on_insert, b.tuples_dominated_on_insert)
       << label;
   EXPECT_EQ(a.tuples_evicted, b.tuples_evicted) << label;

@@ -182,8 +182,7 @@ TEST(Executor, StatsAreCoherent) {
   EXPECT_GT(s.join_pairs_generated, 0u);
   // Every generated pair is accounted for: discarded, dominated, or kept.
   EXPECT_GE(s.join_pairs_generated,
-            s.tuples_discarded_marked + s.tuples_discarded_frontier +
-                s.tuples_dominated_on_insert);
+            s.tuples_discarded_marked + s.tuples_dominated_on_insert);
   EXPECT_EQ(s.regions_created,
             s.regions_processed + s.regions_pruned_lookahead +
                 s.regions_discarded_runtime);

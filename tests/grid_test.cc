@@ -55,7 +55,9 @@ TEST(BloomFilter, IntersectionIsSoundSkipTest) {
     }
     bool share = false;
     for (uint64_t k : ka) share |= (kb.count(k) != 0);
-    if (share) EXPECT_TRUE(a.MightIntersect(b));
+    if (share) {
+      EXPECT_TRUE(a.MightIntersect(b));
+    }
   }
 }
 

@@ -193,7 +193,6 @@ std::vector<std::string> EncodeFieldGroups(const Config& cfg) {
   {
     SessionCheckpoint checkpoint;
     checkpoint.k = 2;
-    checkpoint.frontier_epoch = 17;
     checkpoint.delivered = 23;
     checkpoint.region_count = 64;
     checkpoint.replay_pairs_saved = 4096;
@@ -276,6 +275,91 @@ TEST(Wire, FieldGroupsRoundTrip) {
         << "group " << i << ": "
         << DecodeFieldGroup(i, payloads[i]).ToString();
   }
+}
+
+// The stats and checkpoint groups carry every field, and nothing else: the
+// encoded sizes pin the layout (22 eight-byte stats fields; the checkpoint's
+// u32 k, three u64s and a counted u32 skip list ahead of its stats).
+std::vector<double> StatsFields(const ProgXeStats& s) {
+  return {static_cast<double>(s.r_rows),
+          static_cast<double>(s.t_rows),
+          static_cast<double>(s.r_rows_after_push_through),
+          static_cast<double>(s.t_rows_after_push_through),
+          s.sigma_used,
+          static_cast<double>(s.partition_pairs_total),
+          static_cast<double>(s.partition_pairs_skipped),
+          static_cast<double>(s.regions_created),
+          static_cast<double>(s.regions_pruned_lookahead),
+          static_cast<double>(s.cells_marked_lookahead),
+          static_cast<double>(s.regions_processed),
+          static_cast<double>(s.regions_discarded_runtime),
+          static_cast<double>(s.regions_discarded_seed),
+          static_cast<double>(s.pq_reorderings),
+          static_cast<double>(s.join_pairs_generated),
+          static_cast<double>(s.tuples_discarded_marked),
+          static_cast<double>(s.tuples_dominated_on_insert),
+          static_cast<double>(s.tuples_evicted),
+          static_cast<double>(s.dominance_comparisons),
+          static_cast<double>(s.results_emitted),
+          static_cast<double>(s.cells_flushed),
+          static_cast<double>(s.results_emitted_early)};
+}
+
+TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
+  ProgXeStats stats;
+  stats.r_rows = 1;
+  stats.t_rows = 2;
+  stats.r_rows_after_push_through = 3;
+  stats.t_rows_after_push_through = 4;
+  stats.sigma_used = 0.125;
+  stats.partition_pairs_total = 5;
+  stats.partition_pairs_skipped = 6;
+  stats.regions_created = 7;
+  stats.regions_pruned_lookahead = 8;
+  stats.cells_marked_lookahead = 9;
+  stats.regions_processed = 10;
+  stats.regions_discarded_runtime = 11;
+  stats.regions_discarded_seed = 12;
+  stats.pq_reorderings = 13;
+  stats.join_pairs_generated = 14;
+  stats.tuples_discarded_marked = 15;
+  stats.tuples_dominated_on_insert = 16;
+  stats.tuples_evicted = 17;
+  stats.dominance_comparisons = 18;
+  stats.results_emitted = 19;
+  stats.cells_flushed = 20;
+  stats.results_emitted_early = 21;
+
+  std::string buf;
+  WireWriter w(&buf);
+  WriteStats(stats, &w);
+  EXPECT_EQ(buf.size(), 22u * 8);
+  ProgXeStats decoded;
+  WireReader r(buf);
+  ASSERT_TRUE(ReadStats(&r, &decoded).ok());
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(StatsFields(decoded), StatsFields(stats));
+
+  SessionCheckpoint checkpoint;
+  checkpoint.k = 3;
+  checkpoint.delivered = 23;
+  checkpoint.region_count = 64;
+  checkpoint.replay_pairs_saved = 4096;
+  checkpoint.skip_regions = {0, 3, 9, 41};
+  checkpoint.stats = stats;
+  buf.clear();
+  WriteCheckpoint(checkpoint, &w);
+  EXPECT_EQ(buf.size(), 4u + 3 * 8 + 4 + 4 * 4 + 22 * 8);
+  SessionCheckpoint cp;
+  WireReader rc(buf);
+  ASSERT_TRUE(ReadCheckpoint(&rc, &cp).ok());
+  EXPECT_TRUE(rc.AtEnd());
+  EXPECT_EQ(cp.k, 3u);
+  EXPECT_EQ(cp.delivered, 23u);
+  EXPECT_EQ(cp.region_count, 64u);
+  EXPECT_EQ(cp.replay_pairs_saved, 4096u);
+  EXPECT_EQ(cp.skip_regions, checkpoint.skip_regions);
+  EXPECT_EQ(StatsFields(cp.stats), StatsFields(stats));
 }
 
 TEST(Wire, RelationRoundTripPreservesEveryBit) {
@@ -903,6 +987,9 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
 // fails the pool's checkout with InvalidArgument. A normal checkout still
 // handshakes.
 TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
+  // Version 5 dropped two stats/checkpoint fields, so a version-4 peer
+  // (kWireVersion - 1 below) must be refused.
+  static_assert(kWireVersion == 5);
   constexpr std::chrono::milliseconds kDeadline(2000);
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);

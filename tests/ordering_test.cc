@@ -114,7 +114,7 @@ TEST_F(ProgDetermineTest, MarkedCellsNeverFlush) {
   const double low[] = {1.0, 1.0};
   const double high[] = {5.0, 5.0};
   table_.Insert(low, 0, 0);
-  table_.Insert(high, 1, 1);  // frontier-discarded, cell marked
+  table_.Insert(high, 1, 1);  // cell marked by the low one: discarded
   auto flush = determine_.OnRegionReleased(
       table_.ReleaseRegionCoverage(regions[0]));
   ASSERT_EQ(flush.size(), 1u);  // only the low cell

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "equivalence_common.h"
+#include "harness/workload.h"
 #include "mapping/canonical.h"
 #include "progxe/prepare_cache.h"
 #include "progxe/session.h"
@@ -200,6 +201,48 @@ TEST(PrepareCache, HitMissEvictionUnderBudgets) {
   EXPECT_EQ(tiny->stats().entries, 0u);
   EXPECT_EQ(tiny->stats().bytes, 0u);
   EXPECT_EQ(tiny->stats().misses, 1u);
+}
+
+// The byte estimate counts every partition's key runs (a second copy of its
+// rows, plus the keys and run offsets) and, in Bloom mode, its filter words.
+TEST(PrepareCache, ApproxBytesCountsKeyRunsAndBloomWords) {
+  WorkloadParams params;
+  params.distribution = Distribution::kAntiCorrelated;
+  params.cardinality = 2000;
+  params.dims = 4;
+  params.sigma = 0.001;
+  params.seed = 7;
+  auto workload = Workload::Make(params);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  for (SharedKeyTest mode : {SharedKeyTest::kExact, SharedKeyTest::kBloom}) {
+    ProgXeOptions options;
+    options.signature_mode = mode;
+    PreparedInputs inputs;
+    ASSERT_TRUE(BuildPreparedInputs(workload->query(), options,
+                                    /*own_sources=*/true, &inputs)
+                    .ok());
+    ASSERT_FALSE(inputs.trivially_empty);
+    size_t grid_bytes = 0;
+    for (const InputPartitioning* grid :
+         {inputs.r_grid.get(), inputs.t_grid.get()}) {
+      size_t floor = 0;
+      for (const InputPartition& p : grid->partitions()) {
+        EXPECT_GE(p.key_index.ApproxBytes(),
+                  p.rows.size() * sizeof(RowId) + sizeof(JoinKey) +
+                      2 * sizeof(uint32_t));
+        floor += p.rows.capacity() * sizeof(RowId) + p.key_index.ApproxBytes();
+        ASSERT_EQ(p.bloom.has_value(), mode == SharedKeyTest::kBloom);
+        if (p.bloom) {
+          EXPECT_EQ(p.bloom->ApproxBytes(), options.bloom_bits / 8);
+          floor += p.bloom->ApproxBytes();
+        }
+      }
+      EXPECT_GE(grid->ApproxBytes(), floor)
+          << "mode " << static_cast<int>(mode);
+      grid_bytes += grid->ApproxBytes();
+    }
+    EXPECT_GT(inputs.ApproxBytes(), grid_bytes);
+  }
 }
 
 // Concurrent submitters of the same query converge on one shared entry —

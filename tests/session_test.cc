@@ -46,7 +46,9 @@ IdSeq DrainSession(const Config& cfg, const ProgXeOptions& options,
   while (!(*session)->Finished()) {
     const size_t n = (*session)->NextBatch(per_call, &batch);
     EXPECT_EQ(n, batch.size());
-    if (per_call != 0) EXPECT_LE(n, per_call);
+    if (per_call != 0) {
+      EXPECT_LE(n, per_call);
+    }
     for (const auto& res : batch) seq.emplace_back(res.r_id, res.t_id);
     if (n == 0) break;
   }

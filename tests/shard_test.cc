@@ -71,7 +71,6 @@ std::vector<ResultTuple> DrainStream(ProgXeStream* stream, size_t max_results,
 void AddCounters(ProgXeStats* agg, const ProgXeStats& s) {
   agg->join_pairs_generated += s.join_pairs_generated;
   agg->tuples_discarded_marked += s.tuples_discarded_marked;
-  agg->tuples_discarded_frontier += s.tuples_discarded_frontier;
   agg->tuples_dominated_on_insert += s.tuples_dominated_on_insert;
   agg->tuples_evicted += s.tuples_evicted;
   agg->dominance_comparisons += s.dominance_comparisons;

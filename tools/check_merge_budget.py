@@ -24,6 +24,14 @@ expected join output; a return to per-region build walks, per-call ProgCount
 box walks, cone walks or a fixed full-size grid multiplies it — on any
 runner.
 
+`--engine_budget=K:N` (repeatable) holds the K-run's engine
+`comparisons` (the shards' `dominance_comparisons`, summed) under N. The
+output table's slice sweeps skip cells on their per-cell value bounds and
+answer cell-level domination from the up-closed marked set, so a
+regression of either — sweeping cells whose bounds rule them out, or
+comparing against dominated cells — raises this deterministic counter on
+any runner.
+
 `fault_hook_ns_per_call` (when present in the JSON) is additionally held
 under a per-call nanosecond budget: the disabled MaybeInjectFault hook is
 contractually one predicted branch, and a regression that consults the rule
@@ -67,6 +75,7 @@ either).
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
                                     [--checkpoint_budget=N]
                                     [--coverage_budget=N]
+                                    [--engine_budget=K:N ...]
                                     [--hook_budget_ns=15]
                                     [--trace_budget_ns=15]
                                     [--match=<json>] [--counters_only]
@@ -112,6 +121,7 @@ def main(argv):
     budget = 200000
     checkpoint_budget = None
     coverage_budget = None
+    engine_budgets = {}
     hook_budget_ns = 15.0
     trace_budget_ns = 15.0
     match_path = None
@@ -125,6 +135,9 @@ def main(argv):
             checkpoint_budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--coverage_budget="):
             coverage_budget = int(arg.split("=", 1)[1])
+        elif arg.startswith("--engine_budget="):
+            k, n = arg.split("=", 1)[1].split(":")
+            engine_budgets[int(k)] = int(n)
         elif arg.startswith("--hook_budget_ns="):
             hook_budget_ns = float(arg.split("=", 1)[1])
         elif arg.startswith("--trace_budget_ns="):
@@ -190,6 +203,20 @@ def main(argv):
                     f"longer sized to the shard's join output")
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
+
+    for k, engine_budget in sorted(engine_budgets.items()):
+        if k not in runs:
+            raise SystemExit(
+                f"FAIL: --engine_budget given for K={k} but {path} records "
+                f"no K={k} run")
+        cmps = runs[k]["comparisons"]
+        print(f"K={k}: comparisons={cmps} budget={engine_budget}")
+        if cmps > engine_budget:
+            raise SystemExit(
+                f"FAIL: engine comparisons at K={k} exceeded the budget "
+                f"({cmps} > {engine_budget}) — the output table's slice "
+                f"sweeps are comparing against cells their value bounds or "
+                f"the marked set rule out")
 
     if match_path is not None:
         check_match(runs, path, match_path)
