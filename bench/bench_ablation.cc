@@ -9,12 +9,9 @@
 //   2. Input-grid resolution: more input partitions => more, tighter
 //      regions => more look-ahead pruning and fewer join pairs, at the cost
 //      of more region bookkeeping.
-//   3. Shared-key test: the exact test merges the two partitions' sorted
-//      key runs, and a hit guarantees population (and so enables
-//      region/cell pruning); Bloom filters only skip provably disjoint
-//      pairs, and the exact mode builds none.
+//   3. Partitioning scheme: the uniform grid against adaptive kd median
+//      splits, per distribution.
 //   4. The analytic slice bound itself, tabulated.
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -125,41 +122,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 3. Shared-key test ---------------------------------------------------
-  std::printf("\n--- shared-key test (independent, low sigma) ---\n");
-  {
-    WorkloadParams params;
-    params.distribution = Distribution::kIndependent;
-    params.cardinality = args.ResolveN(6000);
-    params.dims = args.ResolveDims(4);
-    params.sigma = 0.0005;
-    params.seed = args.seed;
-    Workload w = MustMakeWorkload(params);
-    // Repetitions alternate which mode runs first, so neither always runs
-    // on a warm process; each row reports its mode's median time (the
-    // counters are deterministic).
-    constexpr int kReps = 6;
-    const SharedKeyTest modes[2] = {SharedKeyTest::kExact,
-                                    SharedKeyTest::kBloom};
-    AblationRun runs[2];
-    std::vector<double> secs[2];
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int i = 0; i < 2; ++i) {
-        const int m = (rep % 2 == 0) ? i : 1 - i;
-        ProgXeOptions options;
-        options.signature_mode = modes[m];
-        runs[m] = RunWith(w, options);
-        secs[m].push_back(runs[m].secs);
-      }
-    }
-    for (int m = 0; m < 2; ++m) {
-      std::sort(secs[m].begin(), secs[m].end());
-      const double median = 0.5 * (secs[m][kReps / 2 - 1] + secs[m][kReps / 2]);
-      PrintStatsRow(m == 0 ? "exact" : "bloom", runs[m].stats, median);
-    }
-  }
-
-  // --- 3b. Partitioning scheme: uniform grid vs adaptive kd splits ---------
+  // --- 3. Partitioning scheme: uniform grid vs adaptive kd splits ----------
   std::printf("\n--- partitioning scheme (per distribution) ---\n");
   for (Distribution dist :
        {Distribution::kCorrelated, Distribution::kIndependent,

@@ -1,5 +1,5 @@
 // google-benchmark micro-benchmarks for the library's building blocks:
-// dominance tests, skyline algorithms, Bloom filters, grid geometry, joins
+// dominance tests, skyline algorithms, grid geometry, joins
 // and the OutputTable insert path.
 #include <benchmark/benchmark.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
-#include "grid/bloom_filter.h"
 #include "grid/grid_geometry.h"
 #include "join/key_index.h"
 #include "mapping/canonical.h"
@@ -79,25 +78,6 @@ BENCHMARK(BM_SkylineSFS)
     ->Args({2000, static_cast<int>(Distribution::kCorrelated)})
     ->Args({2000, static_cast<int>(Distribution::kIndependent)})
     ->Args({2000, static_cast<int>(Distribution::kAntiCorrelated)});
-
-void BM_BloomFilterAdd(benchmark::State& state) {
-  BloomFilter bloom(8192, 4);
-  uint64_t k = 0;
-  for (auto _ : state) {
-    bloom.Add(k++);
-  }
-}
-BENCHMARK(BM_BloomFilterAdd);
-
-void BM_BloomFilterQuery(benchmark::State& state) {
-  BloomFilter bloom(8192, 4);
-  for (uint64_t k = 0; k < 500; ++k) bloom.Add(k * 3);
-  uint64_t k = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bloom.MightContain(k++));
-  }
-}
-BENCHMARK(BM_BloomFilterQuery);
 
 void BM_GridCoordsOf(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));

@@ -137,7 +137,7 @@ BurstResult RunBurst(const Workload& workload, bool warm, int workers,
   ServiceOptions sopts;
   sopts.num_workers = workers;
   sopts.batch_budget = budget;
-  if (!warm) sopts.prepare_cache_entries = 0;  // reuse fully disabled
+  if (!warm) sopts.prepare_cache_bytes = 0;  // reuse fully disabled
 
   QueryScheduler scheduler(sopts);
   Stopwatch parent_watch;

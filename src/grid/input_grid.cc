@@ -71,7 +71,7 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
       }
     }
 
-    IndexPartitionKeys(rel, options.keys, &part);
+    part.key_index = KeyIndex(rel, part.rows);
     partitions_.push_back(std::move(part));
   }
 }

@@ -23,7 +23,6 @@ namespace progxe {
 /// Options controlling uniform-grid input partitioning.
 struct InputGridOptions {
   int cells_per_dim = 3;
-  PartitionKeyOptions keys;
 };
 
 /// The gridded view of one source.

@@ -98,7 +98,7 @@ void KdPartitioner::EmitLeaf(const Relation& rel,
   }
   part.coords.assign(static_cast<size_t>(k), 0);  // not grid-aligned
   part.rows = std::move(rows);
-  IndexPartitionKeys(rel, options_.keys, &part);
+  part.key_index = KeyIndex(rel, part.rows);
   partitions_.push_back(std::move(part));
 }
 

@@ -21,7 +21,6 @@ struct KdPartitionerOptions {
   size_t max_rows_per_partition = 0;
   /// Upper bound on the number of leaves produced.
   size_t max_partitions = 128;
-  PartitionKeyOptions keys;
 };
 
 class KdPartitioner : public InputPartitioning {

@@ -9,31 +9,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "data/relation.h"
-#include "grid/bloom_filter.h"
 #include "grid/grid_geometry.h"
 #include "join/key_index.h"
 #include "mapping/interval.h"
 
 namespace progxe {
-
-/// How the look-ahead tests a partition pair for a shared join key (the
-/// paper's partition signatures, Section III-A). kExact merges the two
-/// partitions' key lists, and a hit guarantees >= 1 join result. kBloom
-/// ANDs per-partition Bloom filters: a miss proves the pair empty, a hit
-/// means "maybe".
-enum class SharedKeyTest : uint8_t { kExact, kBloom };
-
-/// How partitioners index each partition's join keys.
-struct PartitionKeyOptions {
-  SharedKeyTest test = SharedKeyTest::kExact;
-  /// Bloom mode only: filter geometry, identical for every partition.
-  size_t bloom_bits = 2048;
-  int bloom_hashes = 4;
-};
 
 /// One non-empty input partition I_a of a source.
 struct InputPartition {
@@ -41,29 +24,16 @@ struct InputPartition {
   std::vector<RowId> rows;
   /// Tight contribution bounds per output dimension (canonical space).
   std::vector<Interval> bounds;
-  /// Join-key runs over `rows`.
+  /// Join-key runs over `rows`: the partition signature (Section III-A).
+  /// Two partitions share a join key iff their runs share one
+  /// (KeyIndex::SharesKeyWith), an exact test.
   KeyIndex key_index;
-  /// Bloom mode only: a Bloom filter over the join keys of `rows`.
-  std::optional<BloomFilter> bloom;
   /// Cell coordinates for grid-aligned partitioners (diagnostic only;
   /// all-zero for adaptive partitioners).
   std::vector<CellCoord> coords;
 
   size_t size() const { return rows.size(); }
 };
-
-/// Indexes `part->rows`' join keys: the key runs always, the Bloom filter
-/// in Bloom mode only. Shared by every partitioner.
-inline void IndexPartitionKeys(const Relation& rel,
-                               const PartitionKeyOptions& options,
-                               InputPartition* part) {
-  part->key_index = KeyIndex(rel, part->rows);
-  if (options.test != SharedKeyTest::kBloom) return;
-  part->bloom.emplace(options.bloom_bits, options.bloom_hashes);
-  for (RowId id : part->rows) {
-    part->bloom->Add(static_cast<uint64_t>(rel.join_key(id)));
-  }
-}
 
 /// Abstract partitioned view of one source.
 class InputPartitioning {
@@ -76,7 +46,7 @@ class InputPartitioning {
   size_t num_partitions() const { return partitions().size(); }
 
   /// Heap bytes held by the partitions: row lists, bounds, coordinates,
-  /// key runs and Bloom words (the prepared-state cache's byte budget).
+  /// and key runs (the prepared-state cache's byte budget).
   size_t ApproxBytes() const {
     size_t bytes = 0;
     for (const InputPartition& p : partitions()) {
@@ -85,7 +55,6 @@ class InputPartitioning {
       bytes += p.bounds.capacity() * sizeof(Interval);
       bytes += p.coords.capacity() * sizeof(CellCoord);
       bytes += p.key_index.ApproxBytes();
-      if (p.bloom) bytes += p.bloom->ApproxBytes();
     }
     return bytes;
   }

@@ -347,10 +347,6 @@ Status ReadPreference(WireReader* r, Preference* out) {
 // --- ProgXeOptions ---------------------------------------------------------
 
 namespace {
-/// The pipeline sizes its insert-block buffers from insert_batch_size, so a
-/// corrupted value must not reach it; useful blocks are a few hundred pairs.
-constexpr uint64_t kMaxWireInsertBatch = 65536;
-
 bool FitsInt(int64_t v) {
   return v >= std::numeric_limits<int>::min() &&
          v <= std::numeric_limits<int>::max();
@@ -363,11 +359,6 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutU8(static_cast<uint8_t>(options.partitioning));
   w->PutI64(options.input_cells_per_dim);
   w->PutI64(options.output_cells_per_dim);
-  w->PutU8(static_cast<uint8_t>(options.signature_mode));
-  w->PutU64(options.bloom_bits);
-  w->PutI64(options.bloom_hashes);
-  w->PutDouble(options.sigma_hint);
-  w->PutU64(options.insert_batch_size);
   w->PutU64(options.seed);
   w->PutI64(options.max_output_cells);
   w->PutI64(options.fault_instance);
@@ -385,30 +376,22 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
 
 Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
-  uint8_t ordering, push_through, partitioning, signature_mode;
-  int64_t in_cpd, out_cpd, bloom_hashes, max_output_cells, fault_instance;
-  uint64_t bloom_bits, insert_batch, seed, max_results;
+  uint8_t ordering, push_through, partitioning;
+  int64_t in_cpd, out_cpd, max_output_cells, fault_instance;
+  uint64_t seed, max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
-      !r->GetI64(&out_cpd) || !r->GetU8(&signature_mode) ||
-      !r->GetU64(&bloom_bits) || !r->GetI64(&bloom_hashes) ||
-      !r->GetDouble(&o.sigma_hint) || !r->GetU64(&insert_batch) ||
-      !r->GetU64(&seed) || !r->GetI64(&max_output_cells) ||
-      !r->GetI64(&fault_instance) || !r->GetU64(&max_results)) {
+      !r->GetI64(&out_cpd) || !r->GetU64(&seed) ||
+      !r->GetI64(&max_output_cells) || !r->GetI64(&fault_instance) ||
+      !r->GetU64(&max_results)) {
     return r->status();
   }
   if (ordering > static_cast<uint8_t>(OrderingMode::kSequential) ||
-      partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree) ||
-      signature_mode > static_cast<uint8_t>(SharedKeyTest::kBloom)) {
+      partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree)) {
     r->Fail("wire options carry an unknown enum value");
     return r->status();
   }
-  if (insert_batch > kMaxWireInsertBatch) {
-    r->Fail("wire options carry an insert_batch_size above the ceiling");
-    return r->status();
-  }
-  if (!FitsInt(in_cpd) || !FitsInt(out_cpd) || !FitsInt(bloom_hashes) ||
-      !FitsInt(fault_instance)) {
+  if (!FitsInt(in_cpd) || !FitsInt(out_cpd) || !FitsInt(fault_instance)) {
     r->Fail("wire options carry an int field out of range");
     return r->status();
   }
@@ -417,10 +400,6 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   o.partitioning = static_cast<PartitioningScheme>(partitioning);
   o.input_cells_per_dim = static_cast<int>(in_cpd);
   o.output_cells_per_dim = static_cast<int>(out_cpd);
-  o.signature_mode = static_cast<SharedKeyTest>(signature_mode);
-  o.bloom_bits = bloom_bits;
-  o.bloom_hashes = static_cast<int>(bloom_hashes);
-  o.insert_batch_size = insert_batch;
   o.seed = seed;
   o.max_output_cells = max_output_cells;
   o.fault_instance = static_cast<int>(fault_instance);

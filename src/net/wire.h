@@ -60,11 +60,11 @@ namespace progxe {
 /// checkpoint group), kOpenResult with resume info (u8 resumed,
 /// u32 regions_skipped, u64 replay_pairs_saved) and kPumpResult with
 /// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
-/// workers ship one only when its skip list grew). Version 5 dropped the
-/// frontier-discard counter from the stats group and the frontier epoch
-/// from the checkpoint group.
+/// workers ship one only when its skip list grew). Version 6 dropped the
+/// signature-mode, Bloom, sigma-hint and insert-batch fields from the
+/// options group.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 5;
+inline constexpr uint16_t kWireVersion = 6;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -169,8 +169,8 @@ Status ReadPreference(WireReader* r, Preference* out);
 /// Serializes every *value* field of ProgXeOptions (including an inline
 /// refinement seed) — everything that affects results or counters. The
 /// pointer fields (faults, prepare_cache) are coordinator-local by design
-/// and decode as null. ReadOptions rejects an int field outside int range
-/// and an insert_batch_size above a fixed ceiling (65536).
+/// and decode as null. ReadOptions rejects an unknown enum value and an
+/// int field outside int range.
 void WriteOptions(const ProgXeOptions& options, WireWriter* w);
 Status ReadOptions(WireReader* r, ProgXeOptions* out);
 

@@ -38,11 +38,8 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
     for (size_t b = 0; b < t_parts.size(); ++b) {
       const InputPartition& pa = r_parts[a];
       const InputPartition& pb = t_parts[b];
-      // Exact mode: the key lists share a key, which guarantees >= 1 join
-      // result. Bloom mode: the filters may share one.
-      const bool exact = !pa.bloom || !pb.bloom;
-      if (exact ? !pa.key_index.SharesKeyWith(pb.key_index)
-                : !pa.bloom->MightIntersect(*pb.bloom)) {
+      // A shared key guarantees the region >= 1 join result.
+      if (!pa.key_index.SharesKeyWith(pb.key_index)) {
         ++out.stats.pairs_skipped_signature;
         continue;
       }
@@ -52,7 +49,6 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
       region.b = static_cast<int32_t>(b);
       mapper.CombineBounds(pa.bounds.data(), pb.bounds.data(), bounds.data());
       region.bounds = bounds;
-      region.guaranteed = exact;
       out.regions.push_back(std::move(region));
     }
   }
@@ -89,12 +85,12 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
   }
 
   // --- Step 3: region-level domination pruning (Example 2) -----------------
-  // Pareto frontier (minimize) of guaranteed regions' upper corners; any
-  // region whose lower corner is dominated by a frontier point can never
-  // contribute and is pruned before any join work.
+  // Pareto frontier (minimize) of the regions' upper corners (every region
+  // holds >= 1 join result); any region whose lower corner is dominated by
+  // a frontier point can never contribute and is pruned before any join
+  // work.
   std::vector<double> uppers;
   for (const Region& region : out.regions) {
-    if (!region.guaranteed) continue;
     for (int j = 0; j < k; ++j) {
       uppers.push_back(region.bounds[static_cast<size_t>(j)].hi);
     }
@@ -129,8 +125,8 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
   }
 
   // --- Step 4: partition-level marking (Example 3) -------------------------
-  // A cell is non-contributing when some guaranteed region's upper corner
-  // dominates the cell's lower corner: the guaranteed tuple (<= upper in
+  // A cell is non-contributing when some region's upper corner dominates
+  // the cell's lower corner: the region's guaranteed tuple (<= upper in
   // every dimension) then dominates every tuple that could map there.
   out.marked.assign(static_cast<size_t>(out.output_grid.total_cells()), 0);
   if (frontier_n > 0) {

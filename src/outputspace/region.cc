@@ -12,7 +12,6 @@ std::string Region::ToString() const {
     os << bounds[i].ToString();
   }
   os << "]";
-  if (guaranteed) os << " guaranteed";
   if (pruned) os << " pruned";
   if (processed) os << " processed";
   if (discarded) os << " discarded";

@@ -29,13 +29,9 @@ struct Region {
   std::vector<CellCoord> lo_cell;
   std::vector<CellCoord> hi_cell;
 
-  /// True iff at least one join result is guaranteed to exist (exact mode:
-  /// the partitions share a join key). Only guaranteed regions may prune
-  /// others.
-  bool guaranteed = false;
-
   /// Eliminated during output-space look-ahead (Example 2): every tuple this
-  /// region could produce is dominated by a guaranteed region's results.
+  /// region could produce is dominated by another region's results (every
+  /// region holds >= 1 join result: its partitions share a join key).
   bool pruned = false;
 
   /// Set when tuple-level processing of this region has completed.

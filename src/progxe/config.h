@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "data/relation.h"
-#include "grid/partitioning.h"
 
 namespace progxe {
 
@@ -52,13 +51,6 @@ enum class OrderingMode : uint8_t {
   kSequential,
 };
 
-/// Bloom-mode ceilings on ProgXeOptions::bloom_bits (per partition filter)
-/// and bloom_hashes (probes per key). Each partition allocates its filter
-/// and every key runs the probe loop, so an unchecked value from a caller
-/// or the wire could exhaust memory or stall prepare.
-inline constexpr size_t kMaxBloomBits = size_t{1} << 16;
-inline constexpr int kMaxBloomHashes = 16;
-
 /// The four ProgXe variants evaluated in Section VI-B.
 struct ProgXeOptions {
   OrderingMode ordering = OrderingMode::kProgOrder;
@@ -77,22 +69,6 @@ struct ProgXeOptions {
   /// in total (|R'|, |T'| after push-through), capped at 60K, at 4..24 per
   /// dimension. Each shard resolves its own from its slice (prepare.cc).
   int output_cells_per_dim = 0;
-  /// How the look-ahead tests partition pairs for a shared join key. In
-  /// Bloom mode, Open rejects bloom_bits outside [1, kMaxBloomBits] and
-  /// bloom_hashes outside [1, kMaxBloomHashes].
-  SharedKeyTest signature_mode = SharedKeyTest::kExact;
-  size_t bloom_bits = 2048;
-  int bloom_hashes = 4;
-
-  /// Join selectivity hint for the benefit/cost models; <= 0 means measure
-  /// it exactly from the key histograms (O(N)).
-  double sigma_hint = 0.0;
-
-  /// Tuple-pipeline block size: join pairs are buffered, mapped and
-  /// inserted in blocks of this many tuples (amortizing per-tuple call and
-  /// lookup overhead). Values <= 1 select the per-tuple legacy path. Both
-  /// paths produce identical results *and* identical ProgXeStats counters.
-  size_t insert_batch_size = 256;
 
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;

@@ -4,17 +4,13 @@ namespace progxe {
 
 RegionJoinPipeline::RegionJoinPipeline(const CanonicalMapper* mapper,
                                        const double* r_flat,
-                                       const double* t_flat,
-                                       size_t insert_batch_size)
+                                       const double* t_flat)
     : mapper_(mapper),
       r_flat_(r_flat),
       t_flat_(t_flat),
-      batch_cap_(insert_batch_size > 1 ? insert_batch_size : 0),
-      k_(mapper->output_dimensions()) {
-  seq_pairs_.resize(batch_cap_);
-  seq_values_.resize(batch_cap_ * static_cast<size_t>(k_));
-  tuple_values_.resize(static_cast<size_t>(k_));
-}
+      seq_pairs_(kInsertBlockPairs),
+      seq_values_(kInsertBlockPairs *
+                  static_cast<size_t>(mapper->output_dimensions())) {}
 
 uint64_t RegionJoinPipeline::ProcessRegion(const InputPartition& pa,
                                            const InputPartition& pb,
@@ -42,52 +38,26 @@ void RegionJoinPipeline::BeginRegion(const InputPartition& pa,
 uint64_t RegionJoinPipeline::ProcessSome(size_t max_pairs,
                                          OutputTable* table) {
   if (!region_open_) return 0;
-  const size_t kk = static_cast<size_t>(k_);
   uint64_t done = 0;
-  if (batch_cap_ > 0) {
-    while (cursor_task_ < tasks_.size()) {
-      // Fill one insert block from the cursor; a block may span tasks.
-      size_t n = 0;
-      while (n < batch_cap_ && cursor_task_ < tasks_.size()) {
-        const Task& task = tasks_[cursor_task_];
-        const std::span<const RowId> t_rows = task.t_rows;
-        while (cursor_offset_ < t_rows.size() && n < batch_cap_) {
-          seq_pairs_[n++] = RowIdPair{task.r, t_rows[cursor_offset_++]};
-        }
-        if (cursor_offset_ == t_rows.size()) {
-          ++cursor_task_;
-          cursor_offset_ = 0;
-        }
-      }
-      mapper_->CombineBatch(seq_pairs_.data(), n, r_flat_, t_flat_,
-                            seq_values_.data());
-      table->InsertBatch(seq_values_.data(), seq_pairs_.data(), n);
-      done += n;
-      if (max_pairs != 0 && done >= max_pairs) break;
-    }
-  } else {
-    // Per-tuple legacy path, sliced at pair granularity.
-    bool stop = false;
-    while (!stop && cursor_task_ < tasks_.size()) {
+  while (cursor_task_ < tasks_.size()) {
+    // Fill one insert block from the cursor; a block may span tasks.
+    size_t n = 0;
+    while (n < kInsertBlockPairs && cursor_task_ < tasks_.size()) {
       const Task& task = tasks_[cursor_task_];
       const std::span<const RowId> t_rows = task.t_rows;
-      while (cursor_offset_ < t_rows.size()) {
-        const RowId t = t_rows[cursor_offset_++];
-        mapper_->Combine(r_flat_ + static_cast<size_t>(task.r) * kk,
-                         t_flat_ + static_cast<size_t>(t) * kk,
-                         tuple_values_.data());
-        table->Insert(tuple_values_.data(), task.r, t);
-        ++done;
-        if (max_pairs != 0 && done >= max_pairs) {
-          stop = true;
-          break;
-        }
+      while (cursor_offset_ < t_rows.size() && n < kInsertBlockPairs) {
+        seq_pairs_[n++] = RowIdPair{task.r, t_rows[cursor_offset_++]};
       }
-      if (cursor_offset_ >= t_rows.size()) {
+      if (cursor_offset_ == t_rows.size()) {
         ++cursor_task_;
         cursor_offset_ = 0;
       }
     }
+    mapper_->CombineBatch(seq_pairs_.data(), n, r_flat_, t_flat_,
+                          seq_values_.data());
+    table->InsertBatch(seq_values_.data(), seq_pairs_.data(), n);
+    done += n;
+    if (max_pairs != 0 && done >= max_pairs) break;
   }
   if (cursor_task_ >= tasks_.size()) region_open_ = false;
   return done;

@@ -7,13 +7,12 @@
 // key, paired with that key's T rows. Pairs are visited in key order, then
 // ascending R row, then ascending T row, so the order, and every counter
 // that depends on it, is a function of the data alone. A cursor over the
-// tasks fills insert blocks of `insert_batch_size` pairs for
-// CanonicalMapper::CombineBatch and OutputTable::InsertBatch;
-// `insert_batch_size <= 1` selects the per-tuple path (Combine + Insert),
-// kept as the counter reference for the batched one. Both paths present the table the same pair order, so every
-// ProgXeStats counter is identical between them and at any slice boundary
-// (enforced by tests/batched_equivalence_test.cc). Intra-query parallelism
-// lives one level up, in ShardedStream's concurrent shard pumps.
+// tasks fills insert blocks of kInsertBlockPairs pairs for
+// CanonicalMapper::CombineBatch and OutputTable::InsertBatch. Slicing never
+// changes the pair order the table sees, so every ProgXeStats counter is
+// identical at any slice boundary (SessionBudgetSweep in
+// tests/session_test.cc). Intra-query parallelism lives one level up, in
+// ShardedStream's concurrent shard pumps.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +25,16 @@
 
 namespace progxe {
 
+/// Join pairs mapped and inserted per block: amortizes per-tuple call and
+/// lookup overhead while the block stays cache-resident.
+inline constexpr size_t kInsertBlockPairs = 256;
+
 class RegionJoinPipeline {
  public:
   /// `mapper` and `r_flat`/`t_flat` (flat contribution tables) must outlive
   /// the pipeline.
   RegionJoinPipeline(const CanonicalMapper* mapper, const double* r_flat,
-                     const double* t_flat, size_t insert_batch_size);
+                     const double* t_flat);
 
   RegionJoinPipeline(const RegionJoinPipeline&) = delete;
   RegionJoinPipeline& operator=(const RegionJoinPipeline&) = delete;
@@ -64,13 +67,10 @@ class RegionJoinPipeline {
   const CanonicalMapper* mapper_;
   const double* r_flat_;
   const double* t_flat_;
-  size_t batch_cap_;  // insert_batch_size; <= 1 selects the per-tuple path
-  int k_;
 
-  // Batched-path scratch, and the per-tuple path's value buffer.
+  // One insert block: its pairs and their mapped values.
   std::vector<RowIdPair> seq_pairs_;
   std::vector<double> seq_values_;
-  std::vector<double> tuple_values_;
 
   // The open region's tasks and the resumable cursor over them.
   std::vector<Task> tasks_;

@@ -50,6 +50,18 @@ int OutputCellsPerDim(int requested, int k, double expected_pairs) {
   return AutoCellsPerDim(k, budget, 4, 24);
 }
 
+/// True iff a grid of `cells_per_dim` cells along each of `k` dimensions
+/// has a cell count, and so every linear cell index, that fits CellIndex.
+bool CellCountFits(int cells_per_dim, int k) {
+  CellIndex total = 1;
+  for (int j = 0; j < k; ++j) {
+    if (__builtin_mul_overflow(total, CellIndex{cells_per_dim}, &total)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 size_t PreparedInputs::ApproxBytes() const {
@@ -95,17 +107,18 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   if (options.input_cells_per_dim < 0 || options.output_cells_per_dim < 0) {
     return Status::InvalidArgument("grid cell counts must be >= 0");
   }
-  if (options.signature_mode == SharedKeyTest::kBloom &&
-      (options.bloom_bits < 1 || options.bloom_bits > kMaxBloomBits ||
-       options.bloom_hashes < 1 || options.bloom_hashes > kMaxBloomHashes)) {
-    // A filter without probes has no bits set and would skip every pair.
+  const int k_out = query.map.output_dimensions();
+  // An explicit resolution can come from the wire; a wrapped cell count
+  // would slip past max_output_cells and index out of bounds. The auto
+  // resolutions (at most 24 per dimension) always fit.
+  if (!CellCountFits(options.input_cells_per_dim, k_out) ||
+      !CellCountFits(options.output_cells_per_dim, k_out)) {
     return Status::InvalidArgument(
-        "bloom_bits must be in [1, " + std::to_string(kMaxBloomBits) +
-        "] and bloom_hashes in [1, " + std::to_string(kMaxBloomHashes) + "]");
+        "grid cells_per_dim ^ " + std::to_string(k_out) +
+        " overflows the 64-bit cell index");
   }
   ProgXeStats* stats = &out->prepare_stats;
   out->resolved_input_cells_per_dim = options.input_cells_per_dim;
-  const int k_out = query.map.output_dimensions();
 
   const Relation& r_full = *query.r;
   const Relation& t_full = *query.t;
@@ -157,8 +170,7 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   stats->t_rows_after_push_through = out->t_rel->size();
 
   // --- Sigma for the benefit/cost models ---------------------------------
-  out->sigma = options.sigma_hint;
-  if (out->sigma <= 0.0) {
+  {
     TraceSpan span(trace_cats::kPrepare, "prepare.sigma");
     out->sigma = MeasuredJoinSelectivity(*out->r_rel, *out->t_rel);
   }
@@ -198,12 +210,9 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     out->t_contrib = std::make_unique<ContributionTable>(*out->t_rel,
                                                          out->mapper,
                                                          Side::kT);
-    const PartitionKeyOptions keys{options.signature_mode, options.bloom_bits,
-                                   options.bloom_hashes};
     if (options.partitioning == PartitioningScheme::kUniformGrid) {
       InputGridOptions grid_options;
       grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
-      grid_options.keys = keys;
       out->r_grid = std::make_unique<InputGrid>(*out->r_rel, *out->r_contrib,
                                                 grid_options);
       out->t_grid = std::make_unique<InputGrid>(*out->t_rel, *out->t_contrib,
@@ -217,7 +226,6 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
       }
       kd_options.max_partitions =
           static_cast<size_t>(std::clamp(leaves, 1.0, 4096.0));
-      kd_options.keys = keys;
       out->r_grid = std::make_unique<KdPartitioner>(*out->r_rel,
                                                     *out->r_contrib,
                                                     kd_options);

@@ -73,10 +73,6 @@ void AbsorbQuery(Hasher* h, const SkyMapJoinQuery& query,
   h->U64(static_cast<uint64_t>(options.partitioning));
   h->U64(static_cast<uint64_t>(options.input_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.output_cells_per_dim));
-  h->U64(static_cast<uint64_t>(options.signature_mode));
-  h->U64(options.bloom_bits);
-  h->U64(static_cast<uint64_t>(options.bloom_hashes));
-  h->F64(options.sigma_hint);
   h->I64(options.max_output_cells);
 }
 
@@ -127,9 +123,7 @@ std::shared_ptr<const PreparedInputs> PrepareCache::Insert(
   lru_.push_front(Entry{key, inputs, bytes});
   index_.emplace(key, lru_.begin());
   bytes_ += bytes;
-  while (!lru_.empty() &&
-         ((max_entries_ > 0 && lru_.size() > max_entries_) ||
-          (max_bytes_ > 0 && bytes_ > max_bytes_))) {
+  while (!lru_.empty() && max_bytes_ > 0 && bytes_ > max_bytes_) {
     const Entry& victim = lru_.back();
     bytes_ -= victim.bytes;
     index_.erase(victim.key);

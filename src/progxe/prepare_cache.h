@@ -7,7 +7,7 @@
 // prepare-affecting options — so it can be built once and shared, read-only,
 // by any number of concurrent sessions. PrepareCache keys immutable
 // PreparedInputs by a content fingerprint and serves them under an LRU
-// byte/entry budget; ProgXeSession::Open consults it when
+// byte budget; ProgXeSession::Open consults it when
 // ProgXeOptions::prepare_cache is set, and the QueryScheduler hands every
 // submitted query its scheduler-wide instance.
 //
@@ -16,10 +16,9 @@
 // transforms), the preference directions (they fold into the canonical
 // mapper's signs, which the contribution tables bake in), and the
 // prepare-affecting options (push_through, partitioning scheme, raw
-// input/output grid resolutions, signature mode, bloom parameters,
-// sigma_hint, max_output_cells). Consumption-side options — ordering,
-// batch size, thread count, seed, budgets, faults, seeding — are
-// deliberately excluded: they never change what the prepare phase builds.
+// input/output grid resolutions, max_output_cells). Consumption-side
+// options — ordering, seed, budgets, faults, seeding — are deliberately
+// excluded: they never change what the prepare phase builds.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +44,9 @@ class PrepareCache {
     size_t bytes = 0;
   };
 
-  /// `max_entries` / `max_bytes`: 0 = unbounded on that axis.
-  explicit PrepareCache(size_t max_entries, size_t max_bytes)
-      : max_entries_(max_entries), max_bytes_(max_bytes) {}
+  /// `max_bytes`: 0 = unbounded. Every entry charges at least
+  /// sizeof(PreparedInputs), so the byte budget also bounds the entry count.
+  explicit PrepareCache(size_t max_bytes) : max_bytes_(max_bytes) {}
 
   /// Content fingerprint of everything PreparedInputs depends on. Stable
   /// across Relation object identities: equal contents hash equal (sound,
@@ -59,7 +58,7 @@ class PrepareCache {
   /// counter), or nullptr on miss.
   std::shared_ptr<const PreparedInputs> Lookup(const std::string& key);
 
-  /// Inserts `inputs` under `key`, evicting LRU entries past the budgets.
+  /// Inserts `inputs` under `key`, evicting LRU entries past the budget.
   /// Returns the canonical entry for `key`: on an insert race the first
   /// writer wins and its entry is returned, so concurrent submitters
   /// converge on one shared instance. Entries larger than the whole byte
@@ -76,7 +75,6 @@ class PrepareCache {
     size_t bytes = 0;
   };
 
-  const size_t max_entries_;
   const size_t max_bytes_;
 
   mutable std::mutex mtx_;

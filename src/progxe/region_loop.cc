@@ -19,8 +19,7 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
              stats),
       determine_(&table_),
       pipeline_(&prep->inputs->mapper, prep->inputs->r_contrib->flat().data(),
-                prep->inputs->t_contrib->flat().data(),
-                options.insert_batch_size) {
+                prep->inputs->t_contrib->flat().data()) {
   const PreparedInputs& inputs = *prep->inputs;
   table_.InitCoverage(*regions_);
 

@@ -765,9 +765,9 @@ QueryScheduler::QueryScheduler(ServiceOptions options)
     : options_(options), core_(std::make_shared<SchedulerCore>()) {
   if (options_.num_workers < 1) options_.num_workers = 1;
   core_->options = options_;
-  if (options_.prepare_cache_entries > 0 && options_.prepare_cache_bytes > 0) {
-    core_->prepare_cache = std::make_shared<PrepareCache>(
-        options_.prepare_cache_entries, options_.prepare_cache_bytes);
+  if (options_.prepare_cache_bytes > 0) {
+    core_->prepare_cache =
+        std::make_shared<PrepareCache>(options_.prepare_cache_bytes);
   }
   workers_.reserve(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {

@@ -105,13 +105,13 @@ struct ServiceOptions {
   /// its sink still receives exactly one OnDone.
   std::chrono::milliseconds default_deadline{0};
 
-  /// Cross-query prepared-state cache (progxe/prepare_cache.h) budgets.
+  /// Cross-query prepared-state cache (progxe/prepare_cache.h) budget.
   /// Every submitted query whose options carry no cache of their own is
   /// stamped with the scheduler-wide instance: repeated submissions of the
   /// same (sources, mapping, quantization) skip the prepare phase entirely
-  /// on a hit. Entries are LRU-evicted past either budget; setting either
-  /// to 0 disables the cache.
-  size_t prepare_cache_entries = 8;
+  /// on a hit. Entries are LRU-evicted past this many bytes, the only
+  /// bound (each entry charges at least sizeof(PreparedInputs)); 0
+  /// disables the cache.
   size_t prepare_cache_bytes = 64ull * 1024 * 1024;
 };
 

@@ -17,7 +17,6 @@ Region MakeRegion(int32_t id, std::vector<CellCoord> lo,
   region.id = id;
   region.lo_cell = std::move(lo);
   region.hi_cell = std::move(hi);
-  region.guaranteed = true;
   return region;
 }
 

@@ -189,21 +189,6 @@ TEST(Executor, StatsAreCoherent) {
   EXPECT_FALSE(s.ToString().empty());
 }
 
-TEST(Executor, SigmaHintSkipsMeasurement) {
-  GeneratorOptions gen;
-  gen.cardinality = 300;
-  gen.num_attributes = 2;
-  gen.seed = 5;
-  Relation r = GenerateRelation(gen).MoveValue();
-  gen.seed = 6;
-  Relation t = GenerateRelation(gen).MoveValue();
-  ProgXeOptions opts;
-  opts.sigma_hint = 0.123;
-  ProgXeExecutor exec(QueryOver(r, t, 2), opts);
-  ASSERT_TRUE(exec.Run([](const ResultTuple&) {}).ok());
-  EXPECT_DOUBLE_EQ(exec.stats().sigma_used, 0.123);
-}
-
 TEST(Executor, PushThroughShrinksSources) {
   GeneratorOptions gen;
   gen.distribution = Distribution::kCorrelated;
@@ -220,33 +205,6 @@ TEST(Executor, PushThroughShrinksSources) {
   ASSERT_TRUE(exec.Run([](const ResultTuple&) {}).ok());
   EXPECT_LT(exec.stats().r_rows_after_push_through, 2000u);
   EXPECT_LT(exec.stats().t_rows_after_push_through, 2000u);
-}
-
-TEST(Executor, BloomKeyTestStillCorrect) {
-  GeneratorOptions gen;
-  gen.cardinality = 600;
-  gen.num_attributes = 3;
-  gen.join_selectivity = 0.01;
-  gen.seed = 3;
-  Relation r = GenerateRelation(gen).MoveValue();
-  gen.seed = 4;
-  Relation t = GenerateRelation(gen).MoveValue();
-
-  auto run_with = [&](SharedKeyTest mode) {
-    ProgXeOptions opts;
-    opts.signature_mode = mode;
-    std::vector<std::pair<RowId, RowId>> ids;
-    ProgXeExecutor exec(QueryOver(r, t, 3), opts);
-    EXPECT_TRUE(exec
-                    .Run([&](const ResultTuple& x) {
-                      ids.emplace_back(x.r_id, x.t_id);
-                    })
-                    .ok());
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  EXPECT_EQ(run_with(SharedKeyTest::kBloom),
-            run_with(SharedKeyTest::kExact));
 }
 
 TEST(Executor, SequentialOrderingModeWorks) {

@@ -1,4 +1,4 @@
-// Unit tests for Bloom filters, partition key tests, grid geometry and input
+// Unit tests for the partition shared-key test, grid geometry and input
 // partitioning (property P7 of DESIGN.md).
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
-#include "grid/bloom_filter.h"
 #include "grid/grid_geometry.h"
 #include "grid/input_grid.h"
 #include "grid/partitioning.h"
@@ -16,60 +15,14 @@
 namespace progxe {
 namespace {
 
-TEST(BloomFilter, NoFalseNegatives) {
-  BloomFilter bloom(1024, 4);
-  for (uint64_t k = 0; k < 100; ++k) bloom.Add(k * 7);
-  for (uint64_t k = 0; k < 100; ++k) {
-    EXPECT_TRUE(bloom.MightContain(k * 7));
-  }
-}
-
-TEST(BloomFilter, FalsePositiveRateReasonable) {
-  BloomFilter bloom(4096, 4);
-  for (uint64_t k = 0; k < 200; ++k) bloom.Add(k);
-  int fp = 0;
-  for (uint64_t k = 1000000; k < 1010000; ++k) {
-    if (bloom.MightContain(k)) ++fp;
-  }
-  EXPECT_LT(fp, 200);  // << 2% on a 4096/4 filter with 200 keys
-  EXPECT_GT(bloom.EstimatedFpRate(200), 0.0);
-  EXPECT_LT(bloom.EstimatedFpRate(200), 0.05);
-}
-
-TEST(BloomFilter, IntersectionIsSoundSkipTest) {
-  Rng rng(5);
-  // Property: whenever two filters share an inserted key, MightIntersect
-  // must be true (AND-zero implies provable disjointness, never the
-  // reverse).
-  for (int trial = 0; trial < 100; ++trial) {
-    BloomFilter a(512, 3);
-    BloomFilter b(512, 3);
-    std::set<uint64_t> ka, kb;
-    for (int i = 0; i < 30; ++i) {
-      uint64_t k1 = rng.NextBelow(1000);
-      uint64_t k2 = rng.NextBelow(1000);
-      a.Add(k1);
-      ka.insert(k1);
-      b.Add(k2);
-      kb.insert(k2);
-    }
-    bool share = false;
-    for (uint64_t k : ka) share |= (kb.count(k) != 0);
-    if (share) {
-      EXPECT_TRUE(a.MightIntersect(b));
-    }
-  }
-}
-
-InputPartition KeyedPartition(const Relation& rel, std::vector<RowId> rows,
-                              const PartitionKeyOptions& options) {
+InputPartition KeyedPartition(const Relation& rel, std::vector<RowId> rows) {
   InputPartition part;
   part.rows = std::move(rows);
-  IndexPartitionKeys(rel, options, &part);
+  part.key_index = KeyIndex(rel, part.rows);
   return part;
 }
 
-TEST(PartitionKeys, ExactModeSharesKeyWith) {
+TEST(PartitionKeys, SharesKeyWith) {
   Relation rel(Schema::Anonymous(1));
   double v = 0;
   rel.Append({&v, 1}, 1);
@@ -77,35 +30,15 @@ TEST(PartitionKeys, ExactModeSharesKeyWith) {
   rel.Append({&v, 1}, 9);
   rel.Append({&v, 1}, 5);  // duplicate
 
-  const PartitionKeyOptions exact;
-  InputPartition a = KeyedPartition(rel, {0, 1, 3}, exact);
-  InputPartition b = KeyedPartition(rel, {2}, exact);
-  InputPartition c = KeyedPartition(rel, {1, 2}, exact);
+  InputPartition a = KeyedPartition(rel, {0, 1, 3});
+  InputPartition b = KeyedPartition(rel, {2});
+  InputPartition c = KeyedPartition(rel, {1, 2});
   size_t keys = 0;
   a.key_index.ForEach([&](JoinKey, std::span<const RowId>) { ++keys; });
   EXPECT_EQ(keys, 2u);  // {1, 5}
-  EXPECT_FALSE(a.bloom.has_value());  // exact mode builds no filter
   EXPECT_FALSE(a.key_index.SharesKeyWith(b.key_index));  // {1,5} vs {9}
   EXPECT_TRUE(a.key_index.SharesKeyWith(c.key_index));   // share 5
   EXPECT_TRUE(b.key_index.SharesKeyWith(c.key_index));   // share 9
-}
-
-TEST(PartitionKeys, BloomModeNeverFalseNegative) {
-  Relation rel(Schema::Anonymous(1));
-  double v = 0;
-  for (JoinKey k = 0; k < 50; ++k) rel.Append({&v, 1}, k);
-  std::vector<RowId> left, right;
-  for (RowId i = 0; i < 25; ++i) left.push_back(i);
-  for (RowId i = 24; i < 50; ++i) right.push_back(i);  // overlap at key 24
-  PartitionKeyOptions bloom;
-  bloom.test = SharedKeyTest::kBloom;
-  bloom.bloom_bits = 1024;
-  bloom.bloom_hashes = 4;
-  InputPartition a = KeyedPartition(rel, left, bloom);
-  InputPartition b = KeyedPartition(rel, right, bloom);
-  ASSERT_TRUE(a.bloom.has_value());
-  ASSERT_TRUE(b.bloom.has_value());
-  EXPECT_TRUE(a.bloom->MightIntersect(*b.bloom));
 }
 
 TEST(GridGeometry, CoordsAndIndexRoundTrip) {

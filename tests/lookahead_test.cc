@@ -94,17 +94,16 @@ TEST(Lookahead, SkippedPairsProduceNoJoinResults) {
   }
 }
 
-TEST(Lookahead, GuaranteedRegionsReallyProduceAResult) {
+TEST(Lookahead, EveryRegionReallyProducesAResult) {
   LaSetup s = MakeSetup(Distribution::kCorrelated, 500, 2, 0.01, 3);
   for (const Region& region : s.la.regions) {
-    if (!region.guaranteed) continue;
     const InputPartition& pa =
         s.r_grid->partitions()[static_cast<size_t>(region.a)];
     const InputPartition& pb =
         s.t_grid->partitions()[static_cast<size_t>(region.b)];
     size_t pairs =
         JoinIndexes(pa.key_index, pb.key_index, [](RowId, RowId) {});
-    EXPECT_GT(pairs, 0u) << "guaranteed region with empty join";
+    EXPECT_GT(pairs, 0u) << "region with empty join";
   }
 }
 
@@ -182,36 +181,6 @@ TEST(Lookahead, RejectsOversizedOutputGrid) {
   auto result = OutputSpaceLookahead(*s.r_grid, *s.t_grid, s.mapper, la_opts);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
-}
-
-TEST(Lookahead, BloomFiltersDisableGuarantees) {
-  LaSetup s;
-  GeneratorOptions gen;
-  gen.cardinality = 300;
-  gen.num_attributes = 2;
-  gen.join_selectivity = 0.01;
-  s.r = GenerateRelation(gen).MoveValue();
-  gen.seed = 43;
-  s.t = GenerateRelation(gen).MoveValue();
-  s.mapper =
-      CanonicalMapper(MapSpec::PairwiseSum(2), Preference::AllLowest(2));
-  s.rc = std::make_unique<ContributionTable>(s.r, s.mapper, Side::kR);
-  s.tc = std::make_unique<ContributionTable>(s.t, s.mapper, Side::kT);
-  InputGridOptions opts;
-  opts.cells_per_dim = 3;
-  opts.keys.test = SharedKeyTest::kBloom;
-  s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, opts);
-  s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, opts);
-  LookaheadOptions la_opts;
-  auto la = OutputSpaceLookahead(*s.r_grid, *s.t_grid, s.mapper, la_opts);
-  ASSERT_TRUE(la.ok());
-  for (const Region& region : la->regions) {
-    EXPECT_FALSE(region.guaranteed)
-        << "Bloom filters cannot guarantee population";
-    EXPECT_FALSE(region.pruned)
-        << "nothing may be pruned without a guaranteed dominator";
-  }
-  EXPECT_EQ(la->stats.cells_marked, 0u);
 }
 
 }  // namespace

@@ -277,9 +277,11 @@ TEST(Wire, FieldGroupsRoundTrip) {
   }
 }
 
-// The stats and checkpoint groups carry every field, and nothing else: the
-// encoded sizes pin the layout (22 eight-byte stats fields; the checkpoint's
-// u32 k, three u64s and a counted u32 skip list ahead of its stats).
+// The options, stats and checkpoint groups carry every field, and nothing
+// else: the encoded sizes pin the layout (the options' three u8 enums and
+// flags, six eight-byte fields and a u8 seed flag; 22 eight-byte stats
+// fields; the checkpoint's u32 k, three u64s and a counted u32 skip list
+// ahead of its stats).
 std::vector<double> StatsFields(const ProgXeStats& s) {
   return {static_cast<double>(s.r_rows),
           static_cast<double>(s.t_rows),
@@ -306,6 +308,50 @@ std::vector<double> StatsFields(const ProgXeStats& s) {
 }
 
 TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
+  static_assert(kWireVersion == 6);
+  ProgXeOptions options;
+  options.ordering = OrderingMode::kSequential;
+  options.push_through = true;
+  options.partitioning = PartitioningScheme::kKdTree;
+  options.input_cells_per_dim = 5;
+  options.output_cells_per_dim = 11;
+  options.seed = 0x5eedf00d;
+  options.max_output_cells = 123456;
+  options.fault_instance = 3;
+  options.max_results = 77;
+  std::string obuf;
+  WireWriter ow(&obuf);
+  WriteOptions(options, &ow);
+  EXPECT_EQ(obuf.size(), 3u + 6 * 8 + 1);
+  ProgXeOptions o;
+  WireReader ro(obuf);
+  ASSERT_TRUE(ReadOptions(&ro, &o).ok());
+  EXPECT_TRUE(ro.AtEnd());
+  EXPECT_EQ(o.ordering, options.ordering);
+  EXPECT_EQ(o.push_through, options.push_through);
+  EXPECT_EQ(o.partitioning, options.partitioning);
+  EXPECT_EQ(o.input_cells_per_dim, options.input_cells_per_dim);
+  EXPECT_EQ(o.output_cells_per_dim, options.output_cells_per_dim);
+  EXPECT_EQ(o.seed, options.seed);
+  EXPECT_EQ(o.max_output_cells, options.max_output_cells);
+  EXPECT_EQ(o.fault_instance, options.fault_instance);
+  EXPECT_EQ(o.max_results, options.max_results);
+  EXPECT_EQ(o.refinement_seed, nullptr);
+
+  auto seed = std::make_shared<RefinementSeed>();
+  seed->k = 2;
+  seed->canonical = {0.25, -1.5};
+  options.refinement_seed = seed;
+  obuf.clear();
+  WriteOptions(options, &ow);
+  EXPECT_EQ(obuf.size(), 3u + 6 * 8 + 1 + 8 + 4 + 2 * 8);
+  WireReader rs(obuf);
+  ASSERT_TRUE(ReadOptions(&rs, &o).ok());
+  EXPECT_TRUE(rs.AtEnd());
+  ASSERT_NE(o.refinement_seed, nullptr);
+  EXPECT_EQ(o.refinement_seed->k, 2);
+  EXPECT_EQ(o.refinement_seed->canonical, seed->canonical);
+
   ProgXeStats stats;
   stats.r_rows = 1;
   stats.t_rows = 2;
@@ -471,35 +517,14 @@ std::string ForgeOptionsField(const ProgXeOptions& options, int64_t sentinel,
   return buf;
 }
 
-// insert_batch_size sizes the pipeline's block buffers: a frame carrying
-// 2^40 must fail the decode, not reach a worker's allocation.
-TEST(Wire, OptionsRejectInsertBatchSizeAboveCeiling) {
-  ProgXeOptions options;
-  options.insert_batch_size = size_t{1} << 40;
-  std::string buf;
-  WireWriter w(&buf);
-  WriteOptions(options, &w);
-  WireReader r(buf);
-  ProgXeOptions decoded;
-  EXPECT_TRUE(ReadOptions(&r, &decoded).IsInvalidArgument());
-
-  options.insert_batch_size = 256;  // the default decodes fine
-  buf.clear();
-  WriteOptions(options, &w);
-  WireReader ok_reader(buf);
-  EXPECT_TRUE(ReadOptions(&ok_reader, &decoded).ok());
-  EXPECT_EQ(decoded.insert_batch_size, 256u);
-}
-
 // The int-typed options travel as i64; a value outside int range must be
 // rejected, never narrowed.
 TEST(Wire, OptionsRejectIntFieldsOutOfRange) {
   ProgXeOptions options;
   options.input_cells_per_dim = 0x1a2b3c01;
   options.output_cells_per_dim = 0x1a2b3c02;
-  options.bloom_hashes = 0x1a2b3c03;
   options.fault_instance = 0x1a2b3c04;
-  for (int64_t sentinel : {0x1a2b3c01, 0x1a2b3c02, 0x1a2b3c03, 0x1a2b3c04}) {
+  for (int64_t sentinel : {0x1a2b3c01, 0x1a2b3c02, 0x1a2b3c04}) {
     for (int64_t forged : {int64_t{1} << 40, -(int64_t{1} << 40),
                            int64_t{std::numeric_limits<int>::max()} + 1}) {
       const std::string buf = ForgeOptionsField(options, sentinel, forged);
@@ -791,26 +816,33 @@ TEST(Net, SemanticOpenFailureKeepsTheLinkUsable) {
   (*good)->Close();
 }
 
-// Bloom options arrive unchecked from the wire. A filter without probes
-// would skip every pair and stream 0 results with status OK; a ~2^40-bit
-// filter would throw bad_alloc and kill the worker. Both must come back as
-// an error reply on a link that stays usable.
-TEST(Net, RemoteOpenRejectsOutOfRangeBloomOptions) {
-  Rng rng(0xb1f0);
-  const Config cfg = MakeConfig(&rng, false, false);
+// Grid resolutions arrive unchecked from the wire. At k=4, 65536 cells per
+// dimension is 2^64 cells: a wrapped count would pass max_output_cells and
+// index out of bounds in the worker. Both grids must come back as an error
+// reply on a link that stays usable.
+TEST(Net, RemoteOpenRejectsOverflowingGridResolution) {
+  GeneratorOptions gen;
+  gen.cardinality = 500;
+  gen.num_attributes = 4;
+  gen.join_selectivity = 0.01;
+  gen.seed = 0x0f10;
+  Config cfg;
+  cfg.r = GenerateRelation(gen).MoveValue();
+  gen.seed = 0x0f11;
+  cfg.t = GenerateRelation(gen).MoveValue();
+  cfg.map = MapSpec::PairwiseSum(4);
+  cfg.pref = Preference::AllLowest(4);
   auto worker = MustStartWorker();
   auto pool = std::make_shared<WorkerPool>();
 
-  ProgXeOptions no_probes;
-  no_probes.signature_mode = SharedKeyTest::kBloom;
-  no_probes.bloom_hashes = 0;
-  ProgXeOptions huge = no_probes;
-  huge.bloom_hashes = 4;
-  huge.bloom_bits = size_t{1} << 40;
-  for (const ProgXeOptions& options : {no_probes, huge}) {
+  ProgXeOptions output_overflow;
+  output_overflow.output_cells_per_dim = 65536;
+  ProgXeOptions input_overflow;
+  input_overflow.input_cells_per_dim = 65536;
+  for (const ProgXeOptions& options : {output_overflow, input_overflow}) {
     auto bad = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
                                        cfg.t, cfg.map, cfg.pref, options);
-    ASSERT_FALSE(bad.ok()) << "the open must fail, not stream 0 results";
+    ASSERT_FALSE(bad.ok());
     EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
   }
 
@@ -819,7 +851,7 @@ TEST(Net, RemoteOpenRejectsOutOfRangeBloomOptions) {
                                       ProgXeOptions());
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(pool->connections_created(), 1u)
-      << "the rejected opens must leave the link usable";
+      << "the rejected opens must leave the worker and the link usable";
   (*good)->Close();
 }
 
@@ -987,9 +1019,9 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
 // fails the pool's checkout with InvalidArgument. A normal checkout still
 // handshakes.
 TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
-  // Version 5 dropped two stats/checkpoint fields, so a version-4 peer
+  // Version 6 dropped five options fields, so a version-5 peer
   // (kWireVersion - 1 below) must be refused.
-  static_assert(kWireVersion == 5);
+  static_assert(kWireVersion == 6);
   constexpr std::chrono::milliseconds kDeadline(2000);
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);

@@ -38,7 +38,6 @@ class ProgDetermineTest : public ::testing::Test {
                            &region.lo_cell[static_cast<size_t>(d)],
                            &region.hi_cell[static_cast<size_t>(d)]);
     }
-    region.guaranteed = true;
     return region;
   }
 
@@ -158,7 +157,6 @@ TEST(ProgOrder, PrefersUnthreatenedCheapRegions) {
                           &region.lo_cell[static_cast<size_t>(d)],
                           &region.hi_cell[static_cast<size_t>(d)]);
     }
-    region.guaranteed = true;
     return region;
   };
   // Disjoint, mutually incomparable boxes (anti-diagonal): no elimination
@@ -198,7 +196,6 @@ TEST(ProgOrder, RandomModeVisitsEveryActiveRegionOnce) {
     region.bounds = {Interval(0, 10)};
     region.lo_cell = {0};
     region.hi_cell = {3};
-    region.guaranteed = true;
     if (i % 5 == 0) region.pruned = true;
     regions.push_back(region);
   }

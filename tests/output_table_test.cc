@@ -46,7 +46,6 @@ class OutputTableTest : public ::testing::Test {
                            &region.lo_cell[static_cast<size_t>(d)],
                            &region.hi_cell[static_cast<size_t>(d)]);
     }
-    region.guaranteed = true;
     return region;
   }
 

@@ -123,21 +123,20 @@ TEST(PrepareCacheFingerprint, SeparatesPrepareInputsIgnoresConsumption) {
   pushed.push_through = !options.push_through;
   EXPECT_NE(fp, PrepareCache::Fingerprint(cfg.query(), pushed));
 
-  // ...while consumption-side options (ordering, batch size, budgets, seed)
-  // never change what the prepare phase builds, so they share the entry.
+  // ...while consumption-side options (ordering, budgets, seed) never
+  // change what the prepare phase builds, so they share the entry.
   ProgXeOptions consumer = options;
   consumer.seed = 0xbeef;
   consumer.ordering = OrderingMode::kRandom;
-  consumer.insert_batch_size = 7;
   consumer.max_results = 7;
   EXPECT_EQ(fp, PrepareCache::Fingerprint(cfg.query(), consumer));
 }
 
-// LRU behavior under the entry budget and the byte budget, end to end
-// through ProgXeSession::Open: hits bump recency, evictions drop the
-// least-recently-used entry, and an entry larger than the whole byte
-// budget is served back uncached without poisoning the cache.
-TEST(PrepareCache, HitMissEvictionUnderBudgets) {
+// LRU behavior under the byte budget, end to end through
+// ProgXeSession::Open: hits bump recency, evictions drop the
+// least-recently-used entry, and an entry larger than the whole budget is
+// served back uncached without poisoning the cache.
+TEST(PrepareCache, HitMissEvictionUnderByteBudget) {
   Rng rng(0x9ca1);
   const Config a = MakeConfig(&rng, false, false);
   const Config b = MakeConfig(&rng, false, true);
@@ -150,9 +149,22 @@ TEST(PrepareCache, HitMissEvictionUnderBudgets) {
     return Sorted(Drain(cfg, options, nullptr));
   };
 
-  // Entry budget: capacity 2, three distinct queries.
-  auto cache = std::make_shared<PrepareCache>(/*max_entries=*/2,
-                                              /*max_bytes=*/0);
+  // Measure each entry alone, then size the cache so any two of the three
+  // fit but not all three.
+  auto measure = std::make_shared<PrepareCache>(/*max_bytes=*/0);
+  size_t bytes[3];
+  size_t total = 0;
+  const Config* configs[3] = {&a, &b, &c};
+  for (int i = 0; i < 3; ++i) {
+    open(*configs[i], measure);
+    bytes[i] = measure->stats().bytes - total;
+    total = measure->stats().bytes;
+    ASSERT_GT(bytes[i], 0u);
+  }
+  const size_t budget = std::max(
+      {bytes[0] + bytes[1], bytes[0] + bytes[2], bytes[1] + bytes[2]});
+
+  auto cache = std::make_shared<PrepareCache>(budget);
   const IdSeq ref_a = open(a, cache);  // miss -> [A]
   open(b, cache);                      // miss -> [B, A]
   EXPECT_EQ(cache->stats().misses, 2u);
@@ -169,34 +181,16 @@ TEST(PrepareCache, HitMissEvictionUnderBudgets) {
   // A survived the eviction (it was bumped), B did not.
   EXPECT_EQ(open(a, cache), ref_a);  // hit
   EXPECT_EQ(cache->stats().hits, 2u);
-  open(b, cache);  // miss again: B was the one evicted
+  open(b, cache);  // miss again: B was the one evicted -> [B, A]
   EXPECT_EQ(cache->stats().misses, 4u);
   EXPECT_EQ(cache->stats().evictions, 2u);
-
-  // Byte budget: measure the two entries, then size the cache so each fits
-  // alone but not both — the second insert must evict the first.
-  auto measure = std::make_shared<PrepareCache>(0, 0);
-  open(a, measure);
-  const size_t bytes_a = measure->stats().bytes;
-  open(b, measure);
-  const size_t bytes_ab = measure->stats().bytes;
-  ASSERT_GT(bytes_a, 0u);
-  ASSERT_GT(bytes_ab, bytes_a);
-
-  auto tight = std::make_shared<PrepareCache>(0, bytes_ab - 1);
-  open(a, tight);
-  EXPECT_EQ(tight->stats().entries, 1u);
-  open(b, tight);  // over budget together: A is evicted
-  EXPECT_EQ(tight->stats().entries, 1u);
-  EXPECT_EQ(tight->stats().evictions, 1u);
-  EXPECT_LE(tight->stats().bytes, bytes_ab - 1);
-  open(b, tight);  // B is the survivor
-  EXPECT_EQ(tight->stats().hits, 1u);
+  EXPECT_EQ(cache->stats().entries, 2u);
+  EXPECT_LE(cache->stats().bytes, budget);
 
   // An entry larger than the whole byte budget is served back uncached:
   // the query still runs (and returns the right set), the cache stays
   // empty instead of thrashing.
-  auto tiny = std::make_shared<PrepareCache>(0, 1);
+  auto tiny = std::make_shared<PrepareCache>(/*max_bytes=*/1);
   EXPECT_EQ(open(a, tiny), ref_a);
   EXPECT_EQ(tiny->stats().entries, 0u);
   EXPECT_EQ(tiny->stats().bytes, 0u);
@@ -204,8 +198,8 @@ TEST(PrepareCache, HitMissEvictionUnderBudgets) {
 }
 
 // The byte estimate counts every partition's key runs (a second copy of its
-// rows, plus the keys and run offsets) and, in Bloom mode, its filter words.
-TEST(PrepareCache, ApproxBytesCountsKeyRunsAndBloomWords) {
+// rows, plus the keys and run offsets).
+TEST(PrepareCache, ApproxBytesCountsKeyRuns) {
   WorkloadParams params;
   params.distribution = Distribution::kAntiCorrelated;
   params.cardinality = 2000;
@@ -214,35 +208,25 @@ TEST(PrepareCache, ApproxBytesCountsKeyRunsAndBloomWords) {
   params.seed = 7;
   auto workload = Workload::Make(params);
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
-  for (SharedKeyTest mode : {SharedKeyTest::kExact, SharedKeyTest::kBloom}) {
-    ProgXeOptions options;
-    options.signature_mode = mode;
-    PreparedInputs inputs;
-    ASSERT_TRUE(BuildPreparedInputs(workload->query(), options,
-                                    /*own_sources=*/true, &inputs)
-                    .ok());
-    ASSERT_FALSE(inputs.trivially_empty);
-    size_t grid_bytes = 0;
-    for (const InputPartitioning* grid :
-         {inputs.r_grid.get(), inputs.t_grid.get()}) {
-      size_t floor = 0;
-      for (const InputPartition& p : grid->partitions()) {
-        EXPECT_GE(p.key_index.ApproxBytes(),
-                  p.rows.size() * sizeof(RowId) + sizeof(JoinKey) +
-                      2 * sizeof(uint32_t));
-        floor += p.rows.capacity() * sizeof(RowId) + p.key_index.ApproxBytes();
-        ASSERT_EQ(p.bloom.has_value(), mode == SharedKeyTest::kBloom);
-        if (p.bloom) {
-          EXPECT_EQ(p.bloom->ApproxBytes(), options.bloom_bits / 8);
-          floor += p.bloom->ApproxBytes();
-        }
-      }
-      EXPECT_GE(grid->ApproxBytes(), floor)
-          << "mode " << static_cast<int>(mode);
-      grid_bytes += grid->ApproxBytes();
+  PreparedInputs inputs;
+  ASSERT_TRUE(BuildPreparedInputs(workload->query(), ProgXeOptions(),
+                                  /*own_sources=*/true, &inputs)
+                  .ok());
+  ASSERT_FALSE(inputs.trivially_empty);
+  size_t grid_bytes = 0;
+  for (const InputPartitioning* grid :
+       {inputs.r_grid.get(), inputs.t_grid.get()}) {
+    size_t floor = 0;
+    for (const InputPartition& p : grid->partitions()) {
+      EXPECT_GE(p.key_index.ApproxBytes(),
+                p.rows.size() * sizeof(RowId) + sizeof(JoinKey) +
+                    2 * sizeof(uint32_t));
+      floor += p.rows.capacity() * sizeof(RowId) + p.key_index.ApproxBytes();
     }
-    EXPECT_GT(inputs.ApproxBytes(), grid_bytes);
+    EXPECT_GE(grid->ApproxBytes(), floor);
+    grid_bytes += grid->ApproxBytes();
   }
+  EXPECT_GT(inputs.ApproxBytes(), grid_bytes);
 }
 
 // Concurrent submitters of the same query converge on one shared entry —
@@ -260,7 +244,7 @@ TEST(PrepareCache, ConcurrentSessionsConvergeOnOneEntry) {
   // Phase 1: cold insert race. All threads miss-or-hit but the cache ends
   // with exactly one entry and every thread served the exact skyline.
   {
-    auto cache = std::make_shared<PrepareCache>(0, 0);
+    auto cache = std::make_shared<PrepareCache>(/*max_bytes=*/0);
     std::vector<IdSeq> served(kThreads);
     std::vector<std::thread> threads;
     for (int i = 0; i < kThreads; ++i) {
@@ -282,7 +266,7 @@ TEST(PrepareCache, ConcurrentSessionsConvergeOnOneEntry) {
   // Phase 2: prepopulated steady state. Every concurrent open is a hit on
   // the one shared immutable entry.
   {
-    auto cache = std::make_shared<PrepareCache>(0, 0);
+    auto cache = std::make_shared<PrepareCache>(/*max_bytes=*/0);
     ProgXeOptions options;
     options.seed = 0xfeed;
     options.prepare_cache = cache;
@@ -323,7 +307,7 @@ TEST_P(PrepareCacheEquivalenceSweep, CachedHitMatchesColdRun) {
   ProgXeStats cold_stats;
   const IdSeq cold = Drain(cfg, options, &cold_stats);
 
-  auto cache = std::make_shared<PrepareCache>(0, 0);
+  auto cache = std::make_shared<PrepareCache>(/*max_bytes=*/0);
   ProgXeOptions cached = options;
   cached.prepare_cache = cache;
 
@@ -385,7 +369,7 @@ TEST(PrepareCache, SeededRunMatchesUnseededSet) {
 
     // Warm == cold under identical seeding: sequence and stats —
     // including regions_discarded_seed — bit for bit.
-    auto cache = std::make_shared<PrepareCache>(0, 0);
+    auto cache = std::make_shared<PrepareCache>(/*max_bytes=*/0);
     ProgXeOptions warm = seeded;
     warm.prepare_cache = cache;
     Drain(cfg, warm, nullptr);  // populate

@@ -5,8 +5,8 @@
 // brute-force skyline of the mapped join.
 //
 // This is the widest net in the suite: it exercises canonical sign folding,
-// interval propagation through transforms, shared-key skipping (exact and
-// Bloom), look-ahead pruning, ordering, ProgDetermine and push-through all
+// interval propagation through transforms, shared-key skipping,
+// look-ahead pruning, ordering, ProgDetermine and push-through all
 // at once, against an oracle that shares no code with the engine beyond
 // MapSpec::Eval.
 #include <gtest/gtest.h>
@@ -146,25 +146,6 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
       EXPECT_EQ(Sorted(results), oracle)
           << "ProgXe cfg=" << cfg << " output_cells_per_dim=" << output_cells;
     }
-  }
-
-  // Bloom-filter pair skipping, over small filters that give false
-  // positives: sound, never a guarantee, the same result set.
-  {
-    ProgXeOptions options;
-    options.signature_mode = SharedKeyTest::kBloom;
-    options.bloom_bits = size_t{64} << (GetParam() % 6);
-    options.bloom_hashes = 1 + GetParam() % 4;
-    if (GetParam() % 2 == 1) {
-      options.partitioning = PartitioningScheme::kKdTree;
-    }
-    std::vector<ResultTuple> results;
-    ProgXeExecutor exec(q.query(), options);
-    ASSERT_TRUE(exec.Run([&](const ResultTuple& r) {
-                      results.push_back(r);
-                    }).ok());
-    EXPECT_EQ(Sorted(results), oracle)
-        << "ProgXe Bloom bits=" << options.bloom_bits;
   }
 
   // Baselines.

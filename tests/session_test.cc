@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
 #include "equivalence_common.h"
+#include "grid/grid_geometry.h"
 #include "harness/workload.h"
 #include "progxe/prepare.h"
 #include "progxe/session.h"
@@ -212,50 +214,6 @@ TEST(Session, OpenValidatesQuery) {
   EXPECT_TRUE(session.status().IsInvalidArgument());
 }
 
-// A Bloom filter with no probes sets no bits and would skip every
-// partition pair: the query would end with 0 results and status OK. Open
-// (local and sharded) rejects out-of-range Bloom options instead.
-TEST(Session, OpenRejectsOutOfRangeBloomOptions) {
-  Rng rng(0xb100);
-  const Config cfg = MakeConfig(&rng, false, false);
-  ProgXeOptions bloom;
-  bloom.signature_mode = SharedKeyTest::kBloom;
-  std::vector<ProgXeOptions> bad(5, bloom);
-  bad[0].bloom_hashes = 0;
-  bad[1].bloom_hashes = -1;
-  bad[2].bloom_hashes = kMaxBloomHashes + 1;
-  bad[3].bloom_bits = 0;
-  bad[4].bloom_bits = size_t{1} << 40;
-  ShardOptions shards;
-  shards.num_shards = 2;
-  for (const ProgXeOptions& options : bad) {
-    auto session = ProgXeSession::Open(cfg.query(), options);
-    EXPECT_TRUE(session.status().IsInvalidArgument())
-        << session.status().ToString();
-    auto sharded = ShardedStream::Open(cfg.query(), options, shards);
-    EXPECT_TRUE(sharded.status().IsInvalidArgument())
-        << sharded.status().ToString();
-  }
-
-  // The ceilings themselves are accepted, and exact mode ignores the
-  // Bloom fields.
-  ProgXeOptions widest = bloom;
-  widest.bloom_bits = kMaxBloomBits;
-  widest.bloom_hashes = kMaxBloomHashes;
-  ProgXeOptions exact;
-  exact.bloom_hashes = 0;
-  ProgXeStats reference;
-  const IdSeq expected = RunReference(cfg, ProgXeOptions(), &reference);
-  for (const ProgXeOptions& options : {widest, exact}) {
-    ProgXeStats stats;
-    IdSeq got = DrainSession(cfg, options, 0, &stats);
-    std::sort(got.begin(), got.end());
-    IdSeq want = expected;
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want);
-  }
-}
-
 TEST(Session, StatsVisibleBeforeFirstBatch) {
   Rng rng(0xabcd);
   const Config cfg = MakeConfig(&rng, false, false);
@@ -270,51 +228,106 @@ TEST(Session, StatsVisibleBeforeFirstBatch) {
 
 // --- Output-grid resolution (the partition size delta) --------------------
 
-/// An anticorrelated n x n workload with join selectivity 0.001.
-Result<Workload> AntiWorkload(size_t n, int dims) {
+/// An anticorrelated n x n workload with join selectivity `sigma` (one
+/// join key at sigma = 1).
+Result<Workload> AntiWorkload(size_t n, int dims, double sigma) {
   WorkloadParams params;
   params.distribution = Distribution::kAntiCorrelated;
   params.cardinality = n;
   params.dims = dims;
-  params.sigma = 0.001;
+  params.sigma = sigma;
   params.seed = 7;
   return Workload::Make(params);
 }
 
 /// The output grid the session's prepare resolved over AntiWorkload(n,
-/// dims). `sigma_hint` pins the modelled sigma (0 = measure it).
-int ResolvedOutputCells(size_t n, int dims, double sigma_hint,
-                        int requested = 0) {
-  Result<Workload> workload = AntiWorkload(n, dims);
+/// dims, sigma), and the join selectivity it measured.
+struct Resolution {
+  int cells = 0;
+  double sigma_used = 0.0;
+};
+
+Resolution ResolveOutputGrid(size_t n, int dims, double sigma,
+                             int requested = 0) {
+  Result<Workload> workload = AntiWorkload(n, dims, sigma);
   EXPECT_TRUE(workload.ok());
   ProgXeOptions options;
-  options.sigma_hint = sigma_hint;
   options.output_cells_per_dim = requested;
   auto session = ProgXeSession::Open(workload->query(), options);
   EXPECT_TRUE(session.ok());
-  const int resolved =
-      (*session)->prepared_inputs()->resolved_output_cells_per_dim;
+  Resolution out;
+  out.cells = (*session)->prepared_inputs()->resolved_output_cells_per_dim;
+  out.sigma_used = (*session)->stats().sigma_used;
   // The resolution is written back into the session's options, where the
   // region loop's cost model reads it.
-  EXPECT_EQ((*session)->options().output_cells_per_dim, resolved);
-  return resolved;
+  EXPECT_EQ((*session)->options().output_cells_per_dim, out.cells);
+  return out;
 }
 
-// delta = AutoCellsPerDim(k, min(60000, 16 sqrt(|R'| |T'| sigma)), 4, 24).
+/// delta = AutoCellsPerDim(k, min(60000, 16 sqrt(|R'| |T'| sigma)), 4, 24)
+/// for an n x n join (no push-through) at the measured sigma.
+int ExpectedCells(size_t n, int dims, double sigma_used) {
+  const double pairs =
+      static_cast<double>(n) * static_cast<double>(n) * sigma_used;
+  return AutoCellsPerDim(dims, std::min(60000.0, 16.0 * std::sqrt(pairs)),
+                         4, 24);
+}
+
 TEST(OutputGridResolution, FollowsTheExpectedJoinOutput) {
-  // 16 sqrt(25000) = 2530 cells -> 7 per dimension at d=4.
-  EXPECT_EQ(ResolvedOutputCells(5000, 4, 0.001), 7);
-  // 16 sqrt(400000) = 10119 cells -> 10 per dimension.
-  EXPECT_EQ(ResolvedOutputCells(20000, 4, 0.001), 10);
-  // 16 sqrt(2.5e7) = 80000 cells, capped at the 60000-cell budget -> 15.
-  EXPECT_EQ(ResolvedOutputCells(5000, 4, 1.0), 15);
-  // d=2: sqrt(2530) = 50 per dimension, clamped to the 24 ceiling.
-  EXPECT_EQ(ResolvedOutputCells(5000, 2, 0.001), 24);
+  // At the measured sigma (~0.001): 16 sqrt(25000) = 2530 cells -> 7 per
+  // dimension at d=4; 16 sqrt(400000) = 10119 -> 10; at d=2, sqrt(2530) =
+  // 50 per dimension, clamped to the 24 ceiling.
+  struct Shape {
+    size_t n;
+    int dims;
+    int cells;
+  };
+  for (const Shape& shape :
+       {Shape{5000, 4, 7}, Shape{20000, 4, 10}, Shape{5000, 2, 24}}) {
+    const Resolution got = ResolveOutputGrid(shape.n, shape.dims, 0.001);
+    EXPECT_EQ(got.cells, ExpectedCells(shape.n, shape.dims, got.sigma_used))
+        << "n=" << shape.n << " d=" << shape.dims
+        << " sigma_used=" << got.sigma_used;
+    EXPECT_EQ(got.cells, shape.cells) << "n=" << shape.n << " d=" << shape.dims;
+  }
+  // One join key: sigma = 1 and 16 sqrt(2.5e7) = 80000 cells, capped at the
+  // 60000-cell budget -> 15 per dimension.
+  const Resolution dense = ResolveOutputGrid(5000, 4, 1.0);
+  EXPECT_EQ(dense.sigma_used, 1.0);
+  EXPECT_EQ(dense.cells, 15);
 }
 
 TEST(OutputGridResolution, ExplicitValuePassesThrough) {
-  EXPECT_EQ(ResolvedOutputCells(5000, 4, 0.001, /*requested=*/9), 9);
-  EXPECT_EQ(ResolvedOutputCells(5000, 4, 1.0, /*requested=*/3), 3);
+  EXPECT_EQ(ResolveOutputGrid(5000, 4, 0.001, /*requested=*/9).cells, 9);
+  EXPECT_EQ(ResolveOutputGrid(5000, 4, 1.0, /*requested=*/3).cells, 3);
+}
+
+// At k=4, 65536 cells per dimension is 2^64 cells: an unchecked count
+// wraps to 0, passes max_output_cells and crashes the query. Either grid's
+// cells_per_dim^k must fit the 64-bit cell index; 55108^4 < 2^63 <= 55109^4.
+TEST(OutputGridResolution, RejectsCellCountOverflow) {
+  Result<Workload> workload = AntiWorkload(500, 4, 0.01);
+  ASSERT_TRUE(workload.ok());
+  ShardOptions shards;
+  shards.num_shards = 2;
+  for (int cells : {65536, 55109}) {
+    ProgXeOptions output_overflow;
+    output_overflow.output_cells_per_dim = cells;
+    ProgXeOptions input_overflow;
+    input_overflow.input_cells_per_dim = cells;
+    for (const ProgXeOptions& options : {output_overflow, input_overflow}) {
+      auto session = ProgXeSession::Open(workload->query(), options);
+      EXPECT_TRUE(session.status().IsInvalidArgument())
+          << cells << ": " << session.status().ToString();
+      auto sharded = ShardedStream::Open(workload->query(), options, shards);
+      EXPECT_TRUE(sharded.status().IsInvalidArgument())
+          << cells << ": " << sharded.status().ToString();
+    }
+  }
+  // The largest fitting input resolution is accepted.
+  ProgXeOptions widest;
+  widest.input_cells_per_dim = 55108;
+  EXPECT_TRUE(ProgXeSession::Open(workload->query(), widest).ok());
 }
 
 TEST(OutputGridResolution, EmptySourceStillResolves) {
@@ -332,7 +345,7 @@ TEST(OutputGridResolution, EmptySourceStillResolves) {
 // Each shard prepares its own slice, so it sizes its own, smaller grid:
 // a K-way slice expects ~1/K of the join output.
 TEST(OutputGridResolution, ShardsSizeTheirOwnGrid) {
-  Result<Workload> workload = AntiWorkload(5000, 4);
+  Result<Workload> workload = AntiWorkload(5000, 4, 0.001);
   ASSERT_TRUE(workload.ok());
 
   auto parent = ProgXeSession::Open(workload->query(), ProgXeOptions());
