@@ -64,7 +64,8 @@ class TimingSink : public QuerySink {
 
 struct Scenario {
   const char* name;
-  FairnessPolicy policy;
+  /// Slice weight of each light query; heavy queries weigh 1.
+  double light_weight;
   size_t budget;
   int workers;
 };
@@ -265,10 +266,10 @@ int main(int argc, char** argv) {
   // The last scenario contrasts the base worker count with a 4x pool (the
   // JSON records the exact count per run).
   const Scenario scenarios[] = {
-      {"rr_unsliced", FairnessPolicy::kRoundRobin, 0, workers},
-      {"rr_sliced", FairnessPolicy::kRoundRobin, 4096, workers},
-      {"wf_sliced", FairnessPolicy::kWeightedFair, 4096, workers},
-      {"rr_sliced_mw", FairnessPolicy::kRoundRobin, 4096, workers * 4},
+      {"unsliced", 1.0, 0, workers},
+      {"sliced", 1.0, 4096, workers},
+      {"weighted_sliced", 4.0, 4096, workers},
+      {"sliced_mw", 1.0, 4096, workers * 4},
   };
 
   std::vector<ScenarioResult> results;
@@ -277,7 +278,6 @@ int main(int argc, char** argv) {
     ServiceOptions sopts;
     sopts.num_workers = scenario.workers;
     sopts.batch_budget = scenario.budget;
-    sopts.policy = scenario.policy;
     sopts.max_concurrent = 0;
 
     Stopwatch watch;
@@ -285,9 +285,8 @@ int main(int argc, char** argv) {
       QueryScheduler scheduler(sopts);
       for (size_t i = 0; i < workloads.size(); ++i) {
         sinks[i].Reset(&watch, heavy_flags[i]);
-        // Under weighted-fair, interactive queries get 4x the share.
         SubmitOptions submit;
-        submit.weight = heavy_flags[i] ? 1.0 : 4.0;
+        submit.weight = heavy_flags[i] ? 1.0 : scenario.light_weight;
         auto handle = scheduler.Submit(workloads[i].query(), ProgXeOptions(),
                                        &sinks[i], submit);
         if (!handle.ok()) {
@@ -323,7 +322,7 @@ int main(int argc, char** argv) {
     results.push_back(result);
 
     std::printf(
-        "  %-13s workers=%d budget=%-5zu makespan=%.4fs ttfr_p50=%.4fs "
+        "  %-15s workers=%d budget=%-5zu makespan=%.4fs ttfr_p50=%.4fs "
         "ttfr_p99=%.4fs light_p50=%.4fs light_worst=%.4fs\n",
         scenario.name, scenario.workers, scenario.budget, result.makespan,
         result.ttfr_p50, result.ttfr_p99, result.light_ttfr_p50,
@@ -355,7 +354,7 @@ int main(int argc, char** argv) {
       warm.child_ttfr_mean > 0.0 ? cold.child_ttfr_mean / warm.child_ttfr_mean
                                  : 0.0;
   std::printf(
-      "  reuse_burst   workers=%d children=%zu cold_ttfr=%.4fs "
+      "  reuse_burst     workers=%d children=%zu cold_ttfr=%.4fs "
       "warm_ttfr=%.4fs speedup=%.2fx prepare_skipped=%llu match=%s\n",
       burst_workers, kBurstChildren, cold.child_ttfr_mean,
       warm.child_ttfr_mean, ttfr_speedup,
@@ -384,11 +383,11 @@ int main(int argc, char** argv) {
       const ScenarioResult& r = results[i];
       std::fprintf(
           out,
-          "    {\"scenario\": \"%s\", \"policy\": \"%s\", \"budget\": %zu, "
+          "    {\"scenario\": \"%s\", \"light_weight\": %g, \"budget\": %zu, "
           "\"workers\": %d, \"makespan_s\": %.6f, \"ttfr_p50_s\": %.6f, "
           "\"ttfr_p99_s\": %.6f, \"light_ttfr_p50_s\": %.6f, "
           "\"light_ttfr_worst_s\": %.6f, \"results\": %zu}%s\n",
-          r.scenario.name, FairnessPolicyName(r.scenario.policy),
+          r.scenario.name, r.scenario.light_weight,
           r.scenario.budget, r.scenario.workers, r.makespan, r.ttfr_p50,
           r.ttfr_p99, r.light_ttfr_p50, r.light_ttfr_worst, r.results_total,
           i + 1 == results.size() ? "" : ",");

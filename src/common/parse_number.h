@@ -40,10 +40,6 @@ inline bool ParseI32(std::string_view s, int* out) {
   return parse_internal::ParseFull(s, out);
 }
 
-inline bool ParseSize(std::string_view s, size_t* out) {
-  return parse_internal::ParseFull(s, out);
-}
-
 /// Decimal or exponent notation; rejects out-of-range magnitudes, inf and
 /// nan.
 inline bool ParseF64(std::string_view s, double* out) {

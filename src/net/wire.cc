@@ -360,7 +360,6 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutI64(options.input_cells_per_dim);
   w->PutI64(options.output_cells_per_dim);
   w->PutU64(options.seed);
-  w->PutI64(options.max_output_cells);
   w->PutI64(options.fault_instance);
   w->PutU64(options.max_results);
   // Refinement seed travels inline: it affects the regions_discarded_seed
@@ -377,12 +376,12 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
 Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
   uint8_t ordering, push_through, partitioning;
-  int64_t in_cpd, out_cpd, max_output_cells, fault_instance;
+  int64_t in_cpd, out_cpd, fault_instance;
   uint64_t seed, max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
       !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
       !r->GetI64(&out_cpd) || !r->GetU64(&seed) ||
-      !r->GetI64(&max_output_cells) || !r->GetI64(&fault_instance) ||
+      !r->GetI64(&fault_instance) ||
       !r->GetU64(&max_results)) {
     return r->status();
   }
@@ -401,7 +400,6 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   o.input_cells_per_dim = static_cast<int>(in_cpd);
   o.output_cells_per_dim = static_cast<int>(out_cpd);
   o.seed = seed;
-  o.max_output_cells = max_output_cells;
   o.fault_instance = static_cast<int>(fault_instance);
   o.max_results = max_results;
   uint8_t has_seed;

@@ -60,11 +60,11 @@ namespace progxe {
 /// checkpoint group), kOpenResult with resume info (u8 resumed,
 /// u32 regions_skipped, u64 replay_pairs_saved) and kPumpResult with
 /// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
-/// workers ship one only when its skip list grew). Version 6 dropped the
-/// signature-mode, Bloom, sigma-hint and insert-batch fields from the
-/// options group.
+/// workers ship one only when its skip list grew). Version 7 dropped
+/// `max_output_cells` from the options group: the output-cell cap is
+/// fixed, so a peer cannot raise it.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 6;
+inline constexpr uint16_t kWireVersion = 7;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted

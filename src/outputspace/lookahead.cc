@@ -66,7 +66,7 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
     }
   }
   out.output_grid = GridGeometry(hull, options.output_cells_per_dim);
-  if (out.output_grid.total_cells() > options.max_output_cells) {
+  if (out.output_grid.total_cells() > kMaxOutputCells) {
     return Status::InvalidArgument(
         "output grid would have " +
         std::to_string(out.output_grid.total_cells()) +

@@ -42,10 +42,11 @@ struct LookaheadResult {
   LookaheadStats stats;
 };
 
+/// Hard cap on the dense output-cell table; exceeded => InvalidArgument.
+inline constexpr int64_t kMaxOutputCells = 8 * 1000 * 1000;
+
 struct LookaheadOptions {
   int output_cells_per_dim = 10;
-  /// Hard cap on the dense output-cell table; exceeded => InvalidArgument.
-  int64_t max_output_cells = 8 * 1000 * 1000;
 };
 
 /// Runs look-ahead over the two gridded sources.

@@ -73,9 +73,6 @@ struct ProgXeOptions {
   /// Seed for the kRandom ordering shuffle.
   uint64_t seed = 0x5eed;
 
-  /// Hard cap on dense output-cell state.
-  int64_t max_output_cells = 8 * 1000 * 1000;
-
   /// Programmatic fault injection (common/fault_injection.h). When set,
   /// engine call sites consult this injector; when null, they fall back to
   /// the process-wide PROGXE_FAULT_SITES injector for the shard/service

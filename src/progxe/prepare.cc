@@ -62,6 +62,17 @@ bool CellCountFits(int cells_per_dim, int k) {
   return true;
 }
 
+/// InvalidArgument unless both resolutions' cell counts fit CellIndex.
+Status CheckGridFits(int input_cells_per_dim, int output_cells_per_dim,
+                     int k) {
+  if (CellCountFits(input_cells_per_dim, k) &&
+      CellCountFits(output_cells_per_dim, k)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("grid cells_per_dim ^ " + std::to_string(k) +
+                                 " overflows the 64-bit cell index");
+}
+
 }  // namespace
 
 size_t PreparedInputs::ApproxBytes() const {
@@ -108,15 +119,10 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     return Status::InvalidArgument("grid cell counts must be >= 0");
   }
   const int k_out = query.map.output_dimensions();
-  // An explicit resolution can come from the wire; a wrapped cell count
-  // would slip past max_output_cells and index out of bounds. The auto
-  // resolutions (at most 24 per dimension) always fit.
-  if (!CellCountFits(options.input_cells_per_dim, k_out) ||
-      !CellCountFits(options.output_cells_per_dim, k_out)) {
-    return Status::InvalidArgument(
-        "grid cells_per_dim ^ " + std::to_string(k_out) +
-        " overflows the 64-bit cell index");
-  }
+  // An explicit resolution can come from the wire; reject one whose cell
+  // count wraps before any early return, whatever the data.
+  PROGXE_RETURN_NOT_OK(CheckGridFits(options.input_cells_per_dim,
+                                     options.output_cells_per_dim, k_out));
   ProgXeStats* stats = &out->prepare_stats;
   out->resolved_input_cells_per_dim = options.input_cells_per_dim;
 
@@ -200,6 +206,13 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     out->resolved_input_cells_per_dim =
         AutoCellsPerDim(query.map.output_dimensions(), budget, 2, 8);
   }
+  // Both resolutions are final here. An auto one is at least 4 output
+  // cells per dimension, 2^64 cells at k = 32; a wrapped cell count would
+  // slip past the look-ahead's cell cap and index out of bounds. (The
+  // early returns above build no grid.)
+  PROGXE_RETURN_NOT_OK(CheckGridFits(out->resolved_input_cells_per_dim,
+                                     out->resolved_output_cells_per_dim,
+                                     k_out));
 
   // --- Contribution tables and input partitioning ------------------------
   {
@@ -239,7 +252,6 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   TraceSpan lookahead_span(trace_cats::kPrepare, "prepare.lookahead");
   LookaheadOptions la_options;
   la_options.output_cells_per_dim = out->resolved_output_cells_per_dim;
-  la_options.max_output_cells = options.max_output_cells;
   PROGXE_ASSIGN_OR_RETURN(
       out->lookahead,
       OutputSpaceLookahead(*out->r_grid, *out->t_grid, out->mapper,

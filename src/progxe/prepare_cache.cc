@@ -73,7 +73,6 @@ void AbsorbQuery(Hasher* h, const SkyMapJoinQuery& query,
   h->U64(static_cast<uint64_t>(options.partitioning));
   h->U64(static_cast<uint64_t>(options.input_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.output_cells_per_dim));
-  h->I64(options.max_output_cells);
 }
 
 }  // namespace

@@ -16,7 +16,7 @@
 // transforms), the preference directions (they fold into the canonical
 // mapper's signs, which the contribution tables bake in), and the
 // prepare-affecting options (push_through, partitioning scheme, raw
-// input/output grid resolutions, max_output_cells). Consumption-side
+// input/output grid resolutions). Consumption-side
 // options — ordering, seed, budgets, faults, seeding — are deliberately
 // excluded: they never change what the prepare phase builds.
 #pragma once

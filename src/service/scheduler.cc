@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "mapping/canonical.h"
 #include "net/net_stats.h"
@@ -20,28 +21,6 @@
 #include "progxe/prepare_cache.h"
 
 namespace progxe {
-
-const char* FairnessPolicyName(FairnessPolicy policy) {
-  switch (policy) {
-    case FairnessPolicy::kRoundRobin:
-      return "round_robin";
-    case FairnessPolicy::kWeightedFair:
-      return "weighted_fair";
-  }
-  return "?";
-}
-
-bool FairnessPolicyFromName(std::string_view name, FairnessPolicy* out) {
-  if (name == "rr" || name == "round_robin") {
-    *out = FairnessPolicy::kRoundRobin;
-    return true;
-  }
-  if (name == "wf" || name == "weighted_fair") {
-    *out = FairnessPolicy::kWeightedFair;
-    return true;
-  }
-  return false;
-}
 
 const char* QueryStateName(QueryState state) {
   switch (state) {
@@ -171,8 +150,8 @@ struct QueryRecord {
   ShardOptions shards;
   QuerySink* sink = nullptr;
 
-  /// Stride-scheduling state (kWeightedFair): pass advances by stride per
-  /// slice; the smallest pass runs next.
+  /// Stride-scheduling state: pass advances by stride per slice; the
+  /// smallest pass runs next.
   uint64_t stride = kStrideScale;
   uint64_t pass = 0;
 
@@ -269,10 +248,10 @@ struct SchedulerCore {
   uint64_t next_id = 1;
   size_t live = 0;    // submitted, not yet terminal
   size_t active = 0;  // admitted (slot held), not yet terminal
-  uint64_t virtual_time = 0;  // pass floor for newly admitted queries
+  uint64_t virtual_time = 0;  // pass of the last picked query
 
   std::deque<RecordPtr> waiting;  // admission queue, FIFO
-  std::deque<RecordPtr> ready;    // runnable; deque for RR, min-heap for WF
+  std::vector<RecordPtr> ready;   // runnable; min-heap on (pass, id)
   /// Number of `waiting` entries with `cancel` set — an O(1) stand-in for
   /// scanning the queue in the worker wake predicate.
   size_t cancelled_waiting = 0;
@@ -301,7 +280,7 @@ struct SchedulerCore {
 namespace {
 
 /// Min-heap order on (pass, id): ties resolve to the earlier submission so
-/// the weighted-fair pick is deterministic.
+/// the pick is deterministic.
 bool PassGreater(const RecordPtr& a, const RecordPtr& b) {
   return a->pass != b->pass ? a->pass > b->pass : a->id > b->id;
 }
@@ -371,24 +350,14 @@ bool HasFreeSlot(const SchedulerCore& core) {
 
 void EnqueueReady(SchedulerCore* core, RecordPtr rec) {
   core->ready.push_back(std::move(rec));
-  if (core->options.policy == FairnessPolicy::kWeightedFair) {
-    std::push_heap(core->ready.begin(), core->ready.end(), PassGreater);
-  }
+  std::push_heap(core->ready.begin(), core->ready.end(), PassGreater);
 }
 
 RecordPtr PopReady(SchedulerCore* core) {
-  if (core->options.policy == FairnessPolicy::kWeightedFair) {
-    std::pop_heap(core->ready.begin(), core->ready.end(), PassGreater);
-  }
-  RecordPtr rec;
-  if (core->options.policy == FairnessPolicy::kWeightedFair) {
-    rec = std::move(core->ready.back());
-    core->ready.pop_back();
-    core->virtual_time = rec->pass;
-  } else {
-    rec = std::move(core->ready.front());
-    core->ready.pop_front();
-  }
+  std::pop_heap(core->ready.begin(), core->ready.end(), PassGreater);
+  RecordPtr rec = std::move(core->ready.back());
+  core->ready.pop_back();
+  core->virtual_time = rec->pass;
   return rec;
 }
 
@@ -478,8 +447,7 @@ QueryState RunSlice(SchedulerCore* core, const RecordPtr& rec,
     return QueryState::kFailed;
   }
   const uint64_t before = rec->stream->stats().join_pairs_generated;
-  rec->stream->NextBatch(core->options.max_batch_results,
-                         core->options.batch_budget, batch);
+  rec->stream->NextBatch(0, core->options.batch_budget, batch);
   *pairs = rec->stream->stats().join_pairs_generated - before;
   *delivered = batch->size();
   if (!batch->empty()) {
@@ -619,9 +587,13 @@ void WorkerLoop(const std::shared_ptr<SchedulerCore>& core) {
       }
       rec->stream = std::move(stream).MoveValue();
       rec->state.store(QueryState::kRunning, std::memory_order_release);
-      // Start at the current virtual time: a late arrival competes fairly
-      // instead of monopolizing workers to catch up.
-      rec->pass = core->virtual_time;
+      // Stride scheduling's join rule: one stride past the current virtual
+      // time. A late arrival competes fairly instead of monopolizing
+      // workers to catch up, and with equal weights it queues behind the
+      // queries already served this round, as in a FIFO round robin.
+      // Starting at the virtual time itself would let every arrival jump
+      // them and delay the first results of queries already running.
+      rec->pass = core->virtual_time + rec->stride;
       EnqueueReady(core.get(), std::move(rec));
       core->work_cv.notify_one();
       continue;
@@ -792,8 +764,8 @@ QueryScheduler::~QueryScheduler() {
       rec = std::move(core_->waiting.front());
       core_->waiting.pop_front();
     } else {
-      rec = std::move(core_->ready.front());
-      core_->ready.pop_front();
+      rec = std::move(core_->ready.back());
+      core_->ready.pop_back();
       --core_->active;
     }
     service_internal::FinishQuery(core_.get(), rec, QueryState::kCancelled,
@@ -841,14 +813,6 @@ Result<QueryHandle> QueryScheduler::Submit(const SkyMapJoinQuery& query,
   rec->spec = query;
   rec->options = std::move(options);
   rec->shards = submit.shards;
-  if (submit.allow_partial) rec->shards.allow_partial = true;
-  if (!submit.workers.empty()) {
-    if (!rec->shards.workers.empty()) {
-      return Status::InvalidArgument(
-          "Submit: workers set both directly and via shards.workers");
-    }
-    rec->shards.workers = submit.workers;
-  }
   rec->sink = sink;
   rec->retain_results = submit.retain_results;
   if (submit.seed_from_parent) {

@@ -4,10 +4,14 @@
 // Each worker repeatedly picks a runnable query and advances its stream by
 // one *slice* — a budget-aware NextBatch bounded by
 // ServiceOptions::batch_budget join pairs — delivering any progressive
-// results to the query's QuerySink before requeueing it. Because a stream
-// can yield mid-region and resume without redoing work, a heavy query
-// cannot starve light ones: with budget slicing on, every admitted query
-// makes progress every scheduler round.
+// results to the query's QuerySink before requeueing it. The pick rule is
+// stride scheduling: each query's pass advances by stride = 1/weight per
+// slice and the smallest pass runs next, so under contention a weight-4
+// query receives four slices for every slice of a weight-1 query, and
+// equal weights make a round robin. Because a stream can yield mid-region
+// and resume without redoing work, a heavy query cannot starve light
+// ones: with budget slicing on, every admitted query makes progress every
+// scheduler round.
 //
 // The scheduler drives only the abstract ProgXeStream interface
 // (progxe/stream.h): a query sharded across K engine instances
@@ -26,7 +30,7 @@
 //   * Per query, OnBatch calls arrive in emission order from one worker at
 //     a time, and the concatenated batches plus the final ProgXeStats are
 //     bit-identical to draining that query's stream alone — for any
-//     interleaving, budget, worker count and fairness policy (enforced by
+//     interleaving, budget, worker count and weights (enforced by
 //     tests/service_test.cc).
 //   * Exactly one OnDone per submitted query, after its last OnBatch —
 //     including on cancellation, deadline expiry, failure and scheduler
@@ -50,23 +54,6 @@
 
 namespace progxe {
 
-/// How the scheduler picks the next runnable query.
-enum class FairnessPolicy : uint8_t {
-  /// FIFO cycle over runnable queries: every query gets one slice per round.
-  kRoundRobin,
-  /// Stride scheduling: each query consumes virtual time at stride/weight;
-  /// the smallest pass value runs next, so a weight-2 query receives twice
-  /// the slices of a weight-1 query under contention.
-  kWeightedFair,
-};
-
-const char* FairnessPolicyName(FairnessPolicy policy);
-
-/// Inverse of FairnessPolicyName, also accepting the CLI short forms
-/// "rr" and "wf". Round-trips every enumerator; returns false on an
-/// unknown name.
-bool FairnessPolicyFromName(std::string_view name, FairnessPolicy* out);
-
 /// Serving-layer configuration.
 struct ServiceOptions {
   /// Scheduler worker threads (>= 1). Workers run PreparePhase on
@@ -85,9 +72,6 @@ struct ServiceOptions {
   /// running pump. Budgeted slices leave nothing running between slices.
   size_t batch_budget = 4096;
 
-  /// Per-OnBatch result cap (0 = deliver everything a slice produced).
-  size_t max_batch_results = 0;
-
   /// Admission control: at most this many queries hold an open stream at
   /// once (0 = unbounded). Further submissions wait in FIFO order.
   size_t max_concurrent = 8;
@@ -95,8 +79,6 @@ struct ServiceOptions {
   /// Bound on the not-yet-admitted queue; Submit fails with OutOfRange
   /// once full (0 = unbounded).
   size_t max_queue = 0;
-
-  FairnessPolicy policy = FairnessPolicy::kRoundRobin;
 
   /// Wall-clock deadline applied to every query that does not carry its own
   /// SubmitOptions::deadline, measured from Submit. Zero = none. An expired
@@ -125,7 +107,7 @@ enum class QueryState : uint8_t {
                       ///< QueryHandle::status() for the real error.
   kDeadlineExceeded,  ///< Per-query deadline expired before completion.
   kPartial,           ///< Completed with shards abandoned after retry
-                      ///< exhaustion (SubmitOptions::allow_partial); the
+                      ///< exhaustion (ShardOptions::allow_partial); the
                       ///< delivered set covers QueryHandle::coverage().
 };
 
@@ -171,7 +153,7 @@ struct SchedulerStats {
   uint64_t shards_abandoned = 0;   ///< Shards dropped across terminal queries.
 
   // Distributed transport (process-wide totals from net/net_stats.h;
-  // nonzero only when queries ran with SubmitOptions::workers).
+  // nonzero only when queries ran with ShardOptions::workers).
   uint64_t net_bytes_sent = 0;      ///< Wire bytes sent (frames + headers).
   uint64_t net_bytes_received = 0;  ///< Wire bytes received.
   uint64_t net_frames_sent = 0;     ///< Frames sent.
@@ -297,8 +279,7 @@ class QueryHandle {
 
 /// Per-submission knobs beyond the engine options.
 struct SubmitOptions {
-  /// Relative slice share under kWeightedFair (clamped to [1/16, 1024]);
-  /// ignored by kRoundRobin.
+  /// Relative slice share under contention (clamped to [1/16, 1024]).
   double weight = 1.0;
   /// Wall-clock deadline measured from Submit; zero inherits
   /// ServiceOptions::default_deadline, negative opts out of the deadline
@@ -307,21 +288,12 @@ struct SubmitOptions {
   /// Engine sharding: num_shards > 1 serves the query through a
   /// ShardedStream (one sub-session per shard behind this one handle).
   /// `shards.max_retries` / `shards.retry_backoff` bound the per-shard
-  /// fault recovery.
+  /// fault recovery; `shards.allow_partial` lets a query whose shard
+  /// exhausts its retries complete as kPartial instead of kFailed.
+  /// `shards.workers` runs the shards on remote worker processes, over the
+  /// scheduler's process-wide connection pool, so worker links outlive
+  /// any one query.
   ShardOptions shards;
-
-  /// Graceful degradation: when a shard exhausts its retries, `false`
-  /// (default) fails the query (kFailed, real Status), `true` lets it
-  /// complete as kPartial with the per-shard coverage report on the handle.
-  /// Convenience alias for shards.allow_partial — either being true
-  /// enables it.
-  bool allow_partial = false;
-
-  /// Remote execution: shard-worker endpoints ("host:port"). Convenience
-  /// alias for shards.workers (used when either is non-empty; setting both
-  /// is rejected at Submit). Remote queries share the scheduler's
-  /// process-wide connection pool, so worker links outlive any one query.
-  std::vector<std::string> workers;
 
   /// Retain this query's delivered results on its record so later
   /// submissions can seed from them (`parent`/`seed_from_parent`). Costs

@@ -177,7 +177,6 @@ TEST(Lookahead, RejectsOversizedOutputGrid) {
   s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, opts);
   LookaheadOptions la_opts;
   la_opts.output_cells_per_dim = 64;  // 64^5 cells
-  la_opts.max_output_cells = 1000000;
   auto result = OutputSpaceLookahead(*s.r_grid, *s.t_grid, s.mapper, la_opts);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());

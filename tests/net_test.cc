@@ -308,7 +308,7 @@ std::vector<double> StatsFields(const ProgXeStats& s) {
 }
 
 TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
-  static_assert(kWireVersion == 6);
+  static_assert(kWireVersion == 7);
   ProgXeOptions options;
   options.ordering = OrderingMode::kSequential;
   options.push_through = true;
@@ -316,13 +316,12 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   options.input_cells_per_dim = 5;
   options.output_cells_per_dim = 11;
   options.seed = 0x5eedf00d;
-  options.max_output_cells = 123456;
   options.fault_instance = 3;
   options.max_results = 77;
   std::string obuf;
   WireWriter ow(&obuf);
   WriteOptions(options, &ow);
-  EXPECT_EQ(obuf.size(), 3u + 6 * 8 + 1);
+  EXPECT_EQ(obuf.size(), 3u + 5 * 8 + 1);
   ProgXeOptions o;
   WireReader ro(obuf);
   ASSERT_TRUE(ReadOptions(&ro, &o).ok());
@@ -333,7 +332,6 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   EXPECT_EQ(o.input_cells_per_dim, options.input_cells_per_dim);
   EXPECT_EQ(o.output_cells_per_dim, options.output_cells_per_dim);
   EXPECT_EQ(o.seed, options.seed);
-  EXPECT_EQ(o.max_output_cells, options.max_output_cells);
   EXPECT_EQ(o.fault_instance, options.fault_instance);
   EXPECT_EQ(o.max_results, options.max_results);
   EXPECT_EQ(o.refinement_seed, nullptr);
@@ -344,7 +342,7 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   options.refinement_seed = seed;
   obuf.clear();
   WriteOptions(options, &ow);
-  EXPECT_EQ(obuf.size(), 3u + 6 * 8 + 1 + 8 + 4 + 2 * 8);
+  EXPECT_EQ(obuf.size(), 3u + 5 * 8 + 1 + 8 + 4 + 2 * 8);
   WireReader rs(obuf);
   ASSERT_TRUE(ReadOptions(&rs, &o).ok());
   EXPECT_TRUE(rs.AtEnd());
@@ -817,9 +815,10 @@ TEST(Net, SemanticOpenFailureKeepsTheLinkUsable) {
 }
 
 // Grid resolutions arrive unchecked from the wire. At k=4, 65536 cells per
-// dimension is 2^64 cells: a wrapped count would pass max_output_cells and
-// index out of bounds in the worker. Both grids must come back as an error
-// reply on a link that stays usable.
+// dimension is 2^64 cells: a wrapped count would pass the output-cell cap
+// and index out of bounds in the worker. So would the auto-sized output
+// grid of a 32-function map (4 cells per dimension). Each must come back
+// as an error reply on a link that stays usable.
 TEST(Net, RemoteOpenRejectsOverflowingGridResolution) {
   GeneratorOptions gen;
   gen.cardinality = 500;
@@ -845,6 +844,17 @@ TEST(Net, RemoteOpenRejectsOverflowingGridResolution) {
     ASSERT_FALSE(bad.ok());
     EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
   }
+
+  gen.num_attributes = 32;
+  gen.cardinality = 200;
+  const Relation wide_r = GenerateRelation(gen).MoveValue();
+  gen.seed = 0x0f12;
+  const Relation wide_t = GenerateRelation(gen).MoveValue();
+  auto wide = RemoteShardStream::Open(
+      pool, Endpoint(*worker), 0, wide_r, wide_t, MapSpec::PairwiseSum(32),
+      Preference::AllLowest(32), ProgXeOptions());
+  ASSERT_FALSE(wide.ok());
+  EXPECT_TRUE(wide.status().IsInvalidArgument()) << wide.status().ToString();
 
   auto good = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
                                       cfg.t, cfg.map, cfg.pref,
@@ -1019,9 +1029,9 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
 // fails the pool's checkout with InvalidArgument. A normal checkout still
 // handshakes.
 TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
-  // Version 6 dropped five options fields, so a version-5 peer
-  // (kWireVersion - 1 below) must be refused.
-  static_assert(kWireVersion == 6);
+  // Version 7 dropped max_output_cells from the options group, so a
+  // version-6 peer (kWireVersion - 1 below) must be refused.
+  static_assert(kWireVersion == 7);
   constexpr std::chrono::milliseconds kDeadline(2000);
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);

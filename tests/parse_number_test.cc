@@ -20,9 +20,6 @@ TEST(ParseNumber, AcceptsWholeTokens) {
   int i32 = 0;
   EXPECT_TRUE(ParseI32("-42", &i32));
   EXPECT_EQ(i32, -42);
-  size_t n = 0;
-  EXPECT_TRUE(ParseSize(std::string("20000"), &n));
-  EXPECT_EQ(n, 20000u);
   double d = 0.0;
   EXPECT_TRUE(ParseF64("0.001", &d));
   EXPECT_EQ(d, 0.001);
@@ -37,10 +34,6 @@ TEST(ParseNumber, RejectsTrailingGarbageAndEmptyTokens) {
   EXPECT_FALSE(ParseI32(" 4", &i32));
   EXPECT_FALSE(ParseI32("4 ", &i32));
   EXPECT_EQ(i32, 7) << "a rejected token must leave the output untouched";
-  size_t n = 3;
-  EXPECT_FALSE(ParseSize("abc", &n));
-  EXPECT_FALSE(ParseSize("12k", &n));
-  EXPECT_EQ(n, 3u);
   double d = 1.0;
   EXPECT_FALSE(ParseF64("0.5s", &d));
   EXPECT_FALSE(ParseF64("", &d));
@@ -55,8 +48,6 @@ TEST(ParseNumber, RejectsOutOfRangeValues) {
   uint64_t u = 0;
   EXPECT_FALSE(ParseU64("18446744073709551616", &u));
   EXPECT_FALSE(ParseU64("-1", &u)) << "no wrap-around for unsigned targets";
-  size_t n = 0;
-  EXPECT_FALSE(ParseSize("-5", &n));
   double d = 0.0;
   EXPECT_FALSE(ParseF64("1e999", &d));
   EXPECT_FALSE(ParseF64("inf", &d));

@@ -440,22 +440,6 @@ TEST(ShardedServing, UnslicedShardedQueryStopsWithPumpsInFlight) {
   }
 }
 
-TEST(Names, FairnessPolicyRoundTrips) {
-  for (FairnessPolicy policy :
-       {FairnessPolicy::kRoundRobin, FairnessPolicy::kWeightedFair}) {
-    FairnessPolicy parsed;
-    ASSERT_TRUE(FairnessPolicyFromName(FairnessPolicyName(policy), &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  FairnessPolicy parsed;
-  EXPECT_TRUE(FairnessPolicyFromName("rr", &parsed));
-  EXPECT_EQ(parsed, FairnessPolicy::kRoundRobin);
-  EXPECT_TRUE(FairnessPolicyFromName("wf", &parsed));
-  EXPECT_EQ(parsed, FairnessPolicy::kWeightedFair);
-  EXPECT_FALSE(FairnessPolicyFromName("fifo", &parsed));
-  EXPECT_FALSE(FairnessPolicyFromName("", &parsed));
-}
-
 TEST(Names, QueryStateRoundTrips) {
   for (QueryState state :
        {QueryState::kQueued, QueryState::kRunning, QueryState::kFinished,

@@ -1,8 +1,8 @@
 // QueryScheduler tests: every query served through the multi-query
 // scheduler must deliver exactly the batches (concatenated, in order) and
 // the final ProgXeStats of draining its session alone — for any mix of
-// budgets, worker counts and fairness policies — plus admission control,
-// cooperative cancellation and fairness smoke checks.
+// budgets, worker counts and weights — plus admission control,
+// cooperative cancellation and fairness checks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,17 +98,13 @@ IdSeq SoloReference(const Config& cfg, const ProgXeOptions& options,
 struct SweepParam {
   int workers;
   size_t budget;  // join pairs per slice; 0 = unbudgeted
-  FairnessPolicy policy;
 };
 
 std::vector<SweepParam> SweepParams() {
   std::vector<SweepParam> params;
   for (int workers : {1, 4}) {
     for (size_t budget : {size_t{64}, size_t{4096}, size_t{0}}) {
-      for (FairnessPolicy policy :
-           {FairnessPolicy::kRoundRobin, FairnessPolicy::kWeightedFair}) {
-        params.push_back(SweepParam{workers, budget, policy});
-      }
+      params.push_back(SweepParam{workers, budget});
     }
   }
   return params;
@@ -117,10 +113,10 @@ std::vector<SweepParam> SweepParams() {
 class SchedulerEquivalenceSweep
     : public ::testing::TestWithParam<SweepParam> {};
 
-// The acceptance criterion: >= 8 concurrent queries, budgets in
-// {small, default, unbounded}, workers in {1, 4}, both policies — each
-// query's scheduler-served stream and counters must be bit-identical to
-// its solo session.
+// The acceptance criterion: >= 8 concurrent queries of weights 1..3,
+// budgets in {small, default, unbounded}, workers in {1, 4} — each query's
+// scheduler-served stream and counters must be bit-identical to its solo
+// session.
 TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
   const SweepParam param = GetParam();
   constexpr int kQueries = 8;
@@ -149,7 +145,6 @@ TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
   ServiceOptions sopts;
   sopts.num_workers = param.workers;
   sopts.batch_budget = param.budget;
-  sopts.policy = param.policy;
   sopts.max_concurrent = 0;  // all queries in flight at once
   QueryScheduler scheduler(sopts);
 
@@ -185,6 +180,46 @@ TEST_P(SchedulerEquivalenceSweep, ServedEqualsSolo) {
 INSTANTIATE_TEST_SUITE_P(Matrix, SchedulerEquivalenceSweep,
                          ::testing::ValuesIn(SweepParams()));
 
+/// Parks a one-worker scheduler inside a gate query's first batch until
+/// Open() is called, so the queries submitted in between all wait for
+/// admission together; otherwise the worker could drive the first of them
+/// to completion inside the submission gap.
+class Gate : public QuerySink {
+ public:
+  explicit Gate(QueryScheduler* scheduler) : cfg_(GateConfig()) {
+    auto handle = scheduler->Submit(cfg_.query(), ProgXeOptions(), this);
+    EXPECT_TRUE(handle.ok());
+    std::unique_lock<std::mutex> lock(mtx_);
+    cv_.wait(lock, [&] { return entered_; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mtx_);
+    release_ = true;
+    cv_.notify_all();
+  }
+
+  void OnBatch(const std::vector<ResultTuple>&) override {
+    std::unique_lock<std::mutex> lock(mtx_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return release_; });
+  }
+  void OnDone(QueryState, const Status&, const ProgXeStats&) override {}
+
+ private:
+  static Config GateConfig() {
+    Rng rng(0x6a7e);
+    return MakeConfig(&rng, false, false);
+  }
+
+  Config cfg_;
+  std::mutex mtx_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool release_ = false;
+};
+
 // With budget slicing on and one worker, a light query submitted behind a
 // heavy one must deliver its first batch before the heavy query completes.
 TEST(Scheduler, BudgetSlicingPreventsStarvation) {
@@ -197,32 +232,7 @@ TEST(Scheduler, BudgetSlicingPreventsStarvation) {
   sopts.num_workers = 1;
   sopts.batch_budget = 32;  // small slices force interleaving
   QueryScheduler scheduler(sopts);
-
-  // Park the lone worker inside a gate query's first batch until both real
-  // queries are submitted; otherwise the worker could drive the heavy query
-  // to completion inside the submission gap.
-  struct GateSink : QuerySink {
-    std::mutex mtx;
-    std::condition_variable cv;
-    bool entered = false;
-    bool release = false;
-    void OnBatch(const std::vector<ResultTuple>&) override {
-      std::unique_lock<std::mutex> lock(mtx);
-      entered = true;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-    }
-    void OnDone(QueryState, const Status&, const ProgXeStats&) override {}
-  };
-  GateSink gate;
-  Rng gate_rng(0x6a7e);
-  const Config gate_cfg = MakeConfig(&gate_rng, false, false);
-  auto g = scheduler.Submit(gate_cfg.query(), ProgXeOptions(), &gate);
-  ASSERT_TRUE(g.ok());
-  {
-    std::unique_lock<std::mutex> lock(gate.mtx);
-    gate.cv.wait(lock, [&] { return gate.entered; });
-  }
+  Gate gate(&scheduler);
 
   EventClock clock;
   RecordingSink heavy_sink(&clock);
@@ -230,11 +240,7 @@ TEST(Scheduler, BudgetSlicingPreventsStarvation) {
   auto h = scheduler.Submit(heavy.query(), ProgXeOptions(), &heavy_sink);
   auto l = scheduler.Submit(light.query(), ProgXeOptions(), &light_sink);
   ASSERT_TRUE(h.ok() && l.ok());
-  {
-    std::lock_guard<std::mutex> lock(gate.mtx);
-    gate.release = true;
-    gate.cv.notify_all();
-  }
+  gate.Open();
   scheduler.Drain();
 
   ASSERT_FALSE(light_sink.seq().empty());
@@ -243,6 +249,57 @@ TEST(Scheduler, BudgetSlicingPreventsStarvation) {
   // not wait for the earlier heavy query's full completion.
   EXPECT_LT(light_sink.first_batch_event(), heavy_sink.done_event())
       << "light query's first batch waited for the heavy query to finish";
+}
+
+// Weights set the slice share. One worker serves two always-runnable copies
+// of one heavy query, weighted 1 and 4: the weight-4 copy gets about four
+// slices per slice of the weight-1 copy, so when it finishes the weight-1
+// copy has processed about a quarter of the same join pairs. A pick rule
+// that ignored weights would leave the two about level.
+TEST(Scheduler, WeightSetsSliceShare) {
+  Rng rng(0xfa12);
+  const Config heavy = MakeConfig(&rng, false, true);
+
+  ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.batch_budget = 32;
+  QueryScheduler scheduler(sopts);
+  Gate gate(&scheduler);
+
+  // Reads the weight-1 copy's progress when the weight-4 copy is done. With
+  // one worker the snapshot is exact: the weight-1 copy is not mid-slice.
+  struct ProbeSink : QuerySink {
+    QueryHandle other;
+    uint64_t own_pairs = 0;
+    uint64_t other_pairs = 0;
+    void OnBatch(const std::vector<ResultTuple>&) override {}
+    void OnDone(QueryState, const Status&,
+                const ProgXeStats& stats) override {
+      own_pairs = stats.join_pairs_generated;
+      other_pairs = other.progress().pairs_processed;
+    }
+  };
+  RecordingSink w1_sink;
+  ProbeSink w4_sink;
+  SubmitOptions w1;
+  w1.weight = 1.0;
+  SubmitOptions w4;
+  w4.weight = 4.0;
+  auto one = scheduler.Submit(heavy.query(), ProgXeOptions(), &w1_sink, w1);
+  ASSERT_TRUE(one.ok());
+  w4_sink.other = *one;
+  auto four = scheduler.Submit(heavy.query(), ProgXeOptions(), &w4_sink, w4);
+  ASSERT_TRUE(four.ok());
+  gate.Open();
+  scheduler.Drain();
+
+  ASSERT_EQ(four->state(), QueryState::kFinished);
+  ASSERT_EQ(one->state(), QueryState::kFinished);
+  ASSERT_GT(w4_sink.own_pairs, 32u * 40)
+      << "too few slices to tell shares apart";
+  EXPECT_LT(w4_sink.other_pairs * 2, w4_sink.own_pairs)
+      << "weight-1 copy had " << w4_sink.other_pairs << " of "
+      << w4_sink.own_pairs << " pairs when the weight-4 copy finished";
 }
 
 TEST(Scheduler, AdmissionControlBoundsQueueAndConcurrency) {

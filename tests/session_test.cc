@@ -303,8 +303,10 @@ TEST(OutputGridResolution, ExplicitValuePassesThrough) {
 }
 
 // At k=4, 65536 cells per dimension is 2^64 cells: an unchecked count
-// wraps to 0, passes max_output_cells and crashes the query. Either grid's
-// cells_per_dim^k must fit the 64-bit cell index; 55108^4 < 2^63 <= 55109^4.
+// wraps to 0, passes the output-cell cap and crashes the query. Either
+// grid's cells_per_dim^k must fit the 64-bit cell index; 55108^4 < 2^63 <=
+// 55109^4. The auto-sized output grid (at least 4 cells per dimension)
+// reaches 2^64 cells at k=32.
 TEST(OutputGridResolution, RejectsCellCountOverflow) {
   Result<Workload> workload = AntiWorkload(500, 4, 0.01);
   ASSERT_TRUE(workload.ok());
@@ -328,6 +330,28 @@ TEST(OutputGridResolution, RejectsCellCountOverflow) {
   ProgXeOptions widest;
   widest.input_cells_per_dim = 55108;
   EXPECT_TRUE(ProgXeSession::Open(workload->query(), widest).ok());
+
+  // An explicit overflow is rejected even when the input is empty and no
+  // grid is ever built.
+  Config empty;
+  empty.r = Relation(Schema::Anonymous(4));
+  empty.t = Relation(Schema::Anonymous(4));
+  empty.map = MapSpec::PairwiseSum(4);
+  empty.pref = Preference::AllLowest(4);
+  ProgXeOptions empty_overflow;
+  empty_overflow.output_cells_per_dim = 65536;
+  auto empty_session = ProgXeSession::Open(empty.query(), empty_overflow);
+  EXPECT_TRUE(empty_session.status().IsInvalidArgument())
+      << empty_session.status().ToString();
+
+  Result<Workload> wide = AntiWorkload(200, 32, 0.01);
+  ASSERT_TRUE(wide.ok());
+  auto session = ProgXeSession::Open(wide->query(), ProgXeOptions());
+  EXPECT_TRUE(session.status().IsInvalidArgument())
+      << session.status().ToString();
+  auto sharded = ShardedStream::Open(wide->query(), ProgXeOptions(), shards);
+  EXPECT_TRUE(sharded.status().IsInvalidArgument())
+      << sharded.status().ToString();
 }
 
 TEST(OutputGridResolution, EmptySourceStillResolves) {

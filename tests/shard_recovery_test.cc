@@ -360,7 +360,7 @@ TEST(ShardRecovery, SchedulerDegradesOrFailsOnExhaustion) {
     submit.shards.num_shards = 4;
     submit.shards.max_retries = 0;
     submit.shards.retry_backoff = std::chrono::milliseconds(0);
-    submit.allow_partial = allow_partial;
+    submit.shards.allow_partial = allow_partial;
 
     PartialSink sink;
     auto handle = scheduler.Submit(cfg.query(), faulty, &sink, submit);
@@ -509,7 +509,7 @@ TEST(ShardRecovery, TotalRetryBudgetCapsRecovery) {
     submit.shards.max_retries = 50;       // ample per-shard budget...
     submit.shards.max_total_retries = 3;  // ...capped stream-wide
     submit.shards.retry_backoff = std::chrono::milliseconds(0);
-    submit.allow_partial = allow_partial;
+    submit.shards.allow_partial = allow_partial;
 
     PartialSink sink;
     auto handle = scheduler.Submit(cfg.query(), faulty, &sink, submit);

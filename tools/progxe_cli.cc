@@ -4,76 +4,55 @@
 //   $ progxe_cli --dist=anti --n=20000 --dims=4 --sigma=0.001 --algo=ProgXe
 //   $ progxe_cli --algo=all --csv=series.csv
 //
-// Flags:
-//   --dist=independent|correlated|anticorrelated   (default independent)
-//   --n=<N>            source cardinality            (default 10000)
-//   --dims=<d>         skyline dimensions            (default 4)
-//   --sigma=<s>        join selectivity              (default 0.001)
-//   --seed=<s>         workload seed                 (default 42)
-//   --algo=<name|all>  ProgXe, ProgXe+, ProgXe-NoOrder, ProgXe+-NoOrder,
-//                      JF-SL, JF-SL+, SSMJ, SAJ, all  (default ProgXe)
-//   --kd               use the kd-tree partitioner for ProgXe variants
-//   --shards=<K>       hash-partition the join across K engine shards
-//                      (ProgXe variants; default 1 = unsharded, the result
-//                      set is identical at any K)
-//   --shard_workers=host:port,...  run the shards on remote worker
-//                      processes (progxe_server --worker) instead of
-//                      in-process sessions; shard i's incarnation n dials
-//                      workers[(i + n) % len]. Results stay bit-identical
-//                      to the in-process run. (--workers=<n> below is the
-//                      unrelated scheduler thread count.)
+// Every flag is --key or --key=value. The shared submission and serving
+// keys are listed, with their ranges and meaning, once in
+// harness/submit_spec.h and parsed there, as in progxe_server:
+//   --dist --n --dims --sigma --seed --algo --kd --max_results
+//   --deadline_ms --shards --shard_workers --max_retries
+//   --retry_backoff_ms --allow_partial --faults --fault_seed
+//   --workers --budget --max_concurrent
+// Here --algo also takes `all` (every algorithm in turn, each with a fresh
+// fault injector, so each meets the same fault schedule); the shard keys
+// act on the ProgXe variants (baselines run unsharded); --deadline_ms and
+// the serving keys act on the --queries path (defaults 2 workers,
+// unbounded admission), whose queries share one fault injector.
+// --deadline_ms needs --queries > 1 and --max_results a ProgXe variant.
+// --weight and --max_queue are rejected: every query here has the same
+// weight and all are submitted at once.
+//
+// Tool-only flags:
 //   --result_hash      print "result_hash=<hex>" — an order-insensitive
 //                      FNV-1a hash of the canonical (r_id, t_id) result
 //                      pairs, for comparing runs across processes
 //   --csv=<path>       append per-emission series rows to a CSV file
-//   --series=<k>       print at most k series samples (default 10)
+//   --series=<k>       print at most k series samples (default 10, 0 = none)
 //   --trace_out=<path> record a span trace of the whole run and write it
 //                      as Chrome trace_event JSON (load in Perfetto /
 //                      chrome://tracing); works for single runs and
 //                      multi-query serving alike
-//
-// Fault tolerance (ProgXe variants; see common/fault_injection.h):
-//   --faults=<spec>        inject deterministic faults, e.g.
-//                          "shard.open:p=1,max=2" fails the first two
-//                          shard opens (then recovery retries them)
-//   --fault_seed=<s>       seed for probabilistic fault rules (default 0)
-//   --max_retries=<n>      consecutive per-shard failures tolerated
-//                          (default 2)
-//   --retry_backoff_ms=<ms> base shard re-open backoff (default 1)
-//   --allow_partial        complete with reduced coverage instead of
-//                          failing when a shard exhausts its retries
-//
-// Multi-query serving (ProgXe variants only): with --queries=N > 1 the
-// workloads (seeds seed..seed+N-1) are served concurrently through the
-// QueryScheduler and per-query stats are printed as each one finishes.
-//   --queries=<N>         number of concurrent queries     (default 1)
-//   --workers=<n>         scheduler worker threads         (default 2)
-//   --budget=<pairs>      join pairs per NextBatch slice   (default 4096)
-//   --policy=rr|wf        round-robin | weighted-fair      (default rr)
-//   --max_concurrent=<n>  admission slots, 0 = unbounded   (default 0)
-//   --reuse               cross-query reuse demo: all N queries serve ONE
-//                         shared workload; query 0 runs first and retains
-//                         its results, queries 1..N-1 are then submitted
-//                         as refinements of it (the prepared-state cache
-//                         skips their prepare phase and their region loops
-//                         are seeded from query 0's accepted frontier).
-//                         Prints the scheduler's cache counters at the end.
-// --shards also applies here: each query is served as one sharded stream
-// behind its QueryHandle.
+//   --queries=<N>      serve N workloads (seeds seed..seed+N-1, ProgXe
+//                      variants only) concurrently through the
+//                      QueryScheduler, printing per-query stats as each
+//                      one finishes; --shards serves each query as one
+//                      sharded stream behind its QueryHandle
+//   --reuse            cross-query reuse demo: all N queries serve ONE
+//                      shared workload; query 0 runs first and retains its
+//                      results, queries 1..N-1 are then submitted as
+//                      refinements of it (the prepared-state cache skips
+//                      their prepare phase and their region loops are
+//                      seeded from query 0's accepted frontier). Prints
+//                      the scheduler's cache counters at the end.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/csv_writer.h"
-#include "common/fault_injection.h"
-#include "common/parse_number.h"
 #include "common/stopwatch.h"
 #include "harness/experiment.h"
-#include "net/worker_pool.h"
+#include "harness/submit_spec.h"
 #include "obs/trace.h"
 #include "service/scheduler.h"
 
@@ -82,152 +61,72 @@ using namespace progxe;
 namespace {
 
 struct CliArgs {
-  Distribution dist = Distribution::kIndependent;
-  size_t n = 10000;
-  int dims = 4;
-  double sigma = 0.001;
-  uint64_t seed = 42;
-  std::string algo = "ProgXe";
-  bool kd = false;
-  int shards = 1;
-  std::vector<std::string> shard_workers;
+  SubmitSpec spec;
+  ServiceOptions serve{.num_workers = 2, .max_concurrent = 0};
+  bool all_algos = false;
+
   bool result_hash = false;
   std::string csv_path;
   std::string trace_path;
   int series_samples = 10;
-
-  // Fault tolerance.
-  std::string faults;
-  uint64_t fault_seed = 0;
-  int max_retries = 2;
-  int retry_backoff_ms = 1;
-  bool allow_partial = false;
-
-  // Multi-query serving.
   size_t queries = 1;
-  int workers = 2;
-  size_t budget = 4096;
-  size_t max_concurrent = 0;
-  FairnessPolicy policy = FairnessPolicy::kRoundRobin;
   bool reuse = false;
+  bool help = false;
 };
 
-/// Prints the flag's malformed value and returns false.
-bool BadNumber(const char* flag, const char* value) {
-  std::fprintf(stderr, "%s: malformed or out-of-range number '%s'\n", flag,
-               value);
-  return false;
+/// The tool-only flags.
+Status ApplyCliSetting(const Setting& setting, CliArgs* args) {
+  const std::string_view key = setting.key;
+  std::string_view value;
+  if (key == "result_hash") return SettingFlag(setting, &args->result_hash);
+  if (key == "csv" || key == "trace_out") {
+    PROGXE_RETURN_NOT_OK(SettingValue(setting, &value));
+    (key == "csv" ? args->csv_path : args->trace_path) = value;
+    return Status::OK();
+  }
+  if (key == "series") {
+    return SettingNumber(setting, 0, std::numeric_limits<int>::max(),
+                         &args->series_samples);
+  }
+  if (key == "queries") {
+    return SettingNumber(setting, size_t{1},
+                         std::numeric_limits<size_t>::max(), &args->queries);
+  }
+  if (key == "reuse") return SettingFlag(setting, &args->reuse);
+  if (key == "help") return SettingFlag(setting, &args->help);
+  return UnknownSetting(setting);
 }
 
-bool ParseArgs(int argc, char** argv, CliArgs* args) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      size_t len = std::strlen(prefix);
-      return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
-    };
-    if (const char* v = value("--dist=")) {
-      auto dist = ParseDistribution(v);
-      if (!dist.ok()) {
-        std::fprintf(stderr, "%s\n", dist.status().ToString().c_str());
-        return false;
-      }
-      args->dist = *dist;
-    } else if (const char* v = value("--n=")) {
-      if (!ParseSize(v, &args->n)) return BadNumber("--n", v);
-    } else if (const char* v = value("--dims=")) {
-      if (!ParseI32(v, &args->dims)) return BadNumber("--dims", v);
-    } else if (const char* v = value("--sigma=")) {
-      if (!ParseF64(v, &args->sigma)) return BadNumber("--sigma", v);
-    } else if (const char* v = value("--seed=")) {
-      if (!ParseU64(v, &args->seed)) return BadNumber("--seed", v);
-    } else if (const char* v = value("--algo=")) {
-      args->algo = v;
-    } else if (const char* v = value("--csv=")) {
-      args->csv_path = v;
-    } else if (const char* v = value("--trace_out=")) {
-      args->trace_path = v;
-    } else if (const char* v = value("--shards=")) {
-      if (!ParseI32(v, &args->shards)) return BadNumber("--shards", v);
-      if (args->shards < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        return false;
-      }
-    } else if (const char* v = value("--shard_workers=")) {
-      auto list = ParseWorkerList(v);
-      if (!list.ok()) {
-        std::fprintf(stderr, "--shard_workers: %s\n",
-                     list.status().ToString().c_str());
-        return false;
-      }
-      args->shard_workers = list.MoveValue();
-      if (args->shard_workers.empty()) {
-        std::fprintf(stderr,
-                     "--shard_workers needs at least one host:port\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--result_hash") == 0) {
-      args->result_hash = true;
-    } else if (const char* v = value("--series=")) {
-      if (!ParseI32(v, &args->series_samples)) {
-        return BadNumber("--series", v);
-      }
-    } else if (const char* v = value("--faults=")) {
-      args->faults = v;
-    } else if (const char* v = value("--fault_seed=")) {
-      if (!ParseU64(v, &args->fault_seed)) {
-        return BadNumber("--fault_seed", v);
-      }
-    } else if (const char* v = value("--max_retries=")) {
-      if (!ParseI32(v, &args->max_retries)) {
-        return BadNumber("--max_retries", v);
-      }
-      if (args->max_retries < 0) {
-        std::fprintf(stderr, "--max_retries must be >= 0\n");
-        return false;
-      }
-    } else if (const char* v = value("--retry_backoff_ms=")) {
-      if (!ParseI32(v, &args->retry_backoff_ms)) {
-        return BadNumber("--retry_backoff_ms", v);
-      }
-      if (args->retry_backoff_ms < 0) {
-        std::fprintf(stderr, "--retry_backoff_ms must be >= 0\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--allow_partial") == 0) {
-      args->allow_partial = true;
-    } else if (const char* v = value("--queries=")) {
-      if (!ParseSize(v, &args->queries)) return BadNumber("--queries", v);
-      if (args->queries < 1) {
-        std::fprintf(stderr, "--queries must be >= 1\n");
-        return false;
-      }
-    } else if (const char* v = value("--workers=")) {
-      if (!ParseI32(v, &args->workers)) return BadNumber("--workers", v);
-    } else if (const char* v = value("--budget=")) {
-      if (!ParseSize(v, &args->budget)) return BadNumber("--budget", v);
-    } else if (const char* v = value("--max_concurrent=")) {
-      if (!ParseSize(v, &args->max_concurrent)) {
-        return BadNumber("--max_concurrent", v);
-      }
-    } else if (const char* v = value("--policy=")) {
-      if (!FairnessPolicyFromName(v, &args->policy)) {
-        std::fprintf(stderr, "--policy must be rr or wf\n");
-        return false;
-      }
-    } else if (std::strcmp(arg, "--reuse") == 0) {
-      args->reuse = true;
-    } else if (std::strcmp(arg, "--kd") == 0) {
-      args->kd = true;
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf("see the header comment of tools/progxe_cli.cc\n");
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg);
-      return false;
+Status ParseArgs(const std::vector<std::string>& argv, CliArgs* args) {
+  std::vector<Setting> settings;
+  PROGXE_RETURN_NOT_OK(SplitSettings(argv, "--", &settings));
+  bool deadline = false;
+  for (const Setting& setting : settings) {
+    const std::string key(setting.key);
+    if (key == "weight" || key == "max_queue") {
+      return Status::InvalidArgument("--" + key +
+                                     " has no effect in progxe_cli");
     }
+    deadline |= key == "deadline_ms";
+    if (key == "algo" && setting.value == "all") {
+      // "all" is a CLI loop over every algorithm, not one Algo.
+      args->all_algos = true;
+      continue;
+    }
+    Status st = ApplySubmitSetting(setting, &args->spec);
+    if (st.IsNotFound()) st = ApplyServeSetting(setting, &args->serve);
+    if (st.IsNotFound()) st = ApplyCliSetting(setting, args);
+    PROGXE_RETURN_NOT_OK(st);
   }
-  return true;
+  if (deadline && args->queries == 1) {
+    return Status::InvalidArgument("--deadline_ms needs --queries > 1");
+  }
+  if (args->spec.options.max_results != 0 &&
+      (args->all_algos || !IsProgXeVariant(args->spec.algo))) {
+    return Status::InvalidArgument(
+        "--max_results applies to ProgXe variants only");
+  }
+  return Status::OK();
 }
 
 /// FNV-1a over the canonical (r_id, t_id) pairs. Order-insensitive by
@@ -265,33 +164,10 @@ std::string GridLabel(const std::vector<int>& cells_per_dim, int dims) {
   return label + "^" + std::to_string(dims);
 }
 
-/// Compiles the --faults/--max_retries/--allow_partial flags into the
-/// engine and shard options. False (with a message) on a malformed spec.
-bool ApplyFaultArgs(const CliArgs& args, ProgXeOptions* tuning,
-                    ShardOptions* shards) {
-  shards->max_retries = args.max_retries;
-  shards->retry_backoff = std::chrono::milliseconds(args.retry_backoff_ms);
-  shards->allow_partial = args.allow_partial;
-  shards->workers = args.shard_workers;
-  if (args.faults.empty()) return true;
-  auto injector = FaultInjector::Parse(args.faults, args.fault_seed);
-  if (!injector.ok()) {
-    std::fprintf(stderr, "--faults: %s\n",
-                 injector.status().ToString().c_str());
-    return false;
-  }
-  tuning->faults = injector.MoveValue();
-  return true;
-}
-
 int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
            CsvWriter* csv) {
-  ProgXeOptions tuning;
-  if (args.kd) tuning.partitioning = PartitioningScheme::kKdTree;
-  ShardOptions shards;
-  shards.num_shards = args.shards;
-  if (!ApplyFaultArgs(args, &tuning, &shards)) return 2;
-  if ((args.shards > 1 || !args.shard_workers.empty()) &&
+  ShardOptions shards = args.spec.submit.shards;
+  if ((shards.num_shards > 1 || !shards.workers.empty()) &&
       !IsProgXeVariant(algo)) {
     // Keeps --algo=all --shards=K usable: ProgXe variants run sharded,
     // baselines (which have no shard path) run as-is.
@@ -301,7 +177,7 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
     shards.num_shards = 1;
     shards.workers.clear();
   }
-  auto run = RunAlgorithm(algo, workload, tuning, shards);
+  auto run = RunAlgorithm(algo, workload, args.spec.EngineOptions(), shards);
   if (!run.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", AlgoName(algo),
                  run.status().ToString().c_str());
@@ -314,7 +190,8 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
               run->metrics.total_time,
               static_cast<unsigned long long>(run->dominance_comparisons),
               static_cast<unsigned long long>(run->join_pairs),
-              GridLabel(run->output_cells_per_dim, args.dims).c_str());
+              GridLabel(run->output_cells_per_dim, args.spec.params.dims)
+                  .c_str());
   if (run->coverage.retries > 0 || !run->coverage.complete()) {
     std::printf("  coverage: %s%s\n", run->coverage.ToString().c_str(),
                 run->coverage.complete() ? "" : " (PARTIAL result set)");
@@ -328,15 +205,13 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
     std::vector<SeriesPoint> pts = run->series;
     const size_t max_pts = static_cast<size_t>(args.series_samples);
     if (pts.size() > max_pts) {
+      // Evenly spaced over the series, ending at its final point (the
+      // only point when max_pts is 1).
       std::vector<SeriesPoint> sampled;
-      const double step = static_cast<double>(pts.size() - 1) /
-                          static_cast<double>(max_pts - 1);
+      const size_t last = pts.size() - 1;
       for (size_t i = 0; i < max_pts; ++i) {
-        sampled.push_back(
-            pts[std::min(static_cast<size_t>(step * static_cast<double>(i)),
-                         pts.size() - 1)]);
+        sampled.push_back(pts[max_pts == 1 ? last : i * last / (max_pts - 1)]);
       }
-      sampled.back() = pts.back();
       pts = std::move(sampled);
     }
     std::printf("  series:");
@@ -346,10 +221,12 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
     std::printf("\n");
   }
   if (csv != nullptr) {
+    const WorkloadParams& params = args.spec.params;
     for (const SeriesPoint& p : run->series) {
       csv->WriteValues(std::string(AlgoName(algo)),
-                       std::string(DistributionName(args.dist)), args.n,
-                       args.dims, args.sigma, p.t_sec, p.count);
+                       std::string(DistributionName(params.distribution)),
+                       params.cardinality, params.dims, params.sigma, p.t_sec,
+                       p.count);
     }
   }
   return 0;
@@ -358,12 +235,8 @@ int RunOne(Algo algo, const Workload& workload, const CliArgs& args,
 /// The workload the CLI flags describe; multi-query serving offsets the
 /// seed per query.
 WorkloadParams MakeParams(const CliArgs& args, size_t seed_offset) {
-  WorkloadParams params;
-  params.distribution = args.dist;
-  params.cardinality = args.n;
-  params.dims = args.dims;
-  params.sigma = args.sigma;
-  params.seed = args.seed + seed_offset;
+  WorkloadParams params = args.spec.params;
+  params.seed += seed_offset;
   return params;
 }
 
@@ -396,12 +269,6 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
     }
   };
 
-  ProgXeOptions tuning;
-  if (args.kd) tuning.partitioning = PartitioningScheme::kKdTree;
-  SubmitOptions submit;
-  submit.shards.num_shards = args.shards;
-  if (!ApplyFaultArgs(args, &tuning, &submit.shards)) return 2;
-
   // --reuse serves one shared workload (pointer-identical sources are what
   // let the prepared-state cache and frontier seeding engage); otherwise
   // each query gets its own seed-offset workload.
@@ -417,26 +284,22 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
     workloads.push_back(std::make_unique<Workload>(workload.MoveValue()));
   }
 
-  ServiceOptions sopts;
-  sopts.num_workers = args.workers;
-  sopts.batch_budget = args.budget;
-  sopts.max_concurrent = args.max_concurrent;
-  sopts.policy = args.policy;
-
-  std::printf("serving %zu x %s: workers=%d budget=%zu policy=%s shards=%d\n",
+  const ServiceOptions& sopts = args.serve;
+  std::printf("serving %zu x %s: workers=%d budget=%zu shards=%d\n",
               args.queries, AlgoName(algo), sopts.num_workers,
-              sopts.batch_budget, FairnessPolicyName(sopts.policy),
-              args.shards);
+              sopts.batch_budget, args.spec.submit.shards.num_shards);
 
   std::vector<CliSink> sinks(args.queries);
   std::vector<QueryHandle> handles(args.queries);
   Stopwatch watch;
   QueryScheduler scheduler(sopts);
+  const ProgXeOptions options =
+      OptionsForAlgo(algo, args.spec.EngineOptions());
   for (size_t i = 0; i < args.queries; ++i) {
     sinks[i].index = i;
     sinks[i].watch = &watch;
     const Workload& workload = args.reuse ? *workloads[0] : *workloads[i];
-    SubmitOptions qsubmit = submit;
+    SubmitOptions qsubmit = args.spec.submit;
     if (args.reuse) {
       if (i == 0) {
         qsubmit.retain_results = true;
@@ -445,9 +308,8 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
         qsubmit.seed_from_parent = true;
       }
     }
-    auto handle = scheduler.Submit(workload.query(),
-                                   OptionsForAlgo(algo, tuning), &sinks[i],
-                                   qsubmit);
+    auto handle =
+        scheduler.Submit(workload.query(), options, &sinks[i], qsubmit);
     if (!handle.ok()) {
       std::fprintf(stderr, "submit %zu: %s\n", i,
                    handle.status().ToString().c_str());
@@ -471,7 +333,7 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
                 "cmps=%llu\n",
                 sink.index,
                 static_cast<unsigned long long>(
-                    args.seed + (args.reuse ? 0 : sink.index)),
+                    args.spec.params.seed + (args.reuse ? 0 : sink.index)),
                 QueryStateName(sink.final_state), sink.results, sink.batches,
                 sink.t_first, sink.t_done,
                 static_cast<unsigned long long>(
@@ -486,7 +348,8 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
     // degraded coverage.
     const bool ok_state =
         sink.final_state == QueryState::kFinished ||
-        (args.allow_partial && sink.final_state == QueryState::kPartial);
+        (args.spec.submit.shards.allow_partial &&
+         sink.final_state == QueryState::kPartial);
     if (!ok_state) rc = 1;
     total_results += sink.results;
     if (sink.t_first > worst_first) worst_first = sink.t_first;
@@ -509,15 +372,14 @@ int RunMultiQuery(Algo algo, const CliArgs& args) {
 /// capture regardless of which path (single, all-algo, multi-query) runs.
 int RunCli(const CliArgs& args) {
   if (args.queries > 1) {
-    Algo algo;
-    if (!AlgoFromName(args.algo, &algo) || !IsProgXeVariant(algo)) {
+    if (args.all_algos || !IsProgXeVariant(args.spec.algo)) {
       std::fprintf(stderr,
-                   "--queries=%zu requires a ProgXe variant --algo "
-                   "(got %s)\n",
-                   args.queries, args.algo.c_str());
+                   "--queries=%zu requires a ProgXe variant --algo (got %s)\n",
+                   args.queries,
+                   args.all_algos ? "all" : AlgoName(args.spec.algo));
       return 2;
     }
-    return RunMultiQuery(algo, args);
+    return RunMultiQuery(args.spec.algo, args);
   }
 
   const WorkloadParams params = MakeParams(args, 0);
@@ -541,20 +403,12 @@ int RunCli(const CliArgs& args) {
   }
 
   int rc = 0;
-  if (args.algo == "all") {
+  if (args.all_algos) {
     for (Algo algo : AllAlgos()) {
       rc |= RunOne(algo, *workload, args, csv.get());
     }
   } else {
-    Algo algo;
-    if (!AlgoFromName(args.algo, &algo)) {
-      std::fprintf(stderr,
-                   "unknown --algo=%s (try ProgXe, ProgXe+, ProgXe-NoOrder, "
-                   "ProgXe+-NoOrder, JF-SL, JF-SL+, SSMJ, SAJ, all)\n",
-                   args.algo.c_str());
-      return 2;
-    }
-    rc = RunOne(algo, *workload, args, csv.get());
+    rc = RunOne(args.spec.algo, *workload, args, csv.get());
   }
   if (csv != nullptr) csv->Close();
   return rc;
@@ -564,7 +418,15 @@ int RunCli(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   CliArgs args;
-  if (!ParseArgs(argc, argv, &args)) return 2;
+  const Status parsed = ParseArgs({argv + 1, argv + argc}, &args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
+  }
+  if (args.help) {
+    std::printf("see the header comment of tools/progxe_cli.cc\n");
+    return 0;
+  }
 
   if (!args.trace_path.empty()) Tracing::Start();
   int rc = RunCli(args);

@@ -6,13 +6,13 @@
 // scriptable endpoint (pipe a command file in, or hook the process up to a
 // socket with `socat TCP-LISTEN:9999,fork EXEC:progxe_server`).
 //
-// Process flags:
-//   --workers=<n>         scheduler worker threads          (default 2)
-//   --budget=<pairs>      join pairs per NextBatch slice    (default 4096)
-//   --policy=rr|wf        round-robin | weighted-fair       (default rr)
-//   --max_concurrent=<n>  admission slots, 0 = unbounded    (default 8)
-//   --max_queue=<n>       waiting-room bound, 0 = unbounded (default 0)
-//   --deadline_ms=<ms>    default per-query deadline, 0 = none (default 0)
+// Every setting is key or key=value. The shared submission and serving
+// keys are listed, with their ranges and meaning, once in
+// harness/submit_spec.h and parsed there, as in progxe_cli.
+//
+// Process flags: the serving keys as --workers --budget --max_concurrent
+// --max_queue --deadline_ms (defaults 2 workers, 8 admission slots), and
+// the tool-only
 //   --echo_results        print each result tuple's id pair
 //   --worker              shard-worker daemon mode: serve the wire protocol
 //                         (docs/worker_protocol.md) instead of the line
@@ -27,37 +27,23 @@
 //                         SIGINT before in-flight sessions are severed
 //                         (default 5000)
 //
-// Protocol (one command per line; tokens are key=value or bare words):
-//   submit [dist=independent|correlated|anticorrelated] [n=10000] [dims=4]
-//          [sigma=0.001] [seed=42] [max_results=0] [weight=1]
-//          [shards=1] [deadline_ms=0]
-//          [algo=ProgXe|ProgXe+|ProgXe-NoOrder|ProgXe+-NoOrder] [kd]
-//          [faults=<spec>] [fault_seed=0] [max_retries=2]
-//          [retry_backoff_ms=1] [allow_partial] [reuse=0|1] [parent=<id>]
-//          [workers=host:port,host:port,...]
+// Protocol (one command per line):
+//   submit [dist= n= dims= sigma= seed= algo= kd max_results= weight=
+//          deadline_ms= shards= shard_workers= max_retries=
+//          retry_backoff_ms= allow_partial faults= fault_seed=]
+//          [reuse=0|1] [parent=<id>]
 //     -> "ok id=<id>"; then asynchronously:
 //        "batch id=<id> n=<k> total=<total> t=<sec>"      (per delivery)
 //        "result id=<id> r=<rid> t=<tid>"                 (--echo_results)
 //        "done id=<id> state=<state> results=<n> pairs=<n> cmps=<n> t=<sec>"
-//     shards=K > 1 serves the query through the sharded executor (one
-//     sub-session per shard behind the handle); deadline_ms > 0 overrides
-//     the server-wide default and expires the query with
-//     state=deadline_exceeded. faults= compiles a fault-injection spec
-//     (common/fault_injection.h grammar, seeded by fault_seed=) into the
-//     query; max_retries=/retry_backoff_ms= bound the per-shard recovery,
-//     and allow_partial lets a query whose shard exhausts its retries
-//     complete as state=partial instead of failed. reuse=1 keeps the
-//     query's workload and accepted results alive after it finishes so
+//     algo= must name a ProgXe variant. The tool-only keys: reuse=1 keeps
+//     the query's workload and accepted results alive after it finishes so
 //     later refinements can build on it; parent=<id> submits a refinement
 //     of a reuse=1 query: it serves the parent's exact relations (so the
 //     prepared-state cache hits) and seeds region pruning from the
 //     parent's accepted frontier. A parent= submit must not restate
-//     workload-shaping keys (dist/n/dims/sigma/seed) — the workload is the
-//     parent's by definition. workers= runs the query's shards on remote
-//     worker processes (--worker mode) instead of in-process sessions;
-//     shard i's incarnation n dials workers[(i + n) % len], and the usual
-//     max_retries/allow_partial recovery budget applies to transport
-//     failures too.
+//     workload keys (dist/n/dims/sigma/seed) — the workload is the
+//     parent's by definition.
 //   cancel <id>     cooperative cancellation
 //   stats <id>      one "stat ..." line: live progress (phase, regions
 //                   done/total, pairs, ttfr) in any state; a terminal query
@@ -86,6 +72,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -94,13 +81,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/fault_injection.h"
 #include "common/parse_number.h"
 #include "common/stopwatch.h"
-#include "harness/experiment.h"
-#include "harness/workload.h"
+#include "harness/submit_spec.h"
 #include "net/net_stats.h"
-#include "net/worker_pool.h"
 #include "net/worker_service.h"
 #include "obs/metrics.h"
 #include "service/scheduler.h"
@@ -108,14 +92,6 @@
 using namespace progxe;
 
 namespace {
-
-// Submit-side guardrails: a line-protocol endpoint may face untrusted
-// input, so a single command cannot ask for an absurd workload. Over-limit
-// values get an explicit err reply, not a silent clamp.
-constexpr size_t kMaxCardinality = 20'000'000;
-constexpr int kMaxDims = 16;
-constexpr int kMaxShards = 64;
-constexpr int kMaxRetries = 1000;
 
 std::mutex g_out_mtx;
 
@@ -208,157 +184,79 @@ struct ServedQuery : QuerySink {
   }
 };
 
-struct SubmitSpec {
-  WorkloadParams params;
-  ProgXeOptions options;
-  SubmitOptions submit;
-  Algo algo = Algo::kProgXe;
-  bool reuse = false;
-  bool has_parent = false;
-  uint64_t parent_id = 0;
-  /// True once any workload-shaping key (dist/n/dims/sigma/seed) appears;
-  /// such keys conflict with parent= and get an explicit err.
-  bool shaped = false;
+/// One `submit` line: the shared submission spec plus the server's own
+/// keys.
+struct SubmitLine {
+  SubmitSpec spec;
+  int reuse = 0;
+  uint64_t parent_id = 0;  ///< 0 = no parent (ids start at 1)
 };
 
-bool ParseSubmit(const std::vector<std::string>& tokens, SubmitSpec* spec,
-                 std::string* error) {
-  std::string faults_spec;
-  uint64_t fault_seed = 0;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& tok = tokens[i];
-    const size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      if (tok == "kd") {
-        spec->options.partitioning = PartitioningScheme::kKdTree;
-        continue;
-      }
-      if (tok == "allow_partial") {
-        spec->submit.allow_partial = true;
-        continue;
-      }
-      *error = "unknown token: " + tok;
-      return false;
-    }
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    auto bad_value = [&] {
-      *error = "bad value for " + key + ": " + val;
-      return false;
-    };
-    if (key == "dist") {
-      auto dist = ParseDistribution(val);
-      if (!dist.ok()) {
-        *error = dist.status().ToString();
-        return false;
-      }
-      spec->params.distribution = *dist;
-      spec->shaped = true;
-    } else if (key == "n") {
-      if (!ParseSize(val, &spec->params.cardinality)) return bad_value();
-      if (spec->params.cardinality < 1 ||
-          spec->params.cardinality > kMaxCardinality) {
-        *error = "n out of range [1, " + std::to_string(kMaxCardinality) +
-                 "]: " + val;
-        return false;
-      }
-      spec->shaped = true;
-    } else if (key == "dims") {
-      if (!ParseI32(val, &spec->params.dims)) return bad_value();
-      if (spec->params.dims < 2 || spec->params.dims > kMaxDims) {
-        *error = "dims out of range [2, " + std::to_string(kMaxDims) +
-                 "]: " + val;
-        return false;
-      }
-      spec->shaped = true;
-    } else if (key == "sigma") {
-      if (!ParseF64(val, &spec->params.sigma)) return bad_value();
-      if (!(spec->params.sigma > 0.0) || spec->params.sigma > 1.0) {
-        *error = "sigma out of range (0, 1]: " + val;
-        return false;
-      }
-      spec->shaped = true;
-    } else if (key == "seed") {
-      if (!ParseU64(val, &spec->params.seed)) return bad_value();
-      spec->shaped = true;
-    } else if (key == "max_results") {
-      if (!ParseSize(val, &spec->options.max_results)) return bad_value();
-    } else if (key == "weight") {
-      if (!ParseF64(val, &spec->submit.weight)) return bad_value();
-      if (!(spec->submit.weight > 0.0)) {
-        *error = "weight must be > 0: " + val;
-        return false;
-      }
-    } else if (key == "shards") {
-      if (!ParseI32(val, &spec->submit.shards.num_shards)) return bad_value();
-      if (spec->submit.shards.num_shards < 1 ||
-          spec->submit.shards.num_shards > kMaxShards) {
-        *error = "shards out of range [1, " + std::to_string(kMaxShards) +
-                 "]: " + val;
-        return false;
-      }
-    } else if (key == "deadline_ms") {
-      int64_t ms;
-      if (!ParseI64(val, &ms)) return bad_value();
-      spec->submit.deadline = std::chrono::milliseconds(ms);
-    } else if (key == "max_retries") {
-      int retries;
-      if (!ParseI32(val, &retries)) return bad_value();
-      if (retries < 0 || retries > kMaxRetries) {
-        *error = "max_retries out of range [0, " +
-                 std::to_string(kMaxRetries) + "]: " + val;
-        return false;
-      }
-      spec->submit.shards.max_retries = retries;
-    } else if (key == "retry_backoff_ms") {
-      int64_t ms;
-      if (!ParseI64(val, &ms) || ms < 0) return bad_value();
-      spec->submit.shards.retry_backoff = std::chrono::milliseconds(ms);
-    } else if (key == "allow_partial") {
-      if (val != "0" && val != "1") return bad_value();
-      spec->submit.allow_partial = val == "1";
-    } else if (key == "reuse") {
-      if (val != "0" && val != "1") return bad_value();
-      spec->reuse = val == "1";
-    } else if (key == "parent") {
-      if (!ParseU64(val, &spec->parent_id)) return bad_value();
-      spec->has_parent = true;
-    } else if (key == "workers") {
-      auto list = ParseWorkerList(val);
-      if (!list.ok()) {
-        *error = list.status().ToString();
-        return false;
-      }
-      spec->submit.workers = list.MoveValue();
-      if (spec->submit.workers.empty()) {
-        *error = "workers= needs at least one host:port endpoint";
-        return false;
-      }
-    } else if (key == "faults") {
-      faults_spec = val;
-    } else if (key == "fault_seed") {
-      if (!ParseU64(val, &fault_seed)) return bad_value();
-    } else if (key == "algo") {
-      Algo algo;
-      if (!AlgoFromName(val, &algo) || !IsProgXeVariant(algo)) {
-        *error = "algo must be a ProgXe variant, got " + val;
-        return false;
-      }
-      spec->algo = algo;
+/// Parses the tokens after `submit`: the shared submission keys, then the
+/// server's own `reuse=0|1` and `parent=<id>`.
+Status ParseSubmitLine(const std::vector<std::string>& tokens,
+                       SubmitLine* line) {
+  std::vector<Setting> settings;
+  PROGXE_RETURN_NOT_OK(
+      SplitSettings(std::span(tokens).subspan(1), "", &settings));
+  for (const Setting& setting : settings) {
+    Status st = ApplySubmitSetting(setting, &line->spec);
+    if (!st.IsNotFound()) {
+      PROGXE_RETURN_NOT_OK(st);
+    } else if (setting.key == "reuse") {
+      PROGXE_RETURN_NOT_OK(SettingNumber(setting, 0, 1, &line->reuse));
+    } else if (setting.key == "parent") {
+      PROGXE_RETURN_NOT_OK(SettingNumber(
+          setting, uint64_t{1}, std::numeric_limits<uint64_t>::max(),
+          &line->parent_id));
     } else {
-      *error = "unknown key: " + key;
-      return false;
+      return st;
     }
   }
-  if (!faults_spec.empty()) {
-    auto injector = FaultInjector::Parse(faults_spec, fault_seed);
-    if (!injector.ok()) {
-      *error = injector.status().ToString();
-      return false;
-    }
-    spec->options.faults = injector.MoveValue();
+  if (!IsProgXeVariant(line->spec.algo)) {
+    return Status::InvalidArgument(
+        std::string("algo must be a ProgXe variant, got ") +
+        AlgoName(line->spec.algo));
   }
-  return true;
+  return Status::OK();
+}
+
+/// The process flags.
+struct ServerFlags {
+  ServiceOptions serve{.num_workers = 2};
+  bool echo_results = false;
+  bool worker_mode = false;
+  int listen_port = 0;
+  int64_t drain_timeout_ms = 5000;
+  bool help = false;
+};
+
+/// The tool-only process flags.
+Status ApplyServerFlag(const Setting& setting, ServerFlags* flags) {
+  const std::string_view key = setting.key;
+  if (key == "echo_results") return SettingFlag(setting, &flags->echo_results);
+  if (key == "worker") return SettingFlag(setting, &flags->worker_mode);
+  if (key == "listen") {
+    return SettingNumber(setting, 0, 65535, &flags->listen_port);
+  }
+  if (key == "drain_timeout_ms") {
+    return SettingNumber(setting, int64_t{0},
+                         std::numeric_limits<int64_t>::max(),
+                         &flags->drain_timeout_ms);
+  }
+  if (key == "help") return SettingFlag(setting, &flags->help);
+  return UnknownSetting(setting);
+}
+
+Status ParseFlags(const std::vector<std::string>& argv, ServerFlags* flags) {
+  std::vector<Setting> settings;
+  PROGXE_RETURN_NOT_OK(SplitSettings(argv, "--", &settings));
+  for (const Setting& setting : settings) {
+    Status st = ApplyServeSetting(setting, &flags->serve);
+    if (st.IsNotFound()) st = ApplyServerFlag(setting, flags);
+    PROGXE_RETURN_NOT_OK(st);
+  }
+  return Status::OK();
 }
 
 void PrintStat(const ServedQuery& query) {
@@ -408,65 +306,24 @@ void PrintStat(const ServedQuery& query) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ServiceOptions sopts;
-  sopts.num_workers = 2;
-  bool echo_results = false;
-  bool worker_mode = false;
-  int listen_port = 0;
-  int64_t drain_timeout_ms = 5000;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto flag_err = [arg] {
-      std::fprintf(stderr, "bad flag value: %s\n", arg);
-      return 2;
-    };
-    int64_t i64 = 0;
-    if (std::strncmp(arg, "--workers=", 10) == 0) {
-      if (!ParseI32(arg + 10, &sopts.num_workers) || sopts.num_workers < 1) {
-        return flag_err();
-      }
-    } else if (std::strncmp(arg, "--budget=", 9) == 0) {
-      if (!ParseSize(arg + 9, &sopts.batch_budget)) return flag_err();
-    } else if (std::strncmp(arg, "--policy=", 9) == 0) {
-      if (!FairnessPolicyFromName(arg + 9, &sopts.policy)) {
-        std::fprintf(stderr, "--policy must be rr or wf\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--max_concurrent=", 17) == 0) {
-      if (!ParseSize(arg + 17, &sopts.max_concurrent)) return flag_err();
-    } else if (std::strncmp(arg, "--max_queue=", 12) == 0) {
-      if (!ParseSize(arg + 12, &sopts.max_queue)) return flag_err();
-    } else if (std::strncmp(arg, "--deadline_ms=", 14) == 0) {
-      if (!ParseI64(arg + 14, &i64) || i64 < 0) return flag_err();
-      sopts.default_deadline = std::chrono::milliseconds(i64);
-    } else if (std::strcmp(arg, "--echo_results") == 0) {
-      echo_results = true;
-    } else if (std::strcmp(arg, "--worker") == 0) {
-      worker_mode = true;
-    } else if (std::strncmp(arg, "--listen=", 9) == 0) {
-      if (!ParseI32(arg + 9, &listen_port) || listen_port < 0 ||
-          listen_port > 65535) {
-        return flag_err();
-      }
-    } else if (std::strncmp(arg, "--drain_timeout_ms=", 19) == 0) {
-      if (!ParseI64(arg + 19, &drain_timeout_ms) || drain_timeout_ms < 0) {
-        return flag_err();
-      }
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf("see the header comment of tools/progxe_server.cc\n");
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg);
-      return 2;
-    }
+  ServerFlags flags;
+  const Status parsed = ParseFlags({argv + 1, argv + argc}, &flags);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return 2;
   }
+  if (flags.help) {
+    std::printf("see the header comment of tools/progxe_server.cc\n");
+    return 0;
+  }
+  const ServiceOptions& sopts = flags.serve;
 
-  if (worker_mode) {
+  if (flags.worker_mode) {
     // Daemon mode: no scheduler, no line protocol — just the wire protocol
     // behind a WorkerServer. The announce line is machine-readable so
     // launchers binding port 0 can read the real port back.
     WorkerServerOptions wopts;
-    wopts.port = listen_port;
+    wopts.port = flags.listen_port;
     auto server = WorkerServer::Start(wopts);
     if (!server.ok()) {
       std::fprintf(stderr, "worker start failed: %s\n",
@@ -539,9 +396,10 @@ int main(int argc, char** argv) {
         return 0;
       }
     }
-    Emit("worker draining timeout_ms=" + std::to_string(drain_timeout_ms));
+    Emit("worker draining timeout_ms=" +
+         std::to_string(flags.drain_timeout_ms));
     const bool clean =
-        (*server)->Drain(std::chrono::milliseconds(drain_timeout_ms));
+        (*server)->Drain(std::chrono::milliseconds(flags.drain_timeout_ms));
     Emit(std::string("worker drained clean=") + (clean ? "1" : "0"));
     return 0;
   }
@@ -554,8 +412,7 @@ int main(int argc, char** argv) {
   QueryScheduler scheduler(sopts);
 
   Emit(std::string("ready workers=") + std::to_string(sopts.num_workers) +
-       " budget=" + std::to_string(sopts.batch_budget) +
-       " policy=" + FairnessPolicyName(sopts.policy));
+       " budget=" + std::to_string(sopts.batch_budget));
 
   std::string line;
   char linebuf[4096];
@@ -584,28 +441,29 @@ int main(int argc, char** argv) {
     if (cmd == "quit" || cmd == "exit") break;
 
     if (cmd == "submit") {
-      SubmitSpec spec;
-      std::string error;
-      if (!ParseSubmit(tokens, &spec, &error)) {
-        Emit("err " + error);
+      SubmitLine line;
+      const Status parsed = ParseSubmitLine(tokens, &line);
+      if (!parsed.ok()) {
+        Emit("err " + parsed.message());
         continue;
       }
+      SubmitSpec& spec = line.spec;
       std::shared_ptr<Workload> workload;
-      if (spec.has_parent) {
+      if (line.parent_id != 0) {
         // A refinement serves the parent's exact workload: restating
         // shaping keys would silently describe a different one.
         if (spec.shaped) {
           Emit("err parent= conflicts with dist/n/dims/sigma/seed");
           continue;
         }
-        auto parent_it = queries.find(spec.parent_id);
+        auto parent_it = queries.find(line.parent_id);
         if (parent_it == queries.end()) {
-          Emit("err no such parent: " + std::to_string(spec.parent_id));
+          Emit("err no such parent: " + std::to_string(line.parent_id));
           continue;
         }
         if (!parent_it->second->reuse ||
             parent_it->second->workload == nullptr) {
-          Emit("err parent " + std::to_string(spec.parent_id) +
+          Emit("err parent " + std::to_string(line.parent_id) +
                " was not submitted with reuse=1");
           continue;
         }
@@ -620,11 +478,11 @@ int main(int argc, char** argv) {
         }
         workload = std::make_shared<Workload>(made.MoveValue());
       }
-      spec.submit.retain_results = spec.reuse;
+      spec.submit.retain_results = line.reuse == 1;
       auto query = std::make_unique<ServedQuery>();
       query->id = next_id++;
-      query->echo_results = echo_results;
-      query->reuse = spec.reuse;
+      query->echo_results = flags.echo_results;
+      query->reuse = line.reuse == 1;
       query->workload = std::move(workload);
       query->watch.Start();
       // The ok line must precede the query's asynchronous batch/done
@@ -632,7 +490,7 @@ int main(int argc, char** argv) {
       // Submit failure then voids the id with an err line.
       Emit("ok id=" + std::to_string(query->id));
       auto handle = scheduler.Submit(query->workload->query(),
-                                     OptionsForAlgo(spec.algo, spec.options),
+                                     OptionsForAlgo(spec.algo, spec.EngineOptions()),
                                      query.get(), spec.submit);
       if (!handle.ok()) {
         Emit("err id=" + std::to_string(query->id) + " " +
