@@ -16,9 +16,9 @@ namespace progxe {
 
 /// The algorithms compared in Section VI.
 enum class Algo {
-  kProgXe,             // ProgOrder + ProgDetermine
+  kProgXe,             // ProgOrder + progressive flush (Algorithms 1-2)
   kProgXePlus,         // + skyline partial push-through
-  kProgXeNoOrder,      // random region order, ProgDetermine on
+  kProgXeNoOrder,      // random region order, progressive flush on
   kProgXePlusNoOrder,  // push-through + random order
   kJfSl,               // blocking join-first skyline-later
   kJfSlPlus,           // JF-SL + push-through

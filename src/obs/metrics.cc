@@ -243,7 +243,7 @@ void FoldProgXeStats(const ProgXeStats& s, MetricsRegistry* reg) {
        "Results emitted before the last region finished",
        static_cast<double>(s.results_emitted_early)},
       {"progxe_executor_cells_flushed_total",
-       "Output cells flushed as final by ProgDetermine",
+       "Output cells flushed as final by the progressive flush rule",
        static_cast<double>(s.cells_flushed)},
   };
   for (const Row& row : rows) {

@@ -17,10 +17,10 @@ class PrepareCache;   // progxe/prepare_cache.h
 /// Accepted output points of a finished (or partially finished) query,
 /// canonicalized under the *consuming* query's mapper. Used to seed a
 /// refined query's region loop: any genuine output point of the same
-/// (sources, mapping) pair is a sound discard witness — if it strictly
-/// dominates a region's best corner, some skyline member dominates every
-/// output that region could produce, so the region holds no skyline
-/// members and can be dropped before any join work (see region_loop.cc).
+/// (sources, mapping) pair is a sound dominance witness — some skyline
+/// member dominates every tuple of a cell strictly above the point's cell,
+/// so the loop marks those cells like the insert path's, and the regions
+/// whose lo_cell they hold go before any join work (see region_loop.cc).
 struct RefinementSeed {
   /// Output dimensionality; `canonical` holds points() rows of k values.
   int k = 0;
@@ -95,10 +95,10 @@ struct ProgXeOptions {
   std::shared_ptr<PrepareCache> prepare_cache;
 
   /// Refinement seeding (see RefinementSeed). When set, the region loop
-  /// discards up front every region whose best corner a seed point
-  /// strictly dominates — the parent's frontier re-proves those regions
-  /// empty without a single join pair. Pick order stays ProgOrder's.
-  /// Changes cost only (discard timing), never the result set.
+  /// marks the cells strictly above each seed point's cell, and its first
+  /// Step discards every region whose lo_cell is marked — the parent's
+  /// frontier re-proves those regions empty without a single join pair.
+  /// Changes cost only (discards, marked-cell drops), never the result set.
   std::shared_ptr<const RefinementSeed> refinement_seed;
 
   /// Stop after emitting this many results (0 = run to completion). The
@@ -141,8 +141,8 @@ struct ProgXeStats {
   // Ordering.
   size_t regions_processed = 0;
   size_t regions_discarded_runtime = 0;
-  /// Regions dropped up front because a refinement seed point strictly
-  /// dominates their best corner (zero unless refinement_seed is set).
+  /// Regions dropped up front because their lo_cell lies strictly above a
+  /// refinement seed point's cell (zero unless refinement_seed is set).
   size_t regions_discarded_seed = 0;
   size_t pq_reorderings = 0;
 

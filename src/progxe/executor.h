@@ -5,7 +5,8 @@
 //   2. contribution tables + input grids with sorted join-key runs
 //   3. output-space look-ahead: regions, region pruning, cell marking
 //   4. iterated tuple-level processing, region order chosen by ProgOrder,
-//      with ProgDetermine flushing safe partitions after every region
+//      with Algorithm 2's flush rule releasing safe partitions after every
+//      region
 //
 // Every tuple handed to the emit callback is guaranteed to be in the final
 // skyline (no retractions), and the union of all emissions is exactly the

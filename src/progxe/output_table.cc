@@ -44,7 +44,6 @@ OutputTable::OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
       marked_(std::move(marked)) {
   const size_t total = static_cast<size_t>(geometry_.total_cells());
   assert(marked_.size() == total);
-  reg_count_.assign(total, 0);
   cover_.assign(total, 0);
   prog_coords_.resize(static_cast<size_t>(k_));
   top_cell_.assign(static_cast<size_t>(k_), geometry_.cells_per_dim() - 1);
@@ -69,43 +68,19 @@ OutputTable::OutputTable(GridGeometry geometry, std::vector<uint8_t> marked,
 
 void OutputTable::InitCoverage(const std::vector<Region>& regions) {
   regions_ = &regions;
-  std::fill(reg_count_.begin(), reg_count_.end(), 0);
   std::fill(cover_.begin(), cover_.end(), 0);
-  const CellCoord top = geometry_.cells_per_dim() - 1;
-  std::vector<CellIndex> steps;
   for (const Region& region : regions) {
     if (!region.Active()) continue;
-    const CellIndex lo = geometry_.IndexOf(region.lo_cell.data());
-    cover_[static_cast<size_t>(lo)] += CoverTerm(region.id);
-    // Box indicator as a difference array: +1 at lo and alternating signs at
-    // every corner that steps past hi in a subset of dimensions. Corners
-    // beyond the grid only cancel cells outside it, so they are dropped.
-    steps.clear();
-    for (int d = 0; d < k_; ++d) {
-      const CellCoord past = region.hi_cell[static_cast<size_t>(d)] + 1;
-      if (past <= top) {
-        steps.push_back(geometry_.stride(d) *
-                        (past - region.lo_cell[static_cast<size_t>(d)]));
-      }
-    }
-    for (uint64_t mask = 0; mask < (uint64_t{1} << steps.size()); ++mask) {
-      CellIndex c = lo;
-      int32_t sign = 1;
-      for (size_t j = 0; j < steps.size(); ++j) {
-        if ((mask >> j & 1u) == 0) continue;
-        c += steps[j];
-        sign = -sign;
-      }
-      reg_count_[static_cast<size_t>(c)] += sign;
-    }
+    cover_[static_cast<size_t>(geometry_.IndexOf(region.lo_cell.data()))] +=
+        CoverTerm(region.id);
   }
-  geometry_.PrefixSumAllDims(reg_count_.data());
   geometry_.PrefixSumAllDims(cover_.data());
 
   // ProgCount of every region in one pass over the cells with a single
   // coverer; the odometer keeps each cell's coordinates without division.
   prog_count_.assign(regions.size(), 0);
   const CellIndex total = geometry_.total_cells();
+  const CellCoord top = geometry_.cells_per_dim() - 1;
   std::vector<CellCoord> coords(static_cast<size_t>(k_), 0);
   for (CellIndex c = 0; c < total; ++c) {
     if (cover_lo(c) == 1 && !marked_[static_cast<size_t>(c)]) {
@@ -117,8 +92,8 @@ void OutputTable::InitCoverage(const std::vector<Region>& regions) {
       x = 0;
     }
   }
-  // Two prefix-sum passes per dimension plus the ProgCount pass.
-  coverage_cells_walked_ += (2 * static_cast<uint64_t>(k_) + 1) *
+  // One prefix-sum pass per dimension plus the ProgCount pass.
+  coverage_cells_walked_ += (static_cast<uint64_t>(k_) + 1) *
                             static_cast<uint64_t>(total);
 }
 
@@ -138,25 +113,8 @@ void OutputTable::AdjustProgCount(CellIndex c, const CellCoord* coords,
 
 void OutputTable::ReleaseRegionCoverage(const Region& region,
                                         CoverageRelease* out) {
-  out->settled.clear();
   out->lowered.clear();
-  // Each row is decremented in a tight loop; only rows where some count
-  // reached its threshold are scanned again to collect the cells.
-  int32_t* reg = reg_count_.data();
-  geometry_.ForEachRowInBox(
-      region.lo_cell.data(), region.hi_cell.data(),
-      [reg, out](CellIndex first, int64_t len) {
-        int32_t* row = reg + first;
-        bool hit = false;
-        for (int64_t i = 0; i < len; ++i) {
-          assert(row[i] > 0);
-          hit |= --row[i] == 0;
-        }
-        if (!hit) return;
-        for (int64_t i = 0; i < len; ++i) {
-          if (row[i] == 0) out->settled.push_back(first + i);
-        }
-      });
+  out->flush.clear();
   // cover_lo never decreases along a row, so the up-set row's first cell
   // is its minimum and the cells at or below 1 form a prefix of the row.
   uint64_t* cover = cover_.data();
@@ -175,16 +133,26 @@ void OutputTable::ReleaseRegionCoverage(const Region& region,
         }
       });
   // A cell reaches cover_lo 1 once: it now counts for its one remaining
-  // coverer's ProgCount if that region's box holds it.
+  // coverer's ProgCount if that region's box holds it. It reaches 0 once
+  // too, and then flushes if it holds live tuples (a cell with live tuples
+  // is unmarked; it is unemitted because only this rule flushes).
   CellCoord* coords = prog_coords_.data();
   for (CellIndex c : out->lowered) {
-    if (cover_lo(c) != 1 || marked_[static_cast<size_t>(c)]) continue;
+    if (cover_lo(c) == 0) {
+      if (populated(c)) {
+        assert(!marked_[static_cast<size_t>(c)] &&
+               !emitted_[static_cast<size_t>(c)]);
+        out->flush.push_back(c);
+      }
+      continue;
+    }
+    if (marked_[static_cast<size_t>(c)]) continue;
     geometry_.CoordsOfIndex(c, coords);
     AdjustProgCount(c, coords, +1);
   }
-  coverage_cells_walked_ += static_cast<uint64_t>(
-      region.BoxVolume() +
-      geometry_.BoxVolume(region.lo_cell.data(), top_cell_.data())) +
+  coverage_cells_walked_ +=
+      static_cast<uint64_t>(
+          geometry_.BoxVolume(region.lo_cell.data(), top_cell_.data())) +
       out->lowered.size();
 }
 
@@ -296,6 +264,21 @@ void OutputTable::MarkAbove(const CellCoord* coords) {
     at[d] = coords[d] + 1;
   }
   MarkFrom(0, geometry_.IndexOf(at), at);
+}
+
+void OutputTable::MarkDominatedBy(const double* point) {
+  const CellCoord top = geometry_.cells_per_dim() - 1;
+  CellCoord* coords = scratch_coords_.data();
+  for (int d = 0; d < k_; ++d) {
+    if (point[d] < geometry_.CellLower(d, 0)) {
+      coords[d] = -1;
+    } else if (point[d] <= geometry_.CellUpper(d, top)) {
+      coords[d] = geometry_.CoordOf(d, point[d]);
+    } else {
+      return;  // above the grid (or NaN): no cell is strictly above it
+    }
+  }
+  MarkAbove(coords);
 }
 
 void OutputTable::MarkFrom(int d, CellIndex corner, CellCoord* at) {

@@ -68,42 +68,46 @@ class OutputTable {
 
   // --- Region coverage -----------------------------------------------------
   //
-  // Two dense per-cell counters over the active regions:
-  //   reg_count[c] — regions whose box contains c (RegCount, Algorithm 2);
-  //   cover_lo[c]  — regions whose lo_cell is <= c in every dimension.
-  // cover_lo is the one answer to "can an active region still produce a
-  // tuple at or below c": ProgCount (Definition 2) counts box cells with
-  // cover_lo == 1, ProgDetermine flushes a settled cell once its cover_lo
-  // reaches 0, and the EL-Graph reads in-degrees off it (an edge u -> v
-  // exists iff u.lo <= v.hi - 1, so indegree(v) = cover_lo[v.hi - 1] minus
-  // v's own term).
+  // One dense per-cell counter over the active regions:
+  //   cover_lo[c] — regions whose lo_cell is <= c in every dimension.
+  // It is the one answer to "can an active region still produce a tuple at
+  // or below c", and it has three readers: ProgCount (Definition 2) counts
+  // box cells with cover_lo == 1; the flush rule of Algorithm 2 releases a
+  // populated cell once its cover_lo reaches 0; and the EL-Graph reads
+  // in-degrees off it (an edge u -> v exists iff u.lo <= v.hi - 1, so
+  // indegree(v) = cover_lo[v.hi - 1] minus v's own term).
+  //
+  // Algorithm 2 flushes a cell once no cell of its dominator cone has
+  // RegCount > 0 (no active region's box reaches it). A region's lo_cell
+  // lies in its own box, so that holds exactly when no active region's
+  // lo_cell is <= the cell: cover_lo == 0. Such a cell is also covered by
+  // no active region, so its tuples are final. Cell marking already handles
+  // threats that are populated now, so the count fuses the paper's Dom /
+  // Dependent lists and RegCount into one.
 
-  /// Builds both counters over every active region by prefix sums: lo-cell
-  /// point counts for cover_lo, a 2^k-corner difference array for
-  /// reg_count, then one pass per dimension each; then every region's
-  /// ProgCount in one pass over the cells. O(cells * k). `regions` must
-  /// outlive the table (ProgCount upkeep reads their boxes).
+  /// Builds cover_lo over every active region by prefix sums of lo-cell
+  /// point counts, one pass per dimension; then every region's ProgCount in
+  /// one pass over the cells. O(cells * k). `regions` must outlive the
+  /// table (ProgCount upkeep reads their boxes).
   void InitCoverage(const std::vector<Region>& regions);
 
-  /// What one region's removal changed: cells whose reg_count reached 0
-  /// ("settled") and up-set cells whose cover_lo dropped to 1 or 0
-  /// ("lowered"). Both lists are in ascending cell order.
+  /// What one region's removal changed: up-set cells whose cover_lo dropped
+  /// to 1 or 0 ("lowered"), and those of them whose cover_lo reached 0 while
+  /// they hold live tuples ("flush": Algorithm 2's output, unmarked and
+  /// unemitted). Both lists are in ascending cell order.
   struct CoverageRelease {
-    std::vector<CellIndex> settled;
     std::vector<CellIndex> lowered;
+    std::vector<CellIndex> flush;
   };
 
-  /// Removes a completed or discarded region from both counters: one row
-  /// walk over its box (reg_count) and one over its up-set [lo_cell, top]
-  /// (cover_lo). Assigns into `*out`, reusing its capacity.
+  /// Removes a completed or discarded region from cover_lo: one row walk
+  /// over its up-set [lo_cell, top]. Assigns into `*out`, reusing its
+  /// capacity.
   void ReleaseRegionCoverage(const Region& region, CoverageRelease* out);
 
   /// Allocating convenience overload (tests).
   CoverageRelease ReleaseRegionCoverage(const Region& region);
 
-  int32_t reg_count(CellIndex c) const {
-    return reg_count_[static_cast<size_t>(c)];
-  }
   int32_t cover_lo(CellIndex c) const {
     return static_cast<int32_t>(
         static_cast<uint32_t>(cover_[static_cast<size_t>(c)]));
@@ -118,7 +122,7 @@ class OutputTable {
     return prog_count_[static_cast<size_t>(region.id)];
   }
 
-  /// Cells visited by coverage upkeep (build passes, release row walks,
+  /// Cells visited by coverage upkeep (build passes, up-set row walks,
   /// lowered cells) so far — a deterministic work counter.
   uint64_t coverage_cells_walked() const { return coverage_cells_walked_; }
 
@@ -159,10 +163,18 @@ class OutputTable {
                                uint64_t* examined) const;
 
   /// Moves the cells marked since the last call (each once, in marking
-  /// order) into `*out`, dropping its old contents. Only the insert path
-  /// marks cells at runtime, and only cells strictly above a populated one:
-  /// the runtime region discard (Algorithm 1, line 9) reads these lo_cells.
+  /// order) into `*out`, dropping its old contents. Cells are marked after
+  /// look-ahead only strictly above a populated cell or a MarkDominatedBy
+  /// point: the region discard (Algorithm 1, line 9) reads these lo_cells.
   void TakeNewlyMarked(std::vector<CellIndex>* out);
+
+  /// Marks every cell strictly above the cell of `point`, a known output
+  /// point of the query (canonical values): every tuple there is strictly
+  /// dominated by it. A point below the grid in some dimension counts as
+  /// one cell below cell 0 there; one above it (or NaN) marks nothing.
+  /// Call after InitCoverage (marking keeps ProgCount). The marks reach
+  /// TakeNewlyMarked like the insert path's.
+  void MarkDominatedBy(const double* point);
 
   // --- Flushing ------------------------------------------------------------
 
@@ -242,7 +254,6 @@ class OutputTable {
   ProgXeStats* stats_;
   DomCounter dom_counter_;
 
-  std::vector<int32_t> reg_count_;
   /// cover_lo packed with the ids of the regions it counts: the low 32 bits
   /// hold the count, the high 32 bits the sum of their ids mod 2^32, so
   /// where the count is 1 the high half names that one region. Counts stay

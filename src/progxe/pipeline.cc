@@ -12,16 +12,6 @@ RegionJoinPipeline::RegionJoinPipeline(const CanonicalMapper* mapper,
       seq_values_(kInsertBlockPairs *
                   static_cast<size_t>(mapper->output_dimensions())) {}
 
-uint64_t RegionJoinPipeline::ProcessRegion(const InputPartition& pa,
-                                           const InputPartition& pb,
-                                           OutputTable* table) {
-  // The whole-region path is the resumable path run to exhaustion, so both
-  // share one implementation and the equivalence suites cover them
-  // together.
-  BeginRegion(pa, pb);
-  return ProcessSome(/*max_pairs=*/0, table);
-}
-
 void RegionJoinPipeline::BeginRegion(const InputPartition& pa,
                                      const InputPartition& pb) {
   // Task list in key order: the JoinIndexes enumeration order.

@@ -39,19 +39,14 @@ class RegionJoinPipeline {
   RegionJoinPipeline(const RegionJoinPipeline&) = delete;
   RegionJoinPipeline& operator=(const RegionJoinPipeline&) = delete;
 
-  /// Joins `pa` x `pb`, maps every pair and inserts into `*table` in the
-  /// sequential pair order. Returns the number of join pairs generated.
-  uint64_t ProcessRegion(const InputPartition& pa, const InputPartition& pb,
-                         OutputTable* table);
-
-  /// Resumable mode — the serving layer's yield point. BeginRegion
+  /// Resumable join — the serving layer's yield point. BeginRegion
   /// enumerates the region's tasks; each ProcessSome call then advances at
   /// least one block of join pairs and at most ~`max_pairs` (0 = all
-  /// remaining), returning the pairs it inserted. Slices visit pairs in
-  /// exactly the ProcessRegion order, so results and every ProgXeStats
-  /// counter are bit-identical no matter where the slice boundaries fall.
-  /// A region is complete once RegionExhausted(); abandoning one mid-way
-  /// holds no resources beyond the task list.
+  /// remaining), mapping and inserting them into `*table` in the sequential
+  /// pair order, and returns the pairs it inserted. Results and every
+  /// ProgXeStats counter are bit-identical no matter where the slice
+  /// boundaries fall. A region is complete once RegionExhausted();
+  /// abandoning one mid-way holds no resources beyond the task list.
   void BeginRegion(const InputPartition& pa, const InputPartition& pb);
   uint64_t ProcessSome(size_t max_pairs, OutputTable* table);
   bool RegionExhausted() const { return !region_open_; }

@@ -17,11 +17,25 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
                                         : FaultInjector::FromEnv()),
       table_(prep->lookahead.output_grid, std::move(prep->lookahead.marked),
              stats),
-      determine_(&table_),
       pipeline_(&prep->inputs->mapper, prep->inputs->r_contrib->flat().data(),
                 prep->inputs->t_contrib->flat().data()) {
   const PreparedInputs& inputs = *prep->inputs;
   table_.InitCoverage(*regions_);
+
+  // Refinement seeding: a seed point is a genuine output of the same
+  // sources and mapping, so some skyline member is at least as good as it
+  // and strictly better than every tuple of a cell strictly above its own.
+  // Those cells are marked like the insert path's, before the EL-Graph and
+  // ProgOrder read ProgCount; the first Step's discard sweep then removes
+  // the regions whose lo_cell they hold. A cell is never strictly above
+  // itself, so a point never discards its own containing region.
+  const RefinementSeed* seed = options_.refinement_seed.get();
+  if (seed != nullptr && seed->k == inputs.k) {
+    for (size_t p = 0; p < seed->points(); ++p) {
+      table_.MarkDominatedBy(seed->canonical.data() +
+                             p * static_cast<size_t>(inputs.k));
+    }
+  }
 
   if (options_.ordering == OrderingMode::kProgOrder) {
     el_graph_ = std::make_unique<ElGraph>(*regions_, &table_);
@@ -47,43 +61,6 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
   removed_.assign(regions_->size(), 0);
   region_pairs_.assign(regions_->size(), 0);
   result_.values.resize(static_cast<size_t>(inputs.k));
-
-  // Classify regions against the refinement seed (if any): a region whose
-  // best corner a seed point strictly dominates on *every* dimension can
-  // emit no skyline member (the seed point is a genuine output of the same
-  // sources+mapping, so some skyline member is at least as good as it —
-  // and strictly better than everything the region could produce). The
-  // strict all-dims test means a point never discards its own containing
-  // region. Seeding only *removes* regions; the pick order stays
-  // ProgOrder's, whose cost model is what progressiveness is tuned on.
-  const RefinementSeed* seed = options_.refinement_seed.get();
-  if (seed != nullptr && seed->k == inputs.k && seed->points() > 0) {
-    const GridGeometry& geom = table_.geometry();
-    const size_t kd = static_cast<size_t>(inputs.k);
-    std::vector<double> lower(kd);
-    for (const Region& region : *regions_) {
-      if (!region.Active()) continue;
-      for (size_t j = 0; j < kd; ++j) {
-        lower[j] =
-            geom.CellLower(static_cast<int>(j), region.lo_cell[j]);
-      }
-      for (size_t p = 0; p < seed->points(); ++p) {
-        const double* pt = seed->canonical.data() + p * kd;
-        bool dom = true;
-        for (size_t j = 0; j < kd; ++j) {
-          if (!(pt[j] < lower[j])) {
-            dom = false;
-            break;
-          }
-        }
-        if (dom) {
-          seed_discard_.push_back(region.id);  // ascending region id
-          break;
-        }
-      }
-    }
-  }
-  seed_applied_ = seed_discard_.empty();
 
   // Group the active regions by lo_cell for the runtime discard sweep (a
   // counting sort: region ids stay ascending within a cell).
@@ -144,14 +121,15 @@ void RegionLoop::RemoveRegion(Region& region,
   assert(active_regions_ > 0);
   --active_regions_;
   table_.ReleaseRegionCoverage(region, &release_);
-  determine_.OnRegionReleased(release_, &flush_scratch_);
   order_->OnRegionRemoved(region.id, release_.lowered);
-  EmitCells(flush_scratch_, pending);
+  EmitCells(release_.flush, pending);
 }
 
-void RegionLoop::DiscardSweep(std::vector<ResultTuple>* pending) {
-  // Only runs when the inserts marked cells since the last sweep; a cell is
-  // marked once, so each region is found here at most once.
+void RegionLoop::DiscardSweep(std::vector<ResultTuple>* pending,
+                              size_t* discarded) {
+  // Only runs when cells were marked since the last sweep (by inserts, or
+  // by seed points before the first Step); a cell is marked once, so each
+  // region is found here at most once.
   table_.TakeNewlyMarked(&newly_marked_);
   if (newly_marked_.empty()) return;
   TraceSpan span(trace_cats::kRegion, "region.discard");
@@ -169,7 +147,7 @@ void RegionLoop::DiscardSweep(std::vector<ResultTuple>* pending) {
     Region& other = (*regions_)[static_cast<size_t>(id)];
     if (!other.Active()) continue;
     other.discarded = true;
-    ++stats_->regions_discarded_runtime;
+    ++*discarded;
     RemoveRegion(other, pending);
   }
 }
@@ -187,20 +165,6 @@ void RegionLoop::CompletenessSweep(std::vector<ResultTuple>* pending) {
   }
 }
 
-void RegionLoop::FinishRegion(Region& region,
-                              std::vector<ResultTuple>* pending) {
-  region.processed = true;
-  ++stats_->regions_processed;
-
-  {
-    TraceSpan span(trace_cats::kRegion, "region.flush");
-    span.arg("region", region.id);
-    RemoveRegion(region, pending);
-  }
-
-  DiscardSweep(pending);
-}
-
 void RegionLoop::RemainingLowerBound(std::vector<double>* lo) const {
   if (done_) return;
   const GridGeometry& geom = table_.geometry();
@@ -213,21 +177,6 @@ void RegionLoop::RemainingLowerBound(std::vector<double>* lo) const {
       if (edge < slot) slot = edge;
     }
   }
-}
-
-void RegionLoop::ApplySeedDiscards(std::vector<ResultTuple>* pending) {
-  // Ascending region id (seed_discard_ is built in region order), mirroring
-  // the runtime discard sweep so flush/emission order is deterministic.
-  seed_applied_ = true;
-  for (int32_t id : seed_discard_) {
-    Region& region = (*regions_)[static_cast<size_t>(id)];
-    if (!region.Active()) continue;
-    region.discarded = true;
-    ++stats_->regions_discarded_seed;
-    RemoveRegion(region, pending);
-  }
-  seed_discard_.clear();
-  seed_discard_.shrink_to_fit();
 }
 
 bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
@@ -314,20 +263,13 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
     }
     prev = id;
   }
-  // Mirror RemoveRegion, minus emission and stats: on the fresh table the
-  // settled cells are empty, so ProgDetermine never arms them (and they can
-  // never repopulate — no active region covers them). The dead
-  // incarnation's counters travel separately (shard lost_stats).
+  // The dead incarnation's counters travel separately (shard lost_stats),
+  // so no stats counter moves here. No cell is populated on a fresh table,
+  // so nothing flushes and `pending` goes unused.
   for (int32_t id : checkpoint.skip_regions) {
     Region& region = (*regions_)[static_cast<size_t>(id)];
     region.discarded = true;
-    removed_[static_cast<size_t>(id)] = 1;
-    removal_log_.push_back(id);
-    assert(active_regions_ > 0);
-    --active_regions_;
-    table_.ReleaseRegionCoverage(region, &release_);
-    determine_.OnRegionReleased(release_, &flush_scratch_);
-    order_->OnRegionRemoved(region.id, release_.lowered);
+    RemoveRegion(region, /*pending=*/nullptr);
   }
   resumed_ = !checkpoint.skip_regions.empty();
   replay_pairs_saved_ = resumed_ ? checkpoint.replay_pairs_saved : 0;
@@ -341,9 +283,12 @@ Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
 
 bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
   if (done_) return false;
-  // Seed discards apply lazily on the first Step so their flushed results
-  // land in a caller-visible pending vector.
-  if (!seed_applied_) ApplySeedDiscards(pending);
+  // The seed marks are swept on the first Step, after any
+  // RestoreCheckpoint, so their removals land in a caller-visible Step.
+  if (!seed_swept_) {
+    seed_swept_ = true;
+    DiscardSweep(pending, &stats_->regions_discarded_seed);
+  }
   for (;;) {
     if (current_region_ < 0) {
       if (ReachedLimit()) {  // early termination (max_results)
@@ -365,40 +310,19 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
         done_ = true;
         return false;
       }
-      Region& picked = (*regions_)[static_cast<size_t>(next)];
+      const Region& picked = (*regions_)[static_cast<size_t>(next)];
       if (!picked.Active()) continue;
-
-      const InputPartition& pa =
-          prep_->inputs->r_grid->partitions()[static_cast<size_t>(picked.a)];
-      const InputPartition& pb =
-          prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)];
-      if (max_pairs == 0) {
-        // Whole-region fast path: join the partition pair, map, insert —
-        // the same pair order as the sliced path, hence every counter.
-        Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
-                                        options_.fault_instance);
-        if (PROGXE_PREDICT_FALSE(!fault.ok())) {
-          status_ = std::move(fault);
-          done_ = true;
-          return false;
-        }
-        {
-          TraceSpan span(trace_cats::kRegion, "region.pipeline");
-          span.arg("region", next);
-          const uint64_t pairs = pipeline_.ProcessRegion(pa, pb, &table_);
-          stats_->join_pairs_generated += pairs;
-          region_pairs_[static_cast<size_t>(next)] += pairs;
-          span.arg("pairs", static_cast<int64_t>(pairs));
-        }
-        FinishRegion(picked, pending);
-        return true;
-      }
-      pipeline_.BeginRegion(pa, pb);
+      pipeline_.BeginRegion(
+          prep_->inputs->r_grid->partitions()[static_cast<size_t>(picked.a)],
+          prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)]);
       current_region_ = next;
     }
 
-    // Sliced path: advance the open region by ~max_pairs pairs; flush only
-    // once it is exhausted, so the table sees the identical insert stream.
+    // Advance the open region by ~max_pairs pairs (0 = all of it); flush
+    // only once it is exhausted, so the table sees the identical insert
+    // stream at any slice size. Look-ahead drops key-disjoint partition
+    // pairs, so a region holds at least one pair and draws the
+    // pipeline.chunk fault site at least once.
     Region& region = (*regions_)[static_cast<size_t>(current_region_)];
     if (!pipeline_.RegionExhausted()) {
       Status fault = MaybeInjectFault(faults_, fault_sites::kPipelineChunk,
@@ -417,7 +341,14 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     }
     current_region_ = -1;
-    FinishRegion(region, pending);
+    region.processed = true;
+    ++stats_->regions_processed;
+    {
+      TraceSpan span(trace_cats::kRegion, "region.flush");
+      span.arg("region", region.id);
+      RemoveRegion(region, pending);
+    }
+    DiscardSweep(pending, &stats_->regions_discarded_runtime);
     return true;
   }
 }

@@ -1,11 +1,14 @@
 // RegionLoop: the incremental driver of ProgXe's main loop (Algorithm 1).
-// One Step() = one iteration — ProgOrder picks a region, the tuple pipeline
-// joins/maps/inserts it in one ordered stream, ProgDetermine flushes
-// settled cells, and the runtime discard sweep removes regions whose
-// lo_cell the inserts have marked (wholly dominated). Emitted results are
-// appended
-// to the caller's pending vector, which is what lets ProgXeSession expose a
-// pull-based NextBatch on top while ProgXeExecutor::Run stays a thin loop.
+// One Step() = one iteration: ProgOrder picks a region, the tuple pipeline
+// joins/maps/inserts it in one ordered stream, the region's removal flushes
+// the cells whose cover_lo it brings to zero (Algorithm 2, see
+// output_table.h), and the discard sweep removes the regions whose lo_cell
+// the inserts have marked (wholly dominated). Every region leaves through
+// RemoveRegion, and every region discard through the marked set:
+// refinement seeds mark cells up front, and the first Step's sweep removes
+// the regions they dominate. Emitted results are appended to the caller's
+// pending vector, which is what lets ProgXeSession expose a pull-based
+// NextBatch on top while ProgXeExecutor::Run stays a thin loop.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,6 @@
 #include "progxe/output_table.h"
 #include "progxe/pipeline.h"
 #include "progxe/prepare.h"
-#include "progxe/prog_determine.h"
 #include "progxe/prog_order.h"
 
 namespace progxe {
@@ -34,14 +36,14 @@ class RegionLoop {
 
   /// Runs one bounded slice of the main loop, appending any results it
   /// proves final to `*pending`. `max_pairs` caps the join pairs processed
-  /// in this call: 0 drives the picked region all the way to its flush (the
-  /// legacy one-region step); otherwise the call may yield mid-region after
-  /// ~max_pairs pairs (producing no results) and the next call resumes at
-  /// the same pair without redoing work — the serving layer's preemption
-  /// point. Slice boundaries never change results, emission order or any
-  /// ProgXeStats counter. Returns false — without processing anything
-  /// further — once no active regions remain or options.max_results has
-  /// been reached; the final completeness sweep has run by then.
+  /// in this call: 0 drives the picked region all the way to its flush;
+  /// otherwise the call may yield mid-region after ~max_pairs pairs
+  /// (producing no results) and the next call resumes at the same pair
+  /// without redoing work — the serving layer's preemption point. Slice
+  /// boundaries never change results, emission order or any ProgXeStats
+  /// counter. Returns false — without processing anything further — once
+  /// no active regions remain or options.max_results has been reached; the
+  /// final completeness sweep has run by then.
   bool Step(std::vector<ResultTuple>* pending, size_t max_pairs = 0);
 
   /// True once Step() has nothing left to do.
@@ -115,19 +117,16 @@ class RegionLoop {
 
  private:
   bool ReachedLimit() const;
-  /// First-Step application of options.refinement_seed: removes the regions
-  /// whose best corner a seed point strictly dominates (they provably hold
-  /// no skyline members), in ascending region id.
-  void ApplySeedDiscards(std::vector<ResultTuple>* pending);
-  /// Post-join bookkeeping shared by the whole-region and sliced paths:
-  /// region removal, discard sweep.
-  void FinishRegion(Region& region, std::vector<ResultTuple>* pending);
   void EmitCells(const std::vector<CellIndex>& cells,
                  std::vector<ResultTuple>* pending);
+  /// The one region-removal path (processed, discarded, seeded or
+  /// restored): releases its coverage and emits the cells that flush.
   void RemoveRegion(Region& region, std::vector<ResultTuple>* pending);
-  void DiscardSweep(std::vector<ResultTuple>* pending);
+  /// Removes the active regions whose lo_cell was marked since the last
+  /// sweep, counting them into `*discarded`.
+  void DiscardSweep(std::vector<ResultTuple>* pending, size_t* discarded);
   /// Recovery net behind the progressive guarantees: flushes any populated
-  /// unmarked cell ProgDetermine somehow missed (unreachable by
+  /// unmarked cell the flush rule somehow missed (unreachable by
   /// construction; see executor completeness notes).
   void CompletenessSweep(std::vector<ResultTuple>* pending);
 
@@ -141,7 +140,6 @@ class RegionLoop {
   Status status_;
 
   OutputTable table_;
-  ProgDetermine determine_;
   std::unique_ptr<ElGraph> el_graph_;
   std::unique_ptr<ProgOrder> order_;
   RegionJoinPipeline pipeline_;
@@ -152,7 +150,7 @@ class RegionLoop {
   /// it); -1 when the next Step picks a fresh region.
   int32_t current_region_ = -1;
 
-  /// Marks a region removed exactly once across all removal paths.
+  /// Regions RemoveRegion has removed (each exactly once).
   std::vector<uint8_t> removed_;
 
   /// Join pairs generated per region id (summed over its slices).
@@ -183,16 +181,14 @@ class RegionLoop {
   uint64_t replay_pairs_saved_ = 0;
   uint32_t resumed_regions_skipped_ = 0;
 
-  // Refinement seeding (options.refinement_seed): regions a seed point
-  // strictly dominates, discarded up front — lazily on the first Step so
-  // their flushes land in that Step's pending vector. Cost-only: the
-  // result set is unchanged, like an ordering-mode change.
-  std::vector<int32_t> seed_discard_;
-  bool seed_applied_ = false;
+  // Refinement seeding (options.refinement_seed) marks cells in the
+  // constructor; the first Step sweeps them into regions_discarded_seed.
+  // Cost-only: the result set is unchanged, like an ordering-mode change.
+  bool seed_swept_ = false;
 
-  // Push-based runtime region discard (Algorithm 1, line 9): a region is
-  // wholly dominated once its lo_cell is marked, so each sweep looks up
-  // the cells the table marked since the last one (newly_marked_) in the
+  // Push-based region discard (Algorithm 1, line 9): a region is wholly
+  // dominated once its lo_cell is marked, so each sweep looks up the cells
+  // the table marked since the last one (newly_marked_) in the
   // active regions grouped by lo_cell: cell c's region ids, ascending, are
   // lo_regions_[lo_offsets_[c] .. lo_offsets_[c + 1]).
   std::vector<uint32_t> lo_offsets_;
@@ -205,7 +201,6 @@ class RegionLoop {
   std::vector<CellTupleIds> flush_ids_;
   ResultTuple result_;
   OutputTable::CoverageRelease release_;
-  std::vector<CellIndex> flush_scratch_;
   std::vector<int32_t> discard_scratch_;
 };
 

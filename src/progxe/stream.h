@@ -55,25 +55,11 @@ struct ShardOptions {
   int max_retries = 2;
 
   /// Backoff before the first re-open; doubles per consecutive failure
-  /// (capped at 64x). During backoff a budgeted NextBatch yields (returns
-  /// 0) so a scheduler can keep checking cancel/deadline; an unbudgeted
-  /// call sleeps.
+  /// (capped at 64x), with a seeded ±25% jitter so simultaneously-sick
+  /// shards spread their re-opens (see JitteredRetryBackoff). During
+  /// backoff a budgeted NextBatch yields (returns 0) so a scheduler can
+  /// keep checking cancel/deadline; an unbudgeted call sleeps.
   std::chrono::milliseconds retry_backoff{1};
-
-  /// Seeded jitter applied to each backoff as a ±fraction (0.25 = ±25%),
-  /// derived deterministically from (options.seed, shard, failure count) so
-  /// K simultaneously-sick shards spread their re-opens instead of
-  /// synchronizing — and so a given seed always reproduces the same
-  /// schedule. 0 disables jitter (exact exponential backoff).
-  double retry_jitter = 0.25;
-
-  /// Stream-wide retry budget: the total number of shard re-opens the
-  /// stream may *commit to* across all shards and incarnations (each
-  /// quarantine decision consumes one). Once spent, further failures are
-  /// treated as retry exhaustion (abandon under allow_partial, else fail
-  /// the stream) even if the per-shard max_retries budget remains.
-  /// 0 = unlimited (per-shard budgets only).
-  uint64_t max_total_retries = 0;
 
   /// What retry exhaustion means: false (default) fails the whole stream
   /// with the shard's error; true abandons the shard and lets the stream

@@ -312,11 +312,11 @@ bool SameMapSpec(const MapSpec& a, const MapSpec& b) {
   return true;
 }
 
-/// Classifying regions against the seed costs O(regions x points) at the
-/// child's open; past a few hundred witnesses the extra discard power is
-/// negligible while the scan cost keeps growing, so large frontiers are
-/// thinned by an even deterministic stride (any subset of genuine outputs
-/// is equally sound).
+/// Every seed point travels in the child's options (over the wire to
+/// remote shards too) and marks cells at its open; past a few hundred
+/// witnesses the extra discard power is negligible while that cost keeps
+/// growing, so large frontiers are thinned by an even deterministic stride
+/// (any subset of genuine outputs is equally sound).
 constexpr size_t kMaxSeedPoints = 256;
 
 /// Folds a donor query's retained (user-space) results into the child's

@@ -137,6 +137,9 @@ class ShardWorkPool {
   size_t idle_ = 0;
 };
 
+/// Half-width of the retry backoff jitter, as a fraction of the backoff.
+constexpr double kRetryJitter = 0.25;
+
 /// splitmix64 finalizer (same mixer as shard_planner's key hash).
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -154,14 +157,14 @@ std::chrono::nanoseconds JitteredRetryBackoff(const ShardOptions& opts,
   const auto base = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         opts.retry_backoff) *
                     (1 << exp);
-  if (opts.retry_jitter == 0.0 || base.count() == 0) return base;
+  if (base.count() == 0) return base;
   // One uniform draw in [0, 1) per (seed, shard, attempt) triple; the top
   // 53 bits give an exact double.
   const uint64_t h =
       Mix64(seed ^ Mix64(static_cast<uint64_t>(shard) * 0x9e3779b97f4a7c15ULL +
                          static_cast<uint64_t>(consecutive_failures)));
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
-  const double factor = std::max(0.0, 1.0 + opts.retry_jitter * (2.0 * u - 1.0));
+  const double factor = 1.0 + kRetryJitter * (2.0 * u - 1.0);
   return std::chrono::nanoseconds(static_cast<int64_t>(
       std::llround(static_cast<double>(base.count()) * factor)));
 }
@@ -417,16 +420,11 @@ void ShardedStream::OnShardFailure(size_t i, Status status) {
   shard.last_error = status;
   ++shard.consecutive_failures;
   if (IsRetryableStatusCode(status.code()) &&
-      shard.consecutive_failures <= shard_options_.max_retries &&
-      (shard_options_.max_total_retries == 0 ||
-       retries_committed_ < shard_options_.max_total_retries)) {
+      shard.consecutive_failures <= shard_options_.max_retries) {
     // Quarantine: only this shard stops; everyone else keeps pumping and
     // releasing against its frozen pre-failure bound. Exponential backoff
     // (capped at 64x so a long retry fight stays responsive) with seeded
-    // ±retry_jitter so simultaneously-sick shards desynchronize. The
-    // stream-wide budget is committed here, not at the re-open, so shards
-    // quarantining in the same round cannot collectively overdraw it.
-    ++retries_committed_;
+    // ±25% jitter so simultaneously-sick shards desynchronize.
     const std::chrono::nanoseconds backoff = JitteredRetryBackoff(
         shard_options_, sub_options_.seed, static_cast<int>(i),
         shard.consecutive_failures);

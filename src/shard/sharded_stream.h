@@ -135,7 +135,7 @@ namespace progxe {
 
 /// The deterministic jittered backoff before re-opening a quarantined
 /// shard: retry_backoff doubled per consecutive failure (capped at 64x),
-/// scaled by a factor in [1 - retry_jitter, 1 + retry_jitter) drawn from
+/// scaled by a factor in [0.75, 1.25) (a ±25% jitter) drawn from
 /// a splitmix64 mix of (seed, shard, consecutive_failures). Pure function
 /// of its arguments — the same seed always reproduces the same schedule —
 /// while distinct shards (and successive attempts of one shard) land on
@@ -434,12 +434,6 @@ class ShardedStream : public ProgXeStream {
   /// Join pairs the checkpointed retries skipped re-generating, summed over
   /// every resume (coverage().replay_pairs_saved).
   uint64_t replay_pairs_saved_ = 0;
-  /// Re-opens committed to (counted at the quarantine decision, before the
-  /// re-open happens) against ShardOptions::max_total_retries. Separate
-  /// from total_retries_ — the re-opens actually performed, reported in
-  /// coverage() — so K shards quarantining in one round cannot all slip
-  /// under the budget before any of them re-opens.
-  uint64_t retries_committed_ = 0;
   /// Set when a shard exhausts or is abandoned outside
   /// RefreshBoundsAndRelease, so the next release pass re-checks held
   /// candidates even if no surviving bound moved.

@@ -1,14 +1,16 @@
-// Differential test of the region-coverage counters and their three readers
-// (ProgCount, ProgDetermine, EL-Graph) against brute-force references.
+// Differential test of the region-coverage counter and its three readers
+// (ProgCount, the flush rule of Algorithm 2, EL-Graph) against brute-force
+// references.
 //
 // Random region sets over 2-5 dimensions are removed in random order, with
 // populate, evict-to-empty and kill events (plain OutputTable inserts)
 // interleaved. After every removal:
-//   - reg_count and cover_lo must equal per-region box walks over the
-//     active regions, and ProgCount the box count of cover == 1, unmarked;
-//   - the flush list must equal the cone-count rule: a settled cell that
-//     held live tuples waits until no cell of its dominator cone has
-//     RegCount > 0, and flushes then unless it was marked meanwhile;
+//   - cover_lo must equal per-region up-set walks over the active regions,
+//     and ProgCount the box count of cover == 1, unmarked;
+//   - the flush list must equal the paper's cone rule, with RegCount (the
+//     active regions whose box holds a cell) counted by box walks: a cell
+//     flushes in the removal that leaves no cell of its dominator cone with
+//     RegCount > 0, if it holds live tuples then;
 //   - EL-Graph in-degrees and the new roots must equal pairwise
 //     CanEliminate counts.
 #include <gtest/gtest.h>
@@ -16,13 +18,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "elgraph/el_graph.h"
 #include "progxe/output_table.h"
-#include "progxe/prog_determine.h"
 
 namespace progxe {
 namespace {
@@ -30,8 +30,6 @@ namespace {
 struct Tally {
   int removals = 0;
   int flushes = 0;
-  int flushed_empty = 0;          // armed, then evicted to empty, flushed
-  int emptied_before_settle = 0;  // once populated, empty at settle
   int killed = 0;
   int new_roots = 0;
 };
@@ -57,8 +55,6 @@ class CoverageScenario {
     MakeRegions();
     table_->InitCoverage(regions_);
     graph_ = std::make_unique<ElGraph>(regions_, table_.get());
-    determine_ = std::make_unique<ProgDetermine>(table_.get());
-    ever_populated_.assign(total_, 0);
   }
 
   void Run() {
@@ -155,12 +151,10 @@ class CoverageScenario {
   }
 
   void CheckCounters() {
-    const std::vector<int32_t> reg = BruteRegCount();
     const std::vector<int32_t> cover = BruteCoverLo();
     for (size_t c = 0; c < total_; ++c) {
-      const CellIndex ci = static_cast<CellIndex>(c);
-      ASSERT_EQ(table_->reg_count(ci), reg[c]) << "reg_count of cell " << c;
-      ASSERT_EQ(table_->cover_lo(ci), cover[c]) << "cover_lo of cell " << c;
+      ASSERT_EQ(table_->cover_lo(static_cast<CellIndex>(c)), cover[c])
+          << "cover_lo of cell " << c;
     }
     for (const Region& region : regions_) {
       if (!region.Active()) continue;
@@ -200,9 +194,6 @@ class CoverageScenario {
     table_->Insert(point.data(), next_row_, next_row_);
     ++next_row_;
     tally_->killed += static_cast<int>(MarkedCount() - marked_before);
-    for (size_t q = 0; q < total_; ++q) {
-      if (table_->populated(static_cast<CellIndex>(q))) ever_populated_[q] = 1;
-    }
   }
 
   size_t MarkedCount() const {
@@ -220,44 +211,24 @@ class CoverageScenario {
     ++tally_->removals;
     const std::vector<int32_t> reg_after = BruteRegCount();
 
-    // Cone-count reference (the count-based Algorithm 2): pending cells
-    // re-test their cone, newly settled live cells join or flush at once.
+    // Cone reference (Algorithm 2): a cell holding live tuples flushes in
+    // the removal that clears its dominator cone of RegCount. A marked cell
+    // holds none, and an emitted one was cleared by an earlier removal.
     std::vector<CellIndex> expected_flush;
-    for (auto it = ref_pending_.begin(); it != ref_pending_.end();) {
-      if (ConeBlockers(*it, reg_after) != 0) {
-        ++it;
-        continue;
-      }
-      if (!table_->marked(*it) && !table_->emitted(*it)) {
-        expected_flush.push_back(*it);
-      }
-      it = ref_pending_.erase(it);
-    }
     for (size_t c = 0; c < total_; ++c) {
-      if (reg_before[c] == 0 || reg_after[c] != 0) continue;
       const CellIndex ci = static_cast<CellIndex>(c);
-      if (ever_populated_[c] && !table_->populated(ci) &&
-          !table_->marked(ci)) {
-        ++tally_->emptied_before_settle;
-      }
-      if (!table_->populated(ci) || table_->marked(ci) ||
-          table_->emitted(ci)) {
-        continue;
-      }
-      if (ConeBlockers(ci, reg_after) == 0) {
+      if (table_->populated(ci) && ConeBlockers(ci, reg_before) != 0 &&
+          ConeBlockers(ci, reg_after) == 0) {
         expected_flush.push_back(ci);
-      } else {
-        ref_pending_.insert(ci);
       }
     }
-    std::sort(expected_flush.begin(), expected_flush.end());
 
     const OutputTable::CoverageRelease release =
         table_->ReleaseRegionCoverage(region);
     CheckCounters();
     if (testing::Test::HasFatalFailure()) return;
-    const std::vector<CellIndex> flush = determine_->OnRegionReleased(release);
-    ASSERT_EQ(flush, expected_flush) << "flush list after removing " << id;
+    ASSERT_EQ(release.flush, expected_flush)
+        << "flush list after removing " << id;
 
     const std::vector<int64_t> after = BruteIndegrees();
     std::vector<int32_t> expected_roots;
@@ -276,8 +247,7 @@ class CoverageScenario {
 
     std::vector<double> values;
     std::vector<CellTupleIds> ids;
-    for (CellIndex c : flush) {
-      if (table_->AliveCount(c) == 0) ++tally_->flushed_empty;
+    for (CellIndex c : release.flush) {
       table_->FlushCell(c, &values, &ids);
       ++tally_->flushes;
     }
@@ -293,9 +263,6 @@ class CoverageScenario {
   std::unique_ptr<OutputTable> table_;
   std::vector<Region> regions_;
   std::unique_ptr<ElGraph> graph_;
-  std::unique_ptr<ProgDetermine> determine_;
-  std::set<CellIndex> ref_pending_;
-  std::vector<uint8_t> ever_populated_;
   RowId next_row_ = 0;
 };
 
@@ -310,15 +277,12 @@ TEST(CoverageDifferential, MatchesBruteForceUnderRandomRemovals) {
   // The scenarios must actually exercise every rule they check.
   EXPECT_GT(tally.removals, 2000);
   EXPECT_GT(tally.flushes, 500);
-  EXPECT_GT(tally.flushed_empty, 20) << "too few cells evicted after arming";
-  EXPECT_GT(tally.emptied_before_settle, 50)
-      << "too few cells evicted before they settled";
   EXPECT_GT(tally.killed, 100);
   EXPECT_GT(tally.new_roots, 200);
 }
 
 TEST(CoverageDifferential, PrefixSumBuildMatchesBoxWalksOnFullGrid) {
-  // Boxes touching the top corner exercise the dropped out-of-grid corners.
+  // Overlapping up-sets, one of them a single cell of the top face.
   GridGeometry geometry({Interval(0, 4), Interval(0, 4), Interval(0, 4)}, 4);
   ProgXeStats stats;
   OutputTable table(
@@ -334,16 +298,16 @@ TEST(CoverageDifferential, PrefixSumBuildMatchesBoxWalksOnFullGrid) {
   regions[2].hi_cell = {1, 1, 1};
   for (int32_t i = 0; i < 3; ++i) regions[static_cast<size_t>(i)].id = i;
   table.InitCoverage(regions);
-  std::vector<int32_t> reg(static_cast<size_t>(geometry.total_cells()), 0);
+  std::vector<int32_t> cover(static_cast<size_t>(geometry.total_cells()), 0);
+  const CellCoord top[] = {3, 3, 3};
   for (const Region& region : regions) {
     geometry.ForEachCellInBox(
-        region.lo_cell.data(), region.hi_cell.data(),
-        [&](CellIndex c) { ++reg[static_cast<size_t>(c)]; });
+        region.lo_cell.data(), top,
+        [&](CellIndex c) { ++cover[static_cast<size_t>(c)]; });
   }
   for (CellIndex c = 0; c < geometry.total_cells(); ++c) {
-    EXPECT_EQ(table.reg_count(c), reg[static_cast<size_t>(c)]) << c;
+    EXPECT_EQ(table.cover_lo(c), cover[static_cast<size_t>(c)]) << c;
   }
-  const CellCoord top[] = {3, 3, 3};
   EXPECT_EQ(table.cover_lo(geometry.IndexOf(top)), 3);
 }
 

@@ -1,5 +1,6 @@
-// Focused tests for ProgOrder (Algorithm 1) and ProgDetermine (Algorithm 2)
-// behaviours that the end-to-end tests exercise only implicitly.
+// Focused tests for ProgOrder (Algorithm 1) and the progressive flush rule
+// (Algorithm 2) behaviours that the end-to-end tests exercise only
+// implicitly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,23 +9,24 @@
 #include "elgraph/el_graph.h"
 #include "harness/experiment.h"
 #include "progxe/output_table.h"
-#include "progxe/prog_determine.h"
 #include "progxe/prog_order.h"
 
 namespace progxe {
 namespace {
 
-// --- ProgDetermine over a hand-built 2-d scenario --------------------------
+// --- Flush rule over a hand-built 2-d scenario -----------------------------
+//
+// A region's removal flushes the populated cells whose cover_lo it brings
+// to zero (OutputTable::ReleaseRegionCoverage's `flush` list).
 
-class ProgDetermineTest : public ::testing::Test {
+class FlushRuleTest : public ::testing::Test {
  protected:
-  ProgDetermineTest()
+  FlushRuleTest()
       : geometry_({Interval(0, 10), Interval(0, 10)}, 5),
         table_(geometry_,
                std::vector<uint8_t>(
                    static_cast<size_t>(geometry_.total_cells()), 0),
-               &stats_),
-        determine_(&table_) {}
+               &stats_) {}
 
   Region MakeRegion(int32_t id, double lo_x, double lo_y, double hi_x,
                     double hi_y) {
@@ -48,27 +50,28 @@ class ProgDetermineTest : public ::testing::Test {
     return geometry_.IndexOf(coords);
   }
 
+  std::vector<CellIndex> Release(const Region& region) {
+    return table_.ReleaseRegionCoverage(region).flush;
+  }
+
   ProgXeStats stats_;
   GridGeometry geometry_;
   OutputTable table_;
-  ProgDetermine determine_;
 };
 
-TEST_F(ProgDetermineTest, FlushesImmediatelyWhenConeClear) {
+TEST_F(FlushRuleTest, FlushesImmediatelyWhenConeClear) {
   // One region near the origin; after it completes its populated cells have
   // an empty dominator cone and flush at once.
   std::vector<Region> regions{MakeRegion(0, 0, 0, 3.9, 3.9)};
   table_.InitCoverage(regions);
   const double pt[] = {1.0, 1.0};
   table_.Insert(pt, 0, 0);
-  auto flush =
-      determine_.OnRegionReleased(table_.ReleaseRegionCoverage(regions[0]));
+  auto flush = Release(regions[0]);
   ASSERT_EQ(flush.size(), 1u);
   EXPECT_EQ(flush[0], CellAt(1.0, 1.0));
-  EXPECT_EQ(determine_.PendingCount(), 0u);
 }
 
-TEST_F(ProgDetermineTest, HoldsCellUntilThreateningRegionCompletes) {
+TEST_F(FlushRuleTest, HoldsCellUntilThreateningRegionCompletes) {
   // Region A covers upper-right cells; region B covers cells in A's
   // dominator cone. A's populated cell must wait for B.
   std::vector<Region> regions{MakeRegion(0, 4.0, 4.0, 7.9, 7.9),
@@ -77,56 +80,60 @@ TEST_F(ProgDetermineTest, HoldsCellUntilThreateningRegionCompletes) {
   const double pt[] = {5.0, 5.0};
   table_.Insert(pt, 0, 0);
 
-  auto flush_a = determine_.OnRegionReleased(
-      table_.ReleaseRegionCoverage(regions[0]));
-  EXPECT_TRUE(flush_a.empty()) << "flushed while region B could still fill "
-                                  "the dominator cone";
-  EXPECT_EQ(determine_.PendingCount(), 1u);
+  EXPECT_TRUE(Release(regions[0]).empty())
+      << "flushed while region B could still fill the dominator cone";
+  EXPECT_EQ(table_.cover_lo(CellAt(5.0, 5.0)), 1);
 
-  auto flush_b = determine_.OnRegionReleased(
-      table_.ReleaseRegionCoverage(regions[1]));
+  auto flush_b = Release(regions[1]);
   ASSERT_EQ(flush_b.size(), 1u);
   EXPECT_EQ(flush_b[0], CellAt(5.0, 5.0));
-  EXPECT_EQ(determine_.PendingCount(), 0u);
 }
 
-TEST_F(ProgDetermineTest, SliceNeighborAlsoBlocks) {
+TEST_F(FlushRuleTest, SliceNeighborAlsoBlocks) {
   // B shares a row (same y-range) with A's populated cell: only partially
-  // threatening, but ProgDetermine must still wait (Set 3 of Figure 9).
+  // threatening, but the cell must still wait (Set 3 of Figure 9).
   std::vector<Region> regions{MakeRegion(0, 4.0, 0.0, 7.9, 1.9),
                               MakeRegion(1, 0.0, 0.0, 1.9, 1.9)};
   table_.InitCoverage(regions);
   const double pt[] = {5.0, 1.0};
   table_.Insert(pt, 0, 0);
-  EXPECT_TRUE(determine_
-                  .OnRegionReleased(table_.ReleaseRegionCoverage(regions[0]))
-                  .empty());
-  EXPECT_EQ(determine_
-                .OnRegionReleased(table_.ReleaseRegionCoverage(regions[1]))
-                .size(),
-            1u);
+  EXPECT_TRUE(Release(regions[0]).empty());
+  EXPECT_EQ(Release(regions[1]).size(), 1u);
 }
 
-TEST_F(ProgDetermineTest, MarkedCellsNeverFlush) {
+TEST_F(FlushRuleTest, MarkedCellsNeverFlush) {
   std::vector<Region> regions{MakeRegion(0, 0, 0, 7.9, 7.9)};
   table_.InitCoverage(regions);
   const double low[] = {1.0, 1.0};
   const double high[] = {5.0, 5.0};
   table_.Insert(low, 0, 0);
   table_.Insert(high, 1, 1);  // cell marked by the low one: discarded
-  auto flush = determine_.OnRegionReleased(
-      table_.ReleaseRegionCoverage(regions[0]));
+  auto flush = Release(regions[0]);
   ASSERT_EQ(flush.size(), 1u);  // only the low cell
   EXPECT_EQ(flush[0], CellAt(1.0, 1.0));
 }
 
-TEST_F(ProgDetermineTest, UnpopulatedSettledCellsAreIgnored) {
+TEST_F(FlushRuleTest, UnpopulatedCellsNeverFlush) {
   std::vector<Region> regions{MakeRegion(0, 0, 0, 7.9, 7.9)};
   table_.InitCoverage(regions);
-  auto flush = determine_.OnRegionReleased(
-      table_.ReleaseRegionCoverage(regions[0]));
-  EXPECT_TRUE(flush.empty());
-  EXPECT_EQ(determine_.PendingCount(), 0u);
+  EXPECT_TRUE(Release(regions[0]).empty());
+}
+
+TEST_F(FlushRuleTest, CellEmptiedByEvictionDoesNotFlush) {
+  // B's tuple evicts A's only tuple before A's cell clears: the cell holds
+  // no live tuple when its cover_lo reaches 0, so nothing flushes for it.
+  std::vector<Region> regions{MakeRegion(0, 4.0, 0.0, 7.9, 1.9),
+                              MakeRegion(1, 0.0, 0.0, 1.9, 1.9)};
+  table_.InitCoverage(regions);
+  const double a[] = {5.0, 1.0};
+  const double b[] = {1.0, 0.5};  // same row, dominates a
+  table_.Insert(a, 0, 0);
+  EXPECT_TRUE(Release(regions[0]).empty());
+  table_.Insert(b, 1, 1);
+  EXPECT_EQ(table_.AliveCount(CellAt(5.0, 1.0)), 0u);
+  auto flush = Release(regions[1]);
+  ASSERT_EQ(flush.size(), 1u);
+  EXPECT_EQ(flush[0], CellAt(1.0, 0.5));
 }
 
 // --- ProgOrder ranking behaviour -------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -134,31 +135,66 @@ TEST_F(OutputTableTest, EqualTuplesBothSurvive) {
   EXPECT_EQ(table_.AliveCount(CellAt(3.0, 3.0)), 2u);
 }
 
-TEST_F(OutputTableTest, CoverageSettlesOnRelease) {
+TEST_F(OutputTableTest, CoverageFlushesOnRelease) {
   std::vector<Region> regions;
   regions.push_back(CoveringRegion(0, 0, 3.9, 3.9));  // cells [0..1]^2
   regions.push_back(CoveringRegion(2, 2, 5.9, 5.9));  // cells [1..2]^2
   table_.InitCoverage(regions);
-  EXPECT_EQ(table_.reg_count(CellAt(1, 1)), 1);
-  EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 2);  // overlap cell (1,1)
-  EXPECT_EQ(table_.reg_count(CellAt(9, 9)), 0);
   // cover_lo counts regions whose lower cell is <= the cell.
   EXPECT_EQ(table_.cover_lo(CellAt(1, 1)), 1);
+  EXPECT_EQ(table_.cover_lo(CellAt(3, 3)), 2);  // overlap cell (1,1)
   EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 2);
   EXPECT_EQ(table_.cover_lo(CellAt(9, 1)), 1);
 
-  auto settled0 = table_.ReleaseRegionCoverage(regions[0]).settled;
-  // Cells covered only by region 0 settle; the overlap cell does not.
-  EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 1);
-  bool overlap_settled = false;
-  for (CellIndex c : settled0) overlap_settled |= (c == CellAt(3, 3));
-  EXPECT_FALSE(overlap_settled);
-  EXPECT_EQ(settled0.size(), 3u);  // cells (0,0) (0,1) (1,0)
+  // Three mutually incomparable tuples in cells (0,1), (1,1) and (2,1).
+  EXPECT_EQ(Insert(1.0, 3.5), InsertOutcome::kInserted);
+  EXPECT_EQ(Insert(3.0, 2.5), InsertOutcome::kInserted);
+  EXPECT_EQ(Insert(5.0, 2.2), InsertOutcome::kInserted);
 
-  auto settled1 = table_.ReleaseRegionCoverage(regions[1]).settled;
-  EXPECT_EQ(settled1.size(), 4u);  // all of region 1's cells now settle
-  EXPECT_EQ(table_.reg_count(CellAt(3, 3)), 0);
+  // Region 0's up-set drops to 0 where only it counted and to 1 where
+  // region 1 counts too: the populated cell (0,1) flushes, the overlap
+  // cell waits for region 1.
+  const OutputTable::CoverageRelease first =
+      table_.ReleaseRegionCoverage(regions[0]);
+  EXPECT_EQ(first.lowered.size(), 25u);
+  EXPECT_EQ(first.flush, std::vector<CellIndex>{CellAt(1.0, 3.5)});
+  EXPECT_EQ(table_.cover_lo(CellAt(3, 3)), 1);
+
+  const OutputTable::CoverageRelease second =
+      table_.ReleaseRegionCoverage(regions[1]);
+  EXPECT_EQ(second.lowered.size(), 16u);
+  EXPECT_EQ(second.flush,
+            (std::vector<CellIndex>{CellAt(3.0, 2.5), CellAt(5.0, 2.2)}));
   EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 0);
+}
+
+TEST_F(OutputTableTest, MarkDominatedByMarksCellsStrictlyAbove) {
+  auto marked_count = [this] {
+    size_t n = 0;
+    for (CellIndex c = 0; c < geometry_.total_cells(); ++c) {
+      n += table_.marked(c) ? 1 : 0;
+    }
+    return n;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double above[] = {5.0, 11.0};  // above the grid in dimension 1
+  const double unknown[] = {nan, 1.0};
+  table_.MarkDominatedBy(above);
+  table_.MarkDominatedBy(unknown);
+  EXPECT_EQ(marked_count(), 0u);
+
+  const double point[] = {5.0, 5.0};  // cell (2,2)
+  table_.MarkDominatedBy(point);
+  EXPECT_EQ(marked_count(), 4u);  // cells (3..4, 3..4)
+  EXPECT_FALSE(table_.marked(CellAt(5.0, 9.0)));
+  // Below the grid in dimension 0: every column counts as strictly above.
+  const double below[] = {-1.0, 5.0};
+  table_.MarkDominatedBy(below);
+  EXPECT_EQ(marked_count(), 10u);  // cells (0..4, 3..4)
+  std::vector<CellIndex> newly;
+  table_.TakeNewlyMarked(&newly);
+  EXPECT_EQ(newly.size(), 10u);
+  EXPECT_EQ(Insert(1.0, 7.0), InsertOutcome::kDiscardedMarked);
 }
 
 TEST_F(OutputTableTest, InactiveRegionsNotCounted) {
@@ -166,7 +202,7 @@ TEST_F(OutputTableTest, InactiveRegionsNotCounted) {
   regions.push_back(CoveringRegion(0, 0, 3.9, 3.9));
   regions.back().pruned = true;
   table_.InitCoverage(regions);
-  EXPECT_EQ(table_.reg_count(CellAt(1, 1)), 0);
+  EXPECT_EQ(table_.cover_lo(CellAt(1, 1)), 0);
   EXPECT_EQ(table_.cover_lo(CellAt(9, 9)), 0);
 }
 

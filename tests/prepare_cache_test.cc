@@ -20,6 +20,7 @@
 #include "mapping/canonical.h"
 #include "progxe/prepare_cache.h"
 #include "progxe/session.h"
+#include "shard/shard_planner.h"
 
 namespace progxe {
 namespace {
@@ -378,6 +379,101 @@ TEST(PrepareCache, SeededRunMatchesUnseededSet) {
     ExpectSameStats(seeded_cold_stats, warm_stats, "seeded warm vs cold");
     EXPECT_EQ(cache->stats().hits, 1u);
   }
+}
+
+// Refinement seeds discard through the marked set: each seed point marks
+// the cells strictly above its own, and the first Step's discard sweep
+// removes the active regions whose lo_cell is marked. That must be exactly
+// the regions whose best corner (lo_cell's lower edges) some seed point
+// lies strictly below in every dimension, on unsharded and sharded (K=4,
+// one global seed per shard) loops alike, with the marked set up-closed.
+TEST(RefinementSeed, DiscardsMatchBestCornerRule) {
+  size_t discarded = 0;
+  for (uint64_t salt = 0; salt < 6; ++salt) {
+    Rng rng(0x5eed5 + salt);
+    const Config cfg = MakeConfig(&rng, salt % 3 == 2, salt % 2 == 0);
+    ProgXeOptions options;
+    options.seed = 0xfeed;
+    std::vector<ResultTuple> self_results;
+    Drain(cfg, options, nullptr, &self_results);
+    Config flipped = cfg;
+    std::vector<Direction> dirs = cfg.pref.directions();
+    dirs[0] = dirs[0] == Direction::kLowest ? Direction::kHighest
+                                            : Direction::kLowest;
+    flipped.pref = Preference(std::move(dirs));
+    std::vector<ResultTuple> flipped_results;
+    Drain(flipped, options, nullptr, &flipped_results);
+
+    for (const auto* parent : {&self_results, &flipped_results}) {
+      ProgXeOptions seeded = options;
+      seeded.refinement_seed = SeedFrom(cfg, *parent);
+      const RefinementSeed& seed = *seeded.refinement_seed;
+      for (int num_shards : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "salt=" << salt << " flip=" << (parent != &self_results)
+                     << " K=" << num_shards);
+        std::vector<QueryShard> shards;
+        std::vector<SkyMapJoinQuery> queries{cfg.query()};
+        if (num_shards > 1) {
+          shards = PlanShards(cfg.r, cfg.t, num_shards);
+          queries.clear();
+          for (const QueryShard& shard : shards) {
+            queries.push_back(shard.Query(cfg.query()));
+          }
+        }
+        for (const SkyMapJoinQuery& query : queries) {
+          auto session = ProgXeSession::Open(query, seeded);
+          ASSERT_TRUE(session.ok()) << session.status().ToString();
+          const RegionLoop* loop = (*session)->region_loop();
+          if (loop == nullptr) continue;
+          const OutputTable& table = loop->table();
+          const GridGeometry& geom = table.geometry();
+          const int k = geom.dimensions();
+          ASSERT_EQ(k, seed.k);
+
+          // The deleted best-corner rule, against the marks the seed left.
+          size_t expected = 0;
+          for (const Region& region : loop->regions()) {
+            if (!region.Active()) continue;
+            bool dominated = false;
+            for (size_t p = 0; p < seed.points() && !dominated; ++p) {
+              const double* pt =
+                  seed.canonical.data() + p * static_cast<size_t>(k);
+              dominated = true;
+              for (int j = 0; j < k; ++j) {
+                const CellCoord lo = region.lo_cell[static_cast<size_t>(j)];
+                dominated &= pt[j] < geom.CellLower(j, lo);
+              }
+            }
+            EXPECT_EQ(table.marked(geom.IndexOf(region.lo_cell.data())),
+                      dominated)
+                << "region " << region.id;
+            expected += dominated ? 1 : 0;
+          }
+
+          // Up-closure: a marked cell's upper neighbours are marked.
+          std::vector<CellCoord> coords(static_cast<size_t>(k));
+          for (CellIndex c = 0; c < geom.total_cells(); ++c) {
+            if (!table.marked(c)) continue;
+            geom.CoordsOfIndex(c, coords.data());
+            for (int d = 0; d < k; ++d) {
+              if (coords[static_cast<size_t>(d)] + 1 < geom.cells_per_dim()) {
+                ASSERT_TRUE(table.marked(c + geom.stride(d)))
+                    << "cell " << c << " dim " << d;
+              }
+            }
+          }
+
+          std::vector<ResultTuple> batch;
+          while ((*session)->NextBatch(0, &batch) > 0) {
+          }
+          EXPECT_EQ((*session)->stats().regions_discarded_seed, expected);
+          discarded += expected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(discarded, 0u) << "no seed discarded any region";
 }
 
 }  // namespace

@@ -435,13 +435,12 @@ TEST(ShardRecovery, SchedulerServedRetriesAreExactAndCounted) {
 
 // The backoff schedule is a pure function of (options, seed, shard,
 // consecutive_failures): the same seed reproduces the same schedule bit for
-// bit, every delay stays inside the documented ±retry_jitter envelope
+// bit, every delay stays inside the documented ±25% jitter envelope
 // around the capped exponential base, and distinct shards land on distinct
 // offsets so simultaneously-sick shards desynchronize their re-opens.
 TEST(ShardRecovery, JitteredBackoffIsDeterministicAndBounded) {
   ShardOptions opts;
   opts.retry_backoff = std::chrono::milliseconds(10);
-  opts.retry_jitter = 0.25;
 
   std::vector<std::chrono::nanoseconds> first_attempts;
   for (uint64_t seed : {uint64_t{0}, uint64_t{42}, uint64_t{0xfeed}}) {
@@ -472,63 +471,9 @@ TEST(ShardRecovery, JitteredBackoffIsDeterministicAndBounded) {
       first_attempts.begin();
   EXPECT_GT(distinct, 1);
 
-  // jitter = 0 restores the exact exponential schedule, including the cap.
-  opts.retry_jitter = 0.0;
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 1),
-            std::chrono::nanoseconds(std::chrono::milliseconds(10)));
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 4),
-            std::chrono::nanoseconds(std::chrono::milliseconds(80)));
-  EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 20),
-            std::chrono::nanoseconds(std::chrono::milliseconds(640)));
-
   // A zero base backoff stays zero regardless of jitter.
-  opts.retry_jitter = 0.25;
   opts.retry_backoff = std::chrono::milliseconds(0);
   EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 3).count(), 0);
-}
-
-// The stream-wide retry budget (ShardOptions::max_total_retries) caps the
-// total re-opens across all shards even when the per-shard budget would
-// allow many more: against a persistent fault the stream commits exactly
-// max_total_retries re-opens and then degrades (allow_partial) or fails —
-// and either way Drain() returns with the exact spend in coverage().
-TEST(ShardRecovery, TotalRetryBudgetCapsRecovery) {
-  Rng rng(0x5eed3);
-  const Config cfg = MakeConfig(&rng, true, false);
-
-  for (bool allow_partial : {false, true}) {
-    ServiceOptions sopts;
-    sopts.num_workers = 2;
-    sopts.batch_budget = 64;
-    QueryScheduler scheduler(sopts);
-
-    ProgXeOptions faulty;
-    faulty.faults = MustParse("shard.open:p=1,shard=0", 0);
-    SubmitOptions submit;
-    submit.shards.num_shards = 4;
-    submit.shards.max_retries = 50;       // ample per-shard budget...
-    submit.shards.max_total_retries = 3;  // ...capped stream-wide
-    submit.shards.retry_backoff = std::chrono::milliseconds(0);
-    submit.shards.allow_partial = allow_partial;
-
-    PartialSink sink;
-    auto handle = scheduler.Submit(cfg.query(), faulty, &sink, submit);
-    ASSERT_TRUE(handle.ok());
-    scheduler.Drain();
-    ASSERT_TRUE(sink.done());
-
-    const ShardCoverage& coverage = handle->coverage();
-    EXPECT_EQ(coverage.retries, 3u);
-    if (allow_partial) {
-      EXPECT_EQ(handle->state(), QueryState::kPartial);
-      EXPECT_TRUE(sink.status().ok());
-      EXPECT_EQ(coverage.completed, 3);
-      EXPECT_EQ(coverage.abandoned, 1);
-    } else {
-      EXPECT_EQ(handle->state(), QueryState::kFailed);
-      EXPECT_TRUE(handle->status().IsUnavailable());
-    }
-  }
 }
 
 // --- Checkpointed recovery -------------------------------------------------

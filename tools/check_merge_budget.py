@@ -17,12 +17,12 @@ orders of magnitude — again regardless of machine speed.
 `coverage_cells_walked` (the same run's region-coverage bookkeeping counter:
 cells visited by the coverage build and release row walks, cells examined
 for ProgCount upkeep, and EL-Graph watch-list entries, summed over shards)
-is held under `--coverage_budget` when that flag is given. The counters are
-built by prefix sums and maintained by one box walk plus one up-set walk
-per removed region, over an output grid each shard sizes to its slice's
-expected join output; a return to per-region build walks, per-call ProgCount
-box walks, cone walks or a fixed full-size grid multiplies it — on any
-runner.
+is held under `--coverage_budget` when that flag is given. The one counter,
+cover_lo, is built by prefix sums and maintained by one up-set walk per
+removed region, over an output grid each shard sizes to its slice's
+expected join output; a second per-cell counter with its own box walk,
+per-region build walks, per-call ProgCount box walks, cone walks or a fixed
+full-size grid multiplies it — on any runner.
 
 `--engine_budget=K:N` (repeatable) holds the K-run's engine
 `comparisons` (the shards' `dominance_comparisons`, summed) under N. The
@@ -198,9 +198,9 @@ def main(argv):
                 raise SystemExit(
                     f"FAIL: coverage_cells_walked at K={shards} exceeded the "
                     f"budget ({walked} > {coverage_budget}) — region "
-                    f"coverage upkeep is walking more than one box and one "
-                    f"up-set per removed region, or the output grid is no "
-                    f"longer sized to the shard's join output")
+                    f"coverage upkeep is walking more than one up-set per "
+                    f"removed region, or the output grid is no longer "
+                    f"sized to the shard's join output")
     elif reuse is None and distributed is None:
         raise SystemExit(f"{path}: no K={shards} run recorded")
 

@@ -4,6 +4,8 @@
 # the delivered result set's canonical hash must equal the in-process run's
 # — the end-to-end form of the bit-identity contract (wire serde, worker
 # pump slicing, coordinator merge and watermark release all on the path).
+# A server leg first checks that a sharded query's done line reports the
+# same result count as the unsharded one.
 #
 # Usage: tools/distributed_smoke.sh [build_dir]
 set -euo pipefail
@@ -32,6 +34,20 @@ trap cleanup EXIT
 # Malformed numeric flags must be rejected, not truncated ("4x" -> 4).
 if "$cli" --shards=4x --n=100 --series=0 >/dev/null 2>&1; then
   echo "FAIL: progxe_cli accepted --shards=4x" >&2
+  exit 1
+fi
+
+# The server's done line reports the delivered count, so the same query
+# served with shards=4 and shards=1 must end with the same results=.
+done_results() {
+  printf 'submit n=500 shards=%s\ndrain\nquit\n' "$1" | "$server" 2>/dev/null \
+    | sed -n 's/^done id=[0-9]* state=finished results=\([0-9]*\).*/\1/p'
+}
+sharded_results="$(done_results 4)"
+unsharded_results="$(done_results 1)"
+echo "server done results: shards=4 $sharded_results, shards=1 $unsharded_results"
+if [[ -z "$sharded_results" || "$sharded_results" != "$unsharded_results" ]]; then
+  echo "FAIL: done results= differs between shards=4 and shards=1" >&2
   exit 1
 fi
 

@@ -36,6 +36,7 @@
 //        "batch id=<id> n=<k> total=<total> t=<sec>"      (per delivery)
 //        "result id=<id> r=<rid> t=<tid>"                 (--echo_results)
 //        "done id=<id> state=<state> results=<n> pairs=<n> cmps=<n> t=<sec>"
+//        (results= is the delivered count, the last batch's total=)
 //     algo= must name a ProgXe variant. The tool-only keys: reuse=1 keeps
 //     the query's workload and accepted results alive after it finishes so
 //     later refinements can build on it; parent=<id> submits a refinement
@@ -174,7 +175,7 @@ struct ServedQuery : QuerySink {
                   "done id=%llu state=%s results=%zu pairs=%llu cmps=%llu "
                   "t=%.6f",
                   static_cast<unsigned long long>(id), QueryStateName(state),
-                  stats.results_emitted,
+                  total.load(std::memory_order_relaxed),
                   static_cast<unsigned long long>(stats.join_pairs_generated),
                   static_cast<unsigned long long>(stats.dominance_comparisons),
                   watch.ElapsedSeconds());
@@ -275,8 +276,7 @@ void PrintStat(const ServedQuery& query) {
   }
   if (IsTerminal(state)) {
     const ProgXeStats& stats = query.handle.stats();
-    line << " results=" << stats.results_emitted
-         << " cmps=" << stats.dominance_comparisons;
+    line << " cmps=" << stats.dominance_comparisons;
     // Coverage is part of every terminal report — a finished query says
     // covered=K/K rather than staying silent, so "did we see everything?"
     // never needs a second command.
