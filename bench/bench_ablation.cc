@@ -9,9 +9,7 @@
 //   2. Input-grid resolution: more input partitions => more, tighter
 //      regions => more look-ahead pruning and fewer join pairs, at the cost
 //      of more region bookkeeping.
-//   3. Partitioning scheme: the uniform grid against adaptive kd median
-//      splits, per distribution.
-//   4. The analytic slice bound itself, tabulated.
+//   3. The analytic slice bound itself, tabulated.
 #include <cmath>
 #include <vector>
 
@@ -122,27 +120,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- 3. Partitioning scheme: uniform grid vs adaptive kd splits ----------
-  std::printf("\n--- partitioning scheme (per distribution) ---\n");
-  for (Distribution dist :
-       {Distribution::kCorrelated, Distribution::kIndependent,
-        Distribution::kAntiCorrelated}) {
-    Workload w = StandardWorkload(args, dist);
-    for (PartitioningScheme scheme :
-         {PartitioningScheme::kUniformGrid, PartitioningScheme::kKdTree}) {
-      ProgXeOptions options;
-      options.partitioning = scheme;
-      const AblationRun run = RunWith(w, options);
-      char label[48];
-      std::snprintf(label, sizeof(label), "%s/%s",
-                    DistributionName(dist),
-                    scheme == PartitioningScheme::kUniformGrid ? "grid"
-                                                               : "kd");
-      PrintStatsRow(label, run.stats, run.secs);
-    }
-  }
-
-  // --- 4. The analytic comparable-slice bound (Section III-B) -------------
+  // --- 3. The analytic comparable-slice bound (Section III-B) -------------
   std::printf("\n--- slice bound: k^d - (k-1)^d of k^d partitions ---\n");
   std::printf("  %-6s %-4s %-14s %-14s %-8s\n", "k", "d", "k^d",
               "slice cells", "fraction");

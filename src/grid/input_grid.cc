@@ -4,6 +4,8 @@
 #include <limits>
 #include <unordered_map>
 
+#include "grid/grid_geometry.h"
+
 namespace progxe {
 
 InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
@@ -12,33 +14,33 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
   const size_t n = rel.size();
 
   // Global contribution bounds.
-  global_bounds_.assign(static_cast<size_t>(k),
-                        Interval(std::numeric_limits<double>::max(),
-                                 std::numeric_limits<double>::max()));
+  std::vector<Interval> global_bounds(
+      static_cast<size_t>(k), Interval(std::numeric_limits<double>::max(),
+                                       std::numeric_limits<double>::max()));
   if (n > 0) {
     const double* first = contribs.vector(0);
     for (int j = 0; j < k; ++j) {
-      global_bounds_[static_cast<size_t>(j)] = Interval::Point(first[j]);
+      global_bounds[static_cast<size_t>(j)] = Interval::Point(first[j]);
     }
     for (size_t i = 1; i < n; ++i) {
       const double* v = contribs.vector(static_cast<RowId>(i));
       for (int j = 0; j < k; ++j) {
-        auto& b = global_bounds_[static_cast<size_t>(j)];
+        auto& b = global_bounds[static_cast<size_t>(j)];
         b = Interval(std::min(b.lo, v[j]), std::max(b.hi, v[j]));
       }
     }
   } else {
-    global_bounds_.assign(static_cast<size_t>(k), Interval(0.0, 0.0));
+    global_bounds.assign(static_cast<size_t>(k), Interval(0.0, 0.0));
   }
 
-  geometry_ = GridGeometry(global_bounds_, options.cells_per_dim);
+  const GridGeometry geometry(global_bounds, options.cells_per_dim);
 
   // Bucket rows by cell.
   std::unordered_map<CellIndex, std::vector<RowId>> cells;
   std::vector<CellCoord> coords(static_cast<size_t>(k));
   for (size_t i = 0; i < n; ++i) {
-    geometry_.CoordsOf(contribs.vector(static_cast<RowId>(i)), coords.data());
-    cells[geometry_.IndexOf(coords.data())].push_back(static_cast<RowId>(i));
+    geometry.CoordsOf(contribs.vector(static_cast<RowId>(i)), coords.data());
+    cells[geometry.IndexOf(coords.data())].push_back(static_cast<RowId>(i));
   }
 
   // Materialize partitions in deterministic (cell index) order.
@@ -54,8 +56,6 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
   for (CellIndex idx : order) {
     InputPartition part;
     part.rows = std::move(cells[idx]);
-    part.coords.resize(static_cast<size_t>(k));
-    geometry_.CoordsOfIndex(idx, part.coords.data());
 
     // Tight observed bounds.
     part.bounds.assign(static_cast<size_t>(k), Interval());
@@ -74,6 +74,17 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
     part.key_index = KeyIndex(rel, part.rows);
     partitions_.push_back(std::move(part));
   }
+}
+
+size_t InputGrid::ApproxBytes() const {
+  size_t bytes = 0;
+  for (const InputPartition& p : partitions_) {
+    bytes += sizeof(InputPartition);
+    bytes += p.rows.capacity() * sizeof(RowId);
+    bytes += p.bounds.capacity() * sizeof(Interval);
+    bytes += p.key_index.ApproxBytes();
+  }
+  return bytes;
 }
 
 }  // namespace progxe

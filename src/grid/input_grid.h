@@ -1,6 +1,7 @@
 // Uniform-grid input partitioning of one source relation (Section III of
 // the paper: "we assume the input data sets are partitioned into a
-// multi-dimensional grid structure").
+// multi-dimensional grid structure"). Everything downstream (look-ahead,
+// ProgOrder, tuple-level processing) reads only the partition list.
 //
 // Partitioning is done in *contribution space*: each tuple's canonical
 // k-dimensional contribution vector (see mapping/canonical.h) determines its
@@ -13,12 +14,26 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
-#include "grid/partitioning.h"
-#include "mapping/canonical.h"
+#include "data/relation.h"
+#include "join/key_index.h"
+#include "mapping/interval.h"
 #include "skyline/group_skyline.h"
 
 namespace progxe {
+
+/// One non-empty input partition I_a of a source.
+struct InputPartition {
+  /// Rows of the source relation in this partition.
+  std::vector<RowId> rows;
+  /// Tight contribution bounds per output dimension (canonical space).
+  std::vector<Interval> bounds;
+  /// Join-key runs over `rows`: the partition signature (Section III-A).
+  /// Two partitions share a join key iff their runs share one
+  /// (KeyIndex::SharesKeyWith), an exact test.
+  KeyIndex key_index;
+
+  size_t size() const { return rows.size(); }
+};
 
 /// Options controlling uniform-grid input partitioning.
 struct InputGridOptions {
@@ -26,27 +41,28 @@ struct InputGridOptions {
 };
 
 /// The gridded view of one source.
-class InputGrid : public InputPartitioning {
+class InputGrid {
  public:
+  /// No partitions (a prepare that returned before partitioning).
+  InputGrid() = default;
+
   /// Builds the grid for `rel`. `contribs` must have been computed with the
   /// same mapper/side.
   InputGrid(const Relation& rel, const ContributionTable& contribs,
             const InputGridOptions& options);
 
-  /// Non-empty partitions only.
-  const std::vector<InputPartition>& partitions() const override {
-    return partitions_;
-  }
+  /// Non-empty partitions covering every source row exactly once, in cell
+  /// index order.
+  const std::vector<InputPartition>& partitions() const { return partitions_; }
 
-  const GridGeometry& geometry() const { return geometry_; }
+  size_t num_partitions() const { return partitions_.size(); }
 
-  /// Hull of all partition bounds: the source's contribution bounding box.
-  const std::vector<Interval>& global_bounds() const { return global_bounds_; }
+  /// Heap bytes held by the partitions: row lists, bounds and key runs
+  /// (the prepared-state cache's byte budget).
+  size_t ApproxBytes() const;
 
  private:
-  GridGeometry geometry_;
   std::vector<InputPartition> partitions_;
-  std::vector<Interval> global_bounds_;
 };
 
 }  // namespace progxe

@@ -134,12 +134,6 @@ Status ApplySubmitSetting(const Setting& setting, SubmitSpec* spec) {
     if (AlgoFromName(std::string(value), &spec->algo)) return Status::OK();
     return Status::InvalidArgument("unknown algo: " + std::string(value));
   }
-  if (key == "kd") {
-    bool kd = false;
-    PROGXE_RETURN_NOT_OK(SettingFlag(setting, &kd));
-    spec->options.partitioning = PartitioningScheme::kKdTree;
-    return Status::OK();
-  }
   if (key == "max_results") {
     return SettingNumber(setting, size_t{0}, kMaxSize,
                          &spec->options.max_results);

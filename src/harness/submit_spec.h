@@ -8,7 +8,7 @@
 //   dist=independent|correlated|anticorrelated  n=<1..20M>  dims=<2..16>
 //   sigma=<(0,1]>  seed=<u64>                    the workload (defaults
 //                                                independent 10000 4 0.001 42)
-//   algo=<name>  kd  max_results=<n>             the engine (ProgXe variants
+//   algo=<name>  max_results=<n>                 the engine (ProgXe variants
 //                                                and the baselines by name)
 //   weight=<w > 0>                               slice share under contention
 //   deadline_ms=<ms>                             > 0 overrides the serving
@@ -28,7 +28,7 @@
 // Serving keys (ApplyServeSetting -> ServiceOptions):
 //   workers=<1..256>  budget=<pairs>  max_concurrent=<n>  max_queue=<n>
 //   deadline_ms=<ms >= 0>                        the default deadline
-// `kd` and `allow_partial` are bare flags; every other key needs a value.
+// `allow_partial` is a bare flag; every other key needs a value.
 //
 // Each Apply*Setting returns NotFound for a key it does not own, so a tool
 // offers a setting to the shared parsers and then to its own keys:
@@ -101,7 +101,7 @@ Status SettingNumber(const Setting& setting, T lo, T hi, T* out) {
 struct SubmitSpec {
   WorkloadParams params;
   Algo algo = Algo::kProgXe;
-  /// `kd` and `max_results`; EngineOptions() adds the faults.
+  /// `max_results`; EngineOptions() adds the faults.
   ProgXeOptions options;
   /// `weight`, `deadline_ms` and the sharding keys (`submit.shards`).
   SubmitOptions submit;

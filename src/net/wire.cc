@@ -356,7 +356,6 @@ bool FitsInt(int64_t v) {
 void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
   w->PutU8(static_cast<uint8_t>(options.ordering));
   w->PutU8(options.push_through ? 1 : 0);
-  w->PutU8(static_cast<uint8_t>(options.partitioning));
   w->PutI64(options.input_cells_per_dim);
   w->PutI64(options.output_cells_per_dim);
   w->PutU64(options.seed);
@@ -375,18 +374,15 @@ void WriteOptions(const ProgXeOptions& options, WireWriter* w) {
 
 Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   ProgXeOptions o;
-  uint8_t ordering, push_through, partitioning;
+  uint8_t ordering, push_through;
   int64_t in_cpd, out_cpd, fault_instance;
   uint64_t seed, max_results;
   if (!r->GetU8(&ordering) || !r->GetU8(&push_through) ||
-      !r->GetU8(&partitioning) || !r->GetI64(&in_cpd) ||
-      !r->GetI64(&out_cpd) || !r->GetU64(&seed) ||
-      !r->GetI64(&fault_instance) ||
-      !r->GetU64(&max_results)) {
+      !r->GetI64(&in_cpd) || !r->GetI64(&out_cpd) || !r->GetU64(&seed) ||
+      !r->GetI64(&fault_instance) || !r->GetU64(&max_results)) {
     return r->status();
   }
-  if (ordering > static_cast<uint8_t>(OrderingMode::kSequential) ||
-      partitioning > static_cast<uint8_t>(PartitioningScheme::kKdTree)) {
+  if (ordering > static_cast<uint8_t>(OrderingMode::kSequential)) {
     r->Fail("wire options carry an unknown enum value");
     return r->status();
   }
@@ -396,7 +392,6 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
   }
   o.ordering = static_cast<OrderingMode>(ordering);
   o.push_through = push_through != 0;
-  o.partitioning = static_cast<PartitioningScheme>(partitioning);
   o.input_cells_per_dim = static_cast<int>(in_cpd);
   o.output_cells_per_dim = static_cast<int>(out_cpd);
   o.seed = seed;

@@ -62,9 +62,10 @@ namespace progxe {
 /// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
 /// workers ship one only when its skip list grew). Version 7 dropped
 /// `max_output_cells` from the options group: the output-cell cap is
-/// fixed, so a peer cannot raise it.
+/// fixed, so a peer cannot raise it. Version 8 dropped the partitioning
+/// byte: the input grid is the one partitioner.
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 7;
+inline constexpr uint16_t kWireVersion = 8;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted

@@ -21,8 +21,8 @@ bool PointDominates(const double* u, const double* v, int k) {
 
 }  // namespace
 
-Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
-                                             const InputPartitioning& t_grid,
+Result<LookaheadResult> OutputSpaceLookahead(const InputGrid& r_grid,
+                                             const InputGrid& t_grid,
                                              const CanonicalMapper& mapper,
                                              const LookaheadOptions& options) {
   LookaheadResult out;
@@ -125,28 +125,54 @@ Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
   }
 
   // --- Step 4: partition-level marking (Example 3) -------------------------
-  // A cell is non-contributing when some region's upper corner dominates
-  // the cell's lower corner: the region's guaranteed tuple (<= upper in
-  // every dimension) then dominates every tuple that could map there.
-  out.marked.assign(static_cast<size_t>(out.output_grid.total_cells()), 0);
+  // A cell is non-contributing when some region's upper corner u dominates
+  // the cell's lower corner: the region's guaranteed tuple (<= u in every
+  // dimension) then dominates every tuple that could map there. CellLower
+  // is monotone in the coordinate, so per dimension j the cells with lower
+  // bound >= u_j start at m_j and those with lower bound > u_j at s_j; u's
+  // marked set is the union over j of the up-sets of m with m_j := s_j.
+  // One seed per such corner and one prefix-sum pass per dimension (as for
+  // cover_lo) mark the union over all u, up-closed by construction.
+  const GridGeometry& grid = out.output_grid;
+  const CellIndex total = grid.total_cells();
+  out.marked.assign(static_cast<size_t>(total), 0);
   if (frontier_n > 0) {
-    std::vector<CellCoord> coords(static_cast<size_t>(k));
-    std::vector<double> cell_lo(static_cast<size_t>(k));
-    const CellIndex total = out.output_grid.total_cells();
-    for (CellIndex c = 0; c < total; ++c) {
-      out.output_grid.CoordsOfIndex(c, coords.data());
-      for (int j = 0; j < k; ++j) {
-        cell_lo[static_cast<size_t>(j)] =
-            out.output_grid.CellLower(j, coords[static_cast<size_t>(j)]);
+    const int cpd = grid.cells_per_dim();
+    std::vector<double> cell_lower(static_cast<size_t>(k * cpd));
+    for (int j = 0; j < k; ++j) {
+      for (CellCoord c = 0; c < cpd; ++c) {
+        cell_lower[static_cast<size_t>(j * cpd + c)] = grid.CellLower(j, c);
       }
-      for (size_t f = 0; f < frontier_n; ++f) {
-        const double* u =
-            out.guaranteed_upper_frontier.data() + f * static_cast<size_t>(k);
-        if (PointDominates(u, cell_lo.data(), k)) {
-          out.marked[static_cast<size_t>(c)] = 1;
-          ++out.stats.cells_marked;
-          break;
-        }
+    }
+    std::vector<uint32_t> seeds(static_cast<size_t>(total), 0);
+    std::vector<CellCoord> m(static_cast<size_t>(k));
+    std::vector<CellCoord> s(static_cast<size_t>(k));
+    for (size_t f = 0; f < frontier_n; ++f) {
+      const double* u =
+          out.guaranteed_upper_frontier.data() + f * static_cast<size_t>(k);
+      bool reachable = true;
+      for (int j = 0; j < k && reachable; ++j) {
+        const double* row = cell_lower.data() + j * cpd;
+        m[static_cast<size_t>(j)] = static_cast<CellCoord>(
+            std::lower_bound(row, row + cpd, u[j]) - row);
+        s[static_cast<size_t>(j)] = static_cast<CellCoord>(
+            std::upper_bound(row, row + cpd, u[j]) - row);
+        reachable = m[static_cast<size_t>(j)] < cpd;
+      }
+      if (!reachable) continue;
+      const CellIndex base = grid.IndexOf(m.data());
+      for (int j = 0; j < k; ++j) {
+        const CellCoord sj = s[static_cast<size_t>(j)];
+        if (sj == cpd) continue;
+        ++seeds[static_cast<size_t>(
+            base + (sj - m[static_cast<size_t>(j)]) * grid.stride(j))];
+      }
+    }
+    grid.PrefixSumAllDims(seeds.data());
+    for (CellIndex c = 0; c < total; ++c) {
+      if (seeds[static_cast<size_t>(c)] > 0) {
+        out.marked[static_cast<size_t>(c)] = 1;
+        ++out.stats.cells_marked;
       }
     }
   }

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "grid/grid_geometry.h"
 #include "grid/input_grid.h"
-#include "grid/partitioning.h"
 #include "mapping/canonical.h"
 #include "outputspace/region.h"
 
@@ -50,8 +50,8 @@ struct LookaheadOptions {
 };
 
 /// Runs look-ahead over the two gridded sources.
-Result<LookaheadResult> OutputSpaceLookahead(const InputPartitioning& r_grid,
-                                             const InputPartitioning& t_grid,
+Result<LookaheadResult> OutputSpaceLookahead(const InputGrid& r_grid,
+                                             const InputGrid& t_grid,
                                              const CanonicalMapper& mapper,
                                              const LookaheadOptions& options);
 

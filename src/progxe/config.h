@@ -31,16 +31,6 @@ struct RefinementSeed {
   }
 };
 
-/// Input-space partitioning scheme (Section III: grid by default; the
-/// paper notes other space partitionings apply "with some modifications").
-enum class PartitioningScheme : uint8_t {
-  /// Uniform grid over contribution space.
-  kUniformGrid,
-  /// Adaptive kd-style median splits: balanced partition cardinalities,
-  /// tight bounds on skewed data.
-  kKdTree,
-};
-
 /// How ProgOrder sequences regions for tuple-level processing.
 enum class OrderingMode : uint8_t {
   /// Benefit/cost ranking over EL-Graph roots (Algorithm 1).
@@ -58,16 +48,15 @@ struct ProgXeOptions {
   /// variants: ProgXe+ and ProgXe+ (No-Order)).
   bool push_through = false;
 
-  /// Input-space partitioning realization.
-  PartitioningScheme partitioning = PartitioningScheme::kUniformGrid;
   /// Input grid cells per (output) dimension for each source; 0 = choose
   /// automatically from the dimensionality (bounded partition count).
-  /// For kKdTree this bounds leaves at input_cells_per_dim ^ dims.
   int input_cells_per_dim = 0;
   /// Output grid cells per dimension (the paper's partition size delta);
   /// 0 = size the grid to the work: ~16 * sqrt(|R'| * |T'| * sigma) cells
-  /// in total (|R'|, |T'| after push-through), capped at 60K, at 4..24 per
-  /// dimension. Each shard resolves its own from its slice (prepare.cc).
+  /// in total (|R'|, |T'| after push-through), within a 60K budget, at
+  /// 4..24 per dimension (the floor drops to 3 or 2 where 4^k would pass
+  /// the 8M-cell cap). Each shard resolves its own from its slice
+  /// (prepare.cc).
   int output_cells_per_dim = 0;
 
   /// Seed for the kRandom ordering shuffle.

@@ -18,6 +18,7 @@ std::string ProgXeStats::ToString() const {
      << " discarded=" << regions_discarded_runtime
      << " seed_discarded=" << regions_discarded_seed
      << " processed=" << regions_processed
+     << " reorderings=" << pq_reorderings
      << " cells_marked=" << cells_marked_lookahead
      << " join_pairs=" << join_pairs_generated
      << " disc_marked=" << tuples_discarded_marked

@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "grid/partitioning.h"
+#include "grid/input_grid.h"
 #include "mapping/canonical.h"
 #include "progxe/output_table.h"
 

@@ -8,7 +8,6 @@
 #include "common/fault_injection.h"
 #include "common/macros.h"
 #include "grid/input_grid.h"
-#include "grid/kd_partitioner.h"
 #include "obs/trace.h"
 
 namespace progxe {
@@ -36,18 +35,28 @@ size_t RelationBytes(const Relation& rel) {
 
 /// The output grid's cells per dimension: the paper's partition size delta.
 /// An explicit (non-zero) request passes through. Otherwise delta follows
-/// the work: the grid gets ~16 * sqrt(expected join pairs) cells, capped at
-/// 60K so the dense per-cell state stays cache-resident. Region bookkeeping
-/// (look-ahead, coverage prefix sums, the per-removal box and up-set row
-/// walks) scales with the cell count, while dominance comparisons per cell
-/// grow as cells coarsen; the sqrt balances the two. A sweep of fixed delta across N, sigma, K and d
+/// the work: the grid gets ~16 * sqrt(expected join pairs) cells, within a
+/// 60K budget so the dense per-cell state stays cache-resident, at 4..24
+/// per dimension. Region bookkeeping (look-ahead, coverage prefix sums,
+/// the per-removal up-set row walks) scales with the cell count, while
+/// dominance comparisons per cell grow as cells coarsen; the sqrt balances
+/// the two. A sweep of fixed delta across N, sigma, K and d
 /// (docs/ARCHITECTURE.md, "Region-loop bookkeeping") found this pick at or
 /// next to the fastest delta on every shape. Each shard prepares its own
 /// slice, so each shard sizes its own grid.
+///
+/// The floor of 4 wins over the budget from k = 8 on (4^8 = 65,536 cells).
+/// Where 4^k would pass kMaxOutputCells it drops to 3 (k = 12..14) and 2
+/// (k = 15..16), so every k up to 16 opens with defaults.
 int OutputCellsPerDim(int requested, int k, double expected_pairs) {
   if (requested > 0) return requested;
   const double budget = std::min(60000.0, 16.0 * std::sqrt(expected_pairs));
-  return AutoCellsPerDim(k, budget, 4, 24);
+  int floor = 4;
+  while (floor > 2 &&
+         std::pow(floor, k) > static_cast<double>(kMaxOutputCells)) {
+    --floor;
+  }
+  return AutoCellsPerDim(k, budget, floor, 24);
 }
 
 /// True iff a grid of `cells_per_dim` cells along each of `k` dimensions
@@ -81,8 +90,7 @@ size_t PreparedInputs::ApproxBytes() const {
   bytes += (r_orig_ids.capacity() + t_orig_ids.capacity()) * sizeof(RowId);
   if (r_contrib) bytes += r_contrib->flat().size() * sizeof(double);
   if (t_contrib) bytes += t_contrib->flat().size() * sizeof(double);
-  if (r_grid) bytes += r_grid->ApproxBytes();
-  if (t_grid) bytes += t_grid->ApproxBytes();
+  bytes += r_grid.ApproxBytes() + t_grid.ApproxBytes();
   bytes += lookahead.regions.capacity() * sizeof(Region);
   for (const Region& region : lookahead.regions) {
     bytes += region.bounds.capacity() * sizeof(Interval);
@@ -206,8 +214,8 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     out->resolved_input_cells_per_dim =
         AutoCellsPerDim(query.map.output_dimensions(), budget, 2, 8);
   }
-  // Both resolutions are final here. An auto one is at least 4 output
-  // cells per dimension, 2^64 cells at k = 32; a wrapped cell count would
+  // Both resolutions are final here. An auto one is at least 2 output
+  // cells per dimension, 2^64 cells at k = 64; a wrapped cell count would
   // slip past the look-ahead's cell cap and index out of bounds. (The
   // early returns above build no grid.)
   PROGXE_RETURN_NOT_OK(CheckGridFits(out->resolved_input_cells_per_dim,
@@ -223,29 +231,10 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
     out->t_contrib = std::make_unique<ContributionTable>(*out->t_rel,
                                                          out->mapper,
                                                          Side::kT);
-    if (options.partitioning == PartitioningScheme::kUniformGrid) {
-      InputGridOptions grid_options;
-      grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
-      out->r_grid = std::make_unique<InputGrid>(*out->r_rel, *out->r_contrib,
-                                                grid_options);
-      out->t_grid = std::make_unique<InputGrid>(*out->t_rel, *out->t_contrib,
-                                                grid_options);
-    } else {
-      KdPartitionerOptions kd_options;
-      // Same partition budget the uniform grid would get.
-      double leaves = 1.0;
-      for (int j = 0; j < out->k; ++j) {
-        leaves *= static_cast<double>(out->resolved_input_cells_per_dim);
-      }
-      kd_options.max_partitions =
-          static_cast<size_t>(std::clamp(leaves, 1.0, 4096.0));
-      out->r_grid = std::make_unique<KdPartitioner>(*out->r_rel,
-                                                    *out->r_contrib,
-                                                    kd_options);
-      out->t_grid = std::make_unique<KdPartitioner>(*out->t_rel,
-                                                    *out->t_contrib,
-                                                    kd_options);
-    }
+    InputGridOptions grid_options;
+    grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
+    out->r_grid = InputGrid(*out->r_rel, *out->r_contrib, grid_options);
+    out->t_grid = InputGrid(*out->t_rel, *out->t_contrib, grid_options);
   }
 
   // --- Output-space look-ahead -------------------------------------------
@@ -254,7 +243,7 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   la_options.output_cells_per_dim = out->resolved_output_cells_per_dim;
   PROGXE_ASSIGN_OR_RETURN(
       out->lookahead,
-      OutputSpaceLookahead(*out->r_grid, *out->t_grid, out->mapper,
+      OutputSpaceLookahead(out->r_grid, out->t_grid, out->mapper,
                            la_options));
   stats->partition_pairs_total = out->lookahead.stats.pairs_total;
   stats->partition_pairs_skipped =

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "grid/partitioning.h"
+#include "grid/input_grid.h"
 #include "outputspace/lookahead.h"
 #include "progxe/executor.h"
 #include "skyline/group_skyline.h"
@@ -58,8 +58,8 @@ struct PreparedInputs {
 
   std::unique_ptr<ContributionTable> r_contrib;
   std::unique_ptr<ContributionTable> t_contrib;
-  std::unique_ptr<InputPartitioning> r_grid;
-  std::unique_ptr<InputPartitioning> t_grid;
+  InputGrid r_grid;
+  InputGrid t_grid;
 
   /// Pristine look-ahead template; every session copies it (the region loop
   /// mutates region flags and moves the marked table out).

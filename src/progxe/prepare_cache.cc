@@ -70,7 +70,6 @@ void AbsorbQuery(Hasher* h, const SkyMapJoinQuery& query,
   // auto resolves deterministically from the same sources, so raw values
   // fingerprint correctly).
   h->U64(options.push_through ? 1 : 0);
-  h->U64(static_cast<uint64_t>(options.partitioning));
   h->U64(static_cast<uint64_t>(options.input_cells_per_dim));
   h->U64(static_cast<uint64_t>(options.output_cells_per_dim));
 }

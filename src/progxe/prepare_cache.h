@@ -15,8 +15,8 @@
 // values, join keys, widths, sizes), the MapSpec (terms, constants,
 // transforms), the preference directions (they fold into the canonical
 // mapper's signs, which the contribution tables bake in), and the
-// prepare-affecting options (push_through, partitioning scheme, raw
-// input/output grid resolutions). Consumption-side
+// prepare-affecting options (push_through, raw input/output grid
+// resolutions). Consumption-side
 // options — ordering, seed, budgets, faults, seeding — are deliberately
 // excluded: they never change what the prepare phase builds.
 #pragma once

@@ -47,9 +47,9 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
   cost_params.dims = inputs.k;
 
   std::vector<size_t> r_sizes;
-  for (const auto& p : inputs.r_grid->partitions()) r_sizes.push_back(p.size());
+  for (const auto& p : inputs.r_grid.partitions()) r_sizes.push_back(p.size());
   std::vector<size_t> t_sizes;
-  for (const auto& p : inputs.t_grid->partitions()) t_sizes.push_back(p.size());
+  for (const auto& p : inputs.t_grid.partitions()) t_sizes.push_back(p.size());
 
   order_ = std::make_unique<ProgOrder>(
       regions_, el_graph_.get(), &table_, cost_params, std::move(r_sizes),
@@ -313,8 +313,8 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       const Region& picked = (*regions_)[static_cast<size_t>(next)];
       if (!picked.Active()) continue;
       pipeline_.BeginRegion(
-          prep_->inputs->r_grid->partitions()[static_cast<size_t>(picked.a)],
-          prep_->inputs->t_grid->partitions()[static_cast<size_t>(picked.b)]);
+          prep_->inputs->r_grid.partitions()[static_cast<size_t>(picked.a)],
+          prep_->inputs->t_grid.partitions()[static_cast<size_t>(picked.b)]);
       current_region_ = next;
     }
 

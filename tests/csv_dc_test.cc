@@ -1,5 +1,4 @@
-// Tests for the CSV relation loader/writer and the divide-and-conquer
-// skyline oracle.
+// Tests for the CSV relation loader/writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +6,6 @@
 
 #include "data/csv_loader.h"
 #include "data/generator.h"
-#include "skyline/divide_conquer.h"
 
 namespace progxe {
 namespace {
@@ -114,48 +112,6 @@ TEST(SplitCsvLine, EdgeCases) {
   EXPECT_EQ(SplitCsvLine("a,,c")[1], "");
   EXPECT_EQ(SplitCsvLine("\"x\"\"y\"")[0], "x\"y");  // escaped quote
   EXPECT_EQ(SplitCsvLine("a,b\r")[1], "b");          // CRLF tolerated
-}
-
-class DcSkylineSweep : public ::testing::TestWithParam<Distribution> {};
-
-TEST_P(DcSkylineSweep, MatchesReferenceAndSfs) {
-  GeneratorOptions gen;
-  gen.distribution = GetParam();
-  gen.cardinality = 1200;
-  gen.num_attributes = 4;
-  gen.seed = 123;
-  Relation rel = GenerateRelation(gen).MoveValue();
-  std::vector<double> flat;
-  for (RowId i = 0; i < rel.size(); ++i) {
-    auto span = rel.attrs(i);
-    flat.insert(flat.end(), span.begin(), span.end());
-  }
-  PointView view{flat.data(), rel.size(), 4};
-  auto reference = SkylineReference(view);
-  std::sort(reference.begin(), reference.end());
-  EXPECT_EQ(SkylineDivideConquer(view), reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDistributions, DcSkylineSweep,
-                         ::testing::Values(Distribution::kIndependent,
-                                           Distribution::kCorrelated,
-                                           Distribution::kAntiCorrelated),
-                         [](const auto& info) {
-                           return DistributionName(info.param);
-                         });
-
-TEST(DcSkyline, TinyInputsAndTies) {
-  PointView empty{nullptr, 0, 2};
-  EXPECT_TRUE(SkylineDivideConquer(empty).empty());
-
-  // Duplicates across the median split must all survive.
-  std::vector<double> dup;
-  for (int i = 0; i < 200; ++i) {
-    dup.push_back(1.0);
-    dup.push_back(1.0);
-  }
-  PointView view{dup.data(), 200, 2};
-  EXPECT_EQ(SkylineDivideConquer(view).size(), 200u);
 }
 
 }  // namespace

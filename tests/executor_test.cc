@@ -1,6 +1,10 @@
 // ProgXe executor unit tests: API contracts, edge cases and option handling.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "data/generator.h"
 #include "progxe/executor.h"
 
@@ -187,6 +191,58 @@ TEST(Executor, StatsAreCoherent) {
             s.regions_processed + s.regions_pruned_lookahead +
                 s.regions_discarded_runtime);
   EXPECT_FALSE(s.ToString().empty());
+}
+
+// A stats dump names every counter: each field set to its own value shows
+// up as label=value. A counter added to ProgXeStats changes the struct's
+// size and fails the static_assert until it is listed here and printed.
+TEST(Executor, StatsToStringPrintsEveryCounter) {
+  static_assert(sizeof(ProgXeStats) == 22 * 8,
+                "list the new counter below and print it in ToString");
+  ProgXeStats s;
+  const std::vector<std::pair<const char*, size_t*>> sizes = {
+      {"partition_pairs_total", &s.partition_pairs_total},
+      {"partition_pairs_skipped", &s.partition_pairs_skipped},
+      {"regions_created", &s.regions_created},
+      {"regions_pruned_lookahead", &s.regions_pruned_lookahead},
+      {"cells_marked_lookahead", &s.cells_marked_lookahead},
+      {"regions_processed", &s.regions_processed},
+      {"regions_discarded_runtime", &s.regions_discarded_runtime},
+      {"regions_discarded_seed", &s.regions_discarded_seed},
+      {"pq_reorderings", &s.pq_reorderings},
+      {"results_emitted", &s.results_emitted},
+      {"cells_flushed", &s.cells_flushed},
+      {"results_emitted_early", &s.results_emitted_early}};
+  const std::vector<std::pair<const char*, uint64_t*>> counts = {
+      {"join_pairs_generated", &s.join_pairs_generated},
+      {"tuples_discarded_marked", &s.tuples_discarded_marked},
+      {"tuples_dominated_on_insert", &s.tuples_dominated_on_insert},
+      {"tuples_evicted", &s.tuples_evicted},
+      {"dominance_comparisons", &s.dominance_comparisons}};
+  // Distinct values no other field (or the rows/sigma prefix) can print.
+  size_t value = 1001;
+  std::vector<std::pair<const char*, size_t>> expected;
+  for (const auto& [name, field] : sizes) {
+    *field = value;
+    expected.emplace_back(name, value++);
+  }
+  for (const auto& [name, field] : counts) {
+    *field = value;
+    expected.emplace_back(name, value++);
+  }
+  s.r_rows = 11;
+  s.t_rows = 12;
+  s.r_rows_after_push_through = 13;
+  s.t_rows_after_push_through = 14;
+  s.sigma_used = 0.25;
+  const std::string dump = s.ToString();
+  for (const auto& [name, v] : expected) {
+    EXPECT_NE(dump.find("=" + std::to_string(v)), std::string::npos)
+        << name << " missing from " << dump;
+  }
+  for (const char* part : {"rows=11x12", "pushed=13x14", "sigma=0.25"}) {
+    EXPECT_NE(dump.find(part), std::string::npos) << part << " in " << dump;
+  }
 }
 
 TEST(Executor, PushThroughShrinksSources) {

@@ -10,7 +10,6 @@
 #include "data/generator.h"
 #include "grid/grid_geometry.h"
 #include "grid/input_grid.h"
-#include "grid/partitioning.h"
 
 namespace progxe {
 namespace {

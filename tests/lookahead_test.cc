@@ -3,8 +3,12 @@
 // partition marking soundness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <set>
+#include <string>
 
+#include "common/rng.h"
 #include "data/generator.h"
 #include "grid/input_grid.h"
 #include "join/key_index.h"
@@ -157,6 +161,141 @@ TEST(Lookahead, PruningSoundness) {
       });
     }
   }
+}
+
+// The marking predicate of Example 3, cell by cell: some guaranteed upper
+// corner dominates the cell's lower corner.
+std::vector<uint8_t> FrontierPredicateMarks(const LookaheadResult& la) {
+  const GridGeometry& grid = la.output_grid;
+  const int k = grid.dimensions();
+  const size_t frontier_n = la.guaranteed_upper_frontier.size() /
+                            static_cast<size_t>(k);
+  std::vector<uint8_t> marks(static_cast<size_t>(grid.total_cells()), 0);
+  std::vector<CellCoord> coords(static_cast<size_t>(k));
+  std::vector<double> cell_lo(static_cast<size_t>(k));
+  for (CellIndex c = 0; c < grid.total_cells(); ++c) {
+    grid.CoordsOfIndex(c, coords.data());
+    for (int j = 0; j < k; ++j) {
+      cell_lo[static_cast<size_t>(j)] =
+          grid.CellLower(j, coords[static_cast<size_t>(j)]);
+    }
+    for (size_t f = 0; f < frontier_n && !marks[static_cast<size_t>(c)];
+         ++f) {
+      marks[static_cast<size_t>(c)] = DominatesMin(
+          la.guaranteed_upper_frontier.data() + f * static_cast<size_t>(k),
+          cell_lo.data(), k);
+    }
+  }
+  return marks;
+}
+
+LookaheadResult RunLookahead(const Relation& r, const Relation& t,
+                             const CanonicalMapper& mapper, int input_cells,
+                             int output_cells) {
+  const ContributionTable rc(r, mapper, Side::kR);
+  const ContributionTable tc(t, mapper, Side::kT);
+  InputGridOptions opts;
+  opts.cells_per_dim = input_cells;
+  LookaheadOptions la_opts;
+  la_opts.output_cells_per_dim = output_cells;
+  return OutputSpaceLookahead(InputGrid(r, rc, opts), InputGrid(t, tc, opts),
+                              mapper, la_opts)
+      .MoveValue();
+}
+
+/// Integer values in [0, 4] on a few join keys, with an all-0 and an all-4
+/// row on a shared key so the output hull is exactly [0, 8] per dimension:
+/// at 2, 4 or 8 output cells per dimension every cell boundary is an
+/// integer, and many upper corners (integer sums) lie exactly on one.
+/// With `flat`, dimension 0 is 2 everywhere: a zero-width dimension the
+/// grid widens.
+Relation IntegerRelation(Rng* rng, int d, size_t n, bool flat) {
+  Relation rel(Schema::Anonymous(d));
+  std::vector<double> v(static_cast<size_t>(d));
+  for (size_t i = 0; i < n + 2; ++i) {
+    for (int j = 0; j < d; ++j) {
+      const double x = i == 0   ? 0.0
+                       : i == 1 ? 4.0
+                                : static_cast<double>(rng->NextBelow(5));
+      v[static_cast<size_t>(j)] = flat && j == 0 ? 2.0 : x;
+    }
+    rel.Append(v, i < 2 ? 0 : static_cast<JoinKey>(rng->NextBelow(4)));
+  }
+  return rel;
+}
+
+// The look-ahead builds its marks as the up-closure of one seed per
+// frontier point and dimension; that set must be exactly the cell-by-cell
+// predicate's, ties on cell boundaries and zero-width dimensions included.
+TEST(Lookahead, MarksEqualTheFrontierPredicate) {
+  Rng rng(0x1a4e);
+  for (int k : {2, 3, 4, 6, 8}) {
+    const CanonicalMapper mapper(MapSpec::PairwiseSum(k),
+                                 Preference::AllLowest(k));
+    for (int trial = 0; trial < 6; ++trial) {
+      SCOPED_TRACE("k=" + std::to_string(k) + " trial=" +
+                   std::to_string(trial));
+      const int input_cells = 1 + trial % 3;
+      Relation r(Schema::Anonymous(k));
+      Relation t(Schema::Anonymous(k));
+      int output_cells = 0;
+      if (trial < 3) {
+        GeneratorOptions gen;
+        gen.distribution = static_cast<Distribution>(trial);
+        gen.cardinality = 150;
+        gen.num_attributes = k;
+        gen.join_selectivity = 0.05;
+        gen.seed = rng.Next();
+        r = GenerateRelation(gen).MoveValue();
+        gen.seed = rng.Next();
+        t = GenerateRelation(gen).MoveValue();
+        output_cells = 3 + static_cast<int>(rng.NextBelow(k <= 4 ? 8 : 2));
+      } else {
+        const bool flat = trial == 5;
+        r = IntegerRelation(&rng, k, 60, flat);
+        t = IntegerRelation(&rng, k, 60, flat);
+        output_cells = k <= 4 ? (trial == 3 ? 8 : 4) : 2 + 2 * (trial % 2);
+      }
+      const LookaheadResult la =
+          RunLookahead(r, t, mapper, input_cells, output_cells);
+      ASSERT_FALSE(la.guaranteed_upper_frontier.empty());
+      const std::vector<uint8_t> expected = FrontierPredicateMarks(la);
+      EXPECT_EQ(la.marked, expected);
+      EXPECT_EQ(la.stats.cells_marked,
+                static_cast<size_t>(
+                    std::count(expected.begin(), expected.end(), 1)));
+    }
+  }
+}
+
+// A frontier corner exactly on a cell boundary: the cell whose lower corner
+// equals it is not marked (no strict improvement); the cells above it in
+// any dimension are.
+TEST(Lookahead, CornerOnABoundaryMarksOnlyStrictlyAbove) {
+  Relation r(Schema::Anonymous(2));
+  Relation t(Schema::Anonymous(2));
+  for (const auto& v : {std::array<double, 2>{1.0, 1.0},
+                        std::array<double, 2>{0.0, 4.0},
+                        std::array<double, 2>{4.0, 0.0}}) {
+    r.Append(v, 0);
+    t.Append(v, 0);
+  }
+  const CanonicalMapper mapper(MapSpec::PairwiseSum(2),
+                               Preference::AllLowest(2));
+  // Four input cells per dimension keep the three rows apart, so the
+  // upper corners are the pairwise sums: the frontier holds (2, 2), and
+  // the hull is [0, 8]^2, whose 4-cell grid has lines at 0, 2, 4 and 6.
+  const LookaheadResult la = RunLookahead(r, t, mapper, 4, 4);
+  EXPECT_EQ(la.marked, FrontierPredicateMarks(la));
+  auto marked = [&la](CellCoord x, CellCoord y) {
+    const CellCoord coords[2] = {x, y};
+    return la.marked[static_cast<size_t>(la.output_grid.IndexOf(coords))];
+  };
+  EXPECT_EQ(marked(1, 1), 0);  // lower corner (2, 2) ties the frontier
+  EXPECT_EQ(marked(2, 1), 1);
+  EXPECT_EQ(marked(1, 2), 1);
+  EXPECT_EQ(marked(3, 3), 1);
+  EXPECT_EQ(marked(0, 3), 0);  // (0, 6): no corner is <= it
 }
 
 TEST(Lookahead, RejectsOversizedOutputGrid) {

@@ -308,11 +308,10 @@ std::vector<double> StatsFields(const ProgXeStats& s) {
 }
 
 TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
-  static_assert(kWireVersion == 7);
+  static_assert(kWireVersion == 8);
   ProgXeOptions options;
   options.ordering = OrderingMode::kSequential;
   options.push_through = true;
-  options.partitioning = PartitioningScheme::kKdTree;
   options.input_cells_per_dim = 5;
   options.output_cells_per_dim = 11;
   options.seed = 0x5eedf00d;
@@ -321,14 +320,13 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   std::string obuf;
   WireWriter ow(&obuf);
   WriteOptions(options, &ow);
-  EXPECT_EQ(obuf.size(), 3u + 5 * 8 + 1);
+  EXPECT_EQ(obuf.size(), 2u + 5 * 8 + 1);
   ProgXeOptions o;
   WireReader ro(obuf);
   ASSERT_TRUE(ReadOptions(&ro, &o).ok());
   EXPECT_TRUE(ro.AtEnd());
   EXPECT_EQ(o.ordering, options.ordering);
   EXPECT_EQ(o.push_through, options.push_through);
-  EXPECT_EQ(o.partitioning, options.partitioning);
   EXPECT_EQ(o.input_cells_per_dim, options.input_cells_per_dim);
   EXPECT_EQ(o.output_cells_per_dim, options.output_cells_per_dim);
   EXPECT_EQ(o.seed, options.seed);
@@ -342,7 +340,7 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   options.refinement_seed = seed;
   obuf.clear();
   WriteOptions(options, &ow);
-  EXPECT_EQ(obuf.size(), 3u + 5 * 8 + 1 + 8 + 4 + 2 * 8);
+  EXPECT_EQ(obuf.size(), 2u + 5 * 8 + 1 + 8 + 4 + 2 * 8);
   WireReader rs(obuf);
   ASSERT_TRUE(ReadOptions(&rs, &o).ok());
   EXPECT_TRUE(rs.AtEnd());
@@ -1029,9 +1027,9 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
 // fails the pool's checkout with InvalidArgument. A normal checkout still
 // handshakes.
 TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
-  // Version 7 dropped max_output_cells from the options group, so a
-  // version-6 peer (kWireVersion - 1 below) must be refused.
-  static_assert(kWireVersion == 7);
+  // Version 8 dropped the partitioning byte from the options group, so a
+  // version-7 peer (kWireVersion - 1 below) must be refused.
+  static_assert(kWireVersion == 8);
   constexpr std::chrono::milliseconds kDeadline(2000);
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);

@@ -215,8 +215,7 @@ TEST(PrepareCache, ApproxBytesCountsKeyRuns) {
                   .ok());
   ASSERT_FALSE(inputs.trivially_empty);
   size_t grid_bytes = 0;
-  for (const InputPartitioning* grid :
-       {inputs.r_grid.get(), inputs.t_grid.get()}) {
+  for (const InputGrid* grid : {&inputs.r_grid, &inputs.t_grid}) {
     size_t floor = 0;
     for (const InputPartition& p : grid->partitions()) {
       EXPECT_GE(p.key_index.ApproxBytes(),

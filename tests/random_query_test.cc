@@ -18,9 +18,11 @@
 #include "baselines/saj.h"
 #include "baselines/ssmj.h"
 #include "common/rng.h"
-#include "prefs/dominance.h"
 #include "data/generator.h"
+#include "equivalence_common.h"
+#include "prefs/dominance.h"
 #include "progxe/executor.h"
+#include "progxe/stream.h"
 
 namespace progxe {
 namespace {
@@ -135,7 +137,6 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
     options.ordering = (cfg & 2) != 0 ? OrderingMode::kRandom
                                       : OrderingMode::kProgOrder;
     options.seed = rng.Next();
-    if (cfg == 3) options.partitioning = PartitioningScheme::kKdTree;
     for (int output_cells : {0, 4, 24}) {
       options.output_cells_per_dim = output_cells;
       std::vector<ResultTuple> results;
@@ -179,6 +180,48 @@ TEST_P(RandomQuerySweep, EveryEngineMatchesTheOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQuerySweep, ::testing::Range(0, 24));
+
+// The dimensionality axis: default options at k = 5, 6 and 8 output
+// dimensions, unsharded (K=1) and over four shards (K=4), against the
+// SkylineReference oracle.
+class HighDimSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(HighDimSweep, DefaultOptionsMatchTheReference) {
+  const int k = GetParam();
+  for (Distribution dist :
+       {Distribution::kIndependent, Distribution::kAntiCorrelated}) {
+    test::Config cfg;
+    GeneratorOptions gen;
+    gen.distribution = dist;
+    gen.cardinality = 200;
+    gen.num_attributes = k;
+    gen.join_selectivity = 0.05;
+    gen.seed = 500 + static_cast<uint64_t>(k);
+    cfg.r = GenerateRelation(gen).MoveValue();
+    gen.seed += 1000;
+    cfg.t = GenerateRelation(gen).MoveValue();
+    cfg.map = MapSpec::PairwiseSum(k);
+    cfg.pref = Preference::AllLowest(k);
+    const auto oracle = test::Oracle(cfg);
+    for (int shards : {1, 4}) {
+      ShardOptions shard_options;
+      shard_options.num_shards = shards;
+      auto stream =
+          OpenProgXeStream(cfg.query(), ProgXeOptions(), shard_options);
+      ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+      std::vector<ResultTuple> results;
+      std::vector<ResultTuple> batch;
+      while (!(*stream)->Finished()) {
+        (*stream)->NextBatch(0, 0, &batch);
+        results.insert(results.end(), batch.begin(), batch.end());
+      }
+      EXPECT_EQ(Sorted(results), oracle)
+          << "k=" << k << " " << DistributionName(dist) << " K=" << shards;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, HighDimSweep, ::testing::Values(5, 6, 8));
 
 // More than 8000 regions: ProgOrder orders them through the EL-Graph as it
 // does any smaller set, and the result set must still be the oracle's.

@@ -305,8 +305,8 @@ TEST(OutputGridResolution, ExplicitValuePassesThrough) {
 // At k=4, 65536 cells per dimension is 2^64 cells: an unchecked count
 // wraps to 0, passes the output-cell cap and crashes the query. Either
 // grid's cells_per_dim^k must fit the 64-bit cell index; 55108^4 < 2^63 <=
-// 55109^4. The auto-sized output grid (at least 4 cells per dimension)
-// reaches 2^64 cells at k=32.
+// 55109^4. At k=32 even the coarsest auto-sized output grid (2 cells per
+// dimension, 2^32 cells) passes the 8M-cell cap.
 TEST(OutputGridResolution, RejectsCellCountOverflow) {
   Result<Workload> workload = AntiWorkload(500, 4, 0.01);
   ASSERT_TRUE(workload.ok());
@@ -352,6 +352,44 @@ TEST(OutputGridResolution, RejectsCellCountOverflow) {
   auto sharded = ShardedStream::Open(wide->query(), ProgXeOptions(), shards);
   EXPECT_TRUE(sharded.status().IsInvalidArgument())
       << sharded.status().ToString();
+}
+
+// Up to k = 11 the auto grid keeps at least 4 cells per dimension; above,
+// 4^k would pass the 8M-cell cap, so the floor drops to 3 (k = 12..14) and
+// 2 (k = 15..16) and every dimensionality the submission keys accept opens
+// with default options, with the reference skyline as its result.
+TEST(OutputGridResolution, HighDimensionalityOpensWithDefaults) {
+  struct Shape {
+    int dims;
+    int cells;
+  };
+  for (const Shape& shape : {Shape{12, 3}, Shape{16, 2}}) {
+    Config cfg;
+    GeneratorOptions gen;
+    gen.cardinality = 300;
+    gen.num_attributes = shape.dims;
+    gen.join_selectivity = 0.01;
+    gen.seed = 12;
+    cfg.r = GenerateRelation(gen).MoveValue();
+    gen.seed = 13;
+    cfg.t = GenerateRelation(gen).MoveValue();
+    cfg.map = MapSpec::PairwiseSum(shape.dims);
+    cfg.pref = Preference::AllLowest(shape.dims);
+
+    auto session = ProgXeSession::Open(cfg.query(), ProgXeOptions());
+    ASSERT_TRUE(session.ok()) << "d=" << shape.dims << ": "
+                              << session.status().ToString();
+    EXPECT_EQ((*session)->options().output_cells_per_dim, shape.cells)
+        << "d=" << shape.dims;
+    IdSeq got;
+    std::vector<ResultTuple> batch;
+    while (!(*session)->Finished()) {
+      (*session)->NextBatch(0, &batch);
+      for (const auto& res : batch) got.emplace_back(res.r_id, res.t_id);
+    }
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, test::Oracle(cfg)) << "d=" << shape.dims;
+  }
 }
 
 TEST(OutputGridResolution, EmptySourceStillResolves) {

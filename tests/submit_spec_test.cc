@@ -43,7 +43,6 @@ Status ParseServe(const std::vector<std::string>& tokens,
 std::string Describe(const SubmitSpec& spec) {
   std::ostringstream os;
   os << spec.params.ToString() << " algo=" << AlgoName(spec.algo)
-     << " partitioning=" << static_cast<int>(spec.options.partitioning)
      << " max_results=" << spec.options.max_results
      << " faults=" << spec.faults << " fault_seed=" << spec.fault_seed
      << " weight=" << spec.submit.weight
@@ -131,7 +130,7 @@ TEST(SubmitSpecTable, EveryKeyAcceptsGoodAndRejectsBadValues) {
 TEST(SubmitSpecTable, GoodValuesLandInTheirFields) {
   SubmitSpec spec;
   ASSERT_TRUE(ParseSubmit({"dist=anti", "n=5000", "dims=3", "sigma=0.01",
-                           "seed=7", "algo=ProgXe+", "kd", "max_results=50",
+                           "seed=7", "algo=ProgXe+", "max_results=50",
                            "weight=4", "deadline_ms=-1", "shards=4",
                            "shard_workers=127.0.0.1:7001,127.0.0.1:7002",
                            "max_retries=8", "retry_backoff_ms=0",
@@ -146,7 +145,6 @@ TEST(SubmitSpecTable, GoodValuesLandInTheirFields) {
   EXPECT_EQ(spec.params.seed, 7u);
   EXPECT_TRUE(spec.shaped);
   EXPECT_EQ(spec.algo, Algo::kProgXePlus);
-  EXPECT_EQ(spec.options.partitioning, PartitioningScheme::kKdTree);
   EXPECT_EQ(spec.options.max_results, 50u);
   EXPECT_EQ(spec.submit.weight, 4.0);
   EXPECT_EQ(spec.submit.deadline.count(), -1);
@@ -174,20 +172,18 @@ TEST(SubmitSpecTable, GoodValuesLandInTheirFields) {
 
 TEST(SubmitSpecTable, NonWorkloadKeysLeaveTheWorkloadUnshaped) {
   SubmitSpec spec;
-  ASSERT_TRUE(ParseSubmit({"weight=2", "kd", "shards=2"}, &spec).ok());
+  ASSERT_TRUE(ParseSubmit({"weight=2", "allow_partial", "shards=2"}, &spec).ok());
   EXPECT_FALSE(spec.shaped);
 }
 
 TEST(SubmitSpecTable, BareFlagsTakeNoValue) {
-  for (const char* flag : {"kd", "allow_partial"}) {
-    SubmitSpec spec;
-    EXPECT_TRUE(ParseSubmit({flag}, &spec).ok()) << flag;
-    for (const char* value : {"=1", "=0", "="}) {
-      SubmitSpec rejected;
-      EXPECT_TRUE(ParseSubmit({std::string(flag) + value}, &rejected)
-                      .IsInvalidArgument())
-          << flag << value;
-    }
+  SubmitSpec spec;
+  EXPECT_TRUE(ParseSubmit({"allow_partial"}, &spec).ok());
+  for (const char* value : {"=1", "=0", "="}) {
+    SubmitSpec rejected;
+    EXPECT_TRUE(ParseSubmit({std::string("allow_partial") + value}, &rejected)
+                    .IsInvalidArgument())
+        << value;
   }
 }
 
@@ -204,6 +200,8 @@ TEST(SubmitSpecTable, UnknownKeysAreNotFound) {
   EXPECT_TRUE(ParseServe({"weight=2"}, &options).IsNotFound());
   EXPECT_TRUE(ParseSubmit({"budget=64"}, &spec).IsNotFound());
   EXPECT_TRUE(ParseSubmit({"reuse"}, &spec).IsNotFound());
+  // The uniform input grid is the one partitioner; there is no kd switch.
+  EXPECT_TRUE(ParseSubmit({"kd"}, &spec).IsNotFound());
   EXPECT_EQ(Describe(spec), Describe(SubmitSpec()));
 }
 
@@ -213,7 +211,7 @@ TEST(SubmitSpecTable, EngineOptionsCompileAFreshInjector) {
   SubmitSpec spec;
   EXPECT_EQ(spec.EngineOptions().faults, nullptr);
   ASSERT_TRUE(ParseSubmit({"faults=shard.open:p=1,max=2", "fault_seed=3",
-                           "kd", "max_results=9"},
+                           "max_results=9"},
                           &spec)
                   .ok());
   const ProgXeOptions first = spec.EngineOptions();
@@ -223,14 +221,13 @@ TEST(SubmitSpecTable, EngineOptionsCompileAFreshInjector) {
   EXPECT_NE(first.faults, second.faults);
   EXPECT_EQ(first.faults->seed(), 3u);
   EXPECT_EQ(first.faults->ToString(), second.faults->ToString());
-  EXPECT_EQ(first.partitioning, PartitioningScheme::kKdTree);
   EXPECT_EQ(first.max_results, 9u);
   EXPECT_EQ(spec.options.faults, nullptr);
 }
 
 TEST(SubmitSpecTable, SplitSettingsNeedsPrefixAndKey) {
   const std::vector<std::string> good = {"--n=5", "--faults=a:p=1,max=2",
-                                         "--kd"};
+                                         "--allow_partial"};
   std::vector<Setting> settings;
   ASSERT_TRUE(SplitSettings(good, "--", &settings).ok());
   ASSERT_EQ(settings.size(), 3u);
@@ -238,7 +235,7 @@ TEST(SubmitSpecTable, SplitSettingsNeedsPrefixAndKey) {
   EXPECT_EQ(settings[0].value, "5");
   EXPECT_EQ(settings[1].key, "faults");
   EXPECT_EQ(settings[1].value, "a:p=1,max=2");  // split at the first '='
-  EXPECT_EQ(settings[2].key, "kd");
+  EXPECT_EQ(settings[2].key, "allow_partial");
   EXPECT_FALSE(settings[2].value.has_value());
   for (const char* bad : {"n=5", "--", "--=5", "-n=5"}) {
     const std::vector<std::string> tokens = {"--dims=3", bad};
@@ -254,7 +251,7 @@ TEST(SubmitSpecTable, SplitSettingsNeedsPrefixAndKey) {
 TEST(SubmitSpecTable, CliAndServerFormsGiveIdenticalSpecs) {
   const std::vector<std::string> server = {
       "dist=corr", "n=3000", "dims=5", "sigma=0.002", "seed=11",
-      "algo=ProgXe-NoOrder", "kd", "max_results=9", "weight=2.5",
+      "algo=ProgXe-NoOrder", "max_results=9", "weight=2.5",
       "deadline_ms=400", "shards=3", "shard_workers=h1:9000,h2:9001",
       "max_retries=5", "retry_backoff_ms=7", "allow_partial",
       "faults=shard.next_batch:p=0.5,max=3", "fault_seed=21"};
@@ -269,8 +266,8 @@ TEST(SubmitSpecTable, CliAndServerFormsGiveIdenticalSpecs) {
   EXPECT_NE(Describe(from_cli), Describe(SubmitSpec()));
 }
 
-// 32 output dimensions overflow even the coarsest auto-sized output grid
-// (4^32 = 2^64 cells); the table stops them before any workload is built.
+// dims is capped at 16, the most an auto-sized output grid opens at; the
+// table stops larger values before any workload is built.
 TEST(SubmitSpecTable, RejectsHighDimensionality) {
   SubmitSpec spec;
   const Status st = ParseSubmit({"dims=32"}, &spec);

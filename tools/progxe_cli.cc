@@ -7,7 +7,7 @@
 // Every flag is --key or --key=value. The shared submission and serving
 // keys are listed, with their ranges and meaning, once in
 // harness/submit_spec.h and parsed there, as in progxe_server:
-//   --dist --n --dims --sigma --seed --algo --kd --max_results
+//   --dist --n --dims --sigma --seed --algo --max_results
 //   --deadline_ms --shards --shard_workers --max_retries
 //   --retry_backoff_ms --allow_partial --faults --fault_seed
 //   --workers --budget --max_concurrent

@@ -28,7 +28,7 @@
 //                         (default 5000)
 //
 // Protocol (one command per line):
-//   submit [dist= n= dims= sigma= seed= algo= kd max_results= weight=
+//   submit [dist= n= dims= sigma= seed= algo= max_results= weight=
 //          deadline_ms= shards= shard_workers= max_retries=
 //          retry_backoff_ms= allow_partial faults= fault_seed=]
 //          [reuse=0|1] [parent=<id>]
