@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks for the library's building blocks:
-// dominance tests, skyline algorithms, grid geometry, joins
-// and the OutputTable insert path.
+// dominance tests, skyline algorithms, grid geometry, joins, the prepare
+// phase and the OutputTable insert path.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -8,10 +8,12 @@
 #include "common/rng.h"
 #include "data/generator.h"
 #include "grid/grid_geometry.h"
+#include "harness/workload.h"
 #include "join/key_index.h"
 #include "mapping/canonical.h"
 #include "prefs/dominance.h"
 #include "progxe/output_table.h"
+#include "progxe/prepare.h"
 #include "skyline/skyline.h"
 
 namespace progxe {
@@ -114,6 +116,27 @@ void BM_KeyIndexJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KeyIndexJoin)->Arg(10)->Arg(1000);
+
+// One cold prepare (key sorts, sigma, contribution tables, input grids,
+// look-ahead) of an anti 20000 d=4 sigma=0.001 input with default options:
+// the fixed cost ahead of a prepare-cache miss's first result.
+void BM_BuildPreparedInputs(benchmark::State& state) {
+  WorkloadParams params;
+  params.distribution = Distribution::kAntiCorrelated;
+  params.cardinality = 20000;
+  params.dims = 4;
+  params.sigma = 0.001;
+  params.seed = 1;
+  const Workload workload = Workload::Make(params).MoveValue();
+  for (auto _ : state) {
+    PreparedInputs inputs;
+    const Status status = BuildPreparedInputs(
+        workload.query(), ProgXeOptions(), /*own_sources=*/false, &inputs);
+    benchmark::DoNotOptimize(status.ok());
+    benchmark::DoNotOptimize(inputs.lookahead.regions.data());
+  }
+}
+BENCHMARK(BM_BuildPreparedInputs);
 
 void BM_OutputTableInsert(benchmark::State& state) {
   const int d = 4;

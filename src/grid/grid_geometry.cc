@@ -13,12 +13,15 @@ constexpr double kMinWidth = 1e-9;
 GridGeometry::GridGeometry(std::vector<Interval> bounds, int cells_per_dim)
     : bounds_(std::move(bounds)), cells_per_dim_(cells_per_dim) {
   assert(cells_per_dim_ >= 1);
+  top_ = static_cast<double>(cells_per_dim_ - 1);
+  lo_.reserve(bounds_.size());
   inv_width_.reserve(bounds_.size());
   total_cells_ = 1;
   for (auto& b : bounds_) {
     if (b.width() < kMinWidth) {
       b = Interval(b.lo, b.lo + kMinWidth);
     }
+    lo_.push_back(b.lo);
     inv_width_.push_back(static_cast<double>(cells_per_dim_) / b.width());
     total_cells_ *= cells_per_dim_;
   }
@@ -33,27 +36,6 @@ GridGeometry::GridGeometry(std::vector<Interval> bounds, int cells_per_dim)
 int AutoCellsPerDim(int k, double budget, int lo, int hi) {
   const double per_dim = std::pow(budget, 1.0 / static_cast<double>(k));
   return std::clamp(static_cast<int>(per_dim), lo, hi);
-}
-
-CellCoord GridGeometry::CoordOf(int dim, double value) const {
-  const Interval& b = bounds_[static_cast<size_t>(dim)];
-  double rel = (value - b.lo) * inv_width_[static_cast<size_t>(dim)];
-  CellCoord c = static_cast<CellCoord>(std::floor(rel));
-  // Clamp: points at (or numerically beyond) the top land in the last cell.
-  return std::clamp<CellCoord>(c, 0, cells_per_dim_ - 1);
-}
-
-void GridGeometry::CoordsOf(const double* point, CellCoord* coords) const {
-  for (int i = 0; i < dimensions(); ++i) coords[i] = CoordOf(i, point[i]);
-}
-
-CellIndex GridGeometry::IndexOf(const CellCoord* coords) const {
-  CellIndex idx = 0;
-  for (int i = 0; i < dimensions(); ++i) {
-    assert(coords[i] >= 0 && coords[i] < cells_per_dim_);
-    idx = idx * cells_per_dim_ + coords[i];
-  }
-  return idx;
 }
 
 void GridGeometry::CoordsOfIndex(CellIndex index, CellCoord* coords) const {

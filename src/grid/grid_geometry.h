@@ -7,8 +7,15 @@
 // the cell's upper bound in every dimension (unless it lies in a top cell),
 // which is what lets cell-coordinate comparisons imply strict Pareto
 // dominance (see outputspace/README notes in DESIGN.md Section 2).
+//
+// Binning a value is inline: rel = (value - lo) * inv_width is clamped
+// into [0, cells - 1] in double, then truncated. For every finite value
+// that equals flooring rel and clamping the integer, and the conversion
+// stays in range for infinities too. Input partitioning bins every source
+// row and the output table's InsertBatch every mapped pair this way.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -44,13 +51,27 @@ class GridGeometry {
   }
 
   /// Coordinate of `value` along `dim`, clamped into [0, cells_per_dim).
-  CellCoord CoordOf(int dim, double value) const;
+  CellCoord CoordOf(int dim, double value) const {
+    const size_t d = static_cast<size_t>(dim);
+    const double rel = (value - lo_[d]) * inv_width_[d];
+    // `rel > 0` is false for NaN too, which lands in cell 0.
+    return static_cast<CellCoord>(rel > 0.0 ? std::min(rel, top_) : 0.0);
+  }
 
   /// Fills `coords[0..dims)` for a point.
-  void CoordsOf(const double* point, CellCoord* coords) const;
+  void CoordsOf(const double* point, CellCoord* coords) const {
+    for (int i = 0; i < dimensions(); ++i) coords[i] = CoordOf(i, point[i]);
+  }
 
   /// Linearizes coordinates (row-major, dimension 0 slowest).
-  CellIndex IndexOf(const CellCoord* coords) const;
+  CellIndex IndexOf(const CellCoord* coords) const {
+    CellIndex idx = 0;
+    for (int i = 0; i < dimensions(); ++i) {
+      assert(coords[i] >= 0 && coords[i] < cells_per_dim_);
+      idx = idx * cells_per_dim_ + coords[i];
+    }
+    return idx;
+  }
 
   /// Inverse of IndexOf.
   void CoordsOfIndex(CellIndex index, CellCoord* coords) const;
@@ -143,7 +164,9 @@ class GridGeometry {
   }
 
   std::vector<Interval> bounds_;
+  std::vector<double> lo_;         // bounds_[d].lo, per dim
   std::vector<double> inv_width_;  // cells_per_dim / domain width, per dim
+  double top_ = 0.0;               // cells_per_dim - 1, the last coordinate
   // Row-major linearization factor per dimension (dimension 0 slowest):
   // stride_[d] = cells_per_dim ^ (dims - 1 - d).
   std::vector<CellIndex> stride_;

@@ -1,17 +1,20 @@
 #include "grid/input_grid.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
-#include <unordered_map>
+#include <span>
 
+#include "common/radix_sort.h"
 #include "grid/grid_geometry.h"
 
 namespace progxe {
 
 InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
-                     const InputGridOptions& options) {
+                     const KeyIndex& keys, const InputGridOptions& options) {
   const int k = contribs.dimensions();
   const size_t n = rel.size();
+  assert(keys.size() == n);
 
   // Global contribution bounds.
   std::vector<Interval> global_bounds(
@@ -35,35 +38,35 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
 
   const GridGeometry geometry(global_bounds, options.cells_per_dim);
 
-  // Bucket rows by cell.
-  std::unordered_map<CellIndex, std::vector<RowId>> cells;
+  // Every row's cell, in row order.
+  std::vector<uint64_t> cell_of(n);
   std::vector<CellCoord> coords(static_cast<size_t>(k));
   for (size_t i = 0; i < n; ++i) {
     geometry.CoordsOf(contribs.vector(static_cast<RowId>(i)), coords.data());
-    cells[geometry.IndexOf(coords.data())].push_back(static_cast<RowId>(i));
+    cell_of[i] = static_cast<uint64_t>(geometry.IndexOf(coords.data()));
   }
 
-  // Materialize partitions in deterministic (cell index) order.
-  std::vector<CellIndex> order;
-  order.reserve(cells.size());
-  for (const auto& [idx, rows] : cells) {
-    (void)rows;
-    order.push_back(idx);
-  }
-  std::sort(order.begin(), order.end());
+  // One stable pass by cell over the key order: each cell's rows come out
+  // contiguous, cells ascending, and within a cell still grouped by key
+  // with rows ascending within a key.
+  std::vector<RowId> rows(keys.rows().begin(), keys.rows().end());
+  RadixSortBy(&rows, [&cell_of](RowId row) { return cell_of[row]; });
 
-  partitions_.reserve(order.size());
-  for (CellIndex idx : order) {
+  for (size_t begin = 0; begin < n;) {
+    const uint64_t cell = cell_of[rows[begin]];
+    size_t end = begin + 1;
+    while (end < n && cell_of[rows[end]] == cell) ++end;
+    const std::span<const RowId> part_rows(rows.data() + begin, end - begin);
+    begin = end;
+
     InputPartition part;
-    part.rows = std::move(cells[idx]);
-
     // Tight observed bounds.
     part.bounds.assign(static_cast<size_t>(k), Interval());
-    const double* v0 = contribs.vector(part.rows.front());
+    const double* v0 = contribs.vector(part_rows.front());
     for (int j = 0; j < k; ++j) {
       part.bounds[static_cast<size_t>(j)] = Interval::Point(v0[j]);
     }
-    for (RowId id : part.rows) {
+    for (RowId id : part_rows) {
       const double* v = contribs.vector(id);
       for (int j = 0; j < k; ++j) {
         auto& b = part.bounds[static_cast<size_t>(j)];
@@ -71,7 +74,7 @@ InputGrid::InputGrid(const Relation& rel, const ContributionTable& contribs,
       }
     }
 
-    part.key_index = KeyIndex(rel, part.rows);
+    part.key_index = KeyIndex::FromGrouped(rel, part_rows);
     partitions_.push_back(std::move(part));
   }
 }
@@ -80,7 +83,6 @@ size_t InputGrid::ApproxBytes() const {
   size_t bytes = 0;
   for (const InputPartition& p : partitions_) {
     bytes += sizeof(InputPartition);
-    bytes += p.rows.capacity() * sizeof(RowId);
     bytes += p.bounds.capacity() * sizeof(Interval);
     bytes += p.key_index.ApproxBytes();
   }

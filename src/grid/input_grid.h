@@ -9,6 +9,13 @@
 // dimension, which subsumes "apply the mapping functions to the partition
 // bounds" (Example 1) and gives strictly tighter output regions than raw
 // cell bounds.
+//
+// Nothing here hashes or compares rows: every row's cell is computed in row
+// order, one stable radix pass by cell runs over the source's key order
+// (its whole-relation KeyIndex), and each partition is one stretch of the
+// result, already grouped by key with rows ascending within a key, so its
+// KeyIndex is read straight off it. A partition's rows are its key runs'
+// rows; there is no second copy.
 #pragma once
 
 #include <cstdint>
@@ -23,16 +30,14 @@ namespace progxe {
 
 /// One non-empty input partition I_a of a source.
 struct InputPartition {
-  /// Rows of the source relation in this partition.
-  std::vector<RowId> rows;
   /// Tight contribution bounds per output dimension (canonical space).
   std::vector<Interval> bounds;
-  /// Join-key runs over `rows`: the partition signature (Section III-A).
-  /// Two partitions share a join key iff their runs share one
-  /// (KeyIndex::SharesKeyWith), an exact test.
+  /// The partition's rows as join-key runs (key_index.rows()): the
+  /// partition signature (Section III-A). Two partitions share a join key
+  /// iff their runs share one (KeyIndex::SharesKeyWith), an exact test.
   KeyIndex key_index;
 
-  size_t size() const { return rows.size(); }
+  size_t size() const { return key_index.size(); }
 };
 
 /// Options controlling uniform-grid input partitioning.
@@ -47,9 +52,9 @@ class InputGrid {
   InputGrid() = default;
 
   /// Builds the grid for `rel`. `contribs` must have been computed with the
-  /// same mapper/side.
+  /// same mapper/side, and `keys` is KeyIndex(rel), the source's key order.
   InputGrid(const Relation& rel, const ContributionTable& contribs,
-            const InputGridOptions& options);
+            const KeyIndex& keys, const InputGridOptions& options);
 
   /// Non-empty partitions covering every source row exactly once, in cell
   /// index order.
@@ -57,8 +62,8 @@ class InputGrid {
 
   size_t num_partitions() const { return partitions_.size(); }
 
-  /// Heap bytes held by the partitions: row lists, bounds and key runs
-  /// (the prepared-state cache's byte budget).
+  /// Heap bytes held by the partitions: bounds and key runs (the
+  /// prepared-state cache's byte budget).
   size_t ApproxBytes() const;
 
  private:

@@ -10,11 +10,17 @@
 // The index is CSR-shaped: the distinct keys in ascending order, and per
 // key a run of its rows in ascending row id. Joins therefore visit pairs in
 // (key, r row, t row) order, a function of the data alone.
+//
+// Building one is linear: stable LSD radix passes over the key (biased to
+// unsigned, one pass per key byte that varies), after a pass by row id
+// when the given rows are not ascending. The prepare phase sorts each
+// source once this way; the measured selectivity merges the two sources'
+// key lists, and each input partition reads its index straight off its
+// stretch of that order (FromGrouped), with no second sort.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "data/relation.h"
@@ -25,11 +31,23 @@ class KeyIndex {
  public:
   KeyIndex() = default;
 
-  /// Indexes the given rows of `rel`.
+  /// Indexes the given rows of `rel`, in any order.
   KeyIndex(const Relation& rel, const std::vector<RowId>& rows);
 
   /// Indexes every row of `rel`.
   explicit KeyIndex(const Relation& rel);
+
+  /// Reads the index off rows already in its layout: grouped by key in
+  /// ascending key order, ascending within a key. No sort.
+  static KeyIndex FromGrouped(const Relation& rel,
+                              std::span<const RowId> rows);
+
+  /// Number of rows indexed.
+  size_t size() const { return rows_.size(); }
+
+  /// The indexed rows: grouped by key, keys ascending, rows ascending
+  /// within a key.
+  std::span<const RowId> rows() const { return rows_; }
 
   /// Calls fn(key, rows) per distinct key, in ascending key order.
   template <typename Fn>
@@ -66,8 +84,11 @@ class KeyIndex {
   }
 
  private:
-  /// Sorts the (key, row) entries and lays them out as key runs.
-  void Build(std::vector<std::pair<JoinKey, RowId>> entries);
+  /// Radix-sorts `rows` (ascending) by key and lays them out as key runs.
+  void Build(const Relation& rel, std::vector<RowId> rows);
+
+  /// Fills keys_ and offsets_ for rows_, which is already in the layout.
+  void SetRuns(const Relation& rel);
 
   std::span<const RowId> run(size_t i) const {
     return {rows_.data() + offsets_[i], rows_.data() + offsets_[i + 1]};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/fault_injection.h"
 #include "common/macros.h"
@@ -12,18 +11,19 @@
 
 namespace progxe {
 
-double MeasuredJoinSelectivity(const Relation& r, const Relation& t) {
-  if (r.empty() || t.empty()) return 0.0;
-  std::unordered_map<JoinKey, size_t> r_hist;
-  r_hist.reserve(r.size());
-  for (JoinKey key : r.join_keys()) ++r_hist[key];
-  double pairs = 0.0;
-  for (JoinKey key : t.join_keys()) {
-    auto it = r_hist.find(key);
-    if (it != r_hist.end()) pairs += static_cast<double>(it->second);
-  }
-  return pairs /
+double MeasuredJoinSelectivity(const KeyIndex& r, const KeyIndex& t) {
+  if (r.size() == 0 || t.size() == 0) return 0.0;
+  size_t pairs = 0;
+  r.ForEachMatch(t, [&](std::span<const RowId> r_run,
+                        std::span<const RowId> t_run) {
+    pairs += r_run.size() * t_run.size();
+  });
+  return static_cast<double>(pairs) /
          (static_cast<double>(r.size()) * static_cast<double>(t.size()));
+}
+
+double MeasuredJoinSelectivity(const Relation& r, const Relation& t) {
+  return MeasuredJoinSelectivity(KeyIndex(r), KeyIndex(t));
 }
 
 namespace {
@@ -184,9 +184,15 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
   stats->t_rows_after_push_through = out->t_rel->size();
 
   // --- Sigma for the benefit/cost models ---------------------------------
+  // Each source is sorted by join key once; sigma merges the two key lists
+  // and the input grids read their partitions' key runs off the same order.
+  KeyIndex r_keys;
+  KeyIndex t_keys;
   {
     TraceSpan span(trace_cats::kPrepare, "prepare.sigma");
-    out->sigma = MeasuredJoinSelectivity(*out->r_rel, *out->t_rel);
+    r_keys = KeyIndex(*out->r_rel);
+    t_keys = KeyIndex(*out->t_rel);
+    out->sigma = MeasuredJoinSelectivity(r_keys, t_keys);
   }
   // The output grid is sized to the expected join output |R'| |T'| sigma,
   // known only from here on (see OutputCellsPerDim).
@@ -233,8 +239,10 @@ Status BuildPreparedInputs(const SkyMapJoinQuery& query,
                                                          Side::kT);
     InputGridOptions grid_options;
     grid_options.cells_per_dim = out->resolved_input_cells_per_dim;
-    out->r_grid = InputGrid(*out->r_rel, *out->r_contrib, grid_options);
-    out->t_grid = InputGrid(*out->t_rel, *out->t_contrib, grid_options);
+    out->r_grid =
+        InputGrid(*out->r_rel, *out->r_contrib, r_keys, grid_options);
+    out->t_grid =
+        InputGrid(*out->t_rel, *out->t_contrib, t_keys, grid_options);
   }
 
   // --- Output-space look-ahead -------------------------------------------

@@ -98,8 +98,11 @@ struct PreparedQuery {
   bool trivially_empty = false;
 };
 
-/// Measured join selectivity |R join T| / (|R| * |T|), from a key histogram
-/// of R probed with T's keys: O(|R| + |T|), no pair is formed.
+/// Measured join selectivity |R join T| / (|R| * |T|) of two key indexes:
+/// one merge of their key lists summing |run_R| * |run_T|, no pair formed.
+double MeasuredJoinSelectivity(const KeyIndex& r, const KeyIndex& t);
+
+/// The same over every row of `r` and `t` (radix-sorts both by key).
 double MeasuredJoinSelectivity(const Relation& r, const Relation& t);
 
 /// Validates `query`/`options` and builds the immutable prepared state.

@@ -12,9 +12,28 @@ ContributionTable::ContributionTable(const Relation& rel,
                                      Side side)
     : n_(rel.size()), k_(mapper.output_dimensions()) {
   data_.resize(n_ * static_cast<size_t>(k_));
-  for (size_t i = 0; i < n_; ++i) {
-    mapper.ContributionVector(side, rel.attrs(static_cast<RowId>(i)),
-                              data_.data() + i * static_cast<size_t>(k_));
+  if (n_ == 0) return;
+  // Column by column, term by term: the same operations in the same order
+  // as CanonicalMapper::ContributionVector per row (start at the side's
+  // constant, add each of the side's weighted attributes, fold the sign),
+  // so every value is bit-identical, with loop-invariant weights.
+  const size_t kk = static_cast<size_t>(k_);
+  const size_t width = static_cast<size_t>(rel.num_attributes());
+  const double* attrs = rel.attrs(0).data();
+  for (int j = 0; j < k_; ++j) {
+    const MapFunc& func = mapper.spec().func(j);
+    double* col = data_.data() + static_cast<size_t>(j);
+    const double start = side == Side::kR ? func.constant() : 0.0;
+    for (size_t i = 0; i < n_; ++i) col[i * kk] = start;
+    for (const MapTerm& term : func.terms()) {
+      if (term.side != side) continue;
+      const double weight = term.weight;
+      const double* attr = attrs + static_cast<size_t>(term.attr_index);
+      for (size_t i = 0; i < n_; ++i) col[i * kk] += weight * attr[i * width];
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      col[i * kk] = mapper.Canonicalize(j, col[i * kk]);
+    }
   }
 }
 

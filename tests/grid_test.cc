@@ -2,8 +2,12 @@
 // partitioning (property P7 of DESIGN.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,10 +18,10 @@
 namespace progxe {
 namespace {
 
-InputPartition KeyedPartition(const Relation& rel, std::vector<RowId> rows) {
+InputPartition KeyedPartition(const Relation& rel,
+                              const std::vector<RowId>& rows) {
   InputPartition part;
-  part.rows = std::move(rows);
-  part.key_index = KeyIndex(rel, part.rows);
+  part.key_index = KeyIndex(rel, rows);
   return part;
 }
 
@@ -59,6 +63,74 @@ TEST(GridGeometry, HalfOpenCellMembership) {
   EXPECT_EQ(grid.CoordOf(0, 10.0), 4);  // top value lands in the last cell
   EXPECT_EQ(grid.CoordOf(0, -5.0), 0);  // clamped
   EXPECT_EQ(grid.CoordOf(0, 15.0), 4);  // clamped
+}
+
+// Binning clamps rel into [0, cells - 1] in double and then truncates; for
+// every finite value that must equal the floor-then-clamp rule it replaced.
+// Random values, exact cell lines and their neighbours, values below and
+// above the domain, -0.0 and 0.0 at lo = 0, and widened zero-width
+// dimensions, for k 1..8 and 1..24 cells. Values stay within ~1e6 cells of the domain, where the
+// old rule's integer conversion is defined.
+TEST(GridGeometry, CoordOfMatchesFloorThenClamp) {
+  Rng rng(27);
+  for (int k = 1; k <= 8; ++k) {
+    for (int cells = 1; cells <= 24; ++cells) {
+      std::vector<Interval> bounds;
+      for (int d = 0; d < k; ++d) {
+        const double lo = d % 3 == 0 ? rng.Uniform(-50, 50) : 0.0;
+        const double width = d % 3 == 2 ? 0.0 : rng.Uniform(1e-3, 100);
+        bounds.emplace_back(lo, lo + width);
+      }
+      const GridGeometry grid(bounds, cells);
+      auto floor_then_clamp = [&](int d, double value) {
+        const Interval& b = grid.domain(d);
+        const double rel =
+            (value - b.lo) * (static_cast<double>(cells) / b.width());
+        return std::clamp<CellCoord>(static_cast<CellCoord>(std::floor(rel)),
+                                     0, cells - 1);
+      };
+      for (int d = 0; d < k; ++d) {
+        const Interval& b = grid.domain(d);
+        std::vector<double> values = {b.lo, b.hi,
+                                      b.lo - 1e3 * b.width(),
+                                      b.hi + 1e3 * b.width()};
+        if (b.lo == 0.0) {
+          values.push_back(-0.0);
+          values.push_back(0.0);
+        }
+        for (CellCoord c = 0; c <= cells; ++c) {
+          const double line = grid.CellLower(d, c);
+          values.push_back(line);
+          values.push_back(std::nextafter(line, -1e300));
+          values.push_back(std::nextafter(line, 1e300));
+        }
+        for (int i = 0; i < 50; ++i) {
+          values.push_back(
+              rng.Uniform(b.lo - 2 * b.width(), b.hi + 2 * b.width()));
+        }
+        for (double value : values) {
+          EXPECT_EQ(grid.CoordOf(d, value), floor_then_clamp(d, value))
+              << "k " << k << " cells " << cells << " dim " << d
+              << " value " << value;
+        }
+      }
+      // A whole point through CoordsOf and IndexOf.
+      std::vector<double> point(static_cast<size_t>(k));
+      std::vector<CellCoord> coords(static_cast<size_t>(k));
+      for (int trial = 0; trial < 20; ++trial) {
+        CellIndex expected = 0;
+        for (int d = 0; d < k; ++d) {
+          const Interval& b = grid.domain(d);
+          point[static_cast<size_t>(d)] =
+              rng.Uniform(b.lo - b.width(), b.hi + b.width());
+          expected = expected * cells +
+                     floor_then_clamp(d, point[static_cast<size_t>(d)]);
+        }
+        grid.CoordsOf(point.data(), coords.data());
+        EXPECT_EQ(grid.IndexOf(coords.data()), expected);
+      }
+    }
+  }
 }
 
 TEST(GridGeometry, CellBounds) {
@@ -149,16 +221,116 @@ TEST(InputGrid, PartitionsCoverAllRowsOnce) {
   ContributionTable contribs(rel, mapper, Side::kR);
   InputGridOptions opts;
   opts.cells_per_dim = 3;
-  InputGrid grid(rel, contribs, opts);
+  InputGrid grid(rel, contribs, KeyIndex(rel), opts);
 
   std::unordered_set<RowId> seen;
   for (const InputPartition& part : grid.partitions()) {
-    EXPECT_FALSE(part.rows.empty()) << "empty partitions must be dropped";
-    for (RowId id : part.rows) {
+    EXPECT_GT(part.size(), 0u) << "empty partitions must be dropped";
+    for (RowId id : part.key_index.rows()) {
       EXPECT_TRUE(seen.insert(id).second) << "row in two partitions";
     }
   }
   EXPECT_EQ(seen.size(), rel.size());
+}
+
+using KeyRuns = std::vector<std::pair<JoinKey, std::vector<RowId>>>;
+
+KeyRuns RunsOf(const KeyIndex& index) {
+  KeyRuns runs;
+  index.ForEach([&](JoinKey key, std::span<const RowId> rows) {
+    runs.emplace_back(key, std::vector<RowId>(rows.begin(), rows.end()));
+  });
+  return runs;
+}
+
+// The partitions are read off one radix order of the source; whatever the
+// construction, they must be the grid's non-empty cells in ascending cell
+// order, cover every row once, carry KeyIndex(rel, sorted rows) built the
+// direct way, and have tight bounds. Seeded relations, including n = 0 and
+// 1, a single join key, negative keys and all-tied contributions.
+TEST(InputGrid, PartitionsAreCellOrderedKeyRunsWithTightBounds) {
+  struct Case {
+    size_t n;
+    int64_t key_domain;
+    bool tied;
+    int cells;
+  };
+  const Case cases[] = {{0, 5, false, 3},   {1, 5, false, 3},
+                        {500, 1, false, 3}, {500, 40, true, 4},
+                        {2000, 40, false, 2}, {2000, 300, false, 5},
+                        {3000, 9, false, 8}};
+  Rng rng(41);
+  for (const Case& c : cases) {
+    Relation rel(Schema::Anonymous(3));
+    for (size_t i = 0; i < c.n; ++i) {
+      double attrs[3] = {1.5, 2.5, 3.5};
+      if (!c.tied) {
+        for (double& a : attrs) a = rng.Uniform(0, 100);
+      }
+      rel.Append(attrs, rng.UniformInt(-c.key_domain, c.key_domain));
+    }
+    const CanonicalMapper mapper(
+        MapSpec::PairwiseSum(3),
+        Preference({Direction::kLowest, Direction::kHighest,
+                    Direction::kLowest}));
+    const ContributionTable contribs(rel, mapper, Side::kR);
+    InputGridOptions opts;
+    opts.cells_per_dim = c.cells;
+    const InputGrid grid(rel, contribs, KeyIndex(rel), opts);
+
+    // The grid over the observed contribution box, as partitioning uses.
+    std::vector<Interval> box(3, Interval(0.0, 0.0));
+    for (RowId id = 0; id < rel.size(); ++id) {
+      for (size_t d = 0; d < 3; ++d) {
+        const double v = contribs.vector(id)[d];
+        box[d] = id == 0 ? Interval::Point(v)
+                         : Interval(std::min(box[d].lo, v),
+                                    std::max(box[d].hi, v));
+      }
+    }
+    const GridGeometry geometry(box, c.cells);
+    auto cell_of = [&](RowId id) {
+      CellCoord coords[3];
+      geometry.CoordsOf(contribs.vector(id), coords);
+      return geometry.IndexOf(coords);
+    };
+
+    std::vector<int> times_seen(rel.size(), 0);
+    CellIndex last_cell = -1;
+    for (const InputPartition& part : grid.partitions()) {
+      ASSERT_GT(part.size(), 0u);
+      const std::span<const RowId> rows = part.key_index.rows();
+      const CellIndex cell = cell_of(rows.front());
+      EXPECT_GT(cell, last_cell) << "partitions out of cell order";
+      last_cell = cell;
+      std::vector<RowId> sorted(rows.begin(), rows.end());
+      std::sort(sorted.begin(), sorted.end());
+      for (RowId id : sorted) {
+        EXPECT_EQ(cell_of(id), cell) << "row " << id << " in a foreign cell";
+        ++times_seen[id];
+      }
+      const KeyIndex direct(rel, sorted);
+      EXPECT_EQ(RunsOf(part.key_index), RunsOf(direct));
+      EXPECT_TRUE(std::equal(rows.begin(), rows.end(), direct.rows().begin(),
+                             direct.rows().end()));
+      for (size_t d = 0; d < 3; ++d) {
+        double lo = std::numeric_limits<double>::infinity();
+        double hi = -lo;
+        for (RowId id : sorted) {
+          lo = std::min(lo, contribs.vector(id)[d]);
+          hi = std::max(hi, contribs.vector(id)[d]);
+        }
+        EXPECT_EQ(part.bounds[d].lo, lo);
+        EXPECT_EQ(part.bounds[d].hi, hi);
+      }
+    }
+    EXPECT_EQ(std::count(times_seen.begin(), times_seen.end(), 1),
+              static_cast<std::ptrdiff_t>(rel.size()))
+        << "n " << c.n << ": every row must be in exactly one partition";
+    if (c.tied || c.n == 1) {
+      EXPECT_EQ(grid.num_partitions(), c.n == 0 ? 0u : 1u);
+    }
+  }
 }
 
 TEST(InputGrid, BoundsAreTightOverContributions) {
@@ -170,13 +342,13 @@ TEST(InputGrid, BoundsAreTightOverContributions) {
   ContributionTable contribs(rel, mapper, Side::kT);
   InputGridOptions opts;
   opts.cells_per_dim = 4;
-  InputGrid grid(rel, contribs, opts);
+  InputGrid grid(rel, contribs, KeyIndex(rel), opts);
 
   for (const InputPartition& part : grid.partitions()) {
     for (int d = 0; d < 2; ++d) {
       double lo = 1e300;
       double hi = -1e300;
-      for (RowId id : part.rows) {
+      for (RowId id : part.key_index.rows()) {
         lo = std::min(lo, contribs.vector(id)[d]);
         hi = std::max(hi, contribs.vector(id)[d]);
       }
@@ -202,7 +374,7 @@ TEST(InputGrid, KeyIndexesReflectPartitionKeys) {
   ContributionTable contribs(rel, mapper, Side::kR);
   InputGridOptions opts;
   opts.cells_per_dim = 2;
-  InputGrid grid(rel, contribs, opts);
+  InputGrid grid(rel, contribs, KeyIndex(rel), opts);
   ASSERT_EQ(grid.num_partitions(), 2u);
   EXPECT_FALSE(grid.partitions()[0].key_index.SharesKeyWith(
       grid.partitions()[1].key_index));

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
+#include "common/rng.h"
 #include "data/generator.h"
 #include "join/key_index.h"
 #include "skyline/group_skyline.h"
@@ -25,6 +27,53 @@ Relation TinyRelation() {
   const JoinKey keys[] = {1, 1, 2, 2, 3};
   for (int i = 0; i < 5; ++i) rel.Append(rows[i], keys[i]);
   return rel;
+}
+
+// The table is filled column by column, term by term; every value must be
+// bit-identical to the per-row ContributionVector it replaces, on both
+// sides: constants (R side only), weights, several terms per function (one
+// attribute twice), a side with no terms, transforms and mixed preference
+// signs.
+TEST(ContributionTable, MatchesPerRowContributionVectorBitForBit) {
+  Rng rng(31);
+  Relation rel(Schema::Anonymous(4));
+  for (int i = 0; i < 300; ++i) {
+    double attrs[4];
+    for (double& a : attrs) {
+      const uint64_t pick = rng.NextBelow(8);
+      a = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Uniform(-1e3, 1e3);
+    }
+    rel.Append(attrs, static_cast<JoinKey>(i % 7));
+  }
+  const MapSpec spec({
+      MapFunc::Sum(0, 1),
+      MapFunc::WeightedSum(2.5, 1, -0.75, 3, 1.25),
+      MapFunc({{Side::kR, 0, 0.1},
+               {Side::kT, 2, 3.0},
+               {Side::kR, 3, -1.7},
+               {Side::kR, 0, 0.3}},
+              -4.5, Transform::kLog1p),
+      MapFunc::Passthrough(Side::kT, 2),
+      MapFunc({{Side::kT, 1, -2.0}, {Side::kT, 3, 1e-3}}, 7.0,
+              Transform::kSqrt),
+  });
+  const Preference pref({Direction::kLowest, Direction::kHighest,
+                         Direction::kHighest, Direction::kLowest,
+                         Direction::kHighest});
+  const CanonicalMapper mapper(spec, pref);
+  const int k = mapper.output_dimensions();
+  std::vector<double> expected(static_cast<size_t>(k));
+  for (Side side : {Side::kR, Side::kT}) {
+    const ContributionTable table(rel, mapper, side);
+    ASSERT_EQ(table.size(), rel.size());
+    for (RowId i = 0; i < rel.size(); ++i) {
+      mapper.ContributionVector(side, rel.attrs(i), expected.data());
+      EXPECT_EQ(std::memcmp(table.vector(i), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << "row " << i << " side " << static_cast<int>(side);
+    }
+  }
 }
 
 TEST(SourceLists, HandCase) {

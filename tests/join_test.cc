@@ -28,15 +28,31 @@ using Match = std::tuple<JoinKey, RowId, RowId>;
 
 TEST(KeyIndex, JoinMatchesNestedLoopInKeyOrder) {
   // Random relations with many duplicate (and negative) keys, joined over
-  // random row subsets (sometimes all rows, sometimes none): JoinIndexes
-  // must emit exactly the nested-loop pairs, in (key, r, t) order, and
-  // SharesKeyWith must say whether that join is non-empty.
+  // random, unsorted row subsets (sometimes all rows, sometimes none):
+  // JoinIndexes must emit exactly the nested-loop pairs, in (key, r, t)
+  // order, and SharesKeyWith must say whether that join is non-empty.
+  // A third of the trials move the small key domain into one byte
+  // position (up to the top byte, so keys differ only in their high
+  // bytes), and a third draw from INT64_MIN/INT64_MAX, their neighbours,
+  // -1/0/1 and random 64-bit keys, so every radix pass runs.
   Rng rng(19);
-  for (int trial = 0; trial < 300; ++trial) {
+  for (int trial = 0; trial < 600; ++trial) {
     const int64_t domain = 1 + static_cast<int64_t>(rng.NextBelow(12));
+    const int mode = trial % 3;
+    const int shift = 8 * ((trial / 3) % 8);
+    constexpr JoinKey kMin = std::numeric_limits<JoinKey>::min();
+    constexpr JoinKey kMax = std::numeric_limits<JoinKey>::max();
+    const std::vector<JoinKey> palette = {
+        kMin,     kMin + 1, kMax, kMax - 1, -1, 0, 1,
+        static_cast<JoinKey>(rng.Next()), static_cast<JoinKey>(rng.Next())};
+    auto draw = [&]() -> JoinKey {
+      if (mode == 2) return palette[rng.NextBelow(palette.size())];
+      const JoinKey v = rng.UniformInt(-domain, domain);
+      return mode == 1 ? v * (JoinKey{1} << shift) : v;
+    };
     auto make = [&] {
       std::vector<JoinKey> keys(rng.NextBelow(30));
-      for (JoinKey& key : keys) key = rng.UniformInt(-domain, domain);
+      for (JoinKey& key : keys) key = draw();
       return MakeRelation(keys);
     };
     const Relation r = make();

@@ -47,8 +47,8 @@ LaSetup MakeSetup(Distribution dist, size_t n, int d, double sigma,
   s.tc = std::make_unique<ContributionTable>(s.t, s.mapper, Side::kT);
   InputGridOptions opts;
   opts.cells_per_dim = input_cells;
-  s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, opts);
-  s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, opts);
+  s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, KeyIndex(s.r), opts);
+  s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, KeyIndex(s.t), opts);
   LookaheadOptions la_opts;
   la_opts.output_cells_per_dim = output_cells;
   s.la = OutputSpaceLookahead(*s.r_grid, *s.t_grid, s.mapper, la_opts)
@@ -198,8 +198,9 @@ LookaheadResult RunLookahead(const Relation& r, const Relation& t,
   opts.cells_per_dim = input_cells;
   LookaheadOptions la_opts;
   la_opts.output_cells_per_dim = output_cells;
-  return OutputSpaceLookahead(InputGrid(r, rc, opts), InputGrid(t, tc, opts),
-                              mapper, la_opts)
+  return OutputSpaceLookahead(InputGrid(r, rc, KeyIndex(r), opts),
+                              InputGrid(t, tc, KeyIndex(t), opts), mapper,
+                              la_opts)
       .MoveValue();
 }
 
@@ -312,8 +313,8 @@ TEST(Lookahead, RejectsOversizedOutputGrid) {
   s.tc = std::make_unique<ContributionTable>(s.t, s.mapper, Side::kT);
   InputGridOptions opts;
   opts.cells_per_dim = 2;
-  s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, opts);
-  s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, opts);
+  s.r_grid = std::make_unique<InputGrid>(s.r, *s.rc, KeyIndex(s.r), opts);
+  s.t_grid = std::make_unique<InputGrid>(s.t, *s.tc, KeyIndex(s.t), opts);
   LookaheadOptions la_opts;
   la_opts.output_cells_per_dim = 64;  // 64^5 cells
   auto result = OutputSpaceLookahead(*s.r_grid, *s.t_grid, s.mapper, la_opts);

@@ -198,8 +198,8 @@ TEST(PrepareCache, HitMissEvictionUnderByteBudget) {
   EXPECT_EQ(tiny->stats().misses, 1u);
 }
 
-// The byte estimate counts every partition's key runs (a second copy of its
-// rows, plus the keys and run offsets).
+// The byte estimate counts every partition's key runs (its rows, plus the
+// keys and run offsets) and bounds.
 TEST(PrepareCache, ApproxBytesCountsKeyRuns) {
   WorkloadParams params;
   params.distribution = Distribution::kAntiCorrelated;
@@ -219,9 +219,10 @@ TEST(PrepareCache, ApproxBytesCountsKeyRuns) {
     size_t floor = 0;
     for (const InputPartition& p : grid->partitions()) {
       EXPECT_GE(p.key_index.ApproxBytes(),
-                p.rows.size() * sizeof(RowId) + sizeof(JoinKey) +
+                p.size() * sizeof(RowId) + sizeof(JoinKey) +
                     2 * sizeof(uint32_t));
-      floor += p.rows.capacity() * sizeof(RowId) + p.key_index.ApproxBytes();
+      floor += p.bounds.capacity() * sizeof(Interval) +
+               p.key_index.ApproxBytes();
     }
     EXPECT_GE(grid->ApproxBytes(), floor);
     grid_bytes += grid->ApproxBytes();

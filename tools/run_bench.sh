@@ -3,8 +3,9 @@
 # root: Fig-10/13-style per-config total time, time-to-first-result and
 # dominance-comparison counts, the multi-query serving-layer sweep
 # (bench_multiquery), the shard-count sweep of the sharded executor
-# (bench_sharded), plus the insert-path and CombineBatch microbenchmark
-# throughput when google-benchmark is available.
+# (bench_sharded), plus the insert-path, CombineBatch, grid-binning,
+# key-index and cold-prepare microbenchmarks when google-benchmark is
+# available.
 #
 # Usage: tools/run_bench.sh [build_dir] [extra bench_json_summary flags...]
 #   tools/run_bench.sh                 # uses ./build, CI-scale sizes
@@ -54,9 +55,9 @@ fi
 
 micro_json=""
 if [[ -x "$build_dir/bench_micro_components" ]]; then
-  echo "running insert-path microbenchmark ..."
+  echo "running insert-path and prepare microbenchmarks ..."
   micro_json="$("$build_dir/bench_micro_components" \
-      --benchmark_filter='OutputTableInsert|CombineBatch' \
+      --benchmark_filter='OutputTableInsert|CombineBatch|GridCoordsOf|KeyIndexJoin|BuildPreparedInputs' \
       --benchmark_format=json 2>/dev/null)"
 fi
 
