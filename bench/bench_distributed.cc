@@ -8,7 +8,9 @@
 // quantiles, and — the correctness headline CI gates on — whether the
 // distributed run delivered exactly the in-process result set
 // (`results_match`). Distribution is a placement decision, never a results
-// decision.
+// decision. A worker-kill leg then stops one worker mid-stream and checks
+// that the retried shards, which replay their slices from scratch on the
+// surviving worker, still deliver exactly that set.
 //
 // Extra flags over bench_common: --json=<path>.
 #include <algorithm>
@@ -57,7 +59,7 @@ bool DrainTimed(ProgXeStream* stream, DrainResult* out) {
   return stream->last_status().ok();
 }
 
-// One worker-kill recovery run: fresh loopback workers, budgeted drain,
+// The worker-kill recovery run: fresh loopback workers, budgeted drain,
 // worker 0 stopped mid-stream, shard retries allowed to finish the query.
 struct RecoveryResult {
   bool ok = false;
@@ -65,19 +67,16 @@ struct RecoveryResult {
   double makespan = 0.0;
   uint64_t join_pairs = 0;
   uint64_t retries = 0;
-  uint64_t replay_pairs_saved = 0;
 };
 
 RecoveryResult RunRecoveryLeg(const Workload& workload, const IdSet& reference,
-                              uint64_t baseline_pairs, int num_shards,
-                              bool checkpoint_retry) {
+                              uint64_t baseline_pairs, int num_shards) {
   RecoveryResult out;
   std::vector<std::unique_ptr<WorkerServer>> servers;
   ShardOptions opts;
   opts.num_shards = num_shards;
   opts.max_retries = 8;
   opts.retry_backoff = std::chrono::milliseconds(1);
-  opts.checkpoint_retry = checkpoint_retry;
   for (int i = 0; i < 2; ++i) {
     WorkerServerOptions wopts;
     wopts.port = 0;
@@ -99,10 +98,9 @@ RecoveryResult RunRecoveryLeg(const Workload& workload, const IdSet& reference,
   }
   // Pump budget scaled to the workload so the drain crosses many region
   // boundaries at any bench size. The kill triggers on *delivery* progress,
-  // not a pump count: processed regions only become skip-safe once their
-  // results are confirmed delivered, so a kill pinned to an early pump
-  // would always find empty checkpoints. Two fifths of the skyline leaves
-  // both resumable history behind the kill and real work ahead of it.
+  // not a pump count: two fifths of the skyline leaves delivered results
+  // for the replay to re-deliver (and the dedup set to drop) as well as
+  // real work ahead of it.
   const size_t pump_budget = static_cast<size_t>(
       std::max<uint64_t>(256, baseline_pairs / 24));
   Stopwatch watch;
@@ -129,7 +127,6 @@ RecoveryResult RunRecoveryLeg(const Workload& workload, const IdSet& reference,
   out.join_pairs = (*stream)->stats().join_pairs_generated;
   const ShardCoverage coverage = (*stream)->coverage();
   out.retries = coverage.retries;
-  out.replay_pairs_saved = coverage.replay_pairs_saved;
   out.ok = true;
   return out;
 }
@@ -237,39 +234,20 @@ int main(int argc, char** argv) {
                  dist.ids.size(), baseline.ids.size());
   }
 
-  // Worker-kill recovery comparison: the same kill schedule with and
-  // without checkpointed retry. Both must stay bit-identical; the
-  // checkpointed run additionally reports the replay pairs its resumes
-  // skipped (CI gates replay_pairs_saved > 0).
-  const RecoveryResult with_checkpoint = RunRecoveryLeg(
-      workload, baseline.ids, baseline.join_pairs, kShards, true);
-  const RecoveryResult full_replay = RunRecoveryLeg(
-      workload, baseline.ids, baseline.join_pairs, kShards, false);
-  // The measured saving: join pairs the full replay generated beyond the
-  // checkpointed run (both totals include the dead incarnations' work).
-  const long long pairs_delta =
-      static_cast<long long>(full_replay.join_pairs) -
-      static_cast<long long>(with_checkpoint.join_pairs);
-  const bool recovery_ok = with_checkpoint.ok && full_replay.ok &&
-                           with_checkpoint.results_match &&
-                           full_replay.results_match;
+  // Worker-kill recovery: the retried shards replay from scratch and must
+  // still deliver the in-process result set.
+  const RecoveryResult recovery =
+      RunRecoveryLeg(workload, baseline.ids, baseline.join_pairs, kShards);
+  const bool recovery_ok = recovery.ok && recovery.results_match;
   std::printf(
-      "  recovery    checkpointed makespan=%8.4fs join_pairs=%llu "
-      "retries=%llu saved_pairs=%llu measured_delta=%lld\n"
-      "              full-replay  makespan=%8.4fs join_pairs=%llu "
-      "retries=%llu\n"
-      "              results_match=%s\n",
-      with_checkpoint.makespan,
-      static_cast<unsigned long long>(with_checkpoint.join_pairs),
-      static_cast<unsigned long long>(with_checkpoint.retries),
-      static_cast<unsigned long long>(with_checkpoint.replay_pairs_saved),
-      pairs_delta, full_replay.makespan,
-      static_cast<unsigned long long>(full_replay.join_pairs),
-      static_cast<unsigned long long>(full_replay.retries),
+      "  recovery    makespan=%8.4fs join_pairs=%llu retries=%llu "
+      "results_match=%s\n",
+      recovery.makespan, static_cast<unsigned long long>(recovery.join_pairs),
+      static_cast<unsigned long long>(recovery.retries),
       recovery_ok ? "true" : "false");
   if (!recovery_ok) {
     std::fprintf(stderr,
-                 "FATAL: a worker-kill recovery run diverged from the "
+                 "FATAL: the worker-kill recovery run diverged from the "
                  "in-process result set\n");
   }
 
@@ -296,12 +274,8 @@ int main(int argc, char** argv) {
         "  \"recovery\": {\n"
         "    \"results_match\": %s,\n"
         "    \"retries\": %llu,\n"
-        "    \"replay_pairs_saved\": %llu,\n"
-        "    \"replay_pairs_delta\": %lld,\n"
-        "    \"join_pairs_with_checkpoint\": %llu,\n"
-        "    \"join_pairs_full_replay\": %llu,\n"
-        "    \"makespan_with_checkpoint_s\": %.6f,\n"
-        "    \"makespan_full_replay_s\": %.6f\n"
+        "    \"join_pairs\": %llu,\n"
+        "    \"makespan_s\": %.6f\n"
         "  }\n}\n",
         params.cardinality, params.dims, params.sigma,
         static_cast<unsigned long long>(params.seed), kShards, kWorkers,
@@ -313,12 +287,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(after.RttQuantileUs(0.99)),
         static_cast<unsigned long long>(coverage.retries),
         results_match ? "true" : "false", recovery_ok ? "true" : "false",
-        static_cast<unsigned long long>(with_checkpoint.retries),
-        static_cast<unsigned long long>(with_checkpoint.replay_pairs_saved),
-        pairs_delta,
-        static_cast<unsigned long long>(with_checkpoint.join_pairs),
-        static_cast<unsigned long long>(full_replay.join_pairs),
-        with_checkpoint.makespan, full_replay.makespan);
+        static_cast<unsigned long long>(recovery.retries),
+        static_cast<unsigned long long>(recovery.join_pairs),
+        recovery.makespan);
     std::fclose(out);
     std::printf("wrote %s\n", json_path.c_str());
   }

@@ -9,10 +9,7 @@
 // concurrently on the process-wide shard pool of at most one thread per
 // core). Each K > 1
 // run also reports its time to first result relative to K = 1
-// (t_first_ratio), the paper's progressiveness metric for sharding. Default
-// ShardOptions keep checkpointed
-// retry on, so every healthy pump also exports a resume checkpoint; its
-// deterministic work counter is reported as checkpoint_cells_examined. The
+// (t_first_ratio), the paper's progressiveness metric for sharding. The
 // region loops' coverage bookkeeping (coverage build, release row walks,
 // ProgCount, EL-Graph watch lists) is reported as coverage_cells_walked,
 // summed over shards. Each shard sizes its own output grid from its slice's
@@ -50,7 +47,6 @@ struct ShardRun {
   uint64_t merge_comparisons = 0;  // merge-sink filtering/finality checks
   size_t held_peak = 0;            // merge-sink held-queue high-water mark
   double merge_time = 0.0;         // seconds spent inside the merge sink
-  uint64_t checkpoint_cells = 0;   // checkpoint-export work (cells examined)
   uint64_t coverage_cells = 0;     // region-coverage bookkeeping work
   std::vector<int> output_cells;   // resolved output grid, per shard
   double t_first_ratio = 1.0;      // t_first / t_first at K = 1
@@ -159,7 +155,6 @@ int main(int argc, char** argv) {
       run.merge_comparisons = sharded->merge_comparisons();
       run.held_peak = sharded->held_peak();
       run.merge_time = sharded->merge_seconds();
-      run.checkpoint_cells = sharded->checkpoint_cells_examined();
       run.coverage_cells = sharded->coverage_cells_walked();
       run.output_cells = sharded->output_cells_per_dim();
     } else if (const auto* session =
@@ -186,14 +181,13 @@ int main(int argc, char** argv) {
     std::printf(
         "  K=%-2d makespan=%8.4fs t_first=%8.4fs (x%.2f) results=%-7zu "
         "pairs=%-10llu cmps=%-10llu merge_cmps=%-9llu held_peak=%-6zu "
-        "merge_t=%.4fs ckpt_cells=%llu cov_cells=%llu grid=%s^%d\n",
+        "merge_t=%.4fs cov_cells=%llu grid=%s^%d\n",
         run.num_shards, run.makespan, run.t_first, run.t_first_ratio,
         run.results,
         static_cast<unsigned long long>(run.join_pairs),
         static_cast<unsigned long long>(run.comparisons),
         static_cast<unsigned long long>(run.merge_comparisons),
         run.held_peak, run.merge_time,
-        static_cast<unsigned long long>(run.checkpoint_cells),
         static_cast<unsigned long long>(run.coverage_cells),
         JoinCells(run.output_cells, "/").c_str(), params.dims);
   }
@@ -227,7 +221,6 @@ int main(int argc, char** argv) {
                    "\"join_pairs\": %llu, \"comparisons\": %llu, "
                    "\"merge_comparisons\": %llu, \"held_peak\": %zu, "
                    "\"merge_time_s\": %.6f, "
-                   "\"checkpoint_cells_examined\": %llu, "
                    "\"coverage_cells_walked\": %llu, "
                    "\"output_cells_per_dim\": [%s]}%s\n",
                    r.num_shards, r.makespan, r.t_first, r.t_first_ratio,
@@ -236,7 +229,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.comparisons),
                    static_cast<unsigned long long>(r.merge_comparisons),
                    r.held_peak, r.merge_time,
-                   static_cast<unsigned long long>(r.checkpoint_cells),
                    static_cast<unsigned long long>(r.coverage_cells),
                    JoinCells(r.output_cells, ", ").c_str(),
                    i + 1 == runs.size() ? "" : ",");

@@ -17,7 +17,7 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
     std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
     int shard_index, const Relation& r, const Relation& t,
     const MapSpec& map, const Preference& pref,
-    const ProgXeOptions& options, const SessionCheckpoint* resume) {
+    const ProgXeOptions& options) {
   std::unique_ptr<RemoteShardStream> stream(
       new RemoteShardStream(pool, endpoint, shard_index));
   PROGXE_ASSIGN_OR_RETURN(stream->conn_, pool->Checkout(endpoint));
@@ -30,8 +30,6 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   WritePreference(pref, &w);
   WriteRelation(r, &w);
   WriteRelation(t, &w);
-  w.PutU8(resume != nullptr ? 1 : 0);
-  if (resume != nullptr) WriteCheckpoint(*resume, &w);
 
   std::string reply;
   Status st = stream->conn_->Call(MsgType::kOpenShard, payload,
@@ -53,15 +51,6 @@ Result<std::unique_ptr<RemoteShardStream>> RemoteShardStream::Open(
   PROGXE_RETURN_NOT_OK(
       ReadWatermark(&reader, &stream->has_bound_, &stream->bound_));
   PROGXE_RETURN_NOT_OK(ReadStats(&reader, &stream->stats_));
-  uint8_t resumed = 0;
-  uint32_t regions_skipped = 0;
-  uint64_t pairs_saved = 0;
-  if (!reader.GetU8(&resumed) || !reader.GetU32(&regions_skipped) ||
-      !reader.GetU64(&pairs_saved)) {
-    return reader.status();
-  }
-  stream->resumed_ = resumed != 0;
-  stream->replay_pairs_saved_ = stream->resumed_ ? pairs_saved : 0;
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("trailing bytes in open_result payload");
   }
@@ -112,24 +101,6 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
   if (!status_.ok()) return 0;
   status_ = ReadStats(&reader, &stats_);
   if (!status_.ok()) return 0;
-  uint8_t has_checkpoint = 0;
-  if (!reader.GetU8(&has_checkpoint)) {
-    status_ = reader.status();
-    out->clear();
-    return 0;
-  }
-  if (has_checkpoint != 0) {
-    status_ = ReadCheckpoint(&reader, &last_checkpoint_);
-    if (!status_.ok()) {
-      out->clear();
-      return 0;
-    }
-    has_checkpoint_ = true;
-    ++checkpoints_received_;
-  }
-  // No checkpoint this pump (nothing newly skip-safe, mid-region budget
-  // cut, result cap, or exhaustion): keep the previous one — it is still a
-  // valid, if less advanced, resume point.
   if (!reader.AtEnd()) {
     status_ =
         Status::InvalidArgument("trailing bytes in pump_result payload");
@@ -137,12 +108,6 @@ size_t RemoteShardStream::NextBatch(size_t max_results, size_t max_pairs,
     return 0;
   }
   return out->size();
-}
-
-bool RemoteShardStream::ExportCheckpoint(SessionCheckpoint* out) {
-  if (!has_checkpoint_) return false;
-  *out = last_checkpoint_;
-  return true;
 }
 
 void RemoteShardStream::Close() {

@@ -32,16 +32,12 @@ class RemoteShardStream : public ShardEngine {
   /// session (the reply carries the prepare-phase stats + initial
   /// watermark). `options` must already carry the shard's fault_instance /
   /// seed; its coordinator-local pointers (faults, prepare_cache) do not
-  /// travel. With `resume` set, the checkpoint travels in kOpenShard and the
-  /// worker resumes past its skip-safe regions. A worker that rejects the
-  /// checkpoint as stale/corrupt falls back to full replay and reports
-  /// resumed() == false.
+  /// travel.
   static Result<std::unique_ptr<RemoteShardStream>> Open(
       std::shared_ptr<WorkerPool> pool, const std::string& endpoint,
       int shard_index, const Relation& r, const Relation& t,
       const MapSpec& map, const Preference& pref,
-      const ProgXeOptions& options,
-      const SessionCheckpoint* resume = nullptr);
+      const ProgXeOptions& options);
 
   ~RemoteShardStream() override;
 
@@ -54,16 +50,7 @@ class RemoteShardStream : public ShardEngine {
   Status last_status() const override { return status_; }
   bool RemainingLowerBound(std::vector<double>* lo) const override;
 
-  /// Answered from the checkpoint streamed with the last kPumpResult
-  /// that carried one.
-  bool ExportCheckpoint(SessionCheckpoint* out) override;
-  bool resumed() const override { return resumed_; }
-  uint64_t replay_pairs_saved() const override { return replay_pairs_saved_; }
-
   const std::string& endpoint() const { return endpoint_; }
-
-  /// Pump replies that carried a checkpoint group (diagnostic).
-  uint64_t checkpoints_received() const { return checkpoints_received_; }
 
  private:
   RemoteShardStream(std::shared_ptr<WorkerPool> pool, std::string endpoint,
@@ -79,15 +66,6 @@ class RemoteShardStream : public ShardEngine {
   bool has_bound_ = false;   ///< last watermark: shard can still emit
   std::vector<double> bound_;
   bool closed_ = false;
-
-  // Resume state: whether the worker actually resumed from the
-  // shipped checkpoint, the pairs that saved, and the freshest checkpoint
-  // it streamed back.
-  bool resumed_ = false;
-  uint64_t replay_pairs_saved_ = 0;
-  bool has_checkpoint_ = false;
-  SessionCheckpoint last_checkpoint_;
-  uint64_t checkpoints_received_ = 0;
 };
 
 }  // namespace progxe

@@ -531,51 +531,4 @@ Status ReadWatermark(WireReader* r, bool* has_bound,
   return Status::OK();
 }
 
-// --- Resume checkpoints ----------------------------------------------------
-
-void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w) {
-  w->PutU32(checkpoint.k);
-  w->PutU64(checkpoint.delivered);
-  w->PutU64(checkpoint.region_count);
-  w->PutU64(checkpoint.replay_pairs_saved);
-  w->PutU32(static_cast<uint32_t>(checkpoint.skip_regions.size()));
-  for (int32_t id : checkpoint.skip_regions) {
-    w->PutU32(static_cast<uint32_t>(id));
-  }
-  WriteStats(checkpoint.stats, w);
-}
-
-Status ReadCheckpoint(WireReader* r, SessionCheckpoint* out) {
-  SessionCheckpoint cp;
-  uint32_t count = 0;
-  if (!r->GetU32(&cp.k) || !r->GetU64(&cp.delivered) ||
-      !r->GetU64(&cp.region_count) || !r->GetU64(&cp.replay_pairs_saved) ||
-      !r->GetU32(&count)) {
-    return r->status();
-  }
-  if (static_cast<uint64_t>(count) * 4 > r->remaining()) {
-    r->Fail("wire checkpoint truncated (skip count exceeds payload)");
-    return r->status();
-  }
-  if (static_cast<uint64_t>(count) > cp.region_count) {
-    r->Fail("wire checkpoint skip count exceeds its region count");
-    return r->status();
-  }
-  cp.skip_regions.reserve(count);
-  uint32_t prev = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id;
-    if (!r->GetU32(&id)) return r->status();
-    if (id > static_cast<uint32_t>(INT32_MAX) || (i > 0 && id <= prev)) {
-      r->Fail("wire checkpoint skip ids not strictly increasing");
-      return r->status();
-    }
-    prev = id;
-    cp.skip_regions.push_back(static_cast<int32_t>(id));
-  }
-  PROGXE_RETURN_NOT_OK(ReadStats(r, &cp.stats));
-  *out = std::move(cp);
-  return Status::OK();
-}
-
 }  // namespace progxe

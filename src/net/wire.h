@@ -44,7 +44,6 @@
 #include "data/relation.h"
 #include "mapping/map_expr.h"
 #include "prefs/preference.h"
-#include "progxe/checkpoint.h"
 #include "progxe/config.h"
 
 namespace progxe {
@@ -56,16 +55,14 @@ namespace progxe {
 /// kError and closes; the pool reports InvalidArgument. Bump kWireVersion
 /// whenever any payload layout changes.
 ///
-/// kOpenShard ends with a resume SessionCheckpoint (u8 has_checkpoint +
-/// checkpoint group), kOpenResult with resume info (u8 resumed,
-/// u32 regions_skipped, u64 replay_pairs_saved) and kPumpResult with
-/// u8 has_checkpoint + checkpoint group (0 = keep the previous checkpoint;
-/// workers ship one only when its skip list grew). Version 7 dropped
-/// `max_output_cells` from the options group: the output-cell cap is
-/// fixed, so a peer cannot raise it. Version 8 dropped the partitioning
-/// byte: the input grid is the one partitioner.
+/// Version 7 dropped `max_output_cells` from the options group: the
+/// output-cell cap is fixed, so a peer cannot raise it. Version 8 dropped
+/// the partitioning byte: the input grid is the one partitioner. Version 9
+/// dropped the resume checkpoint: kOpenShard ends with the T slice,
+/// kOpenResult with the prepare-phase stats and kPumpResult with the
+/// post-pump stats (a retried shard replays its slice from scratch).
 inline constexpr uint32_t kWireMagic = 0x50584531;  // "PXE1"
-inline constexpr uint16_t kWireVersion = 8;
+inline constexpr uint16_t kWireVersion = 9;
 
 /// Hard ceiling on one frame's payload. Large enough for a full relation
 /// slice of any workload this engine targets; small enough that a corrupted
@@ -190,14 +187,5 @@ void WriteWatermark(bool has_bound, const std::vector<double>& bound,
                     WireWriter* w);
 Status ReadWatermark(WireReader* r, bool* has_bound,
                      std::vector<double>* bound);
-
-/// Resume checkpoint (progxe/checkpoint.h): u32 k, u64 delivered, u64
-/// region_count, u64 replay_pairs_saved, u32 skip_count + skip_count u32
-/// region ids (validated against the bytes present and required strictly
-/// increasing), then WriteStats. Decode
-/// failures surface through the reader; semantic staleness (wrong prepared
-/// inputs) is caught later by RegionLoop::RestoreCheckpoint.
-void WriteCheckpoint(const SessionCheckpoint& checkpoint, WireWriter* w);
-Status ReadCheckpoint(WireReader* r, SessionCheckpoint* out);
 
 }  // namespace progxe

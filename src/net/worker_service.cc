@@ -34,10 +34,6 @@ struct OpenState {
   Preference pref;
   std::unique_ptr<ProgXeSession> session;
   int shard_index = 0;
-  /// Export target reused across pumps, and the skip-list length of the
-  /// last checkpoint shipped on this session (0 before the first).
-  SessionCheckpoint checkpoint;
-  size_t shipped_skip_regions = 0;
 };
 
 Status SendError(int fd, const Status& status) {
@@ -252,12 +248,6 @@ void WorkerServer::HandleConnection(int fd) {
           ReadPreference(&r, &next->pref);
           ReadRelation(&r, &next->r);
           ReadRelation(&r, &next->t);
-          SessionCheckpoint resume;
-          bool has_resume = false;
-          uint8_t flag = 0;
-          if (r.GetU8(&flag) && flag != 0) {
-            if (ReadCheckpoint(&r, &resume).ok()) has_resume = true;
-          }
           if (!r.ok() || !r.AtEnd()) {
             if (r.ok()) r.Fail("trailing bytes after open_shard payload");
             parse_error = r.status();
@@ -268,21 +258,7 @@ void WorkerServer::HandleConnection(int fd) {
             query.t = &next->t;
             query.map = next->map;
             query.pref = next->pref;
-            if (has_resume) {
-              opened = ProgXeSession::Open(query, options, &resume);
-              if (!opened.ok() && opened.status().IsInvalidArgument()) {
-                // Stale/corrupt checkpoint (wrong k, region mismatch, bad
-                // ids): the assignment itself is still good, so fall back
-                // to a from-scratch replay rather than failing the open.
-                PROGXE_LOG(Warn)
-                    << "shard " << next->shard_index
-                    << " resume checkpoint rejected, replaying from scratch: "
-                    << opened.status().ToString();
-                opened = ProgXeSession::Open(query, std::move(options));
-              }
-            } else {
-              opened = ProgXeSession::Open(query, std::move(options));
-            }
+            opened = ProgXeSession::Open(query, std::move(options));
           }
         }
         if (!parse_error.ok()) {
@@ -307,15 +283,10 @@ void WorkerServer::HandleConnection(int fd) {
           const bool has_bound = next->session->RemainingLowerBound(&bound);
           WriteWatermark(has_bound, bound, &w);
           WriteStats(next->session->stats(), &w);
-          w.PutU8(next->session->resumed() ? 1 : 0);
-          w.PutU32(next->session->resumed_regions_skipped());
-          w.PutU64(next->session->replay_pairs_saved());
           state = std::move(next);
           PROGXE_LOG(Info) << "worker opened shard " << state->shard_index
                            << " (r=" << state->r.size()
-                           << " t=" << state->t.size()
-                           << (state->session->resumed() ? ", resumed" : "")
-                           << ")";
+                           << " t=" << state->t.size() << ")";
           std::lock_guard<std::mutex> lock(mtx_);
           session_fds_.insert(fd);
         }
@@ -381,20 +352,6 @@ void WorkerServer::HandleConnection(int fd) {
           const bool has_bound = session.RemainingLowerBound(&bound);
           WriteWatermark(has_bound, bound, &w);
           WriteStats(session.stats(), &w);
-          // Ship a resume point only when it skips more regions than the
-          // last one shipped (skip lists only grow). Otherwise — nothing
-          // newly skip-safe, or a mid-region budget cut — the coordinator
-          // keeps the previous one, which is still a valid resume point.
-          const bool has_checkpoint =
-              session.ExportCheckpoint(&state->checkpoint) &&
-              state->checkpoint.skip_regions.size() >
-                  state->shipped_skip_regions;
-          w.PutU8(has_checkpoint ? 1 : 0);
-          if (has_checkpoint) {
-            WriteCheckpoint(state->checkpoint, &w);
-            state->shipped_skip_regions =
-                state->checkpoint.skip_regions.size();
-          }
         }
         ok = SendFrame(fd, MsgType::kPumpResult, reply).ok();
         break;

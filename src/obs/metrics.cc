@@ -350,9 +350,6 @@ void FoldShardCoverage(const ShardCoverage& c, MetricsRegistry* reg) {
   reg->GetCounter("progxe_shard_coverage_retries_total",
                   "Shard re-opens over the folded stream's life")
       ->Set(static_cast<double>(c.retries));
-  reg->GetCounter("progxe_retry_replay_pairs_saved",
-                  "Join pairs checkpointed retries skipped re-generating")
-      ->Set(static_cast<double>(c.replay_pairs_saved));
 }
 
 void FoldObservability(MetricsRegistry* reg) {

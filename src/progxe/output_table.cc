@@ -189,50 +189,6 @@ int32_t OutputTable::AddCell(CellIndex c, const CellCoord* coords) {
   return s;
 }
 
-void OutputTable::AddUnflushed(int32_t cell_slot) {
-  CellData& cell = cells_[static_cast<size_t>(cell_slot)];
-  assert(cell.unflushed_pos < 0);
-  cell.unflushed_pos = static_cast<int32_t>(unflushed_slots_.size());
-  unflushed_slots_.push_back(cell_slot);
-  unflushed_coords_.insert(unflushed_coords_.end(), cell.coords.begin(),
-                           cell.coords.end());
-}
-
-void OutputTable::RemoveUnflushed(CellData& cell) {
-  const int32_t pos = cell.unflushed_pos;
-  if (pos < 0) return;
-  cell.unflushed_pos = -1;
-  const size_t last = unflushed_slots_.size() - 1;
-  const size_t kk = static_cast<size_t>(k_);
-  if (static_cast<size_t>(pos) != last) {
-    const int32_t moved = unflushed_slots_[last];
-    unflushed_slots_[static_cast<size_t>(pos)] = moved;
-    std::copy_n(unflushed_coords_.begin() + static_cast<ptrdiff_t>(last * kk),
-                kk,
-                unflushed_coords_.begin() +
-                    static_cast<ptrdiff_t>(static_cast<size_t>(pos) * kk));
-    cells_[static_cast<size_t>(moved)].unflushed_pos = pos;
-  }
-  unflushed_slots_.pop_back();
-  unflushed_coords_.resize(last * kk);
-}
-
-CellIndex OutputTable::FindUnflushedInBox(const CellCoord* lo,
-                                          const CellCoord* hi,
-                                          uint64_t* examined) const {
-  const size_t kk = static_cast<size_t>(k_);
-  for (size_t i = 0; i < unflushed_slots_.size(); ++i) {
-    const CellCoord* coords = unflushed_coords_.data() + i * kk;
-    if (DominanceIndex::CoordsLeq(lo, coords, k_) &&
-        DominanceIndex::CoordsLeq(coords, hi, k_)) {
-      *examined += i + 1;
-      return cells_[static_cast<size_t>(unflushed_slots_[i])].index;
-    }
-  }
-  *examined += unflushed_slots_.size();
-  return -1;
-}
-
 void OutputTable::MarkCell(CellIndex c, const CellCoord* coords) {
   assert(!marked_[static_cast<size_t>(c)]);
   marked_[static_cast<size_t>(c)] = 1;
@@ -244,7 +200,6 @@ void OutputTable::MarkCell(CellIndex c, const CellCoord* coords) {
   // Tuples arrive only in cells an active region covers, and a flushed
   // cell has no active region at or below it — so none is above one.
   assert(!emitted_[static_cast<size_t>(c)]);
-  RemoveUnflushed(cell);
   stats_->tuples_evicted += cell.alive_count;
   cell.values.clear();
   cell.ids.clear();
@@ -459,7 +414,6 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
           ++stats_->tuples_evicted;
         }
       }
-      if (cell.alive_count == 0) RemoveUnflushed(cell);
       if (cell.dead_count > cell.ids.size() / 2) cell.Compact(k_);
       return true;
     });
@@ -470,7 +424,7 @@ InsertOutcome OutputTable::InsertAlive(const double* values, RowId r_id,
   cell.values.insert(cell.values.end(), values, values + k_);
   cell.ids.push_back(CellTupleIds{r_id, t_id});
   cell.alive.push_back(1);
-  if (++cell.alive_count == 1) AddUnflushed(own_slot);
+  ++cell.alive_count;
   double* lo = cell_min_.data() + static_cast<size_t>(own_slot) * kk;
   double* hi = cell_max_.data() + static_cast<size_t>(own_slot) * kk;
   for (int d = 0; d < k_; ++d) {
@@ -488,7 +442,6 @@ void OutputTable::FlushCell(CellIndex c, std::vector<double>* values_out,
   const int32_t s = slot(c);
   if (s < 0) return;
   CellData& cell = cells_[static_cast<size_t>(s)];
-  RemoveUnflushed(cell);
   const size_t kk = static_cast<size_t>(k_);
   for (size_t i = 0; i < cell.ids.size(); ++i) {
     if (!cell.alive[i]) continue;

@@ -149,19 +149,6 @@ class OutputTable {
   bool populated(CellIndex c) const;
   /// Number of live tuples in the cell.
   size_t AliveCount(CellIndex c) const;
-  /// True iff the cell holds live tuples that are still waiting to flush:
-  /// populated && !emitted && !marked (a marked cell holds no live tuples).
-  bool unflushed(CellIndex c) const {
-    const int32_t s = slot(c);
-    return s >= 0 && cells_[static_cast<size_t>(s)].unflushed_pos >= 0;
-  }
-
-  /// First unflushed cell with lo <= coords <= hi in every dimension, or -1.
-  /// Scans the unflushed-cell list, not the box volume, so the cost is
-  /// O(unflushed cells); adds the entries examined to `*examined`.
-  CellIndex FindUnflushedInBox(const CellCoord* lo, const CellCoord* hi,
-                               uint64_t* examined) const;
-
   /// Moves the cells marked since the last call (each once, in marking
   /// order) into `*out`, dropping its old contents. Cells are marked after
   /// look-ahead only strictly above a populated cell or a MarkDominatedBy
@@ -198,7 +185,6 @@ class OutputTable {
     std::vector<CellCoord> coords;  // this cell's grid coordinates
     CellIndex index = -1;           // cached geometry_.IndexOf(coords)
     int32_t pop_pos = -1;           // position in the populated-cell index
-    int32_t unflushed_pos = -1;     // position in the unflushed-cell list
     size_t alive_count = 0;
     size_t dead_count = 0;
 
@@ -228,12 +214,6 @@ class OutputTable {
   /// Adds `delta` to the ProgCount of the single region counted in
   /// cover_lo at cell `c` (with coordinates `coords`), if its box holds c.
   void AdjustProgCount(CellIndex c, const CellCoord* coords, int64_t delta);
-
-  /// Unflushed-cell list upkeep: a cell joins when its first live tuple
-  /// arrives and leaves when it flushes, is marked or loses its last live
-  /// tuple to eviction. Swap-pop removal, O(1) either way.
-  void AddUnflushed(int32_t cell_slot);
-  void RemoveUnflushed(CellData& cell);
 
   /// Squeezes tombstones out of the populated-cell index once they
   /// dominate it. Must only run outside the index sweeps.
@@ -292,12 +272,6 @@ class OutputTable {
 
   /// Cells marked at runtime since the last TakeNewlyMarked.
   std::vector<CellIndex> newly_marked_;
-
-  // Unflushed cells (populated && !emitted && !marked): cell slots plus a
-  // parallel flat copy of their coordinates (k per entry) so box-containment
-  // scans stay on contiguous memory. Read by checkpoint export only.
-  std::vector<int32_t> unflushed_slots_;
-  std::vector<CellCoord> unflushed_coords_;
 
   // Reusable scratch: single-insert and marking-walk coordinates and the
   // batch pipeline's per-block coordinate / cell-index buffers.

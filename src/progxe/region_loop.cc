@@ -59,7 +59,6 @@ RegionLoop::RegionLoop(PreparedQuery* prep, const ProgXeOptions& options,
     if (region.Active()) ++active_regions_;
   }
   removed_.assign(regions_->size(), 0);
-  region_pairs_.assign(regions_->size(), 0);
   result_.values.resize(static_cast<size_t>(inputs.k));
 
   // Group the active regions by lo_cell for the runtime discard sweep (a
@@ -117,7 +116,6 @@ void RegionLoop::RemoveRegion(Region& region,
                               std::vector<ResultTuple>* pending) {
   if (removed_[static_cast<size_t>(region.id)]) return;
   removed_[static_cast<size_t>(region.id)] = 1;
-  removal_log_.push_back(region.id);
   assert(active_regions_ > 0);
   --active_regions_;
   table_.ReleaseRegionCoverage(region, &release_);
@@ -179,112 +177,10 @@ void RegionLoop::RemainingLowerBound(std::vector<double>* lo) const {
   }
 }
 
-bool RegionLoop::ExportCheckpoint(SessionCheckpoint* out) {
-  // Only at a region boundary on a healthy, unfinished loop, and only when
-  // no result cap is in play: with max_results set, EmitCells may truncate
-  // a flush mid-cell, so "emitted" would no longer imply "delivered".
-  if (done_ || current_region_ >= 0 || !status_.ok() ||
-      options_.max_results != 0) {
-    return false;
-  }
-  newly_safe_.clear();
-  // Classify the regions removed since the last export. Discarded without
-  // processing: every would-be tuple is strictly dominated by frontier
-  // points that are themselves delivered or regenerated — safe at once.
-  for (; export_cursor_ < removal_log_.size(); ++export_cursor_) {
-    const int32_t id = removal_log_[export_cursor_];
-    if ((*regions_)[static_cast<size_t>(id)].processed) {
-      unsafe_.push_back(UnsafeRegion{id, -1});
-    } else {
-      newly_safe_.push_back(id);
-    }
-  }
-  // Processed: safe iff no live tuple it could have contributed is still
-  // waiting to flush — no unflushed cell left in its coverage box. The
-  // cell that blocked the last test usually still does; only once it has
-  // cleared is the unflushed-cell list searched for another.
-  for (size_t i = 0; i < unsafe_.size();) {
-    UnsafeRegion& entry = unsafe_[i];
-    ++checkpoint_cells_examined_;
-    if (entry.blocker < 0 || !table_.unflushed(entry.blocker)) {
-      const Region& region = (*regions_)[static_cast<size_t>(entry.id)];
-      entry.blocker = table_.FindUnflushedInBox(
-          region.lo_cell.data(), region.hi_cell.data(),
-          &checkpoint_cells_examined_);
-    }
-    if (entry.blocker >= 0) {
-      ++i;
-      continue;
-    }
-    newly_safe_.push_back(entry.id);
-    skip_pairs_ += region_pairs_[static_cast<size_t>(entry.id)];
-    entry = unsafe_.back();
-    unsafe_.pop_back();
-  }
-  if (!newly_safe_.empty()) {
-    // Merge the (few) new ids into the sorted list from the back, in place.
-    std::sort(newly_safe_.begin(), newly_safe_.end());
-    size_t a = skip_regions_.size();
-    size_t b = newly_safe_.size();
-    skip_regions_.resize(a + b);
-    for (size_t w = a + b; b > 0;) {
-      if (a > 0 && skip_regions_[a - 1] > newly_safe_[b - 1]) {
-        skip_regions_[--w] = skip_regions_[--a];
-      } else {
-        skip_regions_[--w] = newly_safe_[--b];
-      }
-    }
-  }
-  out->k = static_cast<uint32_t>(prep_->inputs->k);
-  out->region_count = regions_->size();
-  out->replay_pairs_saved = skip_pairs_;
-  out->skip_regions.assign(skip_regions_.begin(), skip_regions_.end());
-  return true;
-}
-
-Status RegionLoop::RestoreCheckpoint(const SessionCheckpoint& checkpoint) {
-  if (resumed_ || current_region_ >= 0 || done_ || !status_.ok()) {
-    return Status::InvalidArgument(
-        "RestoreCheckpoint: loop is not freshly constructed");
-  }
-  if (checkpoint.k != static_cast<uint32_t>(prep_->inputs->k)) {
-    return Status::InvalidArgument("checkpoint dimensionality mismatch");
-  }
-  if (checkpoint.region_count != regions_->size()) {
-    return Status::InvalidArgument("checkpoint region count mismatch");
-  }
-  int32_t prev = -1;
-  for (int32_t id : checkpoint.skip_regions) {
-    if (id <= prev || static_cast<size_t>(id) >= regions_->size()) {
-      return Status::InvalidArgument("checkpoint skip list malformed");
-    }
-    if (!(*regions_)[static_cast<size_t>(id)].Active()) {
-      return Status::InvalidArgument("checkpoint skips an inactive region");
-    }
-    prev = id;
-  }
-  // The dead incarnation's counters travel separately (shard lost_stats),
-  // so no stats counter moves here. No cell is populated on a fresh table,
-  // so nothing flushes and `pending` goes unused.
-  for (int32_t id : checkpoint.skip_regions) {
-    Region& region = (*regions_)[static_cast<size_t>(id)];
-    region.discarded = true;
-    RemoveRegion(region, /*pending=*/nullptr);
-  }
-  resumed_ = !checkpoint.skip_regions.empty();
-  replay_pairs_saved_ = resumed_ ? checkpoint.replay_pairs_saved : 0;
-  // The pre-removed regions stay skipped in every later export, and so do
-  // the pairs their skip saves.
-  skip_pairs_ = replay_pairs_saved_;
-  resumed_regions_skipped_ =
-      static_cast<uint32_t>(checkpoint.skip_regions.size());
-  return Status::OK();
-}
-
 bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
   if (done_) return false;
-  // The seed marks are swept on the first Step, after any
-  // RestoreCheckpoint, so their removals land in a caller-visible Step.
+  // The seed marks are swept on the first Step, so their removals land in
+  // a caller-visible Step.
   if (!seed_swept_) {
     seed_swept_ = true;
     DiscardSweep(pending, &stats_->regions_discarded_seed);
@@ -336,7 +232,6 @@ bool RegionLoop::Step(std::vector<ResultTuple>* pending, size_t max_pairs) {
       span.arg("region", current_region_);
       const uint64_t pairs = pipeline_.ProcessSome(max_pairs, &table_);
       stats_->join_pairs_generated += pairs;
-      region_pairs_[static_cast<size_t>(current_region_)] += pairs;
       span.arg("pairs", static_cast<int64_t>(pairs));
       if (!pipeline_.RegionExhausted()) return true;  // yielded mid-region
     }

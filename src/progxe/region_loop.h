@@ -18,7 +18,6 @@
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "elgraph/el_graph.h"
-#include "progxe/checkpoint.h"
 #include "progxe/output_table.h"
 #include "progxe/pipeline.h"
 #include "progxe/prepare.h"
@@ -62,65 +61,25 @@ class RegionLoop {
   /// region's lo_cell is <= c and c's tuples sit above its lower edge.
   void RemainingLowerBound(std::vector<double>* lo) const;
 
-  /// Fills `*out` with a resumable snapshot of the loop's region cursor.
-  /// Only valid at a region boundary (no region open in the pipeline) on a
-  /// healthy, unfinished loop — returns false otherwise. Skip-safety
-  /// verdicts (see progxe/checkpoint.h) are incremental: regions removed
-  /// since the last export are classified once, and only processed regions
-  /// not yet skip-safe are re-tested — first against their cached blocking
-  /// cell, then against the table's unflushed-cell list. Positive verdicts
-  /// are permanent. Reuses `out`'s capacity.
-  bool ExportCheckpoint(SessionCheckpoint* out);
-
-  /// Cached blocking cells plus unflushed-cell list entries examined by
-  /// ExportCheckpoint over the loop's lifetime (deterministic work counter).
-  uint64_t checkpoint_cells_examined() const {
-    return checkpoint_cells_examined_;
-  }
-
   /// Cells visited by coverage upkeep and ProgCount plus EL-Graph
   /// watch-list entries examined over the loop's lifetime (deterministic
-  /// work counter, like checkpoint_cells_examined; not a ProgXeStats field).
+  /// work counter; not a ProgXeStats field).
   uint64_t coverage_cells_walked() const {
     return table_.coverage_cells_walked() +
            (el_graph_ != nullptr ? el_graph_->watch_entries_examined() : 0);
   }
 
-  /// Join pairs generated for region `id` by this loop (0 if never picked).
-  uint64_t region_join_pairs(int32_t id) const {
-    return region_pairs_[static_cast<size_t>(id)];
-  }
-
-  /// Read-only views of the runtime state skip-safety is defined over
-  /// (diagnostics and reference checks).
+  /// Read-only views of the runtime state (diagnostics and reference
+  /// checks).
   const OutputTable& table() const { return table_; }
   const std::vector<Region>& regions() const { return *regions_; }
-  bool removed(int32_t id) const {
-    return removed_[static_cast<size_t>(id)] != 0;
-  }
-
-  /// Pre-removes the checkpoint's skip-safe regions from a freshly
-  /// constructed loop (call before the first Step). Validates the
-  /// checkpoint against this loop's prepared inputs — dimension, region
-  /// count, id range/ordering, region still active — and returns
-  /// kInvalidArgument on any mismatch (caller falls back to full replay;
-  /// the loop must be discarded, it may have been partially restored).
-  /// Nothing is emitted and no stats counters are bumped: the dead
-  /// incarnation's accounting is carried separately by the caller.
-  Status RestoreCheckpoint(const SessionCheckpoint& checkpoint);
-
-  /// Join pairs RestoreCheckpoint avoided re-generating (0 when not
-  /// resumed), and the number of regions it pre-removed.
-  uint64_t replay_pairs_saved() const { return replay_pairs_saved_; }
-  uint32_t resumed_regions_skipped() const { return resumed_regions_skipped_; }
-  bool resumed() const { return resumed_; }
 
  private:
   bool ReachedLimit() const;
   void EmitCells(const std::vector<CellIndex>& cells,
                  std::vector<ResultTuple>* pending);
-  /// The one region-removal path (processed, discarded, seeded or
-  /// restored): releases its coverage and emits the cells that flush.
+  /// The one region-removal path (processed, discarded or seeded):
+  /// releases its coverage and emits the cells that flush.
   void RemoveRegion(Region& region, std::vector<ResultTuple>* pending);
   /// Removes the active regions whose lo_cell was marked since the last
   /// sweep, counting them into `*discarded`.
@@ -152,34 +111,6 @@ class RegionLoop {
 
   /// Regions RemoveRegion has removed (each exactly once).
   std::vector<uint8_t> removed_;
-
-  /// Join pairs generated per region id (summed over its slices).
-  std::vector<uint64_t> region_pairs_;
-
-  // Incremental checkpoint export. Every removed region id is logged once;
-  // an export classifies the ids logged since the previous one. Discarded
-  // ones are skip-safe at once; processed ones wait in unsafe_ until no
-  // unflushed cell is left in their box. Verdicts are monotone (emitted
-  // and marked are never un-set), so skip_regions_ only grows.
-  struct UnsafeRegion {
-    int32_t id;
-    /// Unflushed cell in the region's box found by the last test, or -1.
-    CellIndex blocker;
-  };
-  std::vector<int32_t> removal_log_;
-  size_t export_cursor_ = 0;
-  std::vector<UnsafeRegion> unsafe_;
-  std::vector<int32_t> skip_regions_;  // sorted strictly increasing
-  std::vector<int32_t> newly_safe_;    // per-export scratch
-  /// Running replay_pairs_saved: pairs of the processed skip-safe regions,
-  /// plus the restored checkpoint's own total.
-  uint64_t skip_pairs_ = 0;
-  uint64_t checkpoint_cells_examined_ = 0;
-
-  // Resume bookkeeping (RestoreCheckpoint).
-  bool resumed_ = false;
-  uint64_t replay_pairs_saved_ = 0;
-  uint32_t resumed_regions_skipped_ = 0;
 
   // Refinement seeding (options.refinement_seed) marks cells in the
   // constructor; the first Step sweeps them into regions_discarded_seed.

@@ -11,28 +11,8 @@
 
 namespace progxe {
 
-namespace {
-
-// Applies a resume checkpoint to a freshly opened session. A trivially
-// empty session has no loop: only an equally empty checkpoint matches.
-Status ApplyResume(ProgXeSession* session, RegionLoop* loop,
-                   const SessionCheckpoint& resume) {
-  (void)session;
-  if (loop == nullptr) {
-    if (resume.region_count == 0 && resume.skip_regions.empty()) {
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "checkpoint does not match a trivially-empty session");
-  }
-  return loop->RestoreCheckpoint(resume);
-}
-
-}  // namespace
-
 Result<std::unique_ptr<ProgXeSession>> ProgXeSession::Open(
-    const SkyMapJoinQuery& query, ProgXeOptions options,
-    const SessionCheckpoint* resume) {
+    const SkyMapJoinQuery& query, ProgXeOptions options) {
   // make_unique needs a public constructor; the session is handed out
   // fully-opened only.
   std::unique_ptr<ProgXeSession> session(new ProgXeSession());
@@ -69,16 +49,11 @@ Result<std::unique_ptr<ProgXeSession>> ProgXeSession::Open(
                                       &session->stats_, session->prep_.get()));
   }
   session->StartLoop();
-  if (resume != nullptr) {
-    PROGXE_RETURN_NOT_OK(
-        ApplyResume(session.get(), session->loop_.get(), *resume));
-  }
   return session;
 }
 
 Result<std::unique_ptr<ProgXeSession>> ProgXeSession::OpenPrepared(
-    std::shared_ptr<const PreparedInputs> inputs, ProgXeOptions options,
-    const SessionCheckpoint* resume) {
+    std::shared_ptr<const PreparedInputs> inputs, ProgXeOptions options) {
   if (inputs == nullptr) {
     return Status::InvalidArgument("OpenPrepared requires prepared inputs");
   }
@@ -88,10 +63,6 @@ Result<std::unique_ptr<ProgXeSession>> ProgXeSession::OpenPrepared(
   AdoptPreparedInputs(std::move(inputs), &session->options_,
                       &session->stats_, session->prep_.get());
   session->StartLoop();
-  if (resume != nullptr) {
-    PROGXE_RETURN_NOT_OK(
-        ApplyResume(session.get(), session->loop_.get(), *resume));
-  }
   return session;
 }
 
@@ -173,20 +144,6 @@ void ProgXeSession::Close() {
   pending_.clear();
   pending_.shrink_to_fit();
   pending_pos_ = 0;
-}
-
-bool ProgXeSession::ExportCheckpoint(SessionCheckpoint* out) {
-  // Every flushed result must have been delivered: skip-safety treats an
-  // emitted cell as "its tuples reached the consumer", which is only true
-  // once the pending buffer is drained.
-  if (closed_ || !status_.ok() || loop_ == nullptr ||
-      pending_pos_ < pending_.size()) {
-    return false;
-  }
-  if (!loop_->ExportCheckpoint(out)) return false;
-  out->delivered = stats_.results_emitted;
-  out->stats = stats_;
-  return true;
 }
 
 bool ProgXeSession::Finished() const {

@@ -39,23 +39,16 @@ class ProgXeSession : public ProgXeStream {
   /// hit skips the prepare phase entirely (stats and resolved options are
   /// replayed bit-identically from the cached build), a miss builds a
   /// self-contained entry and publishes it.
-  /// With `resume` set, the freshly built region loop is restored from the
-  /// checkpoint (skip-safe regions pre-removed) before the first pump; a
-  /// stale or corrupt checkpoint fails the open with kInvalidArgument, which
-  /// callers treat as "re-open without the checkpoint" (full replay).
   static Result<std::unique_ptr<ProgXeSession>> Open(
-      const SkyMapJoinQuery& query, ProgXeOptions options,
-      const SessionCheckpoint* resume = nullptr);
+      const SkyMapJoinQuery& query, ProgXeOptions options);
 
   /// Opens directly over previously built prepared state, skipping the
   /// prepare phase. Used by the sharded stream to re-open a quarantined
   /// shard without re-running push-through/grids/look-ahead, and by anyone
   /// holding a cache entry. The inputs' sources must stay alive for the
   /// session's lifetime (guaranteed when `inputs` owns its copies).
-  /// `resume` behaves as in Open.
   static Result<std::unique_ptr<ProgXeSession>> OpenPrepared(
-      std::shared_ptr<const PreparedInputs> inputs, ProgXeOptions options,
-      const SessionCheckpoint* resume = nullptr);
+      std::shared_ptr<const PreparedInputs> inputs, ProgXeOptions options);
 
   ProgXeSession(const ProgXeSession&) = delete;
   ProgXeSession& operator=(const ProgXeSession&) = delete;
@@ -124,34 +117,6 @@ class ProgXeSession : public ProgXeStream {
 
   /// True iff Close() has run (explicitly or via early teardown).
   bool closed() const { return closed_; }
-
-  /// Fills `*out` with a resumable snapshot of the region cursor (see
-  /// progxe/checkpoint.h). Only valid on a healthy, open session at a
-  /// region boundary with all flushed results delivered — returns false
-  /// otherwise. `out->delivered` counts this incarnation's deliveries.
-  bool ExportCheckpoint(SessionCheckpoint* out);
-
-  /// True iff this session was opened from a checkpoint that actually
-  /// skipped regions; such a session may deliver tuples outside its true
-  /// local skyline (a suppressor from a skipped region is absent), so a
-  /// merge layer must keep this session's own watermark in its release
-  /// check instead of exempting it.
-  bool resumed() const { return loop_ != nullptr && loop_->resumed(); }
-
-  /// Join pairs the resume skipped re-generating / regions pre-removed
-  /// (both 0 when not resumed).
-  uint64_t replay_pairs_saved() const {
-    return loop_ != nullptr ? loop_->replay_pairs_saved() : 0;
-  }
-  uint32_t resumed_regions_skipped() const {
-    return loop_ != nullptr ? loop_->resumed_regions_skipped() : 0;
-  }
-
-  /// Work ExportCheckpoint has done so far (RegionLoop's deterministic
-  /// counter; 0 for a loop-less session).
-  uint64_t checkpoint_cells_examined() const {
-    return loop_ != nullptr ? loop_->checkpoint_cells_examined() : 0;
-  }
 
   /// Coverage bookkeeping work so far (RegionLoop::coverage_cells_walked;
   /// 0 for a loop-less session).

@@ -82,14 +82,9 @@ struct ShardOptions {
   /// scheduler passes its process-wide one.
   std::shared_ptr<WorkerPool> worker_pool;
 
-  /// Checkpointed retry (PR 10). When true (default) the stream captures a
-  /// resumable SessionCheckpoint from each shard after every healthy pump
-  /// and hands it to the re-opened incarnation, which pre-removes the
-  /// checkpoint's skip-safe regions instead of replaying the whole
-  /// sub-session — bounding replay pairs (and re-shipped bytes for remote
-  /// shards). The delivered set is bit-identical either way;
-  /// the dedup set remains the safety net. False restores the PR 6
-  /// from-scratch replay behavior.
+  /// No effect. Retried shards always replay their slice from scratch;
+  /// the field stays declared only because the perfbench driver still
+  /// assigns it, and goes with that driver's next change.
   bool checkpoint_retry = true;
 };
 
@@ -102,9 +97,6 @@ struct ShardCoverage {
   int abandoned = 0;   ///< Dropped after retry exhaustion (allow_partial).
   int remote = 0;      ///< Sub-streams served by remote shard workers.
   uint64_t retries = 0;  ///< Shard re-opens performed over the stream's life.
-  /// Join pairs that checkpointed resumes skipped re-generating, summed
-  /// over all re-opens (0 without ShardOptions::checkpoint_retry).
-  uint64_t replay_pairs_saved = 0;
   std::vector<int> abandoned_shards;  ///< Indices of the dropped shards.
 
   bool complete() const { return abandoned == 0; }

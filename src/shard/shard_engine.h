@@ -62,29 +62,6 @@ class ShardEngine {
     return nullptr;
   }
 
-  /// Resumable region-cursor snapshot (progxe/checkpoint.h), captured by
-  /// the sharded stream after each healthy pump and handed to the next
-  /// incarnation on retry. False when unsupported or not currently at a
-  /// clean region boundary. Remote engines answer from the checkpoint
-  /// streamed with the last pump reply.
-  virtual bool ExportCheckpoint(SessionCheckpoint* out) {
-    (void)out;
-    return false;
-  }
-
-  /// True iff this incarnation was opened from a checkpoint that skipped
-  /// regions; its output may then contain locally-non-final tuples, so the
-  /// merge must keep this shard's own watermark in the release check.
-  virtual bool resumed() const { return false; }
-
-  /// Join pairs the resume skipped re-generating (0 when not resumed).
-  virtual uint64_t replay_pairs_saved() const { return 0; }
-
-  /// Cumulative work of this engine's ExportCheckpoint calls (see
-  /// RegionLoop::checkpoint_cells_examined). 0 for remote engines, whose
-  /// export runs on the worker.
-  virtual uint64_t checkpoint_cells_examined() const { return 0; }
-
   /// Cumulative coverage bookkeeping work of this engine's region loop (see
   /// RegionLoop::coverage_cells_walked). 0 for remote engines.
   virtual uint64_t coverage_cells_walked() const { return 0; }
@@ -109,16 +86,6 @@ class LocalShardEngine : public ShardEngine {
   }
   std::shared_ptr<const PreparedInputs> prepared_inputs() const override {
     return session_->prepared_inputs();
-  }
-  bool ExportCheckpoint(SessionCheckpoint* out) override {
-    return session_->ExportCheckpoint(out);
-  }
-  bool resumed() const override { return session_->resumed(); }
-  uint64_t replay_pairs_saved() const override {
-    return session_->replay_pairs_saved();
-  }
-  uint64_t checkpoint_cells_examined() const override {
-    return session_->checkpoint_cells_examined();
   }
   uint64_t coverage_cells_walked() const override {
     return session_->coverage_cells_walked();

@@ -43,7 +43,6 @@ std::string ShardCoverage::ToString() const {
   os << completed << "/" << shards << " shards";
   if (remote > 0) os << " remote=" << remote;
   if (retries > 0) os << " retries=" << retries;
-  if (replay_pairs_saved > 0) os << " saved_pairs=" << replay_pairs_saved;
   if (abandoned > 0) {
     os << " abandoned=[";
     for (size_t i = 0; i < abandoned_shards.size(); ++i) {
@@ -305,10 +304,6 @@ Status ShardedStream::OpenEngine(size_t i) {
   SubShard& shard = shards_[i];
   ProgXeOptions opts = sub_options_;
   opts.fault_instance = static_cast<int>(i);
-  const SessionCheckpoint* resume =
-      shard_options_.checkpoint_retry && shard.has_checkpoint
-          ? &shard.checkpoint
-          : nullptr;
   if (pool_ != nullptr) {
     // Remote shard: ship the slice to a worker. The endpoint rotates with
     // the shard's incarnation, so a retry after a worker failure re-opens
@@ -333,32 +328,20 @@ Status ShardedStream::OpenEngine(size_t i) {
     }
     const std::string& endpoint = workers[pick];
     ++shard.incarnation;
-    // The worker falls back to a from-scratch replay by itself if it
-    // rejects the checkpoint as stale/corrupt (it answers resumed=false).
     PROGXE_ASSIGN_OR_RETURN(
         shard.session,
         RemoteShardStream::Open(pool_, endpoint, static_cast<int>(i),
                                 shard.slice.r, shard.slice.t, query_.map,
-                                query_.pref, opts, resume));
+                                query_.pref, opts));
   } else {
     ++shard.incarnation;
     if (shard.prepared != nullptr) {
       // Retry re-open: adopt the first incarnation's prepared state instead
       // of re-running the prepare phase over the slice.
-      Result<std::unique_ptr<ProgXeSession>> opened =
-          ProgXeSession::OpenPrepared(shard.prepared, opts, resume);
-      if (!opened.ok() && resume != nullptr &&
-          opened.status().IsInvalidArgument()) {
-        // Stale/corrupt checkpoint: full replay is always a sound fallback.
-        PROGXE_LOG(Warn) << "shard " << i
-                         << " resume checkpoint rejected, replaying: "
-                         << opened.status().ToString();
-        shard.has_checkpoint = false;
-        opened = ProgXeSession::OpenPrepared(shard.prepared, std::move(opts));
-      }
-      PROGXE_RETURN_NOT_OK(opened.status());
-      shard.session =
-          std::make_unique<LocalShardEngine>(std::move(opened).MoveValue());
+      PROGXE_ASSIGN_OR_RETURN(
+          std::unique_ptr<ProgXeSession> session,
+          ProgXeSession::OpenPrepared(shard.prepared, std::move(opts)));
+      shard.session = std::make_unique<LocalShardEngine>(std::move(session));
     } else {
       PROGXE_ASSIGN_OR_RETURN(
           std::unique_ptr<ProgXeSession> session,
@@ -378,16 +361,9 @@ Status ShardedStream::OpenEngine(size_t i) {
 void ShardedStream::AdoptOpened(size_t i) {
   SubShard& shard = shards_[i];
   const ShardEngine& engine = *shard.session;
-  // The loop's set-up (coverage build, initial ranks, resume) ran in the
-  // open; pumps add their own deltas.
+  // The loop's set-up (coverage build, initial ranks) ran in the open;
+  // pumps add their own deltas.
   coverage_cells_walked_ += engine.coverage_cells_walked();
-  if (engine.resumed()) {
-    shard.resumed = true;
-    replay_pairs_saved_ += engine.replay_pairs_saved();
-    TraceInstant(trace_cats::kShard, "retry.resume", "shard",
-                 static_cast<int64_t>(i), "regions_skipped",
-                 static_cast<int64_t>(shard.checkpoint.skip_regions.size()));
-  }
   shard.applied_stats = engine.stats();
   shard.applied_exhausted = !engine.RemainingLowerBound(&shard.applied_bound);
   if (const std::shared_ptr<const PreparedInputs> prepared =
@@ -447,7 +423,6 @@ void ShardedStream::OnShardFailure(size_t i, Status status) {
     // observed, and coverage() reports the hole.
     shard.abandoned = true;
     std::unordered_set<uint64_t>().swap(shard.ingested);
-    shard.has_checkpoint = false;
     bounds_dirty_ = true;  // its bound no longer constrains releases
     TraceInstant(trace_cats::kShard, "shard.abandon", "shard",
                  static_cast<int64_t>(i));
@@ -536,8 +511,6 @@ void ShardedStream::PumpOnce(size_t i, size_t max_pairs, PumpResult* result) {
   // `result` may be a recycled one: every field is rewritten, and the
   // vectors keep their capacity.
   result->coverage_cells = 0;
-  result->checkpoint_cells = 0;
-  result->has_checkpoint = false;
   result->exhausted = false;
   const uint64_t before = engine.stats().join_pairs_generated;
   const uint64_t walked_before = engine.coverage_cells_walked();
@@ -555,14 +528,6 @@ void ShardedStream::PumpOnce(size_t i, size_t max_pairs, PumpResult* result) {
   result->status = engine.last_status();
   if (!result->status.ok()) return;
   result->coverage_cells = engine.coverage_cells_walked() - walked_before;
-  if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
-    // Capture the freshest resume point while the shard is healthy; the
-    // coordinator decides whether to adopt it.
-    const uint64_t before_export = engine.checkpoint_cells_examined();
-    result->has_checkpoint = engine.ExportCheckpoint(&result->checkpoint);
-    result->checkpoint_cells =
-        engine.checkpoint_cells_examined() - before_export;
-  }
   result->exhausted = !engine.RemainingLowerBound(&result->bound);
 }
 
@@ -612,18 +577,6 @@ void ShardedStream::Apply(size_t i, PumpResult* result) {
   shard.applied_exhausted = result->exhausted;
   std::swap(shard.applied_bound, result->bound);
   Ingest(i, result->tuples);
-  if (shard_options_.checkpoint_retry && shard_options_.max_retries > 0) {
-    // Only adopt a checkpoint whose delivered count is consistent with what
-    // this coordinator actually merged (a stale/corrupt remote snapshot must
-    // not survive to a resume — full replay is always sound). The swap
-    // hands the previous checkpoint's buffers back for the next export.
-    if (result->has_checkpoint &&
-        result->checkpoint.delivered <= shard.ingested.size()) {
-      std::swap(shard.checkpoint, result->checkpoint);
-      shard.has_checkpoint = true;
-    }
-    checkpoint_cells_examined_ += result->checkpoint_cells;
-  }
 }
 
 uint64_t ShardedStream::PumpRound(size_t per_shard) {
@@ -800,19 +753,16 @@ bool ShardedStream::GloballyFinal(Candidate* candidate) {
     }
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const bool own = static_cast<int>(s) == candidate->shard;
-    if ((own && !shards_[s].resumed) || static_cast<int>(s) == cached ||
-        shards_[s].exhausted || shards_[s].abandoned) {
+    if (static_cast<int>(s) == candidate->shard ||
+        static_cast<int>(s) == cached || shards_[s].exhausted ||
+        shards_[s].abandoned) {
       continue;
     }
     // Every future tuple y of shard s satisfies y >= bound componentwise,
     // so y can strictly dominate the candidate only if the bound corner
-    // itself does. (The candidate's own shard needs no check across a
-    // plain replay: a shard's outputs are its local skyline, whose members
-    // never strictly dominate each other. But once the shard *resumed*
-    // from a checkpoint it skips regions, so an output may have its
-    // suppressor still in flight from the same shard — the own bound then
-    // blocks it until the suppressor arrives and Ingest prunes the twin.)
+    // itself does. (The candidate's own shard needs no check, replayed or
+    // not: a shard's outputs are its local skyline, whose members never
+    // strictly dominate each other.)
     if (shards_[s].bound.empty() ||
         DominatesMin(shards_[s].bound.data(), canon, k_, &merge_counter_)) {
       candidate->blocker = static_cast<int>(s);
@@ -846,12 +796,9 @@ void ShardedStream::RefreshBoundsAndRelease() {
       shard.exhausted = true;
       advanced = true;
       // The shard finished healthy: nothing can ever replay it, so the
-      // replay-dedup set (the largest per-shard merge structure) and the
-      // resume checkpoint are dead weight — free them now instead of at
-      // stream teardown.
+      // replay-dedup set (the largest per-shard merge structure) is dead
+      // weight — free it now instead of at stream teardown.
       std::unordered_set<uint64_t>().swap(shard.ingested);
-      shard.checkpoint = SessionCheckpoint{};
-      shard.has_checkpoint = false;
     } else if (shard.bound.empty()) {
       shard.bound = shard.applied_bound;
       advanced = true;
@@ -1014,7 +961,6 @@ ShardCoverage ShardedStream::coverage() const {
   cov.completed = 0;
   cov.remote = pool_ != nullptr ? cov.shards : 0;
   cov.retries = total_retries_;
-  cov.replay_pairs_saved = replay_pairs_saved_;
   // Early termination (max_results) closes the sub-sessions before they
   // exhaust, but the delivered set is the complete requested answer: every
   // surviving shard counts as covered, exactly as on a run-to-exhaustion

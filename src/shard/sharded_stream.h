@@ -14,9 +14,8 @@
 //   * Open prepares every shard on the pool at once.
 //   * Each shard has a pump chain: the pumps issued to it run one after
 //     another on some pool thread, and each returns a self-contained
-//     PumpResult — tuples, status, post-pump ProgXeStats, coverage and
-//     checkpoint-cell deltas, the checkpoint export and the remaining-bound
-//     snapshot (or "exhausted").
+//     PumpResult — tuples, status, post-pump ProgXeStats, the coverage-cell
+//     delta and the remaining-bound snapshot (or "exhausted").
 //   * Run-ahead rule: an unbudgeted call (max_pairs == 0) pumps each shard
 //     to its next local emission, which does not depend on when it runs, so
 //     every unbudgeted shard keeps up to two pumps in flight ahead of the
@@ -30,9 +29,9 @@
 //     pairs, so those calls — at most two — may exceed their budget; no
 //     budgeted pump is issued to a shard until its leftovers are applied.
 //   * Ordered apply: each round, the coordinator applies one PumpResult
-//     per runnable shard, in shard order (round-robin). Ingest, checkpoint
-//     adoption, RefreshBoundsAndRelease and stats() read only applied
-//     results, never a live engine. A shard's pump sequence is internal to
+//     per runnable shard, in shard order (round-robin). Ingest,
+//     RefreshBoundsAndRelease and stats() read only applied results, never
+//     a live engine. A shard's pump sequence is internal to
 //     it, so the merge input — and with it the delivered set, per-shard
 //     ProgXeStats, merge_comparisons() and held_peak() — is bit-identical
 //     at any pool size and interleaving.
@@ -50,8 +49,7 @@
 //     queued pumps, wait for the one running per shard (bounded by one
 //     emission; the shards' running pumps finish concurrently) and drop the
 //     results never applied. Applied pump results go back to their shard
-//     for reuse, so a steady pump reuses its tuple, bound and checkpoint
-//     buffers.
+//     for reuse, so a steady pump reuses its tuple and bound buffers.
 //
 // Remote shards take the same path, so their pump RPCs overlap. The merge:
 //
@@ -74,12 +72,9 @@
 //     frontier (ProgXeSession::RemainingLowerBound — the canonical
 //     lower-bound corner of everything it may still deliver); if that
 //     corner does not strictly dominate the candidate, no future tuple from
-//     that shard can either. The candidate's own shard needs no check
-//     *while it has never resumed from a checkpoint*: its outputs are then
-//     its local skyline, whose members never dominate each other. A shard
-//     that resumed skips regions, so it may emit tuples that are not
-//     locally final — its own bound must block them until the suppressor
-//     arrives and prunes the held twin. Release checks run
+//     that shard can either. The candidate's own shard needs no check: its
+//     outputs are its local skyline (a replay re-delivers the same one),
+//     whose members never dominate each other. Release checks run
 //     once per pump batch and are version-gated: a candidate re-tests only
 //     after some shard's frontier corner actually advanced, starting with
 //     the shard that blocked it last time.
@@ -91,13 +86,9 @@
 // slice + options, the replay re-delivers the same local skyline — a
 // per-shard dedup set plus the accepted-frontier filtering make the replay
 // idempotent, so the merged delivered set stays bit-identical to a
-// fault-free run with zero retractions. With
-// ShardOptions::checkpoint_retry the coordinator additionally captures a
-// resumable SessionCheckpoint from each healthy pump and hands it to the
-// re-opened incarnation (locally restored in-process, shipped in
-// kOpenShard for remote shards), so the replay skips the regions the dead
-// incarnation provably finished — bounding the re-joined pairs instead of
-// restarting from scratch; coverage().replay_pairs_saved reports the win. The quarantined shard's last
+// fault-free run with zero retractions. A local re-open adopts the first
+// incarnation's PreparedInputs, so only the region loop replays; a remote
+// one re-ships the slice. The quarantined shard's last
 // published frontier corner remains a valid bound on anything *new* it may
 // still contribute, so the other shards keep releasing results while it
 // recovers. Retry exhaustion either fails the stream (last_status) or,
@@ -200,15 +191,6 @@ class ShardedStream : public ProgXeStream {
   /// engine counters; benches report both.
   uint64_t merge_comparisons() const { return merge_counter_.comparisons; }
 
-  /// Work the per-pump checkpoint exports did, summed over every shard and
-  /// incarnation: cached blocking cells re-tested plus unflushed-cell list
-  /// entries scanned (RegionLoop::checkpoint_cells_examined). Deterministic
-  /// like merge_comparisons(), and likewise kept out of stats(). Local
-  /// shards only; remote shards export on their worker.
-  uint64_t checkpoint_cells_examined() const {
-    return checkpoint_cells_examined_;
-  }
-
   /// Coverage bookkeeping work of every local shard's region loop, summed
   /// over shards and incarnations (RegionLoop::coverage_cells_walked).
   /// Deterministic and kept out of stats(), like the counters above.
@@ -241,11 +223,8 @@ class ShardedStream : public ProgXeStream {
     Status status;
     ProgXeStats stats;  ///< post-pump engine counters
     uint64_t pairs = 0;  ///< join pairs this pump generated
-    /// RegionLoop::coverage_cells_walked / checkpoint_cells_examined deltas.
+    /// RegionLoop::coverage_cells_walked delta.
     uint64_t coverage_cells = 0;
-    uint64_t checkpoint_cells = 0;
-    bool has_checkpoint = false;
-    SessionCheckpoint checkpoint;
     bool exhausted = false;      ///< the shard can emit nothing more
     std::vector<double> bound;   ///< remaining-output corner otherwise
   };
@@ -301,15 +280,6 @@ class ShardedStream : public ProgXeStream {
     /// idempotent. Only populated when retries are enabled, and freed as
     /// soon as the shard finishes healthy (nothing can replay then).
     std::unordered_set<uint64_t> ingested;
-    /// Freshest resume point captured from a healthy pump
-    /// (ShardOptions::checkpoint_retry); handed to the next incarnation on
-    /// a retry re-open so it skips the finished regions.
-    SessionCheckpoint checkpoint;
-    bool has_checkpoint = false;
-    /// True once any incarnation of this shard resumed from a checkpoint.
-    /// A resumed incarnation may emit tuples that are not locally final,
-    /// so GloballyFinal then also tests the candidate's *own* shard bound.
-    bool resumed = false;
     /// The live incarnation as of its last applied open or pump: counters,
     /// and remaining-output corner or exhaustion. The coordinator reads a
     /// shard only through these, never through the (possibly run-ahead)
@@ -384,8 +354,8 @@ class ShardedStream : public ProgXeStream {
   void PumpOnce(size_t i, size_t max_pairs, PumpResult* result);
   /// Waits for shard `i`'s oldest unapplied result.
   PumpResult Take(size_t i);
-  /// Applies one pump result: failure containment, or counters, snapshot,
-  /// Ingest and checkpoint adoption.
+  /// Applies one pump result: failure containment, or counters, snapshot
+  /// and Ingest.
   void Apply(size_t i, PumpResult* result);
   /// Hands an applied result back to shard `i`'s chain for reuse.
   void Recycle(size_t i, PumpResult result);
@@ -431,9 +401,6 @@ class ShardedStream : public ProgXeStream {
   bool failed_ = false;
   Status status_;  // non-OK once failed_
   uint64_t total_retries_ = 0;
-  /// Join pairs the checkpointed retries skipped re-generating, summed over
-  /// every resume (coverage().replay_pairs_saved).
-  uint64_t replay_pairs_saved_ = 0;
   /// Set when a shard exhausts or is abandoned outside
   /// RefreshBoundsAndRelease, so the next release pass re-checks held
   /// candidates even if no surviving bound moved.
@@ -468,7 +435,6 @@ class ShardedStream : public ProgXeStream {
   mutable ProgXeStats agg_stats_;
   DomCounter merge_counter_;
   double merge_seconds_ = 0.0;
-  uint64_t checkpoint_cells_examined_ = 0;
   uint64_t coverage_cells_walked_ = 0;
   std::vector<double> canon_scratch_;
   std::vector<CellCoord> coord_scratch_;

@@ -24,7 +24,6 @@
 #include "net/remote_shard.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "progxe/checkpoint.h"
 #include "net/worker_pool.h"
 #include "net/worker_service.h"
 #include "progxe/session.h"
@@ -190,20 +189,6 @@ std::vector<std::string> EncodeFieldGroups(const Config& cfg) {
     WriteStatusPayload(Status::Unavailable("worker died"), &w);
     payloads.push_back(std::move(buf));
   }
-  {
-    SessionCheckpoint checkpoint;
-    checkpoint.k = 2;
-    checkpoint.delivered = 23;
-    checkpoint.region_count = 64;
-    checkpoint.replay_pairs_saved = 4096;
-    checkpoint.skip_regions = {0, 3, 9, 41};
-    checkpoint.stats.join_pairs_generated = 4242;
-    checkpoint.stats.results_emitted = 23;
-    std::string buf;
-    WireWriter w(&buf);
-    WriteCheckpoint(checkpoint, &w);
-    payloads.push_back(std::move(buf));
-  }
   return payloads;
 }
 
@@ -249,14 +234,9 @@ Status DecodeFieldGroup(size_t index, const std::string& payload) {
       st = ReadWatermark(&r, &has_bound, &bound);
       break;
     }
-    case 7: {
+    default: {
       Status decoded;
       st = ReadStatusPayload(&r, &decoded);
-      break;
-    }
-    default: {
-      SessionCheckpoint checkpoint;
-      st = ReadCheckpoint(&r, &checkpoint);
       break;
     }
   }
@@ -277,11 +257,9 @@ TEST(Wire, FieldGroupsRoundTrip) {
   }
 }
 
-// The options, stats and checkpoint groups carry every field, and nothing
-// else: the encoded sizes pin the layout (the options' three u8 enums and
-// flags, six eight-byte fields and a u8 seed flag; 22 eight-byte stats
-// fields; the checkpoint's u32 k, three u64s and a counted u32 skip list
-// ahead of its stats).
+// The options and stats groups carry every field, and nothing else: the
+// encoded sizes pin the layout (the options' two u8 enums and flags, five
+// eight-byte fields and a u8 seed flag; 22 eight-byte stats fields).
 std::vector<double> StatsFields(const ProgXeStats& s) {
   return {static_cast<double>(s.r_rows),
           static_cast<double>(s.t_rows),
@@ -307,8 +285,8 @@ std::vector<double> StatsFields(const ProgXeStats& s) {
           static_cast<double>(s.results_emitted_early)};
 }
 
-TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
-  static_assert(kWireVersion == 8);
+TEST(Wire, OptionsAndStatsRoundTripEveryField) {
+  static_assert(kWireVersion == 9);
   ProgXeOptions options;
   options.ordering = OrderingMode::kSequential;
   options.push_through = true;
@@ -381,27 +359,6 @@ TEST(Wire, StatsAndCheckpointRoundTripEveryField) {
   ASSERT_TRUE(ReadStats(&r, &decoded).ok());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(StatsFields(decoded), StatsFields(stats));
-
-  SessionCheckpoint checkpoint;
-  checkpoint.k = 3;
-  checkpoint.delivered = 23;
-  checkpoint.region_count = 64;
-  checkpoint.replay_pairs_saved = 4096;
-  checkpoint.skip_regions = {0, 3, 9, 41};
-  checkpoint.stats = stats;
-  buf.clear();
-  WriteCheckpoint(checkpoint, &w);
-  EXPECT_EQ(buf.size(), 4u + 3 * 8 + 4 + 4 * 4 + 22 * 8);
-  SessionCheckpoint cp;
-  WireReader rc(buf);
-  ASSERT_TRUE(ReadCheckpoint(&rc, &cp).ok());
-  EXPECT_TRUE(rc.AtEnd());
-  EXPECT_EQ(cp.k, 3u);
-  EXPECT_EQ(cp.delivered, 23u);
-  EXPECT_EQ(cp.region_count, 64u);
-  EXPECT_EQ(cp.replay_pairs_saved, 4096u);
-  EXPECT_EQ(cp.skip_regions, checkpoint.skip_regions);
-  EXPECT_EQ(StatsFields(cp.stats), StatsFields(stats));
 }
 
 TEST(Wire, RelationRoundTripPreservesEveryBit) {
@@ -863,7 +820,7 @@ TEST(Net, RemoteOpenRejectsOverflowingGridResolution) {
   (*good)->Close();
 }
 
-// --- Checkpointed remote recovery + transport chaos -------------------------
+// --- Remote recovery + transport chaos ---------------------------------------
 
 std::shared_ptr<FaultInjector> MustParseFaults(const std::string& spec,
                                                uint64_t seed) {
@@ -887,12 +844,11 @@ class ScopedNetChaos {
 };
 
 // Kill a worker after real pump progress: the displaced shards re-open on
-// the survivor *with their wire-shipped checkpoints*, so across the sweep
-// at least one resume must skip processed regions (replay_pairs_saved > 0)
-// — and every delivered set stays bit-identical to the in-process run.
-TEST(Net, WorkerKillMidStreamResumesFromCheckpoint) {
+// the survivor and replay their slices from scratch, re-delivering results
+// the merge already holds (the dedup set drops them) — and every delivered
+// set stays bit-identical to the in-process run.
+TEST(Net, WorkerKillAfterProgressReplaysExactly) {
   uint64_t total_retries = 0;
-  uint64_t total_saved = 0;
   for (uint64_t seed : {uint64_t{1}, uint64_t{4}, uint64_t{12}}) {
     Rng rng(0xd15d + seed);
     const Config cfg = MakeConfig(&rng, false, seed % 2 == 0);
@@ -917,7 +873,7 @@ TEST(Net, WorkerKillMidStreamResumesFromCheckpoint) {
     ASSERT_TRUE(stream.ok()) << stream.status().ToString();
 
     // Pump a couple of budgeted rounds so the doomed worker's shards have
-    // checkpoints on the coordinator, then pull the plug mid-stream.
+    // delivered work, then pull the plug mid-stream.
     std::vector<ResultTuple> batch;
     IdSet delivered;
     int pumps = 0;
@@ -937,88 +893,10 @@ TEST(Net, WorkerKillMidStreamResumesFromCheckpoint) {
     const ShardCoverage coverage = (*stream)->coverage();
     EXPECT_TRUE(coverage.complete()) << "seed=" << seed;
     total_retries += coverage.retries;
-    total_saved += coverage.replay_pairs_saved;
   }
-  // The kill schedule must actually displace shards, and at least one
-  // re-open must resume from a checkpoint instead of replaying from
-  // scratch, or the remote resume path went untested.
+  // The kill schedule must actually displace shards, or the replay path
+  // went untested.
   EXPECT_GT(total_retries, 0u);
-  EXPECT_GT(total_saved, 0u);
-}
-
-// The worker's pump loop for a budget at most its pump_slice_pairs, run
-// in-process: sub-slices until a result appears or the budget is spent.
-void MirrorWorkerPump(ProgXeSession* session, size_t max_pairs,
-                      std::vector<ResultTuple>* out) {
-  out->clear();
-  std::vector<ResultTuple> batch;
-  size_t remaining = max_pairs;
-  while (out->empty() && !session->Finished() &&
-         session->last_status().ok()) {
-    const uint64_t before = session->stats().join_pairs_generated;
-    session->NextBatch(0, remaining, &batch);
-    out->insert(out->end(), batch.begin(), batch.end());
-    const uint64_t used = session->stats().join_pairs_generated - before;
-    remaining = used >= remaining ? 0 : remaining - static_cast<size_t>(used);
-    if (remaining == 0) break;
-  }
-}
-
-// A worker ships a checkpoint group only when the skip list grew since the
-// last one it shipped on the session; every other pump carries none and the
-// coordinator keeps the previous resume point. A local mirror session,
-// pumped exactly like the worker (its counters are checked equal after
-// every pump), shows what each pump's export held.
-TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
-  auto worker = MustStartWorker();
-  auto pool = std::make_shared<WorkerPool>();
-  int shipped = 0;
-  int suppressed = 0;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(0xd160 + seed);
-    const Config cfg = MakeConfig(&rng, seed % 2 == 0, seed % 3 == 0);
-    ProgXeOptions options;
-    options.seed = 0xfeed;
-    auto remote = RemoteShardStream::Open(pool, Endpoint(*worker), 0, cfg.r,
-                                          cfg.t, cfg.map, cfg.pref, options);
-    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-    auto mirror = ProgXeSession::Open(cfg.query(), options);
-    ASSERT_TRUE(mirror.ok());
-
-    constexpr size_t kBudget = 32;  // below the worker's pump_slice_pairs
-    std::vector<ResultTuple> remote_batch;
-    std::vector<ResultTuple> mirror_batch;
-    SessionCheckpoint exported;
-    SessionCheckpoint received;
-    size_t shipped_regions = 0;
-    for (int pump = 0; !(*mirror)->Finished(); ++pump) {
-      const uint64_t before = (*remote)->checkpoints_received();
-      (*remote)->NextBatch(0, kBudget, &remote_batch);
-      ASSERT_TRUE((*remote)->last_status().ok()) << "pump=" << pump;
-      MirrorWorkerPump(mirror->get(), kBudget, &mirror_batch);
-      ASSERT_EQ(SortedIds(remote_batch), SortedIds(mirror_batch))
-          << "seed=" << seed << " pump=" << pump;
-      ExpectSameStats((*remote)->stats(), (*mirror)->stats(), "mirror");
-
-      const bool exportable = (*mirror)->ExportCheckpoint(&exported);
-      const bool grew =
-          exportable && exported.skip_regions.size() > shipped_regions;
-      EXPECT_EQ((*remote)->checkpoints_received() - before, grew ? 1u : 0u)
-          << "seed=" << seed << " pump=" << pump;
-      if (grew) {
-        ++shipped;
-        shipped_regions = exported.skip_regions.size();
-        ASSERT_TRUE((*remote)->ExportCheckpoint(&received));
-        EXPECT_EQ(received.skip_regions, exported.skip_regions);
-        EXPECT_EQ(received.replay_pairs_saved, exported.replay_pairs_saved);
-      } else if (exportable) {
-        ++suppressed;  // a resume point existed but added nothing
-      }
-    }
-    (*remote)->Close();
-  }
-  EXPECT_GT(shipped, 0);
-  EXPECT_GT(suppressed, 0);
 }
 
 // There is one wire version. A kHello offering the previous or the next
@@ -1027,9 +905,10 @@ TEST(Net, PumpShipsCheckpointOnlyWhenSkipListGrows) {
 // fails the pool's checkout with InvalidArgument. A normal checkout still
 // handshakes.
 TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
-  // Version 8 dropped the partitioning byte from the options group, so a
-  // version-7 peer (kWireVersion - 1 below) must be refused.
-  static_assert(kWireVersion == 8);
+  // Version 9 dropped the checkpoint groups from kOpenShard, kOpenResult
+  // and kPumpResult, so a version-8 peer (kWireVersion - 1 below) must be
+  // refused.
+  static_assert(kWireVersion == 9);
   constexpr std::chrono::milliseconds kDeadline(2000);
   auto worker = MustStartWorker();
   const std::string endpoint = Endpoint(*worker);
@@ -1088,6 +967,179 @@ TEST(Net, HandshakeAcceptsOnlyTheCurrentVersion) {
   CloseFd(listener->fd);
   EXPECT_TRUE(refused.status().IsInvalidArgument())
       << refused.status().ToString();
+}
+
+// The tails version 8 appended and version 9 dropped: kOpenShard's
+// u8 has_checkpoint (+ checkpoint group when set), kOpenResult's resume
+// info and kPumpResult's u8 has_checkpoint (+ group). The group was u32 k,
+// three u64s, a counted u32 skip list and the stats.
+std::string V8CheckpointTail(bool with_group) {
+  std::string tail;
+  WireWriter w(&tail);
+  w.PutU8(with_group ? 1 : 0);
+  if (with_group) {
+    w.PutU32(2);   // k
+    w.PutU64(23);  // delivered
+    w.PutU64(64);  // region_count
+    w.PutU64(0);   // pairs saved
+    w.PutU32(2);   // skip count
+    w.PutU32(3);
+    w.PutU32(9);
+    WriteStats(ProgXeStats{}, &w);
+  }
+  return tail;
+}
+
+std::string V8ResumeInfoTail() {
+  std::string tail;
+  WireWriter w(&tail);
+  w.PutU8(1);    // resumed
+  w.PutU32(2);   // regions_skipped
+  w.PutU64(99);  // pairs saved
+  return tail;
+}
+
+/// Receives the next non-heartbeat frame.
+Status RecvReply(int fd, MsgType* type, std::string* payload) {
+  for (;;) {
+    PROGXE_RETURN_NOT_OK(
+        RecvFrame(fd, type, payload, std::chrono::milliseconds(5000)));
+    if (*type != MsgType::kHeartbeat) return Status::OK();
+  }
+}
+
+// A v9 worker reads kOpenShard to its T slice and nothing more: a v8
+// checkpoint tail after it is trailing garbage, so the worker answers
+// kError (InvalidArgument) and drops the link instead of opening a session.
+// The same assignment without the tail opens.
+TEST(Net, OpenShardWithV8CheckpointTailIsRejected) {
+  Rng rng(0xd161);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  std::string assignment;
+  WireWriter w(&assignment);
+  w.PutU32(0);  // shard index
+  WriteOptions(options, &w);
+  WriteMapSpec(cfg.map, &w);
+  WritePreference(cfg.pref, &w);
+  WriteRelation(cfg.r, &w);
+  WriteRelation(cfg.t, &w);
+
+  auto worker = MustStartWorker();
+  for (const std::string& tail :
+       {std::string(), V8CheckpointTail(false), V8CheckpointTail(true)}) {
+    SCOPED_TRACE(testing::Message() << "tail bytes=" << tail.size());
+    auto fd = DialTcp(Endpoint(*worker), std::chrono::milliseconds(2000));
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    std::string payload;
+    WireWriter hello(&payload);
+    hello.PutU32(kWireMagic);
+    hello.PutU16(kWireVersion);
+    ASSERT_TRUE(SendFrame(*fd, MsgType::kHello, payload).ok());
+    MsgType type;
+    ASSERT_TRUE(RecvReply(*fd, &type, &payload).ok());
+    ASSERT_EQ(type, MsgType::kHelloAck);
+
+    ASSERT_TRUE(SendFrame(*fd, MsgType::kOpenShard, assignment + tail).ok());
+    ASSERT_TRUE(RecvReply(*fd, &type, &payload).ok());
+    WireReader r(payload);
+    Status status;
+    ASSERT_TRUE(ReadStatusPayload(&r, &status).ok());
+    if (tail.empty()) {
+      EXPECT_EQ(type, MsgType::kOpenResult);
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    } else {
+      EXPECT_EQ(type, MsgType::kError);
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+      EXPECT_FALSE(RecvReply(*fd, &type, &payload).ok())
+          << "the worker must close the link after a malformed assignment";
+    }
+    CloseFd(*fd);
+  }
+}
+
+// The coordinator reads kOpenResult to its stats and kPumpResult to its
+// stats: a fake v9 worker that appends the v8 resume info or checkpoint
+// tail fails the open, or the pump, with InvalidArgument, and the pump
+// delivers none of the batch it carried.
+TEST(Net, ResultFramesWithV8TailsAreRejected) {
+  Rng rng(0xd162);
+  const Config cfg = MakeConfig(&rng, false, false);
+  const int k = cfg.map.output_dimensions();
+  struct Case {
+    std::string open_tail;
+    std::string pump_tail;
+  };
+  for (const Case& c : {Case{V8ResumeInfoTail(), ""},
+                        Case{"", V8CheckpointTail(false)},
+                        Case{"", V8CheckpointTail(true)}}) {
+    SCOPED_TRACE(testing::Message() << "open tail=" << c.open_tail.size()
+                                    << " pump tail=" << c.pump_tail.size());
+    auto listener = ListenTcp(0);
+    ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+    std::thread fake_worker([fd = listener->fd, &c, k] {
+      auto peer = AcceptTcp(fd);
+      if (!peer.ok()) return;
+      MsgType type;
+      std::string payload;
+      const std::vector<double> bound(static_cast<size_t>(k), 0.0);
+      while (RecvReply(*peer, &type, &payload).ok()) {
+        std::string reply;
+        WireWriter w(&reply);
+        MsgType reply_type;
+        if (type == MsgType::kHello) {
+          w.PutU32(kWireMagic);
+          w.PutU16(kWireVersion);
+          reply_type = MsgType::kHelloAck;
+        } else if (type == MsgType::kOpenShard) {
+          WriteStatusPayload(Status::OK(), &w);
+          WriteWatermark(true, bound, &w);
+          WriteStats(ProgXeStats{}, &w);
+          reply += c.open_tail;
+          reply_type = MsgType::kOpenResult;
+        } else if (type == MsgType::kPump) {
+          ResultTuple tuple;
+          tuple.r_id = 1;
+          tuple.t_id = 2;
+          tuple.values.assign(static_cast<size_t>(k), 0.5);
+          WriteStatusPayload(Status::OK(), &w);
+          WriteResultBatch({tuple}, k, &w);
+          WriteWatermark(true, bound, &w);
+          WriteStats(ProgXeStats{}, &w);
+          reply += c.pump_tail;
+          reply_type = MsgType::kPumpResult;
+        } else {
+          reply_type = MsgType::kCloseAck;
+        }
+        if (!SendFrame(*peer, reply_type, reply).ok()) break;
+      }
+      CloseFd(*peer);
+    });
+    {
+      // A failed open or a failed pump drops the link, which ends the fake
+      // worker's loop.
+      auto pool = std::make_shared<WorkerPool>();
+      auto remote = RemoteShardStream::Open(
+          pool, "127.0.0.1:" + std::to_string(listener->port), 0, cfg.r,
+          cfg.t, cfg.map, cfg.pref, ProgXeOptions());
+      if (!c.open_tail.empty()) {
+        EXPECT_TRUE(remote.status().IsInvalidArgument())
+            << remote.status().ToString();
+      } else if (remote.ok()) {
+        std::vector<ResultTuple> batch;
+        EXPECT_EQ((*remote)->NextBatch(0, 64, &batch), 0u);
+        EXPECT_TRUE(batch.empty());
+        EXPECT_TRUE((*remote)->last_status().IsInvalidArgument())
+            << (*remote)->last_status().ToString();
+        (*remote)->Close();
+      } else {
+        ADD_FAILURE() << remote.status().ToString();
+      }
+    }
+    fake_worker.join();
+    CloseFd(listener->fd);
+  }
 }
 
 // Loopback run under seeded net.send/net.recv/net.frame chaos: torn

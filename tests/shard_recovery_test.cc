@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -476,139 +475,13 @@ TEST(ShardRecovery, JitteredBackoffIsDeterministicAndBounded) {
   EXPECT_EQ(JitteredRetryBackoff(opts, 7, 2, 3).count(), 0);
 }
 
-// --- Checkpointed recovery -------------------------------------------------
+// --- Replay after a mid-run kill -------------------------------------------
 
-// Session-level resume round trip: a session abandoned mid-drain exports a
-// resume point at a region boundary; a session opened from it skips the
-// finished regions and the union of pre-checkpoint and resumed deliveries
-// covers the reference skyline. When a *processed* region was skipped the
-// resumed incarnation provably re-joins fewer pairs than a from-scratch
-// replay, and reports the savings.
-TEST(CheckpointRecovery, SessionRoundTripCoversTheReference) {
-  int resumed_with_savings = 0;
-  for (uint64_t seed : {uint64_t{2}, uint64_t{9}, uint64_t{31}, uint64_t{40},
-                        uint64_t{57}}) {
-    Rng rng(0xc4ec + seed);
-    const Config cfg = MakeConfig(&rng, seed % 2 == 1, seed % 3 == 1);
-    ProgXeOptions options;
-    options.seed = 0xfeed;
-
-    auto reference_session = ProgXeSession::Open(cfg.query(), options);
-    ASSERT_TRUE(reference_session.ok());
-    const IdSet reference =
-        SortedIds(DrainStream(reference_session->get(), 0, 0));
-    const uint64_t full_pairs =
-        (*reference_session)->stats().join_pairs_generated;
-
-    auto first = ProgXeSession::Open(cfg.query(), options);
-    ASSERT_TRUE(first.ok());
-    std::vector<ResultTuple> batch;
-    IdSet before;
-    SessionCheckpoint checkpoint;
-    bool have_checkpoint = false;
-    // Pump in small slices, keeping the freshest exportable resume point;
-    // stop part-way so the checkpoint is a genuine mid-run snapshot.
-    for (int pumps = 0; pumps < 5 && !(*first)->Finished(); ++pumps) {
-      (*first)->NextBatch(0, 512, &batch);
-      for (const ResultTuple& res : batch) {
-        before.emplace_back(res.r_id, res.t_id);
-      }
-      if ((*first)->ExportCheckpoint(&checkpoint)) have_checkpoint = true;
-    }
-    if (!have_checkpoint || (*first)->Finished()) continue;
-
-    auto resumed = ProgXeSession::Open(cfg.query(), options, &checkpoint);
-    ASSERT_TRUE(resumed.ok()) << "seed=" << seed;
-    EXPECT_EQ((*resumed)->resumed(), !checkpoint.skip_regions.empty());
-    EXPECT_EQ((*resumed)->resumed_regions_skipped(),
-              static_cast<uint32_t>(checkpoint.skip_regions.size()));
-    const IdSet after = SortedIds(DrainStream(resumed->get(), 0, 0));
-    EXPECT_TRUE((*resumed)->last_status().ok());
-
-    // Union covers the reference: every skyline member was either already
-    // delivered before the checkpoint or is re-delivered by the resume. (A
-    // standalone resumed session may emit a few extra dominated tuples —
-    // per-point suppression state of skipped regions is not rebuilt; the
-    // sharded merge filters those via its accepted frontier.)
-    IdSet uni = before;
-    uni.insert(uni.end(), after.begin(), after.end());
-    std::sort(uni.begin(), uni.end());
-    uni.erase(std::unique(uni.begin(), uni.end()), uni.end());
-    EXPECT_TRUE(
-        std::includes(uni.begin(), uni.end(), reference.begin(),
-                      reference.end()))
-        << "seed=" << seed;
-
-    if ((*resumed)->replay_pairs_saved() > 0) {
-      ++resumed_with_savings;
-      EXPECT_LT((*resumed)->stats().join_pairs_generated, full_pairs)
-          << "seed=" << seed;
-    }
-  }
-  // The sweep must actually exercise a resume that skipped processed
-  // regions, or the savings contract is untested.
-  EXPECT_GT(resumed_with_savings, 0);
-}
-
-// A corrupt or stale checkpoint must be rejected as InvalidArgument — a
-// full replay is always sound, resuming from garbage never is — and the
-// rejection must not poison later clean opens.
-TEST(CheckpointRecovery, CorruptCheckpointRejectedCleanOpenStillWorks) {
-  Rng rng(0xc4ed);
-  const Config cfg = MakeConfig(&rng, false, true);
-  ProgXeOptions options;
-  options.seed = 0xfeed;
-
-  auto first = ProgXeSession::Open(cfg.query(), options);
-  ASSERT_TRUE(first.ok());
-  std::vector<ResultTuple> batch;
-  SessionCheckpoint checkpoint;
-  bool have_checkpoint = false;
-  for (int pumps = 0; pumps < 12 && !(*first)->Finished(); ++pumps) {
-    (*first)->NextBatch(0, 512, &batch);
-    if ((*first)->ExportCheckpoint(&checkpoint) &&
-        !checkpoint.skip_regions.empty()) {
-      have_checkpoint = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(have_checkpoint) << "workload never exported a resume point";
-
-  auto expect_rejected = [&](const SessionCheckpoint& bad, const char* what) {
-    auto opened = ProgXeSession::Open(cfg.query(), options, &bad);
-    ASSERT_FALSE(opened.ok()) << what;
-    EXPECT_TRUE(opened.status().IsInvalidArgument()) << what;
-  };
-  SessionCheckpoint bad = checkpoint;
-  bad.k += 1;
-  expect_rejected(bad, "wrong k");
-  bad = checkpoint;
-  bad.region_count += 7;
-  expect_rejected(bad, "wrong region_count");
-  bad = checkpoint;
-  bad.skip_regions[0] = static_cast<int32_t>(bad.region_count) + 10;
-  expect_rejected(bad, "skip id out of range");
-  if (checkpoint.skip_regions.size() >= 2) {
-    bad = checkpoint;
-    std::swap(bad.skip_regions[0], bad.skip_regions[1]);
-    expect_rejected(bad, "skip ids not increasing");
-  }
-
-  // The rejections above must not leave residue: a clean open of the same
-  // query still delivers the exact skyline.
-  const IdSet reference = UnshardedReference(cfg, options);
-  auto clean = ProgXeSession::Open(cfg.query(), options);
-  ASSERT_TRUE(clean.ok());
-  EXPECT_EQ(SortedIds(DrainStream(clean->get(), 0, 0)), reference);
-}
-
-// The tentpole acceptance leg: a shard killed mid-run recovers through the
-// checkpointed retry, the delivered set stays bit-identical to the
-// fault-free reference, and the checkpointed replay re-joins strictly
-// fewer pairs than the same kill replayed from scratch
-// (checkpoint_retry=false restores the old full-replay behavior).
-TEST(CheckpointRecovery, CheckpointedRetryReplaysLessAndStaysExact) {
-  int exercised = 0;
+// A shard killed after real progress re-opens from its cached prepared
+// inputs and replays its slice from scratch: the re-delivered prefix is
+// dropped by the dedup set and the delivered set stays bit-identical to
+// the fault-free reference, whether the kill lands early or late.
+TEST(ShardRecovery, MidRunKillReplaysExactly) {
   for (uint64_t seed : {uint64_t{3}, uint64_t{11}, uint64_t{27}}) {
     Rng rng(0xc4ee + seed);
     const Config cfg = MakeConfig(&rng, false, seed % 2 == 0);
@@ -617,69 +490,102 @@ TEST(CheckpointRecovery, CheckpointedRetryReplaysLessAndStaysExact) {
     const IdSet reference = UnshardedReference(cfg, options);
 
     for (int kill_after : {1, 3}) {
-      uint64_t pairs_with = 0;
-      uint64_t pairs_without = 0;
-      uint64_t saved = 0;
-      uint64_t retries_with = 0;
-      uint64_t retries_without = 0;
-      for (const bool checkpoint_retry : {true, false}) {
-        ProgXeOptions faulty = options;
-        faulty.faults = MustParse("shard.next_batch:shard=0,skip=" +
-                                      std::to_string(kill_after) + ",max=1",
-                                  seed);
-        ShardOptions shard_options;
-        shard_options.num_shards = 4;
-        shard_options.max_retries = 4;
-        shard_options.retry_backoff = std::chrono::milliseconds(0);
-        shard_options.checkpoint_retry = checkpoint_retry;
+      ProgXeOptions faulty = options;
+      faulty.faults = MustParse("shard.next_batch:shard=0,skip=" +
+                                    std::to_string(kill_after) + ",max=1",
+                                seed);
+      ShardOptions shard_options;
+      shard_options.num_shards = 4;
+      shard_options.max_retries = 4;
+      shard_options.retry_backoff = std::chrono::milliseconds(0);
 
-        auto stream =
-            ShardedStream::Open(cfg.query(), faulty, shard_options);
-        ASSERT_TRUE(stream.ok())
-            << "seed=" << seed << " kill_after=" << kill_after;
-        const IdSet delivered =
-            SortedIds(DrainStream(stream->get(), 0, 192));
-        EXPECT_EQ(delivered, reference)
-            << "seed=" << seed << " kill_after=" << kill_after
-            << " checkpoint_retry=" << checkpoint_retry;
-        EXPECT_TRUE((*stream)->last_status().ok());
-        const ShardCoverage coverage = (*stream)->coverage();
-        EXPECT_TRUE(coverage.complete());
-        if (checkpoint_retry) {
-          pairs_with = (*stream)->stats().join_pairs_generated;
-          saved = coverage.replay_pairs_saved;
-          retries_with = coverage.retries;
-        } else {
-          pairs_without = (*stream)->stats().join_pairs_generated;
-          retries_without = coverage.retries;
-          EXPECT_EQ(coverage.replay_pairs_saved, 0u);
-        }
-      }
-      // The two modes run the identical kill schedule and are byte-for-byte
-      // identical up to the kill, so the fault fires in both or neither
-      // (shard 0 may legitimately finish before call kill_after+1 for some
-      // seeds — those iterations only exercise the exactness check above).
-      EXPECT_EQ(retries_with > 0, retries_without > 0)
+      auto stream = ShardedStream::Open(cfg.query(), faulty, shard_options);
+      ASSERT_TRUE(stream.ok())
           << "seed=" << seed << " kill_after=" << kill_after;
-      if (saved > 0) {
-        ++exercised;
-        // The resume skipped processed regions: the total join work —
-        // including the dead incarnation's — must undercut the
-        // from-scratch replay of the identical kill schedule.
-        EXPECT_LT(pairs_with, pairs_without)
-            << "seed=" << seed << " kill_after=" << kill_after;
-      }
+      const IdSet delivered = SortedIds(DrainStream(stream->get(), 0, 192));
+      EXPECT_EQ(delivered, reference)
+          << "seed=" << seed << " kill_after=" << kill_after;
+      EXPECT_TRUE((*stream)->last_status().ok());
+      EXPECT_TRUE((*stream)->coverage().complete());
     }
   }
-  // At least one kill must land after a resumable boundary with processed
-  // regions behind it, or the savings path was never exercised.
-  EXPECT_GT(exercised, 0);
+}
+
+struct KilledRun {
+  IdSet delivered;
+  uint64_t retries = 0;
+  std::vector<std::string> shard_stats;  // ProgXeStats::ToString per shard
+  std::vector<uint64_t> shard_pairs;
+};
+
+KilledRun RunKilled(const Config& cfg, const ProgXeOptions& options,
+                    const std::string& faults) {
+  // A programmatic injector, even the never-firing "p=0" one of the clean
+  // run, keeps an ambient fault spec out of both runs.
+  ProgXeOptions run_options = options;
+  run_options.faults = MustParse(faults, 0x5eed);
+  ShardOptions shard_options;
+  shard_options.num_shards = 4;
+  shard_options.max_retries = 2;
+  shard_options.retry_backoff = std::chrono::milliseconds(0);
+  KilledRun run;
+  auto stream = ShardedStream::Open(cfg.query(), run_options, shard_options);
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  if (!stream.ok()) return run;
+  run.delivered = SortedIds(DrainStream(stream->get(), 0, 64));
+  EXPECT_TRUE((*stream)->last_status().ok());
+  run.retries = (*stream)->coverage().retries;
+  for (int i = 0; i < (*stream)->num_shards(); ++i) {
+    const ProgXeStats stats = (*stream)->shard_stats(i);
+    run.shard_stats.push_back(stats.ToString());
+    run.shard_pairs.push_back(stats.join_pairs_generated);
+  }
+  return run;
+}
+
+// One deterministic kill: shard 1's fourth applied pump draws the fault.
+// The other shards never notice (their counters match the fault-free run
+// field for field), shard 1 replays in full, so its join pairs are the
+// fault-free total plus the dead incarnation's three applied pumps —
+// counted once, more than nothing and less than a whole run — and the same
+// spec reproduces every counter.
+TEST(ShardRecovery, DeterministicKillReplaysInFullAndCountsOnce) {
+  Rng rng(0xc4f0);
+  const Config cfg = MakeConfig(&rng, false, false);
+  ProgXeOptions options;
+  options.seed = 0xfeed;
+  const std::string spec = "shard.next_batch:p=1,shard=1,skip=3,max=1";
+
+  const KilledRun clean =
+      RunKilled(cfg, options, "shard.next_batch:p=0");
+  const KilledRun killed = RunKilled(cfg, options, spec);
+  ASSERT_EQ(clean.shard_stats.size(), 4u);
+  ASSERT_EQ(killed.shard_stats.size(), 4u);
+  EXPECT_EQ(clean.retries, 0u);
+  EXPECT_EQ(killed.retries, 1u);
+  EXPECT_EQ(killed.delivered, clean.delivered);
+  EXPECT_EQ(killed.delivered, UnshardedReference(cfg, options));
+  for (int shard : {0, 2, 3}) {
+    EXPECT_EQ(killed.shard_stats[static_cast<size_t>(shard)],
+              clean.shard_stats[static_cast<size_t>(shard)])
+        << "shard " << shard;
+  }
+  const uint64_t full = clean.shard_pairs[1];
+  const uint64_t extra = killed.shard_pairs[1] - full;
+  EXPECT_GT(killed.shard_pairs[1], full);
+  EXPECT_GT(extra, 0u);
+  EXPECT_LT(extra, full);
+
+  const KilledRun again = RunKilled(cfg, options, spec);
+  EXPECT_EQ(again.retries, killed.retries);
+  EXPECT_EQ(again.delivered, killed.delivered);
+  EXPECT_EQ(again.shard_stats, killed.shard_stats);
 }
 
 // The per-shard replay-dedup set is sized by delivered results, so it must
 // be freed eagerly: as each shard drains healthy its set drops to zero
 // instead of lingering until stream teardown.
-TEST(CheckpointRecovery, DedupSetsFreeAsShardsFinishHealthy) {
+TEST(ShardRecovery, DedupSetsFreeAsShardsFinishHealthy) {
   Rng rng(0xc4ef);
   const Config cfg = MakeConfig(&rng, false, true);
   ProgXeOptions options;
@@ -708,203 +614,6 @@ TEST(CheckpointRecovery, DedupSetsFreeAsShardsFinishHealthy) {
   EXPECT_GT(peak, 0u) << "dedup sets never filled - vacuous test";
   EXPECT_EQ((*stream)->dedup_entries(), 0u)
       << "healthy-finished shards must free their dedup sets";
-}
-
-// --- Incremental checkpoint export: differential check --------------------
-
-// Brute-force skip-safety reference, straight from the definition in
-// progxe/checkpoint.h: walk every removed region, and for a processed one
-// every cell of its coverage box. `restored_pairs` is the total of the
-// checkpoint the loop was resumed from (0 for a fresh loop).
-//
-// Verdicts are sticky within a session: `*safe_before` holds the regions an
-// earlier export found safe, and they stay safe. A processed region's own
-// tuples are fixed, and once each is delivered or dead it stays so — but a
-// still-active region may later populate a cell of its box, so the box
-// condition alone is not permanent.
-struct ReferenceExport {
-  std::vector<int32_t> skip_regions;
-  uint64_t replay_pairs_saved = 0;
-  int sticky = 0;  // regions listed only because an earlier export was safe
-};
-
-ReferenceExport FullBoxReference(const RegionLoop& loop,
-                                 uint64_t restored_pairs,
-                                 std::set<int32_t>* safe_before) {
-  ReferenceExport ref;
-  ref.replay_pairs_saved = restored_pairs;
-  const OutputTable& table = loop.table();
-  for (const Region& region : loop.regions()) {
-    if (!loop.removed(region.id)) continue;
-    bool safe = region.discarded && !region.processed;
-    if (region.processed) {
-      safe = true;
-      table.geometry().ForEachCellInBox(
-          region.lo_cell.data(), region.hi_cell.data(), [&](CellIndex c) {
-            if (table.populated(c) && !table.emitted(c) && !table.marked(c)) {
-              safe = false;
-            }
-          });
-    }
-    if (!safe && safe_before->count(region.id) != 0) {
-      safe = true;
-      ++ref.sticky;
-    }
-    if (!safe) continue;
-    safe_before->insert(region.id);
-    ref.skip_regions.push_back(region.id);
-    if (region.processed) {
-      ref.replay_pairs_saved += loop.region_join_pairs(region.id);
-    }
-  }
-  return ref;
-}
-
-struct DifferentialTally {
-  int exports = 0;             // exports compared against the reference
-  int with_unsafe = 0;         // ... that left a processed region unsafe
-  int with_processed_skip = 0; // ... that skipped a processed region
-  int with_sticky = 0;         // ... that kept a region safe by stickiness
-};
-
-// Drains `session` with `budget`-pair pumps, comparing every successful
-// export with the full-box reference. Returns the last exported checkpoint
-// taken before `stop_after` pumps (all pumps when 0) via `*mid`.
-void DrainComparingExports(ProgXeSession* session, size_t budget,
-                           int stop_after, const std::string& label,
-                           DifferentialTally* tally, SessionCheckpoint* mid) {
-  const uint64_t restored_pairs = session->replay_pairs_saved();
-  std::set<int32_t> safe_before;
-  std::vector<ResultTuple> batch;
-  SessionCheckpoint checkpoint;
-  int pumps = 0;
-  while (!session->Finished()) {
-    session->NextBatch(0, budget, &batch);
-    if (session->ExportCheckpoint(&checkpoint)) {
-      const RegionLoop* loop = session->region_loop();
-      ASSERT_NE(loop, nullptr) << label;
-      const ReferenceExport ref =
-          FullBoxReference(*loop, restored_pairs, &safe_before);
-      ASSERT_EQ(checkpoint.skip_regions, ref.skip_regions)
-          << label << " pump=" << pumps;
-      ASSERT_EQ(checkpoint.replay_pairs_saved, ref.replay_pairs_saved)
-          << label << " pump=" << pumps;
-      ++tally->exports;
-      size_t processed_skipped = 0;
-      for (int32_t id : ref.skip_regions) {
-        processed_skipped += loop->regions()[static_cast<size_t>(id)].processed;
-      }
-      size_t processed_removed = 0;
-      for (const Region& region : loop->regions()) {
-        processed_removed += region.processed;
-      }
-      tally->with_processed_skip += processed_skipped > 0;
-      tally->with_unsafe += processed_removed > processed_skipped;
-      tally->with_sticky += ref.sticky > 0;
-      if (mid != nullptr && (stop_after == 0 || pumps < stop_after)) {
-        *mid = checkpoint;
-      }
-    }
-    ++pumps;
-  }
-}
-
-// The incremental export (removal log + cached blocking cell + unflushed-cell
-// search) must produce exactly the sticky full-box walk's verdicts at every
-// export: fresh and resumed sessions, whole-region and sliced pumps, tied
-// and high-sigma configs across the generator's distributions.
-TEST(CheckpointRecovery, IncrementalExportMatchesFullBoxReference) {
-  DifferentialTally tally;
-  int resumed_runs = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    Rng rng(0xd1ff + seed);
-    const Config cfg = MakeConfig(&rng, seed % 4 == 1, seed % 3 == 0);
-    ProgXeOptions options;
-    options.seed = 0xfeed;
-    for (size_t budget : {size_t{0}, size_t{16}, size_t{256}}) {
-      const std::string label = "seed=" + std::to_string(seed) +
-                                " budget=" + std::to_string(budget);
-      auto fresh = ProgXeSession::Open(cfg.query(), options);
-      ASSERT_TRUE(fresh.ok()) << label;
-      SessionCheckpoint mid;
-      DrainComparingExports(fresh->get(), budget, 6, label, &tally, &mid);
-      if (HasFatalFailure()) return;
-      if (mid.skip_regions.empty()) continue;
-
-      // Resume from the mid-run checkpoint; the resumed loop's exports
-      // carry the restored total forward.
-      auto resumed = ProgXeSession::Open(cfg.query(), options, &mid);
-      ASSERT_TRUE(resumed.ok()) << label;
-      ASSERT_TRUE((*resumed)->resumed()) << label;
-      EXPECT_EQ((*resumed)->replay_pairs_saved(), mid.replay_pairs_saved);
-      DrainComparingExports(resumed->get(), budget, 0, label + " resumed",
-                            &tally, nullptr);
-      if (HasFatalFailure()) return;
-      ++resumed_runs;
-    }
-  }
-  // Non-vacuity: the sweep compared many exports, skipped processed
-  // regions, held processed regions back on a blocking cell, kept a verdict
-  // whose box a later region re-populated, and resumed.
-  EXPECT_GT(tally.exports, 100);
-  EXPECT_GT(tally.with_processed_skip, 0);
-  EXPECT_GT(tally.with_unsafe, 0);
-  EXPECT_GT(tally.with_sticky, 0);
-  EXPECT_GT(resumed_runs, 0);
-}
-
-// Kill-and-resume: a session killed mid-run by an injected fault resumes
-// from its last exported checkpoint, and the resume's replay_pairs_saved is
-// exactly the join pairs the skipped regions generated in an uninterrupted
-// reference run — the counter reports real pairs, not |Pa| x |Pb|.
-TEST(CheckpointRecovery, ReplayPairsSavedEqualsSkippedRegionsPairs) {
-  int exercised = 0;
-  for (uint64_t seed : {uint64_t{2}, uint64_t{5}, uint64_t{13}}) {
-    Rng rng(0xd200 + seed);
-    const Config cfg = MakeConfig(&rng, false, seed % 2 == 1);
-    ProgXeOptions options;
-    options.seed = 0xfeed;
-
-    auto reference = ProgXeSession::Open(cfg.query(), options);
-    ASSERT_TRUE(reference.ok());
-    (void)DrainStream(reference->get(), 0, 0);
-    const RegionLoop* reference_loop = (*reference)->region_loop();
-    ASSERT_NE(reference_loop, nullptr);
-
-    for (int kill_after : {4, 10}) {
-      ProgXeOptions faulty = options;
-      faulty.faults = MustParse(std::string(fault_sites::kSessionNextBatch) +
-                                    ":skip=" + std::to_string(kill_after) +
-                                    ",max=1",
-                                seed);
-      auto doomed = ProgXeSession::Open(cfg.query(), faulty);
-      ASSERT_TRUE(doomed.ok());
-      std::vector<ResultTuple> batch;
-      SessionCheckpoint checkpoint;
-      bool have_checkpoint = false;
-      while (!(*doomed)->Finished()) {
-        (*doomed)->NextBatch(0, 256, &batch);
-        if ((*doomed)->ExportCheckpoint(&checkpoint)) have_checkpoint = true;
-      }
-      if (!have_checkpoint || (*doomed)->last_status().ok()) continue;
-
-      uint64_t expected = 0;
-      for (int32_t id : checkpoint.skip_regions) {
-        expected += reference_loop->region_join_pairs(id);
-      }
-      EXPECT_EQ(checkpoint.replay_pairs_saved, expected)
-          << "seed=" << seed << " kill_after=" << kill_after;
-      auto resumed = ProgXeSession::Open(cfg.query(), options, &checkpoint);
-      ASSERT_TRUE(resumed.ok());
-      EXPECT_EQ((*resumed)->replay_pairs_saved(),
-                (*resumed)->resumed() ? expected : 0u)
-          << "seed=" << seed << " kill_after=" << kill_after;
-      (void)DrainStream(resumed->get(), 0, 0);
-      EXPECT_TRUE((*resumed)->last_status().ok());
-      if (expected > 0) ++exercised;
-    }
-  }
-  EXPECT_GT(exercised, 0);
 }
 
 }  // namespace

@@ -8,12 +8,6 @@ threshold this gate is stable across runners: a regression back toward the
 flat O(accepted x arrivals) scan multiplies the counter by orders of
 magnitude and trips the budget regardless of machine speed.
 
-`checkpoint_cells_examined` (the same run's checkpoint-export work counter)
-is held under `--checkpoint_budget` when that flag is given: exports test
-cached blocking cells and scan the short unflushed-cell list, so a return
-to walking every finished region's cell box on each pump multiplies it by
-orders of magnitude — again regardless of machine speed.
-
 `coverage_cells_walked` (the same run's region-coverage bookkeeping counter:
 cells visited by the coverage build and release row walks, cells examined
 for ProgCount upkeep, and EL-Graph watch-list entries, summed over shards)
@@ -51,14 +45,14 @@ The distributed loopback run (the `distributed` key, written by
 bench_distributed) is gated on its own `results_match`: a K-shard query
 served by remote worker processes must deliver exactly the in-process
 result set — distribution is a placement decision, never a results
-decision. Its nested `recovery` key (a worker killed mid-stream, shards
-recovering via checkpointed retry) is gated the same way, plus
-`replay_pairs_saved > 0`: a resume that saves nothing means checkpoints
-are not actually shipping and every retry replays from scratch.
+decision. Its nested `recovery` key (a worker killed mid-stream, its
+shards replaying from scratch on the other worker) is gated the same way,
+plus `retries >= 1`: a run that never retried never lost its worker, so
+its match proves nothing about recovery.
 
 `--match=<json>` compares every K-run's deterministic counters (results,
-join pairs, engine and merge comparisons, held peak, checkpoint and
-coverage cells, resolved grids) with another bench_sharded JSON of the
+join pairs, engine and merge comparisons, held peak, coverage cells,
+resolved grids) with another bench_sharded JSON of the
 same workload, e.g. a sanitizer build against a plain one: the shards'
 pool may interleave differently in each, and none of these may move.
 `--counters_only` skips the two disabled-hook timing gates, for builds
@@ -73,7 +67,6 @@ missing sharded data is an error only when there is no reuse section
 either).
 
 Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
-                                    [--checkpoint_budget=N]
                                     [--coverage_budget=N]
                                     [--engine_budget=K:N ...]
                                     [--hook_budget_ns=15]
@@ -84,8 +77,7 @@ Usage: check_merge_budget.py <json> [--shards=4] [--budget=200000]
 # bench_sharded run fields that are deterministic work counts, not timings.
 DETERMINISTIC_RUN_KEYS = (
     "results", "join_pairs", "comparisons", "merge_comparisons", "held_peak",
-    "checkpoint_cells_examined", "coverage_cells_walked",
-    "output_cells_per_dim")
+    "coverage_cells_walked", "output_cells_per_dim")
 
 
 def load_runs(doc):
@@ -119,7 +111,6 @@ def main(argv):
     path = None
     shards = 4
     budget = 200000
-    checkpoint_budget = None
     coverage_budget = None
     engine_budgets = {}
     hook_budget_ns = 15.0
@@ -131,8 +122,6 @@ def main(argv):
             shards = int(arg.split("=", 1)[1])
         elif arg.startswith("--budget="):
             budget = int(arg.split("=", 1)[1])
-        elif arg.startswith("--checkpoint_budget="):
-            checkpoint_budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--coverage_budget="):
             coverage_budget = int(arg.split("=", 1)[1])
         elif arg.startswith("--engine_budget="):
@@ -172,20 +161,6 @@ def main(argv):
                 f"FAIL: merge_comparisons at K={shards} exceeded the budget "
                 f"({cmps} > {budget}) — the merge sink is scanning instead "
                 f"of using the dominance index")
-        if checkpoint_budget is not None:
-            cells = run.get("checkpoint_cells_examined")
-            if cells is None:
-                raise SystemExit(
-                    f"FAIL: --checkpoint_budget given but the K={shards} run "
-                    f"records no checkpoint_cells_examined")
-            print(f"K={shards}: checkpoint_cells_examined={cells} "
-                  f"budget={checkpoint_budget}")
-            if cells > checkpoint_budget:
-                raise SystemExit(
-                    f"FAIL: checkpoint_cells_examined at K={shards} exceeded "
-                    f"the budget ({cells} > {checkpoint_budget}) — checkpoint "
-                    f"export is walking region boxes instead of testing "
-                    f"cached blockers against the unflushed-cell list")
         if coverage_budget is not None:
             walked = run.get("coverage_cells_walked")
             if walked is None:
@@ -251,19 +226,19 @@ def main(argv):
         recovery = distributed.get("recovery")
         if isinstance(recovery, dict):
             rec_match = recovery.get("results_match", False)
-            saved = recovery.get("replay_pairs_saved", 0)
+            rec_retries = recovery.get("retries", 0)
             print(f"recovery: results_match={rec_match} "
-                  f"replay_pairs_saved={saved}")
+                  f"retries={rec_retries}")
             if not rec_match:
                 raise SystemExit(
-                    "FAIL: a worker-kill recovery run delivered a different "
-                    "result set than the in-process run — checkpointed "
-                    "resume must never change what a query returns")
-            if saved <= 0:
+                    "FAIL: the worker-kill recovery run delivered a different "
+                    "result set than the in-process run — replaying a "
+                    "retried shard must never change what a query returns")
+            if rec_retries < 1:
                 raise SystemExit(
-                    "FAIL: the checkpointed recovery run saved no replay "
-                    "pairs (replay_pairs_saved <= 0) — resumes are "
-                    "replaying from scratch, the checkpoint path is dead")
+                    "FAIL: the worker-kill recovery run performed no shard "
+                    "retry (retries < 1) — the kill never reached a live "
+                    "shard, so recovery went unchecked")
 
     if reuse is not None:
         skipped = reuse.get("prepare_skipped", 0)

@@ -284,9 +284,6 @@ void PrintStat(const ServedQuery& query) {
     line << " covered=" << coverage.completed << "/" << coverage.shards
          << " retries=" << coverage.retries;
     if (coverage.remote > 0) line << " remote=" << coverage.remote;
-    if (coverage.replay_pairs_saved > 0) {
-      line << " saved_pairs=" << coverage.replay_pairs_saved;
-    }
     if (!coverage.complete()) {
       line << " abandoned=";
       for (size_t i = 0; i < coverage.abandoned_shards.size(); ++i) {
@@ -528,7 +525,6 @@ int main(int argc, char** argv) {
         coverage_total.completed += c.completed;
         coverage_total.abandoned += c.abandoned;
         coverage_total.retries += c.retries;
-        coverage_total.replay_pairs_saved += c.replay_pairs_saved;
       }
       FoldSchedulerStats(scheduler.stats(), &reg);
       FoldShardCoverage(coverage_total, &reg);

@@ -128,9 +128,8 @@ if isinstance(sharded, dict):
             entry[key] = sharded[key]
     for run in sharded.get("runs", []):
         if run.get("shards") == 4:
-            for key in ("merge_comparisons", "checkpoint_cells_examined",
-                        "coverage_cells_walked", "makespan_s", "t_first_s",
-                        "t_first_ratio"):
+            for key in ("merge_comparisons", "coverage_cells_walked",
+                        "makespan_s", "t_first_s", "t_first_ratio"):
                 if key in run:
                     entry[f"k4_{key}"] = run[key]
 multiquery = summary.get("multiquery")
@@ -147,7 +146,7 @@ if isinstance(distributed, dict):
                   else key] = distributed[key]
     recovery = distributed.get("recovery")
     if isinstance(recovery, dict):
-        for key in ("replay_pairs_saved", "results_match"):
+        for key in ("retries", "results_match"):
             if key in recovery:
                 entry[f"recovery_{key}"] = recovery[key]
 
