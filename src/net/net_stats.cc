@@ -1,9 +1,7 @@
 #include "net/net_stats.h"
 
+#include <algorithm>
 #include <atomic>
-#include <vector>
-
-#include "obs/metrics.h"
 
 namespace progxe {
 
@@ -18,7 +16,7 @@ struct NetTotals {
   std::atomic<uint64_t> rtt_sum_us{0};
   std::atomic<uint64_t> circuits_opened{0};
   std::atomic<int64_t> open_circuits{0};
-  std::atomic<uint64_t> rtt_us_log2[kNetRttBuckets]{};
+  std::atomic<uint64_t> rtt_us_log2[kLog2UsBuckets]{};
 };
 
 NetTotals& Totals() {
@@ -27,14 +25,6 @@ NetTotals& Totals() {
 }
 
 }  // namespace
-
-size_t NetRttBucket(uint64_t us) {
-  size_t bucket = 0;
-  while (bucket + 1 < kNetRttBuckets && us >= (uint64_t{1} << bucket)) {
-    ++bucket;
-  }
-  return bucket;
-}
 
 void NetRecordSend(uint64_t bytes) {
   NetTotals& t = Totals();
@@ -52,7 +42,7 @@ void NetRecordRtt(uint64_t us) {
   NetTotals& t = Totals();
   t.rtt_count.fetch_add(1, std::memory_order_relaxed);
   t.rtt_sum_us.fetch_add(us, std::memory_order_relaxed);
-  t.rtt_us_log2[NetRttBucket(us)].fetch_add(1, std::memory_order_relaxed);
+  t.rtt_us_log2[Log2UsBucket(us)].fetch_add(1, std::memory_order_relaxed);
 }
 
 void NetRecordCircuitOpened() {
@@ -76,57 +66,18 @@ NetStatsSnapshot SnapshotNetStats() {
   s.rtt_sum_us =
       static_cast<double>(t.rtt_sum_us.load(std::memory_order_relaxed));
   s.circuits_opened = t.circuits_opened.load(std::memory_order_relaxed);
-  s.open_circuits = t.open_circuits.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < kNetRttBuckets; ++i) {
+  s.open_circuits = static_cast<uint64_t>(std::max<int64_t>(
+      0, t.open_circuits.load(std::memory_order_relaxed)));
+  for (size_t i = 0; i < kLog2UsBuckets; ++i) {
     s.rtt_us_log2[i] = t.rtt_us_log2[i].load(std::memory_order_relaxed);
   }
   return s;
 }
 
-uint64_t NetStatsSnapshot::RttQuantileUs(double q) const {
-  if (rtt_count == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const uint64_t rank =
-      static_cast<uint64_t>(q * static_cast<double>(rtt_count - 1));
-  uint64_t seen = 0;
-  for (size_t i = 0; i < kNetRttBuckets; ++i) {
-    seen += rtt_us_log2[i];
-    if (seen > rank) return uint64_t{1} << i;
-  }
-  return uint64_t{1} << (kNetRttBuckets - 1);
-}
-
-void FoldNetStats(MetricsRegistry* reg) {
-  const NetStatsSnapshot s = SnapshotNetStats();
-  reg->GetCounter("progxe_net_bytes_sent_total",
-                  "Transport bytes sent (frame headers + payloads)")
-      ->Set(static_cast<double>(s.bytes_sent));
-  reg->GetCounter("progxe_net_bytes_received_total",
-                  "Transport bytes received (frame headers + payloads)")
-      ->Set(static_cast<double>(s.bytes_received));
-  reg->GetCounter("progxe_net_frames_sent_total", "Wire frames sent")
-      ->Set(static_cast<double>(s.frames_sent));
-  reg->GetCounter("progxe_net_frames_received_total", "Wire frames received")
-      ->Set(static_cast<double>(s.frames_received));
-  reg->GetCounter("progxe_net_circuit_opened_total",
-                  "Endpoint circuit-breaker open episodes")
-      ->Set(static_cast<double>(s.circuits_opened));
-  reg->GetGauge("progxe_net_endpoint_open_circuits",
-                "Worker endpoints currently sidelined by the circuit breaker")
-      ->Set(static_cast<double>(s.open_circuits));
-  // Upper bucket edges in seconds: 1us, 2us, ... 2^17us; the last
-  // (open-ended) histogram slot becomes the implicit +Inf bucket.
-  std::vector<double> bounds;
-  bounds.reserve(kNetRttBuckets - 1);
-  for (size_t i = 0; i + 1 < kNetRttBuckets; ++i) {
-    bounds.push_back(static_cast<double>(uint64_t{1} << i) * 1e-6);
-  }
-  HistogramMetric* rtt = reg->GetHistogram(
-      "progxe_net_rtt_seconds", "Coordinator RPC round-trip time",
-      std::move(bounds));
-  std::vector<uint64_t> counts(s.rtt_us_log2.begin(), s.rtt_us_log2.end());
-  rtt->SetCounts(counts, s.rtt_sum_us * 1e-6);
+std::string NetStatsSnapshot::FormatFields() const {
+  std::string out = FormatStatFields(kNetStatsFields, *this, "net_");
+  AppendLog2UsSummary("net_rtt", rtt_us_log2, &out);
+  return out;
 }
 
 }  // namespace progxe

@@ -2,11 +2,10 @@
 //
 // Every frame the coordinator or a worker sends/receives is tallied here
 // (bytes + frames, relaxed atomics), and every coordinator RPC records its
-// round-trip time into a log2-microsecond histogram — the same bucket
-// scheme as the scheduler's slice-latency histogram, so both read the same
-// way. SnapshotNetStats() takes a consistent-enough point-in-time copy for
-// SchedulerStats and the server's `stats` line; FoldNetStats() folds the
-// snapshot into the MetricsRegistry as `progxe_net_*` Prometheus metrics.
+// round-trip time into the log2-microsecond histogram the scheduler's
+// slice latencies use too (common/stat_fields.h). SnapshotNetStats() takes
+// a consistent-enough point-in-time copy for the server's `stats` line and
+// its Prometheus `metrics` (`progxe_net_*`, obs/metrics.h).
 //
 // The totals are process-wide by design: a coordinator process reports its
 // client-side traffic, a worker process its serving-side traffic, and a
@@ -14,21 +13,13 @@
 // per-process scrape.
 #pragma once
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
+
+#include "common/stat_fields.h"
 
 namespace progxe {
-
-class MetricsRegistry;  // obs/metrics.h
-
-/// RTT histogram resolution: bucket 0 counts sub-microsecond round trips,
-/// bucket i (i >= 1) counts RTTs in [2^(i-1), 2^i) microseconds, and the
-/// last bucket is open-ended from 2^17 us (~0.13 s) up.
-inline constexpr std::size_t kNetRttBuckets = 19;
-
-/// Histogram bucket for an RTT in microseconds.
-std::size_t NetRttBucket(uint64_t us);
 
 /// Tallies one sent frame (header + payload bytes on the wire).
 void NetRecordSend(uint64_t bytes);
@@ -48,23 +39,44 @@ struct NetStatsSnapshot {
   uint64_t bytes_received = 0;
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
+  uint64_t circuits_opened = 0;  ///< Circuit-open episodes (monotone).
+  uint64_t open_circuits = 0;    ///< Currently open endpoint circuits.
+  // The RTT histogram, exported as one Prometheus histogram
+  // (`progxe_net_rtt_seconds`) rather than through the field list.
   uint64_t rtt_count = 0;
   double rtt_sum_us = 0.0;
-  uint64_t circuits_opened = 0;  ///< Circuit-open episodes (monotone).
-  int64_t open_circuits = 0;     ///< Currently open endpoint circuits.
-  std::array<uint64_t, kNetRttBuckets> rtt_us_log2{};
+  Log2UsHistogram rtt_us_log2{};
 
-  /// Upper edge (exclusive, microseconds) of the bucket holding the
-  /// q-quantile RTT — a conservative p50/p99 readout at log2 resolution.
-  /// Returns 0 when no RPC completed yet.
-  uint64_t RttQuantileUs(double q) const;
+  /// Nearest-rank q-quantile RTT at log2 resolution (Log2UsQuantile);
+  /// 0 when no RPC completed yet.
+  uint64_t RttQuantileUs(double q) const {
+    return Log2UsQuantile(rtt_us_log2, q);
+  }
+
+  /// `net_<name>=value` over kNetStatsFields, then the RTT quantiles and
+  /// buckets (`net_rtt_p50_us<...`) — the server's `stats` line tail.
+  std::string FormatFields() const;
 };
 
-NetStatsSnapshot SnapshotNetStats();
+inline constexpr StatField<NetStatsSnapshot> kNetStatsFields[] = {
+    {"bytes_sent", &NetStatsSnapshot::bytes_sent, StatKind::kCounter,
+     "Transport bytes sent (frame headers + payloads)"},
+    {"bytes_received", &NetStatsSnapshot::bytes_received, StatKind::kCounter,
+     "Transport bytes received (frame headers + payloads)"},
+    {"frames_sent", &NetStatsSnapshot::frames_sent, StatKind::kCounter,
+     "Wire frames sent"},
+    {"frames_received", &NetStatsSnapshot::frames_received,
+     StatKind::kCounter, "Wire frames received"},
+    {"circuits_opened", &NetStatsSnapshot::circuits_opened,
+     StatKind::kCounter, "Endpoint circuit-breaker open episodes"},
+    {"open_circuits", &NetStatsSnapshot::open_circuits, StatKind::kGauge,
+     "Worker endpoints currently sidelined by the circuit breaker"},
+};
+static_assert(sizeof(NetStatsSnapshot) ==
+                  (std::size(kNetStatsFields) + 2) * 8 +
+                      sizeof(Log2UsHistogram),
+              "list every scalar NetStatsSnapshot field in kNetStatsFields");
 
-/// Folds the current totals into `progxe_net_bytes_sent_total`,
-/// `progxe_net_bytes_received_total`, `progxe_net_frames_*_total` and the
-/// `progxe_net_rtt_seconds` histogram.
-void FoldNetStats(MetricsRegistry* reg);
+NetStatsSnapshot SnapshotNetStats();
 
 }  // namespace progxe

@@ -419,56 +419,21 @@ Status ReadOptions(WireReader* r, ProgXeOptions* out) {
 // --- ProgXeStats -----------------------------------------------------------
 
 void WriteStats(const ProgXeStats& s, WireWriter* w) {
-  w->PutU64(s.r_rows);
-  w->PutU64(s.t_rows);
-  w->PutU64(s.r_rows_after_push_through);
-  w->PutU64(s.t_rows_after_push_through);
-  w->PutDouble(s.sigma_used);
-  w->PutU64(s.partition_pairs_total);
-  w->PutU64(s.partition_pairs_skipped);
-  w->PutU64(s.regions_created);
-  w->PutU64(s.regions_pruned_lookahead);
-  w->PutU64(s.cells_marked_lookahead);
-  w->PutU64(s.regions_processed);
-  w->PutU64(s.regions_discarded_runtime);
-  w->PutU64(s.regions_discarded_seed);
-  w->PutU64(s.pq_reorderings);
-  w->PutU64(s.join_pairs_generated);
-  w->PutU64(s.tuples_discarded_marked);
-  w->PutU64(s.tuples_dominated_on_insert);
-  w->PutU64(s.tuples_evicted);
-  w->PutU64(s.dominance_comparisons);
-  w->PutU64(s.results_emitted);
-  w->PutU64(s.cells_flushed);
-  w->PutU64(s.results_emitted_early);
+  for (const StatField<ProgXeStats>& f : kProgXeStatsFields) {
+    if (f.real != nullptr) {
+      w->PutDouble(s.*f.real);
+    } else {
+      w->PutU64(s.*f.count);
+    }
+  }
 }
 
 Status ReadStats(WireReader* r, ProgXeStats* out) {
   ProgXeStats s;
-  uint64_t u;
-  auto get_size = [&](size_t* field) {
-    if (!r->GetU64(&u)) return false;
-    *field = static_cast<size_t>(u);
-    return true;
-  };
-  if (!get_size(&s.r_rows) || !get_size(&s.t_rows) ||
-      !get_size(&s.r_rows_after_push_through) ||
-      !get_size(&s.t_rows_after_push_through) ||
-      !r->GetDouble(&s.sigma_used) || !get_size(&s.partition_pairs_total) ||
-      !get_size(&s.partition_pairs_skipped) ||
-      !get_size(&s.regions_created) ||
-      !get_size(&s.regions_pruned_lookahead) ||
-      !get_size(&s.cells_marked_lookahead) ||
-      !get_size(&s.regions_processed) ||
-      !get_size(&s.regions_discarded_runtime) ||
-      !get_size(&s.regions_discarded_seed) || !get_size(&s.pq_reorderings) ||
-      !r->GetU64(&s.join_pairs_generated) ||
-      !r->GetU64(&s.tuples_discarded_marked) ||
-      !r->GetU64(&s.tuples_dominated_on_insert) ||
-      !r->GetU64(&s.tuples_evicted) || !r->GetU64(&s.dominance_comparisons) ||
-      !get_size(&s.results_emitted) || !get_size(&s.cells_flushed) ||
-      !get_size(&s.results_emitted_early)) {
-    return r->status();
+  for (const StatField<ProgXeStats>& f : kProgXeStatsFields) {
+    const bool ok = f.real != nullptr ? r->GetDouble(&(s.*f.real))
+                                      : r->GetU64(&(s.*f.count));
+    if (!ok) return r->status();
   }
   *out = s;
   return Status::OK();

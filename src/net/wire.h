@@ -172,6 +172,8 @@ Status ReadPreference(WireReader* r, Preference* out);
 void WriteOptions(const ProgXeOptions& options, WireWriter* w);
 Status ReadOptions(WireReader* r, ProgXeOptions* out);
 
+/// Every kProgXeStatsFields entry in list order: eight bytes each, a u64
+/// or (sigma_used) a double. Reordering the list changes the wire format.
 void WriteStats(const ProgXeStats& stats, WireWriter* w);
 Status ReadStats(WireReader* r, ProgXeStats* out);
 

@@ -121,7 +121,7 @@ class WorkerPool {
   /// circuit.
   bool IsOpen(const std::string& endpoint) const;
   /// Endpoints currently in the open state (including half-open ones not
-  /// yet probed) — the progxe_net_endpoint_open_circuits gauge.
+  /// yet probed) — the progxe_net_open_circuits gauge.
   int open_circuits() const;
 
   /// Fresh dials over the pool's lifetime (diagnostic).

@@ -1,144 +1,36 @@
-// Unified metrics registry with Prometheus text exposition.
+// Prometheus text exposition, written fresh from stats snapshots.
 //
-// One process-wide MetricsRegistry (GlobalMetrics()) holds named counters,
-// gauges and histograms. The engine's snapshot structs stay the source of
-// truth — ProgXeStats, SchedulerStats and ShardCoverage are folded into the
-// registry at export time by the Fold* helpers below, so a scrape always
-// reflects a consistent point-in-time snapshot and the hot path never pays
-// for a registry update:
+// There is no registry: the engine's snapshot structs are the only state.
+// RenderPrometheus walks their field lists (common/stat_fields.h) and
+// writes one family per field, so a scrape is exactly as fresh as the
+// snapshots passed in and the hot path never pays for a metric update:
 //
-//   MetricsRegistry& reg = GlobalMetrics();
-//   FoldSchedulerStats(scheduler.stats(), &reg);   // sched + cache + shard
-//   FoldProgXeStats(terminal_totals, &reg);        // executor counters
-//   FoldObservability(&reg);                       // trace drops, fault fires
-//   std::string text;
-//   reg.RenderPrometheus(&text);                   // # HELP/# TYPE/samples
+//   std::string text = RenderPrometheus(terminal_totals, scheduler.stats(),
+//                                       SnapshotNetStats());
 //
-// `progxe_server` exposes exactly this via its `metrics` command. Metric
-// names follow the Prometheus convention `progxe_<subsystem>_<what>[_total]`
-// and are listed in docs/ARCHITECTURE.md's observability section.
-//
-// Registration is mutex-guarded and idempotent (same name returns the same
-// metric; a type mismatch aborts loudly). Value updates are relaxed atomics,
-// safe from any thread.
+// `progxe_server` exposes exactly this via its `metrics` command. A field
+// `f` of a snapshot is exported as `progxe_<subsystem>_<f>`, plus `_total`
+// for counters whose name does not end in it already. The subsystems are
+// `executor` (ProgXeStats), `scheduler` (SchedulerStats) and `net`
+// (NetStatsSnapshot). The two log2-us latency histograms become
+// `progxe_scheduler_slice_latency_seconds` and `progxe_net_rtt_seconds`.
+// docs/ARCHITECTURE.md lists every series.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
-
-#include "common/macros.h"
 
 namespace progxe {
 
-struct ProgXeStats;    // progxe/config.h
-struct SchedulerStats; // service/scheduler.h
-struct ShardCoverage;  // progxe/stream.h
+struct ProgXeStats;       // progxe/config.h
+struct SchedulerStats;    // service/scheduler.h
+struct NetStatsSnapshot;  // net/net_stats.h
 
-enum class MetricType : uint8_t { kCounter, kGauge, kHistogram };
-
-/// A scalar metric (counter or gauge). Counters are exposed cumulatively;
-/// `Set` overwrites (snapshot folding), `Add` accumulates (live updates).
-class Metric {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double v) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + v,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  void Increment() { Add(1.0); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  Metric(std::string name, std::string help, MetricType type)
-      : name_(std::move(name)), help_(std::move(help)), type_(type) {}
-
-  std::string name_, help_;
-  MetricType type_;
-  std::atomic<double> value_{0.0};
-
-  PROGXE_DISALLOW_COPY_AND_ASSIGN(Metric);
-};
-
-/// A histogram with fixed upper bucket bounds (exclusive of the implicit
-/// +Inf bucket). Exposed in the cumulative `_bucket{le=...}` form.
-class HistogramMetric {
- public:
-  /// Records one observation into the matching bucket.
-  void Observe(double v);
-
-  /// Overwrites all per-bucket counts (snapshot folding). `counts` are
-  /// *non*-cumulative per-bucket tallies, one per bound plus the +Inf
-  /// bucket; `sum` is the (possibly approximate) sum of observations.
-  void SetCounts(const std::vector<uint64_t>& counts, double sum);
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  uint64_t count() const;
-
- private:
-  friend class MetricsRegistry;
-  HistogramMetric(std::string name, std::string help,
-                  std::vector<double> bounds);
-
-  std::string name_, help_;
-  std::vector<double> bounds_;
-  /// One slot per bound, plus the trailing +Inf slot.
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
-  std::atomic<double> sum_{0.0};
-
-  PROGXE_DISALLOW_COPY_AND_ASSIGN(HistogramMetric);
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry();  // out-of-line: Entry is incomplete here
-  ~MetricsRegistry();
-
-  /// Returns the metric registered under `name`, creating it on first use.
-  /// Aborts if `name` is already registered with a different type.
-  Metric* GetCounter(const std::string& name, const std::string& help);
-  Metric* GetGauge(const std::string& name, const std::string& help);
-  HistogramMetric* GetHistogram(const std::string& name,
-                                const std::string& help,
-                                std::vector<double> bounds);
-
-  /// Appends the Prometheus text exposition (# HELP, # TYPE, samples) of
-  /// every registered metric, in registration order.
-  void RenderPrometheus(std::string* out) const;
-
-  size_t size() const;
-
-  PROGXE_DISALLOW_COPY_AND_ASSIGN(MetricsRegistry);
-
- private:
-  struct Entry;
-  mutable std::mutex mtx_;
-  std::vector<std::unique_ptr<Entry>> entries_;
-};
-
-/// The process-wide registry (never destroyed).
-MetricsRegistry& GlobalMetrics();
-
-/// Folds one engine-run counter snapshot into `progxe_executor_*` metrics.
-/// Pass a sum over runs (e.g. all terminal queries) for process totals.
-void FoldProgXeStats(const ProgXeStats& stats, MetricsRegistry* reg);
-
-/// Folds a scheduler snapshot into `progxe_scheduler_*` (incl. the
-/// slice-latency histogram as progxe_scheduler_slice_latency_seconds),
-/// `progxe_prepare_cache_*` and `progxe_shard_*` metrics.
-void FoldSchedulerStats(const SchedulerStats& stats, MetricsRegistry* reg);
-
-/// Folds shard coverage of one stream into `progxe_shard_coverage_*`.
-void FoldShardCoverage(const ShardCoverage& coverage, MetricsRegistry* reg);
-
-/// Folds the observability layer's own counters (trace events dropped and
-/// buffered) plus the ambient fault injector's fire count.
-void FoldObservability(MetricsRegistry* reg);
+/// The whole exposition (# HELP, # TYPE, samples): every field of the
+/// three snapshots, the two latency histograms, and the observability
+/// layer's own counters (trace events dropped and buffered, ambient fault
+/// fires). `executor_totals` is a sum over runs, e.g. every terminal query.
+std::string RenderPrometheus(const ProgXeStats& executor_totals,
+                             const SchedulerStats& scheduler,
+                             const NetStatsSnapshot& net);
 
 }  // namespace progxe

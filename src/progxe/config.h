@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "data/relation.h"
 
 namespace progxe {
@@ -111,29 +113,31 @@ struct ResultTuple {
 /// skyline (no retractions).
 using EmitFn = std::function<void(const ResultTuple&)>;
 
-/// Counters describing one ProgXe run.
+/// Counters describing one ProgXe run. Every field is listed once more,
+/// in declaration order (which is also the wire order), in
+/// kProgXeStatsFields below.
 struct ProgXeStats {
   // Input / pruning.
-  size_t r_rows = 0;
-  size_t t_rows = 0;
-  size_t r_rows_after_push_through = 0;
-  size_t t_rows_after_push_through = 0;
+  uint64_t r_rows = 0;
+  uint64_t t_rows = 0;
+  uint64_t r_rows_after_push_through = 0;
+  uint64_t t_rows_after_push_through = 0;
   double sigma_used = 0.0;
 
   // Look-ahead.
-  size_t partition_pairs_total = 0;
-  size_t partition_pairs_skipped = 0;
-  size_t regions_created = 0;
-  size_t regions_pruned_lookahead = 0;
-  size_t cells_marked_lookahead = 0;
+  uint64_t partition_pairs_total = 0;
+  uint64_t partition_pairs_skipped = 0;
+  uint64_t regions_created = 0;
+  uint64_t regions_pruned_lookahead = 0;
+  uint64_t cells_marked_lookahead = 0;
 
   // Ordering.
-  size_t regions_processed = 0;
-  size_t regions_discarded_runtime = 0;
+  uint64_t regions_processed = 0;
+  uint64_t regions_discarded_runtime = 0;
   /// Regions dropped up front because their lo_cell lies strictly above a
   /// refinement seed point's cell (zero unless refinement_seed is set).
-  size_t regions_discarded_seed = 0;
-  size_t pq_reorderings = 0;
+  uint64_t regions_discarded_seed = 0;
+  uint64_t pq_reorderings = 0;
 
   // Tuple-level processing.
   uint64_t join_pairs_generated = 0;
@@ -143,17 +147,72 @@ struct ProgXeStats {
   uint64_t dominance_comparisons = 0;
 
   // Progressive output.
-  size_t results_emitted = 0;
-  size_t cells_flushed = 0;
+  uint64_t results_emitted = 0;
+  uint64_t cells_flushed = 0;
   /// Results emitted strictly before the last region finished processing.
-  size_t results_emitted_early = 0;
+  uint64_t results_emitted_early = 0;
 
-  /// Elementwise counter sum (sigma adds too) — the one aggregation
+  /// Elementwise sum of every field (sigma adds too) — the one aggregation
   /// used everywhere stats from multiple runs combine: the sharded stream's
   /// per-shard rollup, the server's process totals, the metrics export.
   void Accumulate(const ProgXeStats& other);
 
+  /// `ProgXeStats{name=value ...}` over every field.
   std::string ToString() const;
 };
+
+/// Exported as `progxe_executor_<name>[_total]`; summed over runs, so every
+/// count is a counter.
+inline constexpr StatField<ProgXeStats> kProgXeStatsFields[] = {
+    {"r_rows", &ProgXeStats::r_rows, StatKind::kCounter,
+     "Left-source rows read"},
+    {"t_rows", &ProgXeStats::t_rows, StatKind::kCounter,
+     "Right-source rows read"},
+    {"r_rows_after_push_through", &ProgXeStats::r_rows_after_push_through,
+     StatKind::kCounter, "Left-source rows left after skyline push-through"},
+    {"t_rows_after_push_through", &ProgXeStats::t_rows_after_push_through,
+     StatKind::kCounter, "Right-source rows left after skyline push-through"},
+    {"sigma_used", &ProgXeStats::sigma_used, StatKind::kGauge,
+     "Join selectivity estimates used to size the output grid, summed over "
+     "runs"},
+    {"partition_pairs_total", &ProgXeStats::partition_pairs_total,
+     StatKind::kCounter, "Input partition pairs considered by look-ahead"},
+    {"partition_pairs_skipped", &ProgXeStats::partition_pairs_skipped,
+     StatKind::kCounter,
+     "Input partition pairs skipped for disjoint key signatures"},
+    {"regions_created", &ProgXeStats::regions_created, StatKind::kCounter,
+     "Output regions created by the look-ahead phase"},
+    {"regions_pruned_lookahead", &ProgXeStats::regions_pruned_lookahead,
+     StatKind::kCounter, "Regions pruned by look-ahead before any join"},
+    {"cells_marked_lookahead", &ProgXeStats::cells_marked_lookahead,
+     StatKind::kCounter,
+     "Output cells marked non-contributing by look-ahead"},
+    {"regions_processed", &ProgXeStats::regions_processed, StatKind::kCounter,
+     "Regions fully joined by the region loop"},
+    {"regions_discarded_runtime", &ProgXeStats::regions_discarded_runtime,
+     StatKind::kCounter, "Regions discarded at runtime by marked cells"},
+    {"regions_discarded_seed", &ProgXeStats::regions_discarded_seed,
+     StatKind::kCounter, "Regions discarded up front by refinement seeds"},
+    {"pq_reorderings", &ProgXeStats::pq_reorderings, StatKind::kCounter,
+     "Region priority-queue re-rankings"},
+    {"join_pairs_generated", &ProgXeStats::join_pairs_generated,
+     StatKind::kCounter, "Join pairs expanded through the tuple pipeline"},
+    {"tuples_discarded_marked", &ProgXeStats::tuples_discarded_marked,
+     StatKind::kCounter, "Joined tuples dropped in marked cells"},
+    {"tuples_dominated_on_insert", &ProgXeStats::tuples_dominated_on_insert,
+     StatKind::kCounter, "Tuples rejected at insert by an existing dominator"},
+    {"tuples_evicted", &ProgXeStats::tuples_evicted, StatKind::kCounter,
+     "Resident tuples evicted by a later dominator"},
+    {"dominance_comparisons", &ProgXeStats::dominance_comparisons,
+     StatKind::kCounter, "Point dominance comparisons performed"},
+    {"results_emitted", &ProgXeStats::results_emitted, StatKind::kCounter,
+     "Final skyline results emitted"},
+    {"cells_flushed", &ProgXeStats::cells_flushed, StatKind::kCounter,
+     "Output cells flushed as final by the progressive flush rule"},
+    {"results_emitted_early", &ProgXeStats::results_emitted_early,
+     StatKind::kCounter, "Results emitted before the last region finished"},
+};
+static_assert(sizeof(ProgXeStats) == std::size(kProgXeStatsFields) * 8,
+              "list every ProgXeStats field in kProgXeStatsFields");
 
 }  // namespace progxe

@@ -268,21 +268,9 @@ void AdoptPreparedInputs(std::shared_ptr<const PreparedInputs> inputs,
                          ProgXeOptions* options, ProgXeStats* stats,
                          PreparedQuery* out) {
   // Replay the prepare-side counters exactly as the cold build wrote them:
-  // the session's stats are zeroed at open, so += reproduces the original
-  // assignments bit for bit (dominance_comparisons genuinely accumulates —
-  // push-through runs before any runtime comparison).
-  const ProgXeStats& p = inputs->prepare_stats;
-  stats->r_rows = p.r_rows;
-  stats->t_rows = p.t_rows;
-  stats->r_rows_after_push_through = p.r_rows_after_push_through;
-  stats->t_rows_after_push_through = p.t_rows_after_push_through;
-  stats->sigma_used = p.sigma_used;
-  stats->dominance_comparisons += p.dominance_comparisons;
-  stats->partition_pairs_total = p.partition_pairs_total;
-  stats->partition_pairs_skipped = p.partition_pairs_skipped;
-  stats->regions_created = p.regions_created;
-  stats->regions_pruned_lookahead = p.regions_pruned_lookahead;
-  stats->cells_marked_lookahead = p.cells_marked_lookahead;
+  // the session's stats are zeroed at open and prepare_stats holds only
+  // prepare-side counters, so the sum reproduces the cold build bit for bit.
+  stats->Accumulate(inputs->prepare_stats);
   // Mirror the grid resolutions the build resolved, so cost models and any
   // caller inspecting the options see the same values as on the cold path.
   // The output grid is resolved on every build path; the input grid only

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mapping/canonical.h"
-#include "net/net_stats.h"
 #include "net/worker_pool.h"
 #include "obs/trace.h"
 #include "progxe/prepare_cache.h"
@@ -55,60 +54,10 @@ bool QueryStateFromName(std::string_view name, QueryState* out) {
   return false;
 }
 
-size_t SchedulerStats::SliceLatencyBucket(uint64_t us) {
-  size_t bucket = 0;
-  while (us != 0 && bucket + 1 < kSliceLatencyBuckets) {
-    us >>= 1;
-    ++bucket;
-  }
-  return bucket;
-}
-
-uint64_t SchedulerStats::SliceLatencyQuantileUs(double q) const {
-  uint64_t total = 0;
-  for (uint64_t c : slice_latency_us_log2) total += c;
-  if (total == 0) return 0;
-  const double rank = q * static_cast<double>(total);
-  uint64_t seen = 0;
-  for (size_t b = 0; b < kSliceLatencyBuckets; ++b) {
-    seen += slice_latency_us_log2[b];
-    if (static_cast<double>(seen) >= rank) {
-      return uint64_t{1} << b;  // exclusive upper edge of bucket b
-    }
-  }
-  return uint64_t{1} << (kSliceLatencyBuckets - 1);
-}
-
 std::string SchedulerStats::FormatFields() const {
-  std::ostringstream os;
-  os << "queued=" << queued << " running=" << running
-     << " submitted=" << submitted << " finished=" << finished
-     << " cancelled=" << cancelled << " failed=" << failed
-     << " deadline_exceeded=" << deadline_exceeded << " partial=" << partial
-     << " slices=" << slices
-     << " sliced_pairs=" << sliced_pairs << " batches=" << batches
-     << " results=" << results << " shard_retries=" << shard_retries
-     << " shards_abandoned=" << shards_abandoned
-     << " prepare_hits=" << prepare_hits
-     << " prepare_misses=" << prepare_misses
-     << " prepare_evictions=" << prepare_evictions
-     << " prepare_cache_entries=" << prepare_cache_entries
-     << " prepare_cache_bytes=" << prepare_cache_bytes
-     << " net_bytes_sent=" << net_bytes_sent
-     << " net_bytes_received=" << net_bytes_received
-     << " net_frames_sent=" << net_frames_sent
-     << " net_frames_received=" << net_frames_received
-     << " net_rtt_count=" << net_rtt_count
-     << " net_rtt_p50_us<" << net_rtt_p50_us
-     << " net_rtt_p99_us<" << net_rtt_p99_us
-     << " slice_p50_us<" << SliceLatencyQuantileUs(0.5)
-     << " slice_p99_us<" << SliceLatencyQuantileUs(0.99)
-     << " slice_lat_us_log2=[";
-  for (size_t b = 0; b < kSliceLatencyBuckets; ++b) {
-    os << (b == 0 ? "" : ",") << slice_latency_us_log2[b];
-  }
-  os << "]";
-  return os.str();
+  std::string out = FormatStatFields(kSchedulerStatsFields, *this);
+  AppendLog2UsSummary("slice", slice_latency_us_log2, &out);
+  return out;
 }
 
 std::string SchedulerStats::ToString() const {
@@ -260,21 +209,9 @@ struct SchedulerCore {
   /// without any other activity.
   size_t deadlined_waiting = 0;
 
-  // SchedulerStats counters (monotonic; guarded by mtx).
-  uint64_t submitted = 0;
-  uint64_t finished = 0;
-  uint64_t cancelled = 0;
-  uint64_t failed = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t partial = 0;
-  uint64_t slices = 0;
-  uint64_t sliced_pairs = 0;
-  uint64_t batches = 0;
-  uint64_t results = 0;
-  uint64_t shard_retries = 0;
-  uint64_t shards_abandoned = 0;
-  std::array<uint64_t, SchedulerStats::kSliceLatencyBuckets>
-      slice_latency_us_log2{};
+  /// The monotonic SchedulerStats counters and the slice histogram
+  /// (guarded by mtx); stats() fills in the gauges and cache counters.
+  SchedulerStats counters;
 };
 
 namespace {
@@ -365,19 +302,19 @@ RecordPtr PopReady(SchedulerCore* core) {
 void CountTerminal(SchedulerCore* core, QueryState state) {
   switch (state) {
     case QueryState::kFinished:
-      ++core->finished;
+      ++core->counters.finished;
       break;
     case QueryState::kCancelled:
-      ++core->cancelled;
+      ++core->counters.cancelled;
       break;
     case QueryState::kFailed:
-      ++core->failed;
+      ++core->counters.failed;
       break;
     case QueryState::kDeadlineExceeded:
-      ++core->deadline_exceeded;
+      ++core->counters.deadline_exceeded;
       break;
     case QueryState::kPartial:
-      ++core->partial;
+      ++core->counters.partial;
       break;
     default:
       assert(false && "non-terminal state");
@@ -410,8 +347,12 @@ void FinishQuery(SchedulerCore* core, const RecordPtr& rec, QueryState state,
   }
   rec->state.store(state, std::memory_order_release);
   lock->lock();
-  core->shard_retries += rec->final_coverage.retries;
-  core->shards_abandoned +=
+  SchedulerStats& counters = core->counters;
+  counters.shards_planned += static_cast<uint64_t>(rec->final_coverage.shards);
+  counters.shards_completed +=
+      static_cast<uint64_t>(rec->final_coverage.completed);
+  counters.shard_retries += rec->final_coverage.retries;
+  counters.shards_abandoned +=
       static_cast<uint64_t>(rec->final_coverage.abandoned);
   assert(core->live > 0);
   --core->live;
@@ -636,14 +577,13 @@ void WorkerLoop(const std::shared_ptr<SchedulerCore>& core) {
     // served slice.
     if (outcome == QueryState::kRunning || outcome == QueryState::kFinished ||
         outcome == QueryState::kPartial) {
-      ++core->slices;
-      core->sliced_pairs += pairs;
-      ++core->slice_latency_us_log2[SchedulerStats::SliceLatencyBucket(
-          slice_us)];
+      ++core->counters.slices;
+      core->counters.sliced_pairs += pairs;
+      ++core->counters.slice_latency_us_log2[Log2UsBucket(slice_us)];
     }
     if (delivered > 0) {
-      ++core->batches;
-      core->results += delivered;
+      ++core->counters.batches;
+      core->counters.results += delivered;
     }
     if (outcome == QueryState::kRunning) {
       rec->pass += rec->stride;
@@ -861,7 +801,7 @@ Result<QueryHandle> QueryScheduler::Submit(const SkyMapJoinQuery& query,
   }
   rec->id = core_->next_id++;
   ++core_->live;
-  ++core_->submitted;
+  ++core_->counters.submitted;
   rec->in_waiting = true;
   if (rec->has_deadline) ++core_->deadlined_waiting;
   core_->waiting.push_back(rec);
@@ -879,31 +819,10 @@ void QueryScheduler::Drain() {
 }
 
 SchedulerStats QueryScheduler::stats() const {
-  SchedulerStats stats;
   std::lock_guard<std::mutex> lock(core_->mtx);
+  SchedulerStats stats = core_->counters;
   stats.queued = core_->waiting.size();
   stats.running = core_->active;
-  stats.submitted = core_->submitted;
-  stats.finished = core_->finished;
-  stats.cancelled = core_->cancelled;
-  stats.failed = core_->failed;
-  stats.deadline_exceeded = core_->deadline_exceeded;
-  stats.partial = core_->partial;
-  stats.slices = core_->slices;
-  stats.sliced_pairs = core_->sliced_pairs;
-  stats.batches = core_->batches;
-  stats.results = core_->results;
-  stats.shard_retries = core_->shard_retries;
-  stats.shards_abandoned = core_->shards_abandoned;
-  stats.slice_latency_us_log2 = core_->slice_latency_us_log2;
-  const NetStatsSnapshot net = SnapshotNetStats();
-  stats.net_bytes_sent = net.bytes_sent;
-  stats.net_bytes_received = net.bytes_received;
-  stats.net_frames_sent = net.frames_sent;
-  stats.net_frames_received = net.frames_received;
-  stats.net_rtt_count = net.rtt_count;
-  stats.net_rtt_p50_us = net.RttQuantileUs(0.5);
-  stats.net_rtt_p99_us = net.RttQuantileUs(0.99);
   if (core_->prepare_cache != nullptr) {
     const PrepareCache::Stats cache = core_->prepare_cache->stats();
     stats.prepare_hits = cache.hits;

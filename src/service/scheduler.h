@@ -37,9 +37,9 @@
 //     destruction.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stat_fields.h"
 #include "common/status.h"
 #include "progxe/config.h"
 #include "progxe/executor.h"
@@ -125,18 +126,12 @@ inline bool IsTerminal(QueryState state) {
 }
 
 /// A point-in-time snapshot of scheduler-wide counters
-/// (QueryScheduler::stats()).
+/// (QueryScheduler::stats()). Every scalar field is listed once more in
+/// kSchedulerStatsFields below; transport totals live in NetStatsSnapshot.
 struct SchedulerStats {
-  /// Slice-latency histogram resolution: fixed log-scale buckets where
-  /// bucket 0 counts sub-microsecond slices and bucket i (i >= 1) counts
-  /// slices with wall-clock latency in [2^(i-1), 2^i) microseconds; the
-  /// last bucket is open-ended, absorbing everything from 2^17 us
-  /// (~0.13 s) up.
-  static constexpr size_t kSliceLatencyBuckets = 19;
-
   // Gauges (instantaneous).
-  size_t queued = 0;   ///< Waiting-room depth.
-  size_t running = 0;  ///< Admitted queries holding a slot.
+  uint64_t queued = 0;   ///< Waiting-room depth.
+  uint64_t running = 0;  ///< Admitted queries holding a slot.
 
   // Monotonic counters (since construction).
   uint64_t submitted = 0;          ///< Accepted Submit calls.
@@ -149,47 +144,90 @@ struct SchedulerStats {
   uint64_t sliced_pairs = 0;       ///< Join pairs processed across slices.
   uint64_t batches = 0;            ///< Non-empty OnBatch deliveries.
   uint64_t results = 0;            ///< Result tuples delivered to sinks.
-  uint64_t shard_retries = 0;      ///< Shard re-opens across terminal queries.
-  uint64_t shards_abandoned = 0;   ///< Shards dropped across terminal queries.
-
-  // Distributed transport (process-wide totals from net/net_stats.h;
-  // nonzero only when queries ran with ShardOptions::workers).
-  uint64_t net_bytes_sent = 0;      ///< Wire bytes sent (frames + headers).
-  uint64_t net_bytes_received = 0;  ///< Wire bytes received.
-  uint64_t net_frames_sent = 0;     ///< Frames sent.
-  uint64_t net_frames_received = 0; ///< Frames received.
-  uint64_t net_rtt_count = 0;       ///< Coordinator RPCs completed.
-  uint64_t net_rtt_p50_us = 0;      ///< Median RPC round trip (log2 edge).
-  uint64_t net_rtt_p99_us = 0;      ///< p99 RPC round trip (log2 edge).
+  // Shard coverage, summed over terminal queries (an unsharded query
+  // counts as one shard).
+  uint64_t shards_planned = 0;    ///< Sub-streams planned.
+  uint64_t shards_completed = 0;  ///< Sub-streams that delivered everything.
+  uint64_t shard_retries = 0;     ///< Shard re-opens.
+  uint64_t shards_abandoned = 0;  ///< Shards dropped after retry exhaustion.
 
   // Prepared-state cache (zeroes when ServiceOptions disabled the cache).
   uint64_t prepare_hits = 0;       ///< Opens that skipped the prepare phase.
   uint64_t prepare_misses = 0;     ///< Opens that built (and cached) anew.
   uint64_t prepare_evictions = 0;  ///< Entries LRU-evicted past a budget.
-  size_t prepare_cache_entries = 0;  ///< Gauge: entries resident now.
-  size_t prepare_cache_bytes = 0;    ///< Gauge: approx bytes resident now.
+  uint64_t prepare_cache_entries = 0;  ///< Gauge: entries resident now.
+  uint64_t prepare_cache_bytes = 0;    ///< Gauge: approx bytes resident now.
 
   /// Wall-clock latency distribution of served slices (one entry per
   /// NextBatch counted in `slices`). Sum of all buckets == slices.
-  std::array<uint64_t, kSliceLatencyBuckets> slice_latency_us_log2{};
+  Log2UsHistogram slice_latency_us_log2{};
 
-  /// Histogram bucket index for a slice latency in microseconds.
-  static size_t SliceLatencyBucket(uint64_t us);
+  /// Nearest-rank q-quantile slice latency at log2 resolution
+  /// (Log2UsQuantile); 0 when no slice was served.
+  uint64_t SliceLatencyQuantileUs(double q) const {
+    return Log2UsQuantile(slice_latency_us_log2, q);
+  }
 
-  /// Upper edge (exclusive, microseconds) of the bucket holding the
-  /// q-quantile slice, for q in [0, 1] — a conservative p50/p99 readout at
-  /// log2 resolution, except when the quantile lands in the open-ended
-  /// last bucket, whose returned edge (2^18 us) understates slices slower
-  /// than that. Returns 0 when no slice was served.
-  uint64_t SliceLatencyQuantileUs(double q) const;
-
-  /// Space-separated `name=value` rendering of every field, histogram
-  /// included — the one formatter behind ToString() and the server's
-  /// `stats` line.
+  /// Space-separated `name=value` rendering of every field, then the
+  /// slice-latency quantiles and buckets — the one formatter behind
+  /// ToString() and the server's `stats` line.
   std::string FormatFields() const;
 
   std::string ToString() const;
 };
+
+/// Exported as `progxe_scheduler_<name>[_total]`.
+inline constexpr StatField<SchedulerStats> kSchedulerStatsFields[] = {
+    {"queued", &SchedulerStats::queued, StatKind::kGauge,
+     "Queries waiting for admission"},
+    {"running", &SchedulerStats::running, StatKind::kGauge,
+     "Admitted queries holding a slot"},
+    {"submitted", &SchedulerStats::submitted, StatKind::kCounter,
+     "Accepted Submit calls"},
+    {"finished", &SchedulerStats::finished, StatKind::kCounter,
+     "Queries ended finished"},
+    {"cancelled", &SchedulerStats::cancelled, StatKind::kCounter,
+     "Queries ended cancelled"},
+    {"failed", &SchedulerStats::failed, StatKind::kCounter,
+     "Queries ended failed"},
+    {"deadline_exceeded", &SchedulerStats::deadline_exceeded,
+     StatKind::kCounter, "Queries ended deadline_exceeded"},
+    {"partial", &SchedulerStats::partial, StatKind::kCounter,
+     "Queries ended partial"},
+    {"slices", &SchedulerStats::slices, StatKind::kCounter,
+     "NextBatch slices served"},
+    {"sliced_pairs", &SchedulerStats::sliced_pairs, StatKind::kCounter,
+     "Join pairs processed across slices"},
+    {"batches", &SchedulerStats::batches, StatKind::kCounter,
+     "Non-empty OnBatch deliveries"},
+    {"results", &SchedulerStats::results, StatKind::kCounter,
+     "Result tuples delivered to sinks"},
+    {"shards_planned", &SchedulerStats::shards_planned, StatKind::kCounter,
+     "Sub-streams planned by terminal queries (1 per unsharded query)"},
+    {"shards_completed", &SchedulerStats::shards_completed,
+     StatKind::kCounter, "Sub-streams of terminal queries that delivered "
+                         "everything"},
+    {"shard_retries", &SchedulerStats::shard_retries, StatKind::kCounter,
+     "Shard re-opens across terminal queries"},
+    {"shards_abandoned", &SchedulerStats::shards_abandoned,
+     StatKind::kCounter,
+     "Shards dropped after retry exhaustion across terminal queries"},
+    {"prepare_hits", &SchedulerStats::prepare_hits, StatKind::kCounter,
+     "Stream opens that reused cached prepared state"},
+    {"prepare_misses", &SchedulerStats::prepare_misses, StatKind::kCounter,
+     "Stream opens that built prepared state anew"},
+    {"prepare_evictions", &SchedulerStats::prepare_evictions,
+     StatKind::kCounter, "Prepared-state entries LRU-evicted past a budget"},
+    {"prepare_cache_entries", &SchedulerStats::prepare_cache_entries,
+     StatKind::kGauge, "Prepared-state cache entries resident now"},
+    {"prepare_cache_bytes", &SchedulerStats::prepare_cache_bytes,
+     StatKind::kGauge, "Approximate prepared-state cache bytes resident now"},
+};
+static_assert(sizeof(SchedulerStats) ==
+                  std::size(kSchedulerStatsFields) * 8 +
+                      sizeof(Log2UsHistogram),
+              "list every scalar SchedulerStats field in "
+              "kSchedulerStatsFields");
 
 /// Point-in-time progress of one submitted query
 /// (QueryHandle::progress()). Readable at any moment from any thread —

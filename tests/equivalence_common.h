@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -126,24 +127,23 @@ inline std::vector<std::pair<RowId, RowId>> Oracle(const Config& cfg) {
   return skyline;
 }
 
-/// The counters that define the pipeline's observable work. Every
-/// equivalent execution mode (per-tuple / batched / parallel / session)
-/// must reproduce all of them exactly, comparisons included.
+/// Every ProgXeStats field, sigma_used bit for bit: every equivalent
+/// execution mode (per-tuple / batched / sliced / sharded / session /
+/// cached / traced / distributed) must reproduce all of them exactly.
 inline void ExpectSameStats(const ProgXeStats& a, const ProgXeStats& b,
                             const char* label) {
-  EXPECT_EQ(a.join_pairs_generated, b.join_pairs_generated) << label;
-  EXPECT_EQ(a.tuples_discarded_marked, b.tuples_discarded_marked) << label;
-  EXPECT_EQ(a.tuples_dominated_on_insert, b.tuples_dominated_on_insert)
-      << label;
-  EXPECT_EQ(a.tuples_evicted, b.tuples_evicted) << label;
-  EXPECT_EQ(a.dominance_comparisons, b.dominance_comparisons) << label;
-  EXPECT_EQ(a.results_emitted, b.results_emitted) << label;
-  EXPECT_EQ(a.results_emitted_early, b.results_emitted_early) << label;
-  EXPECT_EQ(a.regions_processed, b.regions_processed) << label;
-  EXPECT_EQ(a.regions_discarded_runtime, b.regions_discarded_runtime)
-      << label;
-  EXPECT_EQ(a.regions_discarded_seed, b.regions_discarded_seed) << label;
-  EXPECT_EQ(a.cells_flushed, b.cells_flushed) << label;
+  for (const StatField<ProgXeStats>& f : kProgXeStatsFields) {
+    if (f.real != nullptr) {
+      uint64_t bits_a, bits_b;
+      std::memcpy(&bits_a, &(a.*f.real), sizeof(bits_a));
+      std::memcpy(&bits_b, &(b.*f.real), sizeof(bits_b));
+      EXPECT_EQ(bits_a, bits_b)
+          << label << ": " << f.name << " " << a.*f.real << " vs "
+          << b.*f.real;
+    } else {
+      EXPECT_EQ(a.*f.count, b.*f.count) << label << ": " << f.name;
+    }
+  }
 }
 
 }  // namespace test

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -259,32 +260,7 @@ TEST(Wire, FieldGroupsRoundTrip) {
 
 // The options and stats groups carry every field, and nothing else: the
 // encoded sizes pin the layout (the options' two u8 enums and flags, five
-// eight-byte fields and a u8 seed flag; 22 eight-byte stats fields).
-std::vector<double> StatsFields(const ProgXeStats& s) {
-  return {static_cast<double>(s.r_rows),
-          static_cast<double>(s.t_rows),
-          static_cast<double>(s.r_rows_after_push_through),
-          static_cast<double>(s.t_rows_after_push_through),
-          s.sigma_used,
-          static_cast<double>(s.partition_pairs_total),
-          static_cast<double>(s.partition_pairs_skipped),
-          static_cast<double>(s.regions_created),
-          static_cast<double>(s.regions_pruned_lookahead),
-          static_cast<double>(s.cells_marked_lookahead),
-          static_cast<double>(s.regions_processed),
-          static_cast<double>(s.regions_discarded_runtime),
-          static_cast<double>(s.regions_discarded_seed),
-          static_cast<double>(s.pq_reorderings),
-          static_cast<double>(s.join_pairs_generated),
-          static_cast<double>(s.tuples_discarded_marked),
-          static_cast<double>(s.tuples_dominated_on_insert),
-          static_cast<double>(s.tuples_evicted),
-          static_cast<double>(s.dominance_comparisons),
-          static_cast<double>(s.results_emitted),
-          static_cast<double>(s.cells_flushed),
-          static_cast<double>(s.results_emitted_early)};
-}
-
+// eight-byte fields and a u8 seed flag; eight bytes per stats field).
 TEST(Wire, OptionsAndStatsRoundTripEveryField) {
   static_assert(kWireVersion == 9);
   ProgXeOptions options;
@@ -327,38 +303,59 @@ TEST(Wire, OptionsAndStatsRoundTripEveryField) {
   EXPECT_EQ(o.refinement_seed->canonical, seed->canonical);
 
   ProgXeStats stats;
-  stats.r_rows = 1;
-  stats.t_rows = 2;
-  stats.r_rows_after_push_through = 3;
-  stats.t_rows_after_push_through = 4;
-  stats.sigma_used = 0.125;
-  stats.partition_pairs_total = 5;
-  stats.partition_pairs_skipped = 6;
-  stats.regions_created = 7;
-  stats.regions_pruned_lookahead = 8;
-  stats.cells_marked_lookahead = 9;
-  stats.regions_processed = 10;
-  stats.regions_discarded_runtime = 11;
-  stats.regions_discarded_seed = 12;
-  stats.pq_reorderings = 13;
-  stats.join_pairs_generated = 14;
-  stats.tuples_discarded_marked = 15;
-  stats.tuples_dominated_on_insert = 16;
-  stats.tuples_evicted = 17;
-  stats.dominance_comparisons = 18;
-  stats.results_emitted = 19;
-  stats.cells_flushed = 20;
-  stats.results_emitted_early = 21;
-
+  uint64_t value = 1;
+  for (const StatField<ProgXeStats>& f : kProgXeStatsFields) {
+    if (f.real != nullptr) {
+      stats.*f.real = static_cast<double>(value++) + 0.125;
+    } else {
+      stats.*f.count = value++;
+    }
+  }
   std::string buf;
   WireWriter w(&buf);
   WriteStats(stats, &w);
-  EXPECT_EQ(buf.size(), 22u * 8);
+  EXPECT_EQ(buf.size(), std::size(kProgXeStatsFields) * 8);
   ProgXeStats decoded;
   WireReader r(buf);
   ASSERT_TRUE(ReadStats(&r, &decoded).ok());
   EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(StatsFields(decoded), StatsFields(stats));
+  ExpectSameStats(decoded, stats, "wire round trip");
+}
+
+// The version-9 stats layout, captured before the codec looped over
+// kProgXeStatsFields. Each field holds 0x1000 plus its byte offset in
+// ProgXeStats (plus 0.5 on sigma_used), so reordering either the list or
+// the struct changes the bytes.
+TEST(Wire, StatsMatchVersion9GoldenBytes) {
+  static_assert(kWireVersion == 9);
+  ProgXeStats stats;
+  const auto offset = [&](const void* field) {
+    return static_cast<uint64_t>(static_cast<const char*>(field) -
+                                 reinterpret_cast<const char*>(&stats));
+  };
+  for (const StatField<ProgXeStats>& f : kProgXeStatsFields) {
+    if (f.real != nullptr) {
+      stats.*f.real = static_cast<double>(0x1000 + offset(&(stats.*f.real))) +
+                      0.5;
+    } else {
+      stats.*f.count = 0x1000 + offset(&(stats.*f.count));
+    }
+  }
+  std::string buf;
+  WireWriter w(&buf);
+  WriteStats(stats, &w);
+  std::string hex;
+  for (unsigned char c : buf) {
+    hex.push_back("0123456789abcdef"[c >> 4]);
+    hex.push_back("0123456789abcdef"[c & 15]);
+  }
+  EXPECT_EQ(hex,
+            "0010000000000000081000000000000010100000000000001810000000000000"
+            "000000008020b040281000000000000030100000000000003810000000000000"
+            "4010000000000000481000000000000050100000000000005810000000000000"
+            "6010000000000000681000000000000070100000000000007810000000000000"
+            "8010000000000000881000000000000090100000000000009810000000000000"
+            "a010000000000000a810000000000000");
 }
 
 TEST(Wire, RelationRoundTripPreservesEveryBit) {

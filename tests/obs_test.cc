@@ -1,10 +1,11 @@
 // Tests for the observability layer (obs/trace.h, obs/metrics.h): span
 // recording, ring-overflow drop accounting, multi-thread interleaving
 // (TSan-checked in CI; PROGXE_TEST_THREADS widens the pool), trace_event
-// JSON validity, the tracing-on/off equivalence guarantee, and the metrics
-// registry's Prometheus exposition.
+// JSON validity, the tracing-on/off equivalence guarantee, and the
+// Prometheus exposition written from the stats snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "equivalence_common.h"
+#include "net/net_stats.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "progxe/executor.h"
@@ -298,105 +300,71 @@ TEST(Trace, TracingOnAndOffAreBitIdentical) {
   }
 }
 
-TEST(Metrics, RegistryIsIdempotentAndTyped) {
-  MetricsRegistry reg;
-  Metric* c = reg.GetCounter("test_total", "a counter");
-  EXPECT_EQ(c, reg.GetCounter("test_total", "a counter"));
-  c->Add(2.0);
-  c->Increment();
-  EXPECT_DOUBLE_EQ(c->value(), 3.0);
-  Metric* g = reg.GetGauge("test_gauge", "a gauge");
-  g->Set(42.0);
-  g->Set(7.0);
-  EXPECT_DOUBLE_EQ(g->value(), 7.0);
-  EXPECT_EQ(reg.size(), 2u);
+/// Sets field i of `fields` to base + i.
+template <typename S, size_t N>
+void SetDistinct(const StatField<S> (&fields)[N], uint64_t base, S* s) {
+  for (const StatField<S>& f : fields) {
+    if (f.real != nullptr) {
+      s->*f.real = static_cast<double>(base++);
+    } else {
+      s->*f.count = base++;
+    }
+  }
 }
 
-TEST(Metrics, HistogramBucketsAndPrometheusRendering) {
-  MetricsRegistry reg;
-  HistogramMetric* h =
-      reg.GetHistogram("test_seconds", "a histogram", {0.1, 1.0, 10.0});
-  h->Observe(0.05);   // bucket le=0.1
-  h->Observe(0.5);    // bucket le=1
-  h->Observe(0.6);    // bucket le=1
-  h->Observe(100.0);  // +Inf
-  EXPECT_EQ(h->count(), 4u);
-  reg.GetCounter("test_total", "a counter")->Add(5.0);
-
-  std::string text;
-  reg.RenderPrometheus(&text);
-  EXPECT_NE(text.find("# HELP test_seconds a histogram"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_seconds histogram"), std::string::npos);
-  // Cumulative buckets: 1, 3, 3, 4.
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"0.1\"} 1"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"1\"} 3"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_bucket{le=\"+Inf\"} 4"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("test_seconds_count 4"), std::string::npos) << text;
-  EXPECT_NE(text.find("# TYPE test_total counter"), std::string::npos);
-  EXPECT_NE(text.find("test_total 5"), std::string::npos);
+/// Expects `progxe_<subsystem>_<field>[_total] <value>` for every field,
+/// under a TYPE line of the field's kind.
+template <typename S, size_t N>
+void ExpectEveryField(const std::string& text, const char* subsystem,
+                      const StatField<S> (&fields)[N], const S& s) {
+  for (const StatField<S>& f : fields) {
+    std::string name = std::string("progxe_") + subsystem + "_" + f.name;
+    const bool counter = f.kind == StatKind::kCounter;
+    if (counter && !name.ends_with("_total")) name += "_total";
+    const uint64_t value = f.real != nullptr
+                               ? static_cast<uint64_t>(s.*f.real)
+                               : s.*f.count;
+    EXPECT_NE(text.find("\n" + name + " " + std::to_string(value) + "\n"),
+              std::string::npos)
+        << name;
+    EXPECT_NE(text.find("# TYPE " + name +
+                        (counter ? " counter\n" : " gauge\n")),
+              std::string::npos)
+        << name;
+  }
 }
 
-TEST(Metrics, FoldsEngineAndSchedulerSnapshots) {
-  MetricsRegistry reg;
+TEST(Metrics, RendersEveryFieldOfEverySnapshot) {
   ProgXeStats stats;
-  stats.r_rows = 100;
-  stats.join_pairs_generated = 5000;
-  stats.results_emitted = 42;
-  FoldProgXeStats(stats, &reg);
-
+  SetDistinct(kProgXeStatsFields, 1000, &stats);
   SchedulerStats sched;
-  sched.queued = 2;
-  sched.slices = 10;
-  sched.slice_latency_us_log2[3] = 10;  // 10 slices in [4, 8) us
-  sched.prepare_hits = 6;
-  FoldSchedulerStats(sched, &reg);
-
-  ShardCoverage cov;
-  cov.shards = 4;
-  cov.completed = 3;
-  cov.abandoned = 1;
-  FoldShardCoverage(cov, &reg);
-  FoldObservability(&reg);
-
-  std::string text;
-  reg.RenderPrometheus(&text);
-  EXPECT_NE(text.find("progxe_executor_join_pairs_total 5000"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("progxe_executor_results_emitted_total 42"),
-            std::string::npos);
-  EXPECT_NE(text.find("progxe_scheduler_queued 2"), std::string::npos);
-  EXPECT_NE(text.find("progxe_scheduler_slices_total 10"),
-            std::string::npos);
-  EXPECT_NE(text.find("progxe_scheduler_slice_latency_seconds_count 10"),
-            std::string::npos)
-      << text;
-  EXPECT_NE(text.find("progxe_prepare_cache_hits_total 6"),
-            std::string::npos);
-  EXPECT_NE(text.find("progxe_shard_coverage_completed 3"),
-            std::string::npos);
+  SetDistinct(kSchedulerStatsFields, 2000, &sched);
+  NetStatsSnapshot net;
+  SetDistinct(kNetStatsFields, 3000, &net);
+  const std::string text = RenderPrometheus(stats, sched, net);
+  ExpectEveryField(text, "executor", kProgXeStatsFields, stats);
+  ExpectEveryField(text, "scheduler", kSchedulerStatsFields, sched);
+  ExpectEveryField(text, "net", kNetStatsFields, net);
   EXPECT_NE(text.find("progxe_trace_dropped_events_total"),
             std::string::npos);
   EXPECT_NE(text.find("progxe_fault_fires_total"), std::string::npos);
-  // Re-folding overwrites (snapshot semantics), never double-counts.
-  FoldProgXeStats(stats, &reg);
-  text.clear();
-  reg.RenderPrometheus(&text);
-  EXPECT_NE(text.find("progxe_executor_join_pairs_total 5000"),
-            std::string::npos);
-  // The whole exposition parses line-by-line: every non-comment line is
-  // "name[{labels}] value".
+
+  // One HELP and one TYPE line per family, and every sample line parses
+  // as "name[{labels}] value".
+  std::vector<std::string> helped;
   size_t start = 0;
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string::npos) end = text.size();
     const std::string line = text.substr(start, end - start);
     start = end + 1;
+    if (line.rfind("# HELP ", 0) == 0) {
+      const std::string family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_EQ(std::count(helped.begin(), helped.end(), family), 0)
+          << family << " exported twice";
+      helped.push_back(family);
+      continue;
+    }
     if (line.empty() || line[0] == '#') continue;
     const size_t space = line.rfind(' ');
     ASSERT_NE(space, std::string::npos) << line;
@@ -404,6 +372,32 @@ TEST(Metrics, FoldsEngineAndSchedulerSnapshots) {
     char* endp = nullptr;
     std::strtod(line.c_str() + space + 1, &endp);
     EXPECT_EQ(*endp, '\0') << "non-numeric sample value: " << line;
+  }
+}
+
+TEST(Metrics, HistogramBucketsAndPrometheusRendering) {
+  SchedulerStats sched;
+  sched.slice_latency_us_log2[0] = 1;   // < 1 us
+  sched.slice_latency_us_log2[3] = 10;  // [4, 8) us
+  sched.slice_latency_us_log2[kLog2UsBuckets - 1] = 2;  // open-ended
+  NetStatsSnapshot net;
+  net.rtt_us_log2[Log2UsBucket(3)] = 4;
+  net.rtt_sum_us = 12.0;
+  const std::string text = RenderPrometheus(ProgXeStats(), sched, net);
+  for (const char* expected : {
+           "# TYPE progxe_scheduler_slice_latency_seconds histogram\n",
+           "progxe_scheduler_slice_latency_seconds_bucket{le=\"1e-06\"} 1\n",
+           "progxe_scheduler_slice_latency_seconds_bucket{le=\"4e-06\"} 1\n",
+           "progxe_scheduler_slice_latency_seconds_bucket{le=\"8e-06\"} 11\n",
+           "progxe_scheduler_slice_latency_seconds_bucket{le=\"0.131072\"} "
+           "11\n",
+           "progxe_scheduler_slice_latency_seconds_bucket{le=\"+Inf\"} 13\n",
+           "progxe_scheduler_slice_latency_seconds_count 13\n",
+           "progxe_net_rtt_seconds_bucket{le=\"2e-06\"} 0\n",
+           "progxe_net_rtt_seconds_bucket{le=\"4e-06\"} 4\n",
+           "progxe_net_rtt_seconds_sum 1.2e-05\n",
+           "progxe_net_rtt_seconds_count 4\n"}) {
+    EXPECT_NE(text.find(expected), std::string::npos) << expected << text;
   }
 }
 

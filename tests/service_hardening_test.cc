@@ -13,6 +13,7 @@
 
 #include "common/fault_injection.h"
 #include "equivalence_common.h"
+#include "net/net_stats.h"
 #include "progxe/session.h"
 #include "service/scheduler.h"
 
@@ -249,20 +250,20 @@ TEST(SchedulerStatsTest, SnapshotMatchesServedWork) {
             stats.SliceLatencyQuantileUs(1.0));
   // The histogram is exported through the human-readable snapshot too
   // (the server's bare `stats` command prints exactly this string).
-  EXPECT_NE(stats.ToString().find("slice_lat_us_log2"), std::string::npos);
+  EXPECT_NE(stats.ToString().find("slice_us_log2"), std::string::npos);
 }
 
 TEST(SchedulerStatsTest, SliceLatencyBucketEdges) {
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(0), 0u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(1), 1u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(2), 2u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(3), 2u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(4), 3u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(1023), 10u);
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(1024), 11u);
+  EXPECT_EQ(Log2UsBucket(0), 0u);
+  EXPECT_EQ(Log2UsBucket(1), 1u);
+  EXPECT_EQ(Log2UsBucket(2), 2u);
+  EXPECT_EQ(Log2UsBucket(3), 2u);
+  EXPECT_EQ(Log2UsBucket(4), 3u);
+  EXPECT_EQ(Log2UsBucket(1023), 10u);
+  EXPECT_EQ(Log2UsBucket(1024), 11u);
   // Overflow clamps into the last bucket instead of indexing past it.
-  EXPECT_EQ(SchedulerStats::SliceLatencyBucket(UINT64_MAX),
-            SchedulerStats::kSliceLatencyBuckets - 1);
+  EXPECT_EQ(Log2UsBucket(UINT64_MAX),
+            kLog2UsBuckets - 1);
 
   SchedulerStats stats;
   EXPECT_EQ(stats.SliceLatencyQuantileUs(0.5), 0u);  // nothing served yet
@@ -270,6 +271,29 @@ TEST(SchedulerStatsTest, SliceLatencyBucketEdges) {
   stats.slice_latency_us_log2[7] = 1;
   EXPECT_EQ(stats.SliceLatencyQuantileUs(0.5), uint64_t{1} << 3);
   EXPECT_EQ(stats.SliceLatencyQuantileUs(0.99), uint64_t{1} << 7);
+}
+
+// Slices and RTTs share one nearest-rank rule: the smallest bucket whose
+// cumulative count reaches max(1, ceil(q * n)).
+TEST(SchedulerStatsTest, SliceAndRttQuantilesShareNearestRank) {
+  SchedulerStats sched;
+  NetStatsSnapshot net;
+  EXPECT_EQ(sched.SliceLatencyQuantileUs(0.0), 0u);
+  EXPECT_EQ(net.RttQuantileUs(0.0), 0u);
+  // 9 entries in [1, 2) us and 1 in [512, 1024) us.
+  for (Log2UsHistogram* h : {&sched.slice_latency_us_log2, &net.rtt_us_log2}) {
+    (*h)[Log2UsBucket(1)] = 9;
+    (*h)[Log2UsBucket(600)] = 1;
+  }
+  for (const auto& [q, edge] : {std::pair{0.0, uint64_t{2}},
+                                std::pair{0.5, uint64_t{2}},
+                                std::pair{0.9, uint64_t{2}},
+                                std::pair{0.91, uint64_t{1024}},
+                                std::pair{0.99, uint64_t{1024}},
+                                std::pair{1.0, uint64_t{1024}}}) {
+    EXPECT_EQ(sched.SliceLatencyQuantileUs(q), edge) << q;
+    EXPECT_EQ(net.RttQuantileUs(q), edge) << q;
+  }
 }
 
 // A sharded query behind one QueryHandle: the scheduler-served stream must

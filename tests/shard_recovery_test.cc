@@ -376,6 +376,8 @@ TEST(ShardRecovery, SchedulerDegradesOrFailsOnExhaustion) {
       EXPECT_EQ(coverage.completed, 3);
       EXPECT_EQ(coverage.abandoned, 1);
       EXPECT_EQ(stats.partial, 1u);
+      EXPECT_EQ(stats.shards_planned, 4u);
+      EXPECT_EQ(stats.shards_completed, 3u);
       EXPECT_EQ(stats.shards_abandoned, 1u);
       EXPECT_EQ(stats.failed, 0u);
     } else {
@@ -428,8 +430,11 @@ TEST(ShardRecovery, SchedulerServedRetriesAreExactAndCounted) {
   EXPECT_EQ(served, reference);
   EXPECT_TRUE(handle->coverage().complete());
   EXPECT_GT(handle->coverage().retries, 0u);
-  EXPECT_GT(scheduler.stats().shard_retries, 0u);
-  EXPECT_EQ(scheduler.stats().shards_abandoned, 0u);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.shard_retries, handle->coverage().retries);
+  EXPECT_EQ(stats.shards_planned, 4u);
+  EXPECT_EQ(stats.shards_completed, 4u);
+  EXPECT_EQ(stats.shards_abandoned, 0u);
 }
 
 // The backoff schedule is a pure function of (options, seed, shard,

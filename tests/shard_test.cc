@@ -66,21 +66,6 @@ std::vector<ResultTuple> DrainStream(ProgXeStream* stream, size_t max_results,
   return all;
 }
 
-/// Counter sum mirroring the stream's additive aggregation, restricted to
-/// the fields ExpectSameStats guards.
-void AddCounters(ProgXeStats* agg, const ProgXeStats& s) {
-  agg->join_pairs_generated += s.join_pairs_generated;
-  agg->tuples_discarded_marked += s.tuples_discarded_marked;
-  agg->tuples_dominated_on_insert += s.tuples_dominated_on_insert;
-  agg->tuples_evicted += s.tuples_evicted;
-  agg->dominance_comparisons += s.dominance_comparisons;
-  agg->results_emitted += s.results_emitted;
-  agg->results_emitted_early += s.results_emitted_early;
-  agg->regions_processed += s.regions_processed;
-  agg->regions_discarded_runtime += s.regions_discarded_runtime;
-  agg->cells_flushed += s.cells_flushed;
-}
-
 /// Unsharded reference: full result set + stats through a plain session.
 IdSet UnshardedReference(const Config& cfg, const ProgXeOptions& options,
                          ProgXeStats* stats) {
@@ -100,7 +85,7 @@ ProgXeStats SumOfSoloShardRuns(const Config& cfg,
     auto session = ProgXeSession::Open(shard.Query(cfg.query()), options);
     EXPECT_TRUE(session.ok());
     DrainStream(session->get(), 0, 0);
-    AddCounters(&sum, (*session)->stats());
+    sum.Accumulate((*session)->stats());
   }
   return sum;
 }

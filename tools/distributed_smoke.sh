@@ -5,7 +5,9 @@
 # — the end-to-end form of the bit-identity contract (wire serde, worker
 # pump slicing, coordinator merge and watermark release all on the path).
 # A server leg first checks that a sharded query's done line reports the
-# same result count as the unsharded one.
+# same result count as the unsharded one, and that its `metrics` output is
+# well-formed Prometheus text naming every ProgXeStats field
+# (tools/check_metrics.py).
 #
 # Usage: tools/distributed_smoke.sh [build_dir]
 set -euo pipefail
@@ -50,6 +52,9 @@ if [[ -z "$sharded_results" || "$sharded_results" != "$unsharded_results" ]]; th
   echo "FAIL: done results= differs between shards=4 and shards=1" >&2
   exit 1
 fi
+
+printf 'submit n=500 shards=2\ndrain\nmetrics\nquit\n' | "$server" 2>/dev/null \
+  | python3 "$repo_root/tools/check_metrics.py" -
 
 # Start two workers on ephemeral ports and read the announced ports back.
 endpoints=()

@@ -50,13 +50,13 @@
 //                   done/total, pairs, ttfr) in any state; a terminal query
 //                   additionally reports its final counters and shard
 //                   coverage (covered=i/K), partial or not
-//   stats           one "sched ..." line: the SchedulerStats snapshot
-//                   (queue depth, running, slices, sliced pairs, outcomes)
-//   metrics         the full Prometheus text exposition of the process
-//                   metrics registry (executor totals over terminal
-//                   queries, scheduler/cache/shard counters, slice-latency
-//                   histogram, trace + fault counters), terminated by an
-//                   "ok metrics" line
+//   stats           one "sched ..." line: every SchedulerStats field
+//                   (queue depth, running, slices, outcomes, shards, cache)
+//                   and then every transport field with a net_ prefix
+//   metrics         the Prometheus text exposition written from fresh
+//                   snapshots (executor totals over terminal queries,
+//                   scheduler, transport, latency histograms, trace + fault
+//                   counters), terminated by an "ok metrics" line
 //   list            one "stat ..." line per submitted query
 //   quit            drain nothing further; cancel outstanding and exit
 //
@@ -500,39 +500,19 @@ int main(int argc, char** argv) {
     }
 
     if (cmd == "stats" && tokens.size() == 1) {
-      // Same field formatter as SchedulerStats::ToString, so every counter
-      // added to the snapshot lands in both outputs at once.
-      Emit("sched " + scheduler.stats().FormatFields());
+      Emit("sched " + scheduler.stats().FormatFields() + " " +
+           SnapshotNetStats().FormatFields());
       continue;
     }
 
     if (cmd == "metrics") {
-      // Fold a consistent snapshot into the process registry, then render
-      // the whole exposition. Executor totals cover terminal queries (the
-      // only ones whose counters are final); coverage sums every terminal
-      // handle's shard report.
-      MetricsRegistry& reg = GlobalMetrics();
+      ProgXeStats totals;
       {
         std::lock_guard<std::mutex> lock(g_terminal_mtx);
-        FoldProgXeStats(g_terminal_stats, &reg);
+        totals = g_terminal_stats;
       }
-      ShardCoverage coverage_total;
-      coverage_total.shards = 0;
-      for (const auto& [id, query] : queries) {
-        if (!IsTerminal(query->handle.state())) continue;
-        const ShardCoverage& c = query->handle.coverage();
-        coverage_total.shards += c.shards;
-        coverage_total.completed += c.completed;
-        coverage_total.abandoned += c.abandoned;
-        coverage_total.retries += c.retries;
-      }
-      FoldSchedulerStats(scheduler.stats(), &reg);
-      FoldShardCoverage(coverage_total, &reg);
-      FoldNetStats(&reg);
-      FoldObservability(&reg);
-      std::string text;
-      reg.RenderPrometheus(&text);
-      EmitRaw(text + "ok metrics\n");
+      EmitRaw(RenderPrometheus(totals, scheduler.stats(), SnapshotNetStats()) +
+              "ok metrics\n");
       continue;
     }
 
